@@ -8,11 +8,14 @@ symbol statistics of the layers already processed under that same candidate:
 post-detection LLRs for a layer are combined with its a priori LLRs, turned
 into a soft symbol mean and variance, and folded into the next layer's
 effective noise. Layer metrics themselves are exact prior-aware maxima
-obtained by boundary slicing, with the boundary modulation using the
-per-candidate effective variance.
+under the per-candidate effective variance.
 
-The bottom-most inner layer sees no feedback (unit effective variance), and
-the top layer computes no post-detection LLRs since nothing consumes them.
+The bottom-most inner layer sees no feedback (unit effective variance), so
+one boundary set per context slices it for every candidate. Layers above it
+take the metric argmax over each axis's sqrt(M) levels directly, which
+picks the same level as a per-candidate boundary set would; DetectorStats
+still charges those per-candidate boundaries, the paper's cost model. The
+top layer computes no post-detection LLRs since nothing consumes them.
 """
 
 from __future__ import annotations
@@ -22,6 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import WhitenedModel
+from .chase import (
+    StackedContext,
+    candidate_priors,
+    coset_llrs,
+    detect_rows_in_slices,
+    stack_streams,
+    stacked_model,
+)
 from .constellation import (
     Constellation,
     coset_min_sqdist,
@@ -34,15 +45,17 @@ from .counters import DetectorStats
 from .errors import SingularMatrixError
 from .linalg import qr
 from .llr import LlrFrame, saturate
+from .reference import brute_pam_argmax
 
 
 @dataclass(frozen=True)
-class BchaseStreamContext:
+class BchaseStreamContext(StackedContext):
     """QR state for one target stream: column `stream` last, rest BLAST-ordered.
 
     layers[k] is the original stream index at permuted position k
     (layers[-1] == stream). r is the full upper-triangular factor and y_rot
-    the rotated observation Q^H y.
+    the rotated observation Q^H y. Every field may carry leading batch axes
+    (see chase.StackedContext).
     """
 
     stream: int
@@ -94,19 +107,15 @@ def blast_order(h: np.ndarray, stream: int) -> np.ndarray:
     return _blast_order_uses(h[None], stream)[0]
 
 
-def _prepare_stream_uses(
-    h: np.ndarray, y: np.ndarray, stream: int
-) -> list[BchaseStreamContext]:
+def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> BchaseStreamContext:
+    """Order and factor one target stream for a stack of uses (h is (U, n_rx, n))."""
     orders = _blast_order_uses(h, stream)
     h_perm = np.take_along_axis(h, orders[:, None, :], axis=2)
     factors = qr(h_perm)
     y_rot = np.einsum("uji,uj->ui", factors.q.conj(), y)
-    return [
-        BchaseStreamContext(
-            stream=stream, layers=orders[u], r=factors.r[u], y_rot=y_rot[u]
-        )
-        for u in range(len(h))
-    ]
+    return BchaseStreamContext(
+        stream=np.full(len(h), stream), layers=orders, r=factors.r, y_rot=y_rot
+    )
 
 
 def prepare_stream(model: WhitenedModel, stream: int) -> BchaseStreamContext:
@@ -117,16 +126,14 @@ def prepare_all(model: WhitenedModel) -> list[BchaseStreamContext]:
     return [prepare_stream(model, i) for i in range(model.n_streams)]
 
 
-def prepare_all_uses(models) -> list[list[BchaseStreamContext]]:
-    """Factor every stream of every use; returns contexts indexed [use][stream].
+def prepare_all_uses(models) -> BchaseStreamContext:
+    """Order and factor every stream of every use into one (streams, uses) context.
 
-    Equivalent to [prepare_all(m) for m in models] but orders and factors each
-    stream's whole batch of uses in stacked linear algebra calls.
+    models is a sequence of per-use WhitenedModel or one WhitenedModel
+    stacked over uses; ctx[i][u] equals prepare_stream(models[u], i).
     """
-    h = np.stack([m.h for m in models])
-    y = np.stack([m.y for m in models])
-    per_stream = [_prepare_stream_uses(h, y, i) for i in range(h.shape[-1])]
-    return [list(row) for row in zip(*per_stream)]
+    h, y = stacked_model(models)
+    return stack_streams([_prepare_stream_uses(h, y, i) for i in range(h.shape[-1])])
 
 
 def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
@@ -149,8 +156,8 @@ def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
     return out
 
 
-def _detect_contexts(
-    contexts: list[BchaseStreamContext],
+def _detect_rows(
+    ctx: BchaseStreamContext,
     c: Constellation,
     la: np.ndarray,
     use_idx: np.ndarray,
@@ -162,19 +169,15 @@ def _detect_contexts(
     """Core detection over a flat batch of contexts (any mix of streams).
 
     la is (uses, n_streams, q) and use_idx maps each context to its la (and
-    genie_symbols) row. Returns max-log LLRs of shape (len(contexts), q).
+    genie_symbols) row. Returns max-log LLRs of shape (len(ctx), q).
     """
-    batch = len(contexts)
-    n = len(contexts[0].layers)
+    batch = len(ctx)
+    n = ctx.layers.shape[1]
     m = c.order
-
-    r = np.stack([ctx.r for ctx in contexts])
-    y_rot = np.stack([ctx.y_rot for ctx in contexts])
-    perms = np.stack([ctx.layers for ctx in contexts])
-    streams = np.array([ctx.stream for ctx in contexts])
+    r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
 
     cand = c.symbols
-    prior = la[use_idx, streams, :] @ c.bit_labels_f.T
+    prior = candidate_priors(la[use_idx, ctx.stream, :], c)
     total = prior - np.abs(y_rot[:, -1:] - r[:, -1, -1].real[:, None] * cand) ** 2
     if stats is not None:
         stats.metric_evals += batch * m
@@ -196,19 +199,25 @@ def _detect_contexts(
         z = (y_rot[:, l : l + 1] - r_row[:, n - 1 : n] * cand - feedback) / r_ll[:, None]
         eff_var = layer_var / r_ll[:, None] ** 2
         # The bottom inner layer has no feedback, so its effective variance
-        # (hence its boundary set) is the same for every candidate.
-        bound_var = eff_var[:, :1] if l == n - 2 else eff_var
+        # (hence its boundary set) is the same for every candidate and the
+        # slicer serves all M candidates. Above it the variance differs per
+        # candidate, and evaluating the sqrt(M) level metrics directly picks
+        # the same level for less work than a boundary set per candidate; the
+        # count still charges the paper's per-candidate boundary sets.
+        bottom = l == n - 2
 
         for axis, cols, zz in (
             (c.real_axis, c.real_bits, z.real),
             (c.imag_axis, c.imag_bits, z.imag),
         ):
             la_axis = la_layer[:, cols][:, None, :]
-            bset = pam_boundaries(axis, la_axis, bound_var)
-            idx = slice_pam(zz, axis, bset)
+            if bottom:
+                idx = slice_pam(zz, axis, pam_boundaries(axis, la_axis, eff_var[:, :1]))
+            else:
+                idx = brute_pam_argmax(zz, axis, la_axis, eff_var)
             total = total + pam_metric(axis, idx, zz, la_axis, eff_var)
             if stats is not None:
-                stats.boundary_evals += batch * bound_var.shape[1] * axis.npairs
+                stats.boundary_evals += batch * (1 if bottom else m) * axis.npairs
 
         if l == 0:
             break  # nothing below consumes this layer's estimate
@@ -228,55 +237,21 @@ def _detect_contexts(
         if stats is not None:
             stats.soft_stat_evals += batch * m
 
-    llrs = np.empty((batch, c.bits_per_symbol))
-    for k, (zeros, ones) in enumerate(c.bit_coset_idx):
-        llrs[:, k] = total[:, ones].max(axis=1) - total[:, zeros].max(axis=1)
-    return llrs
-
-
-def detect_stream_batch(
-    contexts: list[BchaseStreamContext],
-    c: Constellation,
-    la: np.ndarray,
-    stats: DetectorStats | None = None,
-    *,
-    zero_post_llrs: bool = False,
-    genie_symbols: np.ndarray | None = None,
-) -> np.ndarray:
-    """Detect one stream across a batch of uses; la is (uses, n_streams, q).
-
-    Test hooks: zero_post_llrs forces every post-detection LLR to zero (the
-    feedback chain then uses priors only); genie_symbols (uses, n_streams)
-    forces the chain to feed back the true symbols with zero variance.
-    """
-    return _detect_contexts(
-        contexts,
-        c,
-        la,
-        np.arange(len(contexts)),
-        stats,
-        zero_post_llrs=zero_post_llrs,
-        genie_symbols=genie_symbols,
-    )
+    return coset_llrs(total, c)
 
 
 def detect_all_uses(
-    contexts: list[list[BchaseStreamContext]],
+    contexts: BchaseStreamContext,
     c: Constellation,
     la: np.ndarray,
     stats: DetectorStats | None = None,
 ) -> np.ndarray:
-    """Detect every stream of every use in one fused batch.
+    """Detect every stream of every use, in slices of the candidate-row budget.
 
-    contexts is indexed [use][stream] (from prepare_all_uses) and la is
+    contexts is the (streams, uses) stack from prepare_all_uses and la is
     (uses, n_streams, q); returns LLRs of the same shape as la.
     """
-    n_uses = len(contexts)
-    n_streams = len(contexts[0])
-    flat = [contexts[u][i] for i in range(n_streams) for u in range(n_uses)]
-    use_idx = np.tile(np.arange(n_uses), n_streams)
-    out = _detect_contexts(flat, c, la, use_idx, stats)
-    return out.reshape(n_streams, n_uses, -1).transpose(1, 0, 2)
+    return detect_rows_in_slices(_detect_rows, contexts, c, la, stats)
 
 
 def detect_stream(
@@ -288,13 +263,19 @@ def detect_stream(
     zero_post_llrs: bool = False,
     genie_symbols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Max-log LLRs (q,) for one stream of one channel use."""
+    """Max-log LLRs (q,) for one stream of one channel use.
+
+    Test hooks: zero_post_llrs forces every post-detection LLR to zero (the
+    feedback chain then uses priors only); genie_symbols (n_streams,) forces
+    the chain to feed back the true symbols with zero variance.
+    """
     values = la.values if isinstance(la, LlrFrame) else np.asarray(la, dtype=float)
     genie = None if genie_symbols is None else np.asarray(genie_symbols)[None]
-    return detect_stream_batch(
-        [ctx],
+    return _detect_rows(
+        ctx[None],
         c,
         values[None],
+        np.zeros(1, dtype=int),
         stats,
         zero_post_llrs=zero_post_llrs,
         genie_symbols=genie,

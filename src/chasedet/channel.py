@@ -53,13 +53,31 @@ def iid_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _complex_normal(normals: np.ndarray, axis: int) -> np.ndarray:
+    """CN(0, 1) entries from standard normals, real parts at index 0 of axis."""
+    re, im = np.take(normals, 0, axis), np.take(normals, 1, axis)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
 def generate_channel(
-    n_r: int, n_t: int, corr: CorrelationModel, rng: np.random.Generator | int
+    n_r: int,
+    n_t: int,
+    corr: CorrelationModel,
+    rng: np.random.Generator | int | np.ndarray,
 ) -> np.ndarray:
-    """Draw Hbar = Rr^(1/2) Hw Rt^(1/2), entries unit-variance complex Gaussian."""
+    """Draw Hbar = Rr^(1/2) Hw Rt^(1/2), entries unit-variance complex Gaussian.
+
+    rng is a Generator or a seed, which draws one (n_r, n_t) channel, or an
+    array of standard normals shaped (..., 2, n_r, n_t), real parts before
+    imaginary parts, which gives one channel per leading index. A Generator
+    draws those normals in that order.
+    """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    h_w = iid_complex_gaussian(rng, (n_r, n_t))
+    normals = rng if isinstance(rng, np.ndarray) else rng.standard_normal((2, n_r, n_t))
+    if normals.shape[-3:] != (2, n_r, n_t):
+        raise ValueError(f"expected normals shaped (..., 2, {n_r}, {n_t})")
+    h_w = _complex_normal(normals, -3)
     if corr.rho_rx > 0.0:
         h_w = _sym_sqrt(corr.rx_matrix(n_r)) @ h_w
     if corr.rho_tx > 0.0:
@@ -69,22 +87,30 @@ def generate_channel(
 
 @dataclass(frozen=True)
 class WhitenedModel:
-    """Observation after noise whitening: y = h s + n with n ~ CN(0, I)."""
+    """Observation after noise whitening: y = h s + n with n ~ CN(0, I).
+
+    y is (n_rx,) and h (n_rx, n_streams) for one channel use; a stack of uses
+    carries the same leading axes on both.
+    """
 
     y: np.ndarray
     h: np.ndarray
 
     @property
     def n_streams(self) -> int:
-        return self.h.shape[1]
+        return self.h.shape[-1]
 
 
 class ChannelRealization:
-    """One channel draw plus everything needed to transmit and whiten on it."""
+    """One channel draw plus everything needed to transmit and whiten on it.
+
+    hbar may be a stack (..., n_r, n_t) of draws sharing one noise
+    covariance; the whitener is then factored once for all of them.
+    """
 
     def __init__(self, hbar: np.ndarray, c_nn: np.ndarray, w: np.ndarray | None = None):
         hbar = np.asarray(hbar, dtype=complex)
-        n_r, n_t = hbar.shape
+        n_r, n_t = hbar.shape[-2:]
         if w is None:
             w = np.eye(n_t, dtype=complex)
         w = np.asarray(w, dtype=complex)
@@ -113,21 +139,39 @@ class ChannelRealization:
 
     @property
     def n_streams(self) -> int:
-        return self.h.shape[1]
+        return self.h.shape[-1]
 
 
 def transmit(
-    ch: ChannelRealization, s: np.ndarray, rng: np.random.Generator
+    ch: ChannelRealization, s: np.ndarray, rng: np.random.Generator | np.ndarray
 ) -> np.ndarray:
-    """y = H s + n with n drawn from CN(0, C_nn)."""
+    """y = H s + n with n drawn from CN(0, C_nn).
+
+    s is (n_streams,) or a stack matching a stacked realization. rng is a
+    Generator, or an array of standard normals shaped (..., 2, n_r), real
+    parts before imaginary parts, that the noise is made from. A Generator
+    draws those normals in that order.
+    """
     s = np.asarray(s, dtype=complex)
-    if s.shape != (ch.n_streams,):
+    if s.shape[-1:] != (ch.n_streams,):
         raise ValueError(f"expected {ch.n_streams} stream symbols")
-    w = iid_complex_gaussian(rng, ch.c_nn.shape[0])
-    return ch.h @ s + ch._noise_factor @ w
+    n_r = ch.c_nn.shape[0]
+    if isinstance(rng, np.ndarray):
+        normals = rng
+    else:
+        normals = rng.standard_normal(s.shape[:-1] + (2, n_r))
+    if normals.shape[-2:] != (2, n_r):
+        raise ValueError(f"expected normals shaped (..., 2, {n_r})")
+    w = _complex_normal(normals, -2)
+    return _apply(ch.h, s) + _apply(ch._noise_factor, w)
 
 
 def whiten(y: np.ndarray, ch: ChannelRealization) -> WhitenedModel:
-    """Apply the realization's whitener to an observation."""
+    """Apply the realization's whitener to an observation (or a stack)."""
     y = np.asarray(y, dtype=complex)
-    return WhitenedModel(ch.whitener @ y, ch.whitener @ ch.h)
+    return WhitenedModel(_apply(ch.whitener, y), ch.whitener @ ch.h)
+
+
+def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector products a @ x over any leading axes, as stacked matmul."""
+    return (a @ x[..., None])[..., 0]

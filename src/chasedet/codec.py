@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-G0 = (1, 1, 1)  # 7 octal: current input, previous, one before
-G1 = (1, 0, 1)  # 5 octal
-
 SUPPORTED_RATES = (0.5, 0.83)
 
 # Period-5 keep pattern (c0, c1) per trellis step for the ~0.83 selector:
@@ -27,16 +24,22 @@ PUNCTURE_KEEP = np.array(
     [[1, 1], [1, 0], [1, 0], [1, 0], [1, 0]], dtype=bool
 )
 
-# Trellis tables indexed [state][input]; state = 2*b(t-1) + b(t-2).
-_NS = [[0, 0], [0, 0], [0, 0], [0, 0]]
-_C0 = [[0, 0], [0, 0], [0, 0], [0, 0]]
-_C1 = [[0, 0], [0, 0], [0, 0], [0, 0]]
-for _s in range(4):
-    _d1, _d2 = _s >> 1, _s & 1
-    for _u in (0, 1):
-        _NS[_s][_u] = (_u << 1) | _d1
-        _C0[_s][_u] = _u ^ _d1 ^ _d2
-        _C1[_s][_u] = _u ^ _d2
+# Trellis: state s = 2*d1 + d2 holds the last two inputs (d1 = b(t-1),
+# d2 = b(t-2)); input u emits c0 = u^d1^d2, c1 = u^d2 and moves to state
+# 2*u + d1. Branch bits indexed [d1, d2, u]:
+_D1, _D2, _U = np.indices((2, 2, 2))
+_C0_BITS = (_U ^ _D1 ^ _D2).astype(float)
+_C1_BITS = (_U ^ _D2).astype(float)
+# The forward recursion lays branches out as (u, d1, d2), the backward one
+# and the edge totals as (d2, d1, u); see bcjr_decode.
+_FWD = (2, 0, 1)
+_BWD = (1, 0, 2)
+# Edges flattened from (d2, d1, u), split into (zeros, ones) cosets of the
+# first coded bit, the second coded bit and the info bit.
+_EDGE_COSETS = tuple(
+    tuple(np.flatnonzero(bits.transpose(_BWD).reshape(-1) == v) for v in (0, 1))
+    for bits in (_C0_BITS, _C1_BITS, _U)
+)
 
 
 @dataclass(frozen=True)
@@ -71,37 +74,49 @@ class CodeConfig:
 
 
 def encode(info_bits, cfg: CodeConfig) -> np.ndarray:
-    """Terminated mother-code codeword, c0/c1 interleaved per step."""
+    """Terminated mother-code codeword, c0/c1 interleaved per step.
+
+    info_bits is (K,) or a stack (..., K); the codewords keep its leading axes.
+    """
     info_bits = np.asarray(info_bits)
-    if info_bits.shape != (cfg.info_len,):
+    if info_bits.shape[-1:] != (cfg.info_len,):
         raise ValueError(f"expected {cfg.info_len} info bits")
     if not np.all((info_bits == 0) | (info_bits == 1)):
         raise ValueError("info bits must be 0/1")
-    u = np.concatenate([info_bits.astype(np.int8), np.zeros(2, dtype=np.int8)])
-    c0 = np.convolve(u, G0)[: cfg.steps] % 2
-    c1 = np.convolve(u, G1)[: cfg.steps] % 2
-    coded = np.empty(cfg.coded_len, dtype=np.int8)
-    coded[0::2] = c0
-    coded[1::2] = c1
+    # Inputs padded with two zeros on each side: the two leading zeros are
+    # the initial state, the two trailing ones the tail bits.
+    lead = info_bits.shape[:-1]
+    zeros = np.zeros(lead + (2,), dtype=np.int8)
+    u = np.concatenate([zeros, info_bits.astype(np.int8), zeros], axis=-1)
+    now, prev, prev2 = u[..., 2:], u[..., 1:-1], u[..., :-2]
+    coded = np.empty(lead + (cfg.coded_len,), dtype=np.int8)
+    coded[..., 0::2] = now ^ prev ^ prev2  # 7 octal
+    coded[..., 1::2] = now ^ prev2  # 5 octal
     return coded
 
 
 def puncture(coded: np.ndarray, cfg: CodeConfig) -> np.ndarray:
-    """Keep only transmitted positions of a mother codeword (or LLR vector)."""
+    """Keep only transmitted positions of a mother codeword (or LLR vector).
+
+    Leading axes of a stack (..., coded_len) are kept.
+    """
     coded = np.asarray(coded)
-    if coded.shape != (cfg.coded_len,):
+    if coded.shape[-1:] != (cfg.coded_len,):
         raise ValueError(f"expected {cfg.coded_len} values")
-    return coded[cfg.keep_mask()]
+    return coded[..., cfg.keep_mask()]
 
 
 def depuncture(llrs: np.ndarray, cfg: CodeConfig) -> np.ndarray:
-    """Re-expand transmitted-position LLRs, zeros at punctured positions."""
+    """Re-expand transmitted-position LLRs, zeros at punctured positions.
+
+    Leading axes of a stack (..., transmitted_len) are kept.
+    """
     llrs = np.asarray(llrs, dtype=float)
     mask = cfg.keep_mask()
-    if llrs.shape != (int(mask.sum()),):
+    if llrs.shape[-1:] != (int(mask.sum()),):
         raise ValueError(f"expected {int(mask.sum())} values")
-    full = np.zeros(cfg.coded_len)
-    full[mask] = llrs
+    full = np.zeros(llrs.shape[:-1] + (cfg.coded_len,))
+    full[..., mask] = llrs
     return full
 
 
@@ -134,85 +149,81 @@ def bcjr_decode(
     """Max-log BCJR over the terminated 4-state trellis.
 
     channel_llrs and apriori_llrs are per mother-coded-bit (length
-    2*(K+2)); pass None for a zero a priori. Returns (extrinsic per coded
-    bit, total LLR per info bit, hard info bits), where extrinsic is the
-    total coded-bit LLR minus channel minus a priori.
+    2*(K+2)); pass None for a zero a priori. A 2-D (blocks, 2*(K+2)) input
+    decodes every row in one recursion; 1-D input is one block. Returns
+    (extrinsic per coded bit, total LLR per info bit, hard info bits), where
+    extrinsic is the total coded-bit LLR minus channel minus a priori; each
+    keeps the input's leading block axis. Non-finite input raises ValueError.
     """
     channel_llrs = np.asarray(channel_llrs, dtype=float)
-    if channel_llrs.shape != (cfg.coded_len,):
+    if channel_llrs.ndim not in (1, 2) or channel_llrs.shape[-1] != cfg.coded_len:
         raise ValueError(f"expected {cfg.coded_len} channel LLRs")
+    if not np.all(np.isfinite(channel_llrs)):
+        raise ValueError("channel LLRs must be finite")
     if apriori_llrs is None:
         lam = channel_llrs
     else:
         apriori_llrs = np.asarray(apriori_llrs, dtype=float)
-        if apriori_llrs.shape != (cfg.coded_len,):
+        if apriori_llrs.shape != channel_llrs.shape:
             raise ValueError(f"expected {cfg.coded_len} a priori LLRs")
+        if not np.all(np.isfinite(apriori_llrs)):
+            raise ValueError("a priori LLRs must be finite")
         lam = channel_llrs + apriori_llrs
 
     steps = cfg.steps
     k = cfg.info_len
-    pairs = lam.reshape(steps, 2).tolist()
-    neg = float("-inf")
+    n_blocks = lam.size // cfg.coded_len
+    neg = -np.inf
+    # Branch terms per (step, block, edge). A path metric m takes them as
+    # (m + c0*l0) + c1*l1, the scalar recursion's order. Path metrics are
+    # held as 2 x 2 arrays over the state bits: alphas as (d1, d2), betas
+    # as (d2, d1), so each step broadcasts the previous one over its branches
+    # and keeps the better of the two.
+    pairs = lam.reshape(n_blocks, steps, 2).transpose(1, 0, 2)
+    l0 = pairs[:, :, 0, None, None, None]
+    l1 = pairs[:, :, 1, None, None, None]
 
-    alphas = [[0.0, neg, neg, neg]]
+    g0 = _C0_BITS.transpose(_FWD) * l0
+    g1 = _C1_BITS.transpose(_FWD) * l1
+    alphas = np.full((steps + 1, n_blocks, 2, 2), neg)
+    alphas[0, :, 0, 0] = 0.0
     for t in range(steps):
-        l0, l1 = pairs[t]
-        cur = alphas[-1]
-        nxt = [neg, neg, neg, neg]
-        inputs = (0, 1) if t < k else (0,)
-        for s in range(4):
-            a = cur[s]
-            if a == neg:
-                continue
-            for u in inputs:
-                v = a + _C0[s][u] * l0 + _C1[s][u] * l1
-                ns = _NS[s][u]
-                if v > nxt[ns]:
-                    nxt[ns] = v
-        alphas.append(nxt)
+        cand = alphas[t][:, None] + g0[t]  # (block, u, d1, d2)
+        cand += g1[t]
+        np.maximum(cand[..., 0], cand[..., 1], out=alphas[t + 1])
+        if t >= k:  # tail steps force input 0
+            alphas[t + 1, :, 1] = neg
 
-    betas = [[neg, neg, neg, neg] for _ in range(steps + 1)]
-    betas[steps] = [0.0, neg, neg, neg]
+    g0 = _C0_BITS.transpose(_BWD) * l0
+    g1 = _C1_BITS.transpose(_BWD) * l1
+    betas = np.full((steps + 1, n_blocks, 2, 2), neg)
+    betas[steps, :, 0, 0] = 0.0
     for t in range(steps - 1, -1, -1):
-        l0, l1 = pairs[t]
-        nxt = betas[t + 1]
-        cur = betas[t]
-        inputs = (0, 1) if t < k else (0,)
-        for s in range(4):
-            best = neg
-            for u in inputs:
-                b = nxt[_NS[s][u]]
-                if b == neg:
-                    continue
-                v = b + _C0[s][u] * l0 + _C1[s][u] * l1
-                if v > best:
-                    best = v
-            cur[s] = best
+        cand = betas[t + 1][:, None] + g0[t]  # (block, d2, d1, u)
+        cand += g1[t]
+        if t < k:
+            np.maximum(cand[..., 0], cand[..., 1], out=betas[t])
+        else:
+            betas[t] = cand[..., 0]
 
-    # Edge totals, vectorized: alpha(t, s) + gamma(t, s, u) + beta(t+1, ns).
-    alpha_arr = np.array(alphas[:-1])
-    beta_arr = np.array(betas[1:])
-    lam_arr = lam.reshape(steps, 2)
-    c0_tab = np.array(_C0, dtype=float)
-    c1_tab = np.array(_C1, dtype=float)
-    ns_tab = np.array(_NS)
-    gamma = c0_tab * lam_arr[:, None, 0:1] + c1_tab * lam_arr[:, None, 1:2]
-    totals = alpha_arr[:, :, None] + gamma + beta_arr[np.arange(steps)[:, None, None], ns_tab]
-    totals[k:, :, 1] = neg  # tail steps force input 0
+    # Edge totals (alpha(t, s) + gamma(t, s, u)) + beta(t+1, ns) as
+    # (step, block, d2, d1, u), built in place in g0.
+    totals = g0
+    totals += g1
+    del g1
+    totals += alphas[:-1].transpose(0, 1, 3, 2)[..., None]
+    totals += betas[1:, :, None]
+    totals[k:, ..., 1] = neg
+    edges = totals.reshape(steps, n_blocks, 8)
+    llr_c0, llr_c1, llr_u = (
+        (edges[..., ones].max(axis=-1) - edges[..., zeros].max(axis=-1)).T
+        for zeros, ones in _EDGE_COSETS
+    )
 
-    def _coset_llr(bit_tab: np.ndarray) -> np.ndarray:
-        ones = np.where(bit_tab == 1, totals, neg).max(axis=(1, 2))
-        zeros = np.where(bit_tab == 0, totals, neg).max(axis=(1, 2))
-        return ones - zeros
-
-    llr_c0 = _coset_llr(c0_tab)
-    llr_c1 = _coset_llr(c1_tab)
-    coded_total = np.empty(cfg.coded_len)
-    coded_total[0::2] = llr_c0
-    coded_total[1::2] = llr_c1
-
-    u_tab = np.broadcast_to(np.array([0.0, 1.0]), (4, 2))
-    info_total = _coset_llr(u_tab)[:k]
-    extrinsic = coded_total - lam
+    coded_total = np.empty((n_blocks, cfg.coded_len))
+    coded_total[:, 0::2] = llr_c0
+    coded_total[:, 1::2] = llr_c1
+    extrinsic = coded_total.reshape(lam.shape) - lam
+    info_total = llr_u[:, :k].reshape(lam.shape[:-1] + (k,))
     hard = (info_total > 0).astype(np.int8)
     return extrinsic, info_total, hard

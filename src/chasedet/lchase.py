@@ -21,6 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import WhitenedModel
+from .chase import (
+    StackedContext,
+    candidate_priors,
+    coset_llrs,
+    detect_rows_in_slices,
+    stack_streams,
+    stacked_model,
+)
 from .constellation import Constellation, pam_boundaries, pam_metric, slice_pam
 from .counters import DetectorStats
 from .linalg import back_substitute, qr, swap_permutation
@@ -28,29 +36,28 @@ from .llr import LlrFrame
 
 
 @dataclass(frozen=True)
-class LchaseStreamContext:
+class LchaseStreamContext(StackedContext):
     """Per-(channel, target stream) factorization state.
 
     layers[k] is the original stream index occupying permuted position k;
     layers[-1] == stream and layers[stream] == n-1 (columns i and n-1 are
     swapped). coupling[l] expresses how the candidate symbol leaks into inner
     layer l of the scaled observation ybar, and noise_vars[l] is that row's
-    (approximated, decorrelated) noise variance.
+    (approximated, decorrelated) noise variance. Every field may carry
+    leading batch axes (see chase.StackedContext).
     """
 
-    stream: int
+    stream: np.ndarray
     layers: np.ndarray
     ybar: np.ndarray
     coupling: np.ndarray
-    pivot: float
+    pivot: np.ndarray
     noise_vars: np.ndarray
 
 
-def _prepare_stream_uses(
-    h: np.ndarray, y: np.ndarray, stream: int
-) -> list[LchaseStreamContext]:
+def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> LchaseStreamContext:
     """Factor one target stream for a stack of uses (h is (U, n_rx, n))."""
-    n = h.shape[-1]
+    n_uses, _, n = h.shape
     perm = swap_permutation(n, stream)
     factors = qr(h[:, :, perm])
     y_rot = np.einsum("uji,uj->ui", factors.q.conj(), y)
@@ -62,18 +69,14 @@ def _prepare_stream_uses(
     ybar = np.concatenate(
         [back_substitute(r_inner, y_rot[:, : n - 1]), y_rot[:, n - 1 :]], axis=-1
     )
-    pivots = r[:, n - 1, n - 1].real
-    return [
-        LchaseStreamContext(
-            stream=stream,
-            layers=perm,
-            ybar=ybar[u],
-            coupling=coupling[u],
-            pivot=float(pivots[u]),
-            noise_vars=noise_vars[u],
-        )
-        for u in range(len(h))
-    ]
+    return LchaseStreamContext(
+        stream=np.full(n_uses, stream),
+        layers=np.broadcast_to(perm, (n_uses, n)),
+        ybar=ybar,
+        coupling=coupling,
+        pivot=r[:, n - 1, n - 1].real,
+        noise_vars=noise_vars,
+    )
 
 
 def prepare_stream(model: WhitenedModel, stream: int) -> LchaseStreamContext:
@@ -85,20 +88,18 @@ def prepare_all(model: WhitenedModel) -> list[LchaseStreamContext]:
     return [prepare_stream(model, i) for i in range(model.n_streams)]
 
 
-def prepare_all_uses(models) -> list[list[LchaseStreamContext]]:
-    """Factor every stream of every use; returns contexts indexed [use][stream].
+def prepare_all_uses(models) -> LchaseStreamContext:
+    """Factor every stream of every use into one (streams, uses) context.
 
-    Equivalent to [prepare_all(m) for m in models] but factors each stream's
-    whole batch of uses in stacked linear algebra calls.
+    models is a sequence of per-use WhitenedModel or one WhitenedModel
+    stacked over uses; ctx[i][u] equals prepare_stream(models[u], i).
     """
-    h = np.stack([m.h for m in models])
-    y = np.stack([m.y for m in models])
-    per_stream = [_prepare_stream_uses(h, y, i) for i in range(h.shape[-1])]
-    return [list(row) for row in zip(*per_stream)]
+    h, y = stacked_model(models)
+    return stack_streams([_prepare_stream_uses(h, y, i) for i in range(h.shape[-1])])
 
 
-def _detect_contexts(
-    contexts: list[LchaseStreamContext],
+def _detect_rows(
+    ctx: LchaseStreamContext,
     c: Constellation,
     la: np.ndarray,
     use_idx: np.ndarray,
@@ -107,30 +108,24 @@ def _detect_contexts(
     """Core detection over a flat batch of contexts (any mix of streams).
 
     la is (uses, n_streams, q) and use_idx maps each context to its la row.
-    Returns max-log LLRs of shape (len(contexts), q).
+    Returns max-log LLRs of shape (len(ctx), q).
     """
-    batch = len(contexts)
+    batch = len(ctx)
     m = c.order
-
-    layers = np.stack([ctx.layers for ctx in contexts])
-    streams = np.array([ctx.stream for ctx in contexts])
-    ybar = np.stack([ctx.ybar for ctx in contexts])
-    coupling = np.stack([ctx.coupling for ctx in contexts])
-    pivots = np.array([ctx.pivot for ctx in contexts])
-    noise_vars = np.stack([ctx.noise_vars for ctx in contexts])
-
     cand = c.symbols
-    prior = la[use_idx, streams, :] @ c.bit_labels_f.T
-    total = prior - np.abs(ybar[:, -1:] - pivots[:, None] * cand) ** 2
+    prior = candidate_priors(la[use_idx, ctx.stream, :], c)
+    total = prior - np.abs(ctx.ybar[:, -1:] - ctx.pivot[:, None] * cand) ** 2
     if stats is not None:
         stats.metric_evals += batch * m
         stats.hypotheses += batch * m
         stats.streams += batch
 
-    for l in range(layers.shape[1] - 1):
-        la_layer = la[use_idx, layers[:, l], :]
-        var = noise_vars[:, l]
-        z = ybar[:, l : l + 1] - coupling[:, l : l + 1] * cand
+    # Boundaries depend on the layer's priors and noise variance only, so
+    # one set per context serves all M candidates.
+    for l in range(ctx.layers.shape[1] - 1):
+        la_layer = la[use_idx, ctx.layers[:, l], :]
+        var = ctx.noise_vars[:, l]
+        z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * cand
         for axis, cols, zz in (
             (c.real_axis, c.real_bits, z.real),
             (c.imag_axis, c.imag_bits, z.imag),
@@ -142,44 +137,21 @@ def _detect_contexts(
             if stats is not None:
                 stats.boundary_evals += batch * axis.npairs
 
-    llrs = np.empty((batch, c.bits_per_symbol))
-    for k, (zeros, ones) in enumerate(c.bit_coset_idx):
-        llrs[:, k] = total[:, ones].max(axis=1) - total[:, zeros].max(axis=1)
-    return llrs
-
-
-def detect_stream_batch(
-    contexts: list[LchaseStreamContext],
-    c: Constellation,
-    la: np.ndarray,
-    stats: DetectorStats | None = None,
-) -> np.ndarray:
-    """Detect one stream across a batch of channel uses.
-
-    contexts holds one prepared context per use, all for the same target
-    stream; la is the a priori array of shape (uses, n_streams, q). Returns
-    max-log LLRs of shape (uses, q).
-    """
-    return _detect_contexts(contexts, c, la, np.arange(len(contexts)), stats)
+    return coset_llrs(total, c)
 
 
 def detect_all_uses(
-    contexts: list[list[LchaseStreamContext]],
+    contexts: LchaseStreamContext,
     c: Constellation,
     la: np.ndarray,
     stats: DetectorStats | None = None,
 ) -> np.ndarray:
-    """Detect every stream of every use in one fused batch.
+    """Detect every stream of every use, in slices of the candidate-row budget.
 
-    contexts is indexed [use][stream] (from prepare_all_uses) and la is
+    contexts is the (streams, uses) stack from prepare_all_uses and la is
     (uses, n_streams, q); returns LLRs of the same shape as la.
     """
-    n_uses = len(contexts)
-    n_streams = len(contexts[0])
-    flat = [contexts[u][i] for i in range(n_streams) for u in range(n_uses)]
-    use_idx = np.tile(np.arange(n_uses), n_streams)
-    out = _detect_contexts(flat, c, la, use_idx, stats)
-    return out.reshape(n_streams, n_uses, -1).transpose(1, 0, 2)
+    return detect_rows_in_slices(_detect_rows, contexts, c, la, stats)
 
 
 def detect_stream(
@@ -190,7 +162,7 @@ def detect_stream(
 ) -> np.ndarray:
     """Max-log LLRs (q,) for one stream of one channel use."""
     values = la.values if isinstance(la, LlrFrame) else np.asarray(la, dtype=float)
-    return detect_stream_batch([ctx], c, values[None], stats)[0]
+    return _detect_rows(ctx[None], c, values[None], np.zeros(1, dtype=int), stats)[0]
 
 
 def detect_all(

@@ -24,10 +24,10 @@ def saturate(llrs: np.ndarray, limit: float = LLR_CLIP) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LlrFrame:
-    """Per-stream, per-bit LLRs for one channel use.
+    """Per-stream, per-bit LLRs for one channel use, or a stack of uses.
 
-    values has shape (n_streams, bits_per_symbol); role records which leg of
-    the detection/decoding exchange the frame belongs to.
+    values has shape (..., n_streams, bits_per_symbol); role records which
+    leg of the detection/decoding exchange the frame belongs to.
     """
 
     values: np.ndarray
@@ -37,8 +37,8 @@ class LlrFrame:
         if self.role not in ROLES:
             raise ValueError(f"unknown LLR role {self.role!r}")
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("LlrFrame values must be 2-D (streams x bits)")
+        if v.ndim < 2:
+            raise ValueError("LlrFrame values must be at least 2-D (streams x bits)")
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -49,5 +49,5 @@ class LlrFrame:
         return LlrFrame(saturate(self.values, limit), self.role)
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.values.shape

@@ -108,27 +108,29 @@ def lmmse_llrs(
 
     With whitened h, the filter is (h^H h + I)^-1 h^H; the biased estimate
     is rescaled by the filter gain mu and demapped with effective noise
-    variance (1 - mu) / mu per stream (floored for numerical safety).
+    variance (1 - mu) / mu per stream (floored for numerical safety). A model
+    stacked over uses gives a frame with the same leading axes.
     """
     h = model.h
     n = model.n_streams
-    gram = h.conj().T @ h + np.eye(n)
-    filt = np.linalg.solve(gram, h.conj().T)
-    shat = filt @ model.y
-    mu = np.real(np.einsum("ij,ji->i", filt, h))
+    h_herm = np.swapaxes(h.conj(), -1, -2)
+    gram = h_herm @ h + np.eye(n)
+    filt = np.linalg.solve(gram, h_herm)
+    shat = (filt @ model.y[..., None])[..., 0]
+    mu = np.real(np.einsum("...ij,...ji->...i", filt, h))
     if np.any(mu <= 0.0) or np.any(mu > 1.0 + 1e-9):
         raise ArithmeticError("LMMSE filter gain outside (0, 1]")
     z = shat / mu
     nu = np.maximum((1.0 - mu) / mu, noise_floor)
 
-    q = c.bits_per_symbol
-    llrs = np.empty((n, q))
+    llrs = np.empty(z.shape + (c.bits_per_symbol,))
     d0, d1 = coset_min_sqdist(z.real, c.real_axis)
-    llrs[:, c.real_bits] = (d0 - d1) / nu[:, None]
+    llrs[..., c.real_bits] = (d0 - d1) / nu[..., None]
     d0, d1 = coset_min_sqdist(z.imag, c.imag_axis)
-    llrs[:, c.imag_bits] = (d0 - d1) / nu[:, None]
+    llrs[..., c.imag_bits] = (d0 - d1) / nu[..., None]
 
     if stats is not None:
-        stats.metric_evals += n * (c.real_axis.nlevels + c.imag_axis.nlevels)
-        stats.streams += n
+        streams = z.size
+        stats.metric_evals += streams * (c.real_axis.nlevels + c.imag_axis.nlevels)
+        stats.streams += streams
     return LlrFrame(values=llrs, role="detector")

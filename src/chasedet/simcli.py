@@ -3,9 +3,16 @@
 Each block draws a payload, encodes, interleaves, and maps it onto U channel
 uses of an n_streams MIMO channel, then runs iterative detection and
 decoding and scores every iteration. Per-block randomness comes from
-SeedSequence([seed, snr_index, block_index]), so results are reproducible
-bit for bit regardless of worker count, and two detectors run with the same
-seed see identical payloads, channels, and noise.
+SeedSequence([seed, snr_index, block_index]): the payload, then one
+standard_normal call holding, use by use, the channel's real and imaginary
+parts and the noise's real and imaginary parts. Results are therefore
+reproducible bit for bit regardless of worker count, and two detectors run
+with the same seed see identical payloads, channels, and noise.
+
+The blocks of an SNR point run in chunks: every stage, from channel draw to
+decoder, handles a chunk's blocks as stacked arrays. Chunk size follows from
+the configuration and a fixed working-set cap, and results do not depend on
+it.
 
 SNR is per-receive-antenna Es/N0 in dB: noise variance is
 n_streams * 10**(-snr/10) with unit-energy streams and unit-variance
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,11 +32,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelRealization, CorrelationModel, generate_channel, transmit, whiten
+from .channel import (
+    ChannelRealization,
+    CorrelationModel,
+    WhitenedModel,
+    generate_channel,
+    transmit,
+    whiten,
+)
 from .codec import SUPPORTED_RATES, CodeConfig, encode, make_interleaver, puncture
 from .constellation import SUPPORTED_ORDERS, build_constellation, modulate
 from .errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
-from .idd import DETECTORS, IddConfig, run_idd, slot_bits, uses_for_block
+from .idd import DETECTORS, IddConfig, IddResult, run_idd, slot_bits, uses_for_block
 from .reference import MAX_EXHAUSTIVE
 
 log = logging.getLogger("chasedet.sim")
@@ -38,6 +53,10 @@ CSV_HEADER = (
     "bler,ber,metric_count_mean,wall_time_s"
 )
 MAX_REDRAWS = 32
+# Working-set cap of one chunk, in float64 values. A block is charged
+# uses * streams * M (its candidate metrics) plus 64 per trellis step (the
+# decoder's recursions); see chunk_blocks.
+CHUNK_VALUES = 1 << 20
 
 
 @dataclass
@@ -193,6 +212,9 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError("blocks, iters, and info_bits must be positive")
     if cfg.workers < 1:
         raise ConfigError("workers must be positive")
+    cpus = os.cpu_count() or 1
+    if cfg.workers > cpus:
+        raise ConfigError(f"workers must not exceed the {cpus} CPUs of this machine")
     if cfg.detector == "maxlog" and cfg.mod**cfg.n_streams > MAX_EXHAUSTIVE:
         raise ConfigError(
             f"maxlog needs mod**streams <= {MAX_EXHAUSTIVE}, "
@@ -247,33 +269,113 @@ def _build_bundle(cfg: SimConfig) -> _Bundle:
     )
 
 
-def _run_block(bundle: _Bundle, point_idx: int, snr_db: float, block_idx: int):
-    """One coded block: returns per-iteration error/bit/metric tallies."""
+@dataclass
+class BlockTallies:
+    """Per-block outcomes of a run of blocks and their summed counters."""
+
+    flags: np.ndarray  # (blocks, iterations) bool, any info bit wrong
+    bit_errors: np.ndarray  # (blocks, iterations)
+    evals: np.ndarray  # (iterations,) metric plus boundary evaluations
+    streams: np.ndarray  # (iterations,) detected streams
+    redraws: int
+
+    @classmethod
+    def of(cls, result: IddResult, redraws: int) -> "BlockTallies":
+        return cls(
+            flags=result.iter_block_error,
+            bit_errors=result.iter_bit_errors,
+            evals=np.array([s.metric_evals + s.boundary_evals for s in result.iter_stats]),
+            streams=np.array([s.streams for s in result.iter_stats]),
+            redraws=redraws,
+        )
+
+    @classmethod
+    def concat(cls, parts: list) -> "BlockTallies":
+        return cls(
+            flags=np.concatenate([p.flags for p in parts]),
+            bit_errors=np.concatenate([p.bit_errors for p in parts]),
+            evals=sum(p.evals for p in parts),
+            streams=sum(p.streams for p in parts),
+            redraws=sum(p.redraws for p in parts),
+        )
+
+
+def chunk_blocks(bundle: _Bundle) -> int:
+    """Blocks per chunk under the CHUNK_VALUES working-set cap, at least one."""
     cfg = bundle.cfg
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, point_idx, block_idx])
-    )
+    per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.code.steps
+    return max(1, CHUNK_VALUES // per_block)
+
+
+def _block_rng(cfg: SimConfig, point_idx: int, block_idx: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([cfg.seed, point_idx, block_idx]))
+
+
+def _normals_per_block(bundle: _Bundle) -> int:
+    cfg = bundle.cfg
+    return bundle.n_uses * 2 * cfg.n_rx * (cfg.n_tx + 1)
+
+
+def _draws(bundle: _Bundle, point_idx: int, start: int, stop: int) -> tuple:
+    """Payloads (B, K) and first-attempt standard normals of blocks start..stop-1."""
+    cfg = bundle.cfg
+    rngs = [_block_rng(cfg, point_idx, b) for b in range(start, stop)]
+    info = np.stack([rng.integers(0, 2, cfg.info_bits, dtype=np.int8) for rng in rngs])
+    normals = np.stack([rng.standard_normal(_normals_per_block(bundle)) for rng in rngs])
+    return info, normals
+
+
+def _chunk_model(
+    bundle: _Bundle,
+    point_idx: int,
+    snr_db: float,
+    first_block: int,
+    info: np.ndarray,
+    normals: np.ndarray,
+) -> WhitenedModel:
+    """Whitened (B, U, ...) observations of blocks from payloads and normals."""
+    cfg = bundle.cfg
+    n_blocks, n_uses, n_rx = len(info), bundle.n_uses, cfg.n_rx
     sigma2 = cfg.n_streams * 10.0 ** (-snr_db / 10.0)
-    c_nn = sigma2 * np.eye(cfg.n_rx)
 
-    info = rng.integers(0, 2, cfg.info_bits, dtype=np.int8)
-    tx_bits = puncture(encode(info, bundle.code), bundle.code)[
-        bundle.interleaver.perm
-    ]
-    bits = slot_bits(tx_bits, bundle.constellation, cfg.n_streams)
-    symbols = [modulate(bits[u], bundle.constellation) for u in range(bundle.n_uses)]
+    tx_bits = puncture(encode(info, bundle.code), bundle.code)[:, bundle.interleaver.perm]
+    symbols = modulate(slot_bits(tx_bits, bundle.constellation, cfg.n_streams), bundle.constellation)
+    per_use = normals.reshape(n_blocks, n_uses, -1)
+    split = 2 * n_rx * cfg.n_tx
+    hbar = generate_channel(
+        n_rx, cfg.n_tx, bundle.corr,
+        per_use[..., :split].reshape(n_blocks, n_uses, 2, n_rx, cfg.n_tx),
+    )
+    ch = ChannelRealization(hbar, sigma2 * np.eye(n_rx), bundle.w)
+    y = transmit(ch, symbols, per_use[..., split:].reshape(n_blocks, n_uses, 2, n_rx))
+    model = whiten(y, ch)
+    finite = np.isfinite(model.y).all(axis=(1, 2)) & np.isfinite(model.h).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise FloatingPointError(
+            f"non-finite whitened channel or observation at snr point {point_idx} "
+            f"block {first_block + int(np.argmin(finite))}"
+        )
+    return model
 
+
+def _simulate(
+    bundle: _Bundle, point_idx: int, snr_db: float, first_block: int, info, normals
+) -> IddResult:
+    """Blocks from payloads and standard normals to per-iteration outcomes."""
+    model = _chunk_model(bundle, point_idx, snr_db, first_block, info, normals)
+    return run_idd(model, info, bundle.idd_cfg, keep_frames=False)
+
+
+def _redraw_block(bundle: _Bundle, point_idx: int, snr_db: float, block_idx: int):
+    """One block on its own, redrawing its channel while it is singular."""
+    rng = _block_rng(bundle.cfg, point_idx, block_idx)
+    info = rng.integers(0, 2, (1, bundle.cfg.info_bits), dtype=np.int8)
     redraws = 0
     while True:
+        normals = rng.standard_normal((1, _normals_per_block(bundle)))
         try:
-            models = []
-            for u in range(bundle.n_uses):
-                hbar = generate_channel(cfg.n_rx, cfg.n_tx, bundle.corr, rng)
-                ch = ChannelRealization(hbar, c_nn, bundle.w)
-                y = transmit(ch, symbols[u], rng)
-                models.append(whiten(y, ch))
-            result = run_idd(models, info, bundle.idd_cfg)
-            break
+            result = _simulate(bundle, point_idx, snr_db, block_idx, info, normals)
+            return BlockTallies.of(result, redraws)
         except (SingularMatrixError, NotPositiveDefiniteError) as exc:
             redraws += 1
             if redraws > MAX_REDRAWS:
@@ -285,17 +387,22 @@ def _run_block(bundle: _Bundle, point_idx: int, snr_db: float, block_idx: int):
                 exc,
             )
 
-    metrics = np.array(
-        [s.metric_evals + s.boundary_evals for s in result.iter_stats], dtype=float
-    )
-    streams = np.array([s.streams for s in result.iter_stats], dtype=np.int64)
-    return (
-        result.iter_block_error.copy(),
-        result.iter_bit_errors.copy(),
-        metrics,
-        streams,
-        redraws,
-    )
+
+def simulate_chunk(
+    bundle: _Bundle, point_idx: int, snr_db: float, start: int, stop: int
+) -> BlockTallies:
+    """Blocks start..stop-1 of one SNR point, run as one stacked chunk.
+
+    A chunk whose stacked run meets a singular channel is re-run block by
+    block, and only the blocks that fail on their own redraw.
+    """
+    info, normals = _draws(bundle, point_idx, start, stop)
+    try:
+        return BlockTallies.of(_simulate(bundle, point_idx, snr_db, start, info, normals), 0)
+    except (SingularMatrixError, NotPositiveDefiniteError):
+        return BlockTallies.concat(
+            [_redraw_block(bundle, point_idx, snr_db, b) for b in range(start, stop)]
+        )
 
 
 _WORKER_BUNDLE = None
@@ -306,9 +413,22 @@ def _init_worker(cfg: SimConfig) -> None:
     _WORKER_BUNDLE = _build_bundle(cfg)
 
 
-def _pool_block(args) -> tuple:
-    point_idx, snr_db, block_idx = args
-    return _run_block(_WORKER_BUNDLE, point_idx, snr_db, block_idx)
+def _pool_chunk(args) -> BlockTallies:
+    return simulate_chunk(_WORKER_BUNDLE, *args)
+
+
+def simulate_blocks(bundle: _Bundle, point_idx: int, snr_db: float, pool=None) -> BlockTallies:
+    """Every block of one SNR point, chunk by chunk (spread over pool if given)."""
+    cfg = bundle.cfg
+    size = chunk_blocks(bundle)
+    if pool is not None:
+        size = min(size, -(-cfg.blocks // cfg.workers))
+    spans = [(start, min(start + size, cfg.blocks)) for start in range(0, cfg.blocks, size)]
+    if pool is None:
+        parts = [simulate_chunk(bundle, point_idx, snr_db, a, b) for a, b in spans]
+    else:
+        parts = list(pool.map(_pool_chunk, [(point_idx, snr_db, a, b) for a, b in spans]))
+    return BlockTallies.concat(parts)
 
 
 def simulate_point(
@@ -317,28 +437,15 @@ def simulate_point(
     """All blocks at one SNR point, reduced to per-iteration records."""
     cfg = bundle.cfg
     started = time.perf_counter()
-    if pool is None:
-        outcomes = [
-            _run_block(bundle, point_idx, snr_db, b) for b in range(cfg.blocks)
-        ]
-    else:
-        work = [(point_idx, snr_db, b) for b in range(cfg.blocks)]
-        chunk = max(1, cfg.blocks // (cfg.workers * 8))
-        outcomes = list(pool.map(_pool_block, work, chunksize=chunk))
+    tallies = simulate_blocks(bundle, point_idx, snr_db, pool)
     elapsed = time.perf_counter() - started if cfg.timing else 0.0
-
-    flags = np.array([o[0] for o in outcomes])
-    bits = np.array([o[1] for o in outcomes])
-    metrics = np.array([o[2] for o in outcomes])
-    streams = np.array([o[3] for o in outcomes])
-    redraws = sum(o[4] for o in outcomes)
-    if redraws:
-        log.info("snr %.12g dB: %d channel redraws", snr_db, redraws)
+    if tallies.redraws:
+        log.info("snr %.12g dB: %d channel redraws", snr_db, tallies.redraws)
 
     records = []
     for t in range(cfg.iterations):
-        block_errors = int(flags[:, t].sum())
-        bit_errors = int(bits[:, t].sum())
+        block_errors = int(tallies.flags[:, t].sum())
+        bit_errors = int(tallies.bit_errors[:, t].sum())
         records.append(
             SimRecord(
                 snr_db=snr_db,
@@ -349,7 +456,7 @@ def simulate_point(
                 bit_errors=bit_errors,
                 bler=block_errors / cfg.blocks,
                 ber=bit_errors / (cfg.blocks * cfg.info_bits),
-                metric_count_mean=float(metrics[:, t].sum() / streams[:, t].sum()),
+                metric_count_mean=float(tallies.evals[t] / tallies.streams[t]),
                 wall_time_s=elapsed,
             )
         )

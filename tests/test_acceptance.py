@@ -30,8 +30,8 @@ from chasedet.channel import iid_complex_gaussian
 from chasedet.simcli import (
     SimConfig,
     _build_bundle,
-    _run_block,
     monte_carlo,
+    simulate_blocks,
     validate_config,
     write_csv,
 )
@@ -230,11 +230,7 @@ def _per_block_flags(detector, corr, grid, seed):
         )
     )
     bundle = _build_bundle(cfg)
-    flags = np.zeros((len(grid), MC_BLOCKS, 3), dtype=bool)
-    for p, snr in enumerate(grid):
-        for b in range(MC_BLOCKS):
-            flags[p, b] = _run_block(bundle, p, snr, b)[0]
-    return flags
+    return np.stack([simulate_blocks(bundle, p, snr).flags for p, snr in enumerate(grid)])
 
 
 def test_iteration_gain_uncorrelated_channel():

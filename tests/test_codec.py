@@ -166,3 +166,39 @@ def test_bcjr_validates_lengths():
         bcjr_decode(np.zeros(cfg.coded_len), np.zeros(2), cfg)
     with pytest.raises(ValueError):
         encode(np.zeros(3, dtype=np.int8), cfg)
+
+
+def test_bcjr_block_axis_equals_single_rows():
+    # One 2-D call decodes every row exactly as a 1-D call on that row.
+    cfg = CodeConfig(info_len=24, rate=0.83)
+    rng = np.random.default_rng(41)
+    lam = rng.normal(scale=3.0, size=(5, cfg.coded_len))
+    ap = rng.normal(size=lam.shape)
+    ext, info_total, hard = bcjr_decode(lam, ap, cfg)
+    assert ext.shape == lam.shape and info_total.shape == hard.shape == (5, 24)
+    for b in range(5):
+        row = bcjr_decode(lam[b], ap[b], cfg)
+        for got, want in zip((ext[b], info_total[b], hard[b]), row):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bcjr_rejects_non_finite_input(bad):
+    cfg = CodeConfig(info_len=8)
+    lam = np.zeros((2, cfg.coded_len))
+    lam[1, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        bcjr_decode(lam, None, cfg)
+    with pytest.raises(ValueError, match="finite"):
+        bcjr_decode(np.zeros(cfg.coded_len), lam[1], cfg)
+
+
+def test_encode_and_puncture_keep_leading_axes():
+    cfg = CodeConfig(info_len=16, rate=0.83)
+    rng = np.random.default_rng(43)
+    info = rng.integers(0, 2, (3, 16), dtype=np.int8)
+    coded = encode(info, cfg)
+    assert coded.shape == (3, cfg.coded_len)
+    for b in range(3):
+        np.testing.assert_array_equal(coded[b], encode(info[b], cfg))
+        np.testing.assert_array_equal(puncture(coded, cfg)[b], puncture(coded[b], cfg))

@@ -1,18 +1,28 @@
-"""Simulator configuration, reproducibility, and CSV output."""
+"""Simulator configuration, reproducibility, chunking, and CSV output."""
+
+import logging
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chasedet.errors import ConfigError
+from chasedet import chase, run_idd, simcli
+from chasedet.errors import ConfigError, SingularMatrixError
 from chasedet.simcli import (
     CSV_HEADER,
     SimConfig,
     SimRecord,
+    _build_bundle,
+    _chunk_model,
+    _draws,
     build_config,
     config_lines,
     main,
     monte_carlo,
     parse_snr_grid,
+    simulate_chunk,
     validate_config,
     write_csv,
 )
@@ -198,3 +208,101 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["--streams", "4", "--rx", "2", "--tx", "4"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert validate_config(SimConfig(workers=3)).workers == 3
+    with pytest.raises(ConfigError, match="3 CPUs"):
+        validate_config(SimConfig(workers=4))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    with pytest.raises(ConfigError, match="1 CPUs"):
+        validate_config(SimConfig(workers=2))
+
+
+# Tiny links per detector; 16-QAM over three streams gives bchase a
+# feedback layer and lchase more than one inner layer.
+_CHUNK_LINKS = {
+    "lchase": dict(mod=16, n_streams=3, n_rx=3, n_tx=3),
+    "bchase": dict(mod=16, n_streams=3, n_rx=3, n_tx=3, corr_tx=0.5, corr_rx=0.5),
+    "lmmse": dict(mod=4, n_streams=2, n_rx=2, n_tx=2, rate=0.83),
+    "maxlog": dict(mod=4, n_streams=2, n_rx=2, n_tx=2),
+}
+
+
+@pytest.mark.parametrize("detector", sorted(_CHUNK_LINKS))
+@settings(max_examples=6, deadline=None)
+@given(
+    blocks=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    snr=st.floats(-2.0, 24.0),
+    rows=st.sampled_from([1, 40, chase.CANDIDATE_ROWS]),
+)
+def test_chunk_equals_block_by_block(detector, blocks, seed, snr, rows):
+    # One chunk of B blocks, at any candidate-row budget, gives bit for bit
+    # the flags, bit errors, counters and detector LLRs of B one-block runs.
+    cfg = _tiny_config(
+        detector=detector, seed=seed, snr_db=(snr,), blocks=blocks, info_bits=16,
+        **_CHUNK_LINKS[detector],
+    )
+    bundle = _build_bundle(cfg)
+    info, normals = _draws(bundle, 1, 0, blocks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chase, "CANDIDATE_ROWS", rows)
+        whole = simulate_chunk(bundle, 1, snr, 0, blocks)
+        chunk = run_idd(_chunk_model(bundle, 1, snr, 0, info, normals), info, bundle.idd_cfg)
+    singles = [simulate_chunk(bundle, 1, snr, b, b + 1) for b in range(blocks)]
+    np.testing.assert_array_equal(whole.flags, np.concatenate([t.flags for t in singles]))
+    np.testing.assert_array_equal(
+        whole.bit_errors, np.concatenate([t.bit_errors for t in singles])
+    )
+    np.testing.assert_array_equal(whole.evals, sum(t.evals for t in singles))
+    np.testing.assert_array_equal(whole.streams, sum(t.streams for t in singles))
+    for b in range(blocks):
+        one = slice(b, b + 1)
+        alone = run_idd(
+            _chunk_model(bundle, 1, snr, b, info[one], normals[one]), info[one], bundle.idd_cfg
+        )
+        for t in range(cfg.iterations):
+            np.testing.assert_array_equal(chunk.detector_frames[t][b], alone.detector_frames[t][0])
+        np.testing.assert_array_equal(chunk.info_llrs[b], alone.info_llrs[0])
+
+
+def test_non_finite_whitened_model_names_point_and_block(monkeypatch):
+    bundle = _build_bundle(_tiny_config(blocks=4, snr_db=(2.0, 4.0)))
+    real_whiten = simcli.whiten
+
+    def poisoned(y, ch):
+        model = real_whiten(y, ch)
+        model.y[2, 1, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(simcli, "whiten", poisoned)
+    with pytest.raises(FloatingPointError, match="snr point 1 block 3"):
+        simulate_chunk(bundle, 1, 4.0, 1, 4)
+
+
+def test_singular_chunk_reruns_block_by_block(monkeypatch, caplog):
+    # A chunk that meets a singular channel is re-run one block at a time;
+    # only the block that fails alone is redrawn, and it is logged.
+    bundle = _build_bundle(_tiny_config(blocks=4))
+    clean = [simulate_chunk(bundle, 0, 2.0, b, b + 1) for b in range(4)]
+    real_run_idd = simcli.run_idd
+    calls = []
+
+    def flaky(model, info, cfg, *args, **kwargs):
+        calls.append(len(info))
+        # Call 1 is the stacked chunk, call 4 block 2's first draw.
+        if len(calls) in (1, 4):
+            raise SingularMatrixError("forced")
+        return real_run_idd(model, info, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(simcli, "run_idd", flaky)
+    with caplog.at_level(logging.WARNING, logger="chasedet.sim"):
+        got = simulate_chunk(bundle, 0, 2.0, 0, 4)
+    assert calls == [4, 1, 1, 1, 1, 1]
+    assert got.redraws == 1
+    assert "redrawing channel for snr point 0 block 2" in caplog.text
+    for b in (0, 1, 3):
+        np.testing.assert_array_equal(got.flags[b], clean[b].flags[0])
+        np.testing.assert_array_equal(got.bit_errors[b], clean[b].bit_errors[0])
