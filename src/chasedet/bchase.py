@@ -246,7 +246,7 @@ def detect_all_uses(
     la: np.ndarray,
     stats: DetectorStats | None = None,
 ) -> np.ndarray:
-    """Detect every stream of every use, in slices of the candidate-row budget.
+    """Detect every stream of every use, in slices under chase.SLICE_VALUES.
 
     contexts is the (streams, uses) stack from prepare_all_uses and la is
     (uses, n_streams, q); returns LLRs of the same shape as la.

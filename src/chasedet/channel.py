@@ -101,6 +101,12 @@ class WhitenedModel:
         return self.h.shape[-1]
 
 
+def require_finite(model: WhitenedModel) -> None:
+    """Raise ValueError unless every entry of model.h and model.y is finite."""
+    if not (np.isfinite(model.h).all() and np.isfinite(model.y).all()):
+        raise ValueError("whitened channel and observation must be finite")
+
+
 class ChannelRealization:
     """One channel draw plus everything needed to transmit and whiten on it.
 

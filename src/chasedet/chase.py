@@ -5,8 +5,8 @@ contexts of many uses live in one struct-of-arrays whose fields share their
 leading axes: (streams, uses), stream-major, from prepare_all_uses. Indexing
 a context indexes every field, so ctx[i][u] is the context of stream i on
 use u and ctx[i][u][None] a one-row stack. Detection walks the flattened
-rows in slices of CANDIDATE_ROWS (context, candidate) pairs, which bounds
-the working set however many uses are stacked.
+contexts in slices whose largest temporaries fit SLICE_VALUES float64
+values, which bounds the working set however many uses are stacked.
 """
 
 from __future__ import annotations
@@ -15,11 +15,23 @@ from dataclasses import fields
 
 import numpy as np
 
-from .channel import WhitenedModel
+from .channel import WhitenedModel, require_finite
 from .constellation import Constellation
 from .counters import DetectorStats
 
-CANDIDATE_ROWS = 2048
+# Working-set cap of one detection slice, in float64 values. Each context is
+# charged context_values(c), its largest temporary.
+SLICE_VALUES = 3 << 15
+
+
+def context_values(c: Constellation) -> int:
+    """Values charged per context: M * sqrt(M) * q.
+
+    soft_symbol_stats holds two (candidate, level, bit) products of
+    M * sqrt(M) * q/2 values per axis, the largest temporaries of either
+    detector; the slicer's (candidate, level) arrays are smaller.
+    """
+    return c.order * c.real_axis.nlevels * c.bits_per_symbol
 
 
 class StackedContext:
@@ -53,10 +65,14 @@ def stack_streams(per_stream: list):
 
 
 def stacked_model(models) -> tuple[np.ndarray, np.ndarray]:
-    """(h, y) stacked over uses from a stacked WhitenedModel or a sequence."""
-    if isinstance(models, WhitenedModel):
-        return models.h, models.y
-    return np.stack([m.h for m in models]), np.stack([m.y for m in models])
+    """(h, y) stacked over uses from a stacked WhitenedModel or a sequence.
+
+    Non-finite entries raise ValueError.
+    """
+    if not isinstance(models, WhitenedModel):
+        models = WhitenedModel(np.stack([m.y for m in models]), np.stack([m.h for m in models]))
+    require_finite(models)
+    return models.h, models.y
 
 
 def detect_rows_in_slices(
@@ -75,7 +91,7 @@ def detect_rows_in_slices(
     flat = contexts.flat()
     total = n_streams * n_uses
     out = np.empty((total, c.bits_per_symbol))
-    step = max(1, CANDIDATE_ROWS // c.order)
+    step = max(1, SLICE_VALUES // context_values(c))
     for start in range(0, total, step):
         stop = min(start + step, total)
         use_idx = np.arange(start, stop) % n_uses

@@ -3,9 +3,11 @@
 The mother code is the 4-state (7,5) octal feed-forward code. Two zero tail
 bits terminate the trellis, so K info bits become 2*(K+2) coded bits. An
 optional regular puncturing pattern thins that to roughly rate 5/6 (~0.83).
-The decoder is a max-log forward/backward pass returning per-coded-bit
-extrinsic LLRs (total - channel - a priori), per-info-bit LLRs, and hard
-decisions.
+The decoder is a max-log BCJR returning per-coded-bit extrinsic LLRs
+(total - channel - a priori), per-info-bit LLRs, and hard decisions. Its
+forward and backward recursions run together in one loop over the trellis
+steps, stacked on a direction axis, so each step costs three array
+operations for every block of a chunk and both directions at once.
 """
 
 from __future__ import annotations
@@ -173,47 +175,40 @@ def bcjr_decode(
     steps = cfg.steps
     k = cfg.info_len
     n_blocks = lam.size // cfg.coded_len
-    neg = -np.inf
-    # Branch terms per (step, block, edge). A path metric m takes them as
+    # Both recursions run in one loop over a direction axis: index 0 is the
+    # forward pass at step t = j, index 1 the backward pass at t = steps-1-j.
+    # Branch terms per (j, direction, block, edge) take a path metric m as
     # (m + c0*l0) + c1*l1, the scalar recursion's order. Path metrics are
-    # held as 2 x 2 arrays over the state bits: alphas as (d1, d2), betas
-    # as (d2, d1), so each step broadcasts the previous one over its branches
-    # and keeps the better of the two.
+    # held as 2 x 2 arrays over the state bits: alphas as (d1, d2), betas as
+    # (d2, d1), so each step broadcasts the previous one over its branches
+    # and keeps the better of the two in either direction. The tail steps
+    # need no forcing of input 0: beta at the last step is finite at state 0
+    # only, so beta is -inf at every state a tail input 1 leads to, every
+    # such branch and edge total is -inf, and max(x, -inf) == x.
     pairs = lam.reshape(n_blocks, steps, 2).transpose(1, 0, 2)
-    l0 = pairs[:, :, 0, None, None, None]
-    l1 = pairs[:, :, 1, None, None, None]
+    g0 = np.empty((steps, 2, n_blocks, 2, 2, 2))
+    g1 = np.empty_like(g0)
+    for d, (layout, ordered) in enumerate(((_FWD, pairs), (_BWD, pairs[::-1]))):
+        np.multiply(_C0_BITS.transpose(layout), ordered[:, :, 0, None, None, None], out=g0[:, d])
+        np.multiply(_C1_BITS.transpose(layout), ordered[:, :, 1, None, None, None], out=g1[:, d])
 
-    g0 = _C0_BITS.transpose(_FWD) * l0
-    g1 = _C1_BITS.transpose(_FWD) * l1
-    alphas = np.full((steps + 1, n_blocks, 2, 2), neg)
-    alphas[0, :, 0, 0] = 0.0
-    for t in range(steps):
-        cand = alphas[t][:, None] + g0[t]  # (block, u, d1, d2)
-        cand += g1[t]
-        np.maximum(cand[..., 0], cand[..., 1], out=alphas[t + 1])
-        if t >= k:  # tail steps force input 0
-            alphas[t + 1, :, 1] = neg
-
-    g0 = _C0_BITS.transpose(_BWD) * l0
-    g1 = _C1_BITS.transpose(_BWD) * l1
-    betas = np.full((steps + 1, n_blocks, 2, 2), neg)
-    betas[steps, :, 0, 0] = 0.0
-    for t in range(steps - 1, -1, -1):
-        cand = betas[t + 1][:, None] + g0[t]  # (block, d2, d1, u)
-        cand += g1[t]
-        if t < k:
-            np.maximum(cand[..., 0], cand[..., 1], out=betas[t])
-        else:
-            betas[t] = cand[..., 0]
+    paths = np.full((steps + 1, 2, n_blocks, 2, 2), -np.inf)
+    paths[0, :, :, 0, 0] = 0.0
+    cand = np.empty((2, n_blocks, 2, 2, 2))
+    first, second = cand[..., 0], cand[..., 1]
+    for prev, b0, b1, nxt in zip(paths[:-1, :, :, None], g0, g1, paths[1:]):
+        np.add(prev, b0, out=cand)
+        np.add(cand, b1, out=cand)
+        np.maximum(first, second, out=nxt)
 
     # Edge totals (alpha(t, s) + gamma(t, s, u)) + beta(t+1, ns) as
-    # (step, block, d2, d1, u), built in place in g0.
-    totals = g0
-    totals += g1
+    # (step, block, d2, d1, u), built in place in the backward branch terms
+    # read in step order.
+    totals = g0[::-1, 1]
+    totals += g1[::-1, 1]
     del g1
-    totals += alphas[:-1].transpose(0, 1, 3, 2)[..., None]
-    totals += betas[1:, :, None]
-    totals[k:, ..., 1] = neg
+    totals += paths[:-1, 0].transpose(0, 1, 3, 2)[..., None]
+    totals += paths[-2::-1, 1][:, :, None]
     edges = totals.reshape(steps, n_blocks, 8)
     llr_c0, llr_c1, llr_u = (
         (edges[..., ones].max(axis=-1) - edges[..., zeros].max(axis=-1)).T

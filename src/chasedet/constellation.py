@@ -139,10 +139,6 @@ class BoundarySet:
         self._level_prior = axis.level_priors(apriori)
         self._var = var
 
-    @property
-    def nboundaries(self) -> int:
-        return self.axis.npairs
-
 
 def pam_boundaries(axis: PamAxis, apriori: np.ndarray, noise_var) -> BoundarySet:
     """Boundary set for slicing with priors `apriori` and noise variance `noise_var`.
@@ -258,11 +254,6 @@ class Constellation:
             self.bit_coset_idx.append((zeros, ones))
 
         self._weights = 1 << shifts
-
-    def nearest_index(self, points) -> np.ndarray:
-        """Index of the closest constellation point (hard decision)."""
-        points = np.asarray(points, dtype=complex)
-        return np.abs(points[..., None] - self.symbols).argmin(axis=-1)
 
 
 def build_constellation(order: int) -> Constellation:

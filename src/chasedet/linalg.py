@@ -102,21 +102,3 @@ def swap_permutation(n: int, i: int) -> np.ndarray:
     perm = np.arange(n)
     perm[i], perm[n - 1] = perm[n - 1], perm[i]
     return perm
-
-
-def apply_permutation(a: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Reorder columns: result[:, k] = a[:, perm[k]]."""
-    perm = np.asarray(perm)
-    _check_permutation(perm, a.shape[1])
-    return a[:, perm]
-
-
-def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    perm = np.asarray(perm)
-    _check_permutation(perm, len(perm))
-    return np.argsort(perm)
-
-
-def _check_permutation(perm: np.ndarray, n: int) -> None:
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValueError("not a permutation of the expected size")

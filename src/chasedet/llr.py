@@ -8,7 +8,7 @@ being far beyond any magnitude that still changes a decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,6 @@ class LlrFrame:
         if v.ndim < 2:
             raise ValueError("LlrFrame values must be at least 2-D (streams x bits)")
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def zeros(cls, n_streams: int, n_bits: int, role: str = "apriori") -> "LlrFrame":
-        return cls(np.zeros((n_streams, n_bits)), role)
 
     def saturated(self, limit: float = LLR_CLIP) -> "LlrFrame":
         return LlrFrame(saturate(self.values, limit), self.role)

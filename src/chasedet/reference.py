@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import WhitenedModel
+from .channel import WhitenedModel, require_finite
 from .constellation import Constellation, PamAxis, coset_min_sqdist
 from .counters import DetectorStats
 from .llr import LlrFrame
@@ -30,8 +30,9 @@ def exact_maxlog_llrs(
 
     For each candidate vector the metric is sum of per-bit a priori terms
     (label * LLR) minus the squared whitened residual; each bit's LLR is the
-    difference of coset maxima.
+    difference of coset maxima. A non-finite model raises ValueError.
     """
+    require_finite(model)
     n = model.n_streams
     m = c.order
     q = c.bits_per_symbol
@@ -109,8 +110,10 @@ def lmmse_llrs(
     With whitened h, the filter is (h^H h + I)^-1 h^H; the biased estimate
     is rescaled by the filter gain mu and demapped with effective noise
     variance (1 - mu) / mu per stream (floored for numerical safety). A model
-    stacked over uses gives a frame with the same leading axes.
+    stacked over uses gives a frame with the same leading axes. A non-finite
+    model raises ValueError.
     """
+    require_finite(model)
     h = model.h
     n = model.n_streams
     h_herm = np.swapaxes(h.conj(), -1, -2)

@@ -54,8 +54,9 @@ CSV_HEADER = (
 )
 MAX_REDRAWS = 32
 # Working-set cap of one chunk, in float64 values. A block is charged
-# uses * streams * M (its candidate metrics) plus 64 per trellis step (the
-# decoder's recursions); see chunk_blocks.
+# uses * streams * M (its candidate metrics) plus 64 per trellis step: the
+# decoder's branch terms for both directions (32), its path metrics (8) and
+# the LLR and edge-total temporaries; see chunk_blocks.
 CHUNK_VALUES = 1 << 20
 
 

@@ -207,3 +207,15 @@ def test_layer_post_llrs_signs_and_shape():
         np.testing.assert_array_equal((out > 0).astype(np.int8), c.bit_labels[j])
     z = np.zeros((3, 7), dtype=complex)
     assert layer_post_llrs(z, np.ones((3, 7)), np.ones((3, 7)), c).shape == (3, 7, 4)
+
+
+@pytest.mark.parametrize("field", ["y", "h"])
+def test_non_finite_model_is_rejected(field):
+    # A NaN in the whitened model fails at entry, not as NaN LLRs.
+    c = build_constellation(16)
+    model = _random_model(np.random.default_rng(10), 3, 3)
+    getattr(model, field).flat[2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        detect_all(model, c, np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        prepare_all_uses([model])

@@ -14,6 +14,7 @@ from chasedet import (
     make_interleaver,
     puncture,
 )
+from chasedet.llr import LLR_CLIP
 
 
 def test_impulse_response_frozen():
@@ -117,6 +118,42 @@ def test_bcjr_matches_exhaustive_search():
         np.testing.assert_allclose(info_total, ref_info, atol=1e-9)
         np.testing.assert_allclose(ext + lam, ref_coded, atol=1e-9)
         np.testing.assert_array_equal(hard, (ref_info > 0).astype(np.int8))
+
+
+@pytest.mark.parametrize("info_len", [1, 2, 5])
+@pytest.mark.parametrize("rate", [0.5, 0.83])
+def test_bcjr_matches_exhaustive_search_at_the_edges(info_len, rate):
+    # Saturated channel and a priori LLRs, punctured zeros and codes so short
+    # that the two tail steps (input forced to 0) dominate both recursions;
+    # each stacked row must equal its 1-D decode and the oracle.
+    cfg = CodeConfig(info_len=info_len, rate=rate)
+    rng = np.random.default_rng(59 + info_len)
+    n = cfg.transmitted_len
+    clipped = LLR_CLIP * rng.choice([-1.0, 1.0], size=(3, n))
+    sent = np.stack(
+        [
+            clipped[0],
+            np.where(rng.random(n) < 0.5, clipped[1], rng.normal(scale=3.0, size=n)),
+            np.zeros(n),
+            rng.normal(scale=3.0, size=n),
+        ]
+    )
+    ch = depuncture(sent, cfg)
+    ap = np.zeros_like(ch)
+    ap[3] = depuncture(clipped[2], cfg)
+    stacked = bcjr_decode(ch, ap, cfg)
+    for b in range(len(ch)):
+        lam = ch[b] + ap[b]
+        ref_info, ref_coded = _brute_maxlog(lam, cfg)
+        for ext, info_total, hard in (
+            bcjr_decode(ch[b], ap[b], cfg),
+            tuple(out[b] for out in stacked),
+        ):
+            np.testing.assert_allclose(info_total, ref_info, atol=1e-9)
+            np.testing.assert_allclose(ext + lam, ref_coded, atol=1e-9)
+            decided = np.abs(ref_info) > 1e-6
+            np.testing.assert_array_equal(hard[decided], ref_info[decided] > 0)
+            assert not hard[~decided].any()
 
 
 def test_bcjr_apriori_adds_to_channel():

@@ -78,14 +78,6 @@ def test_even_bits_drive_real_axis():
         assert np.all(s.real != c.symbols.real)
 
 
-def test_nearest_index_recovers_symbols():
-    c = build_constellation(16)
-    rng = np.random.default_rng(11)
-    idx = rng.integers(0, 16, 200)
-    noisy = c.symbols[idx] + 0.01 * (rng.normal(size=200) + 1j * rng.normal(size=200))
-    np.testing.assert_array_equal(c.nearest_index(noisy), idx)
-
-
 def test_axis_validation():
     good_levels = np.array([1.0, -1.0]) / RT2
     with pytest.raises(ValueError):

@@ -207,3 +207,15 @@ def test_detect_all_frame_shape_and_role():
     frame = detect_all(model, c, np.zeros((2, 2)))
     assert frame.role == "detector"
     assert frame.values.shape == (2, 2)
+
+
+@pytest.mark.parametrize("field", ["y", "h"])
+def test_non_finite_model_is_rejected(field):
+    # A NaN in the whitened model fails at entry, not as NaN LLRs.
+    c = build_constellation(4)
+    model = _random_model(np.random.default_rng(10), 2, 2)
+    getattr(model, field).flat[1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        detect_all(model, c, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        prepare_all_uses(WhitenedModel(y=model.y[None], h=model.h[None]))

@@ -10,7 +10,7 @@ from chasedet import (
     cholesky,
     qr,
 )
-from chasedet.linalg import apply_permutation, invert_permutation, swap_permutation
+from chasedet.linalg import swap_permutation
 
 
 def _random_complex(rng, shape):
@@ -109,12 +109,5 @@ def test_permutation_helpers():
     p = swap_permutation(4, 1)
     assert p.tolist() == [0, 3, 2, 1]
     np.testing.assert_array_equal(p[p], np.arange(4))  # involution
-    rng = np.random.default_rng(1)
-    perm = rng.permutation(5)
-    np.testing.assert_array_equal(perm[invert_permutation(perm)], np.arange(5))
-    a = rng.normal(size=(3, 5))
-    np.testing.assert_array_equal(apply_permutation(a, perm)[:, invert_permutation(perm)], a)
     with pytest.raises(ValueError):
         swap_permutation(3, 3)
-    with pytest.raises(ValueError):
-        apply_permutation(a, np.array([0, 0, 1, 2, 3]))

@@ -164,3 +164,28 @@ def test_lmmse_counts_demap_levels():
     lmmse_llrs(model, c, stats=stats)
     assert stats.metric_evals == 3 * 16
     assert stats.streams == 3
+
+
+@pytest.mark.parametrize("field", ["y", "h"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_maxlog_rejects_non_finite_model(field, bad):
+    c = build_constellation(4)
+    rng = np.random.default_rng(12)
+    model = WhitenedModel(y=iid_complex_gaussian(rng, 2), h=iid_complex_gaussian(rng, (2, 2)))
+    getattr(model, field).flat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        exact_maxlog_llrs(model, c)
+
+
+@pytest.mark.parametrize("field", ["y", "h"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lmmse_rejects_non_finite_model(field, bad):
+    # Stacked over uses; one bad entry in the last use fails the call.
+    c = build_constellation(16)
+    rng = np.random.default_rng(13)
+    model = WhitenedModel(
+        y=iid_complex_gaussian(rng, (3, 2)), h=iid_complex_gaussian(rng, (3, 2, 2))
+    )
+    getattr(model, field)[-1].flat[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        lmmse_llrs(model, c)

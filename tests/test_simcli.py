@@ -221,34 +221,41 @@ def test_workers_capped_at_cpu_count(monkeypatch):
 
 
 # Tiny links per detector; 16-QAM over three streams gives bchase a
-# feedback layer and lchase more than one inner layer.
+# feedback layer and lchase more than one inner layer, and 64-QAM has the
+# fewest contexts per detection slice.
 _CHUNK_LINKS = {
-    "lchase": dict(mod=16, n_streams=3, n_rx=3, n_tx=3),
-    "bchase": dict(mod=16, n_streams=3, n_rx=3, n_tx=3, corr_tx=0.5, corr_rx=0.5),
-    "lmmse": dict(mod=4, n_streams=2, n_rx=2, n_tx=2, rate=0.83),
-    "maxlog": dict(mod=4, n_streams=2, n_rx=2, n_tx=2),
+    "lchase": dict(detector="lchase", mod=16, n_streams=3, n_rx=3, n_tx=3),
+    "bchase": dict(
+        detector="bchase", mod=16, n_streams=3, n_rx=3, n_tx=3, corr_tx=0.5, corr_rx=0.5
+    ),
+    "bchase-64qam": dict(
+        detector="bchase", mod=64, n_streams=3, n_rx=3, n_tx=3, corr_tx=0.5, corr_rx=0.5
+    ),
+    "lmmse": dict(detector="lmmse", mod=4, n_streams=2, n_rx=2, n_tx=2, rate=0.83),
+    "maxlog": dict(detector="maxlog", mod=4, n_streams=2, n_rx=2, n_tx=2),
 }
 
 
-@pytest.mark.parametrize("detector", sorted(_CHUNK_LINKS))
+@pytest.mark.parametrize("link", sorted(_CHUNK_LINKS))
 @settings(max_examples=6, deadline=None)
 @given(
     blocks=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
     snr=st.floats(-2.0, 24.0),
-    rows=st.sampled_from([1, 40, chase.CANDIDATE_ROWS]),
+    per_slice=st.sampled_from([1, 4, 1 << 20]),
 )
-def test_chunk_equals_block_by_block(detector, blocks, seed, snr, rows):
-    # One chunk of B blocks, at any candidate-row budget, gives bit for bit
-    # the flags, bit errors, counters and detector LLRs of B one-block runs.
+def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
+    # One chunk of B blocks, with detection slices of one context, of a
+    # few contexts or of the whole chunk, gives bit for bit the flags, bit
+    # errors, counters and detector LLRs of B one-block runs.
     cfg = _tiny_config(
-        detector=detector, seed=seed, snr_db=(snr,), blocks=blocks, info_bits=16,
-        **_CHUNK_LINKS[detector],
+        seed=seed, snr_db=(snr,), blocks=blocks, info_bits=16, **_CHUNK_LINKS[link]
     )
     bundle = _build_bundle(cfg)
     info, normals = _draws(bundle, 1, 0, blocks)
+    cap = per_slice * chase.context_values(bundle.constellation)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chase, "CANDIDATE_ROWS", rows)
+        mp.setattr(chase, "SLICE_VALUES", cap)
         whole = simulate_chunk(bundle, 1, snr, 0, blocks)
         chunk = run_idd(_chunk_model(bundle, 1, snr, 0, info, normals), info, bundle.idd_cfg)
     singles = [simulate_chunk(bundle, 1, snr, b, b + 1) for b in range(blocks)]
