@@ -8,10 +8,6 @@ and a reproducible link-level Monte Carlo simulator with a CLI front end.
 """
 
 from .bchase import BchaseStreamContext
-from .bchase import detect_all as bchase_detect_all
-from .bchase import detect_stream as bchase_detect_stream
-from .bchase import prepare_all as bchase_prepare_all
-from .bchase import prepare_stream as bchase_prepare_stream
 from .channel import (
     ChannelRealization,
     CorrelationModel,
@@ -48,12 +44,8 @@ from .counters import DetectorStats
 from .errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
 from .idd import DETECTORS, IddConfig, IddResult, run_idd, slot_bits, uses_for_block
 from .lchase import LchaseStreamContext
-from .lchase import detect_all as lchase_detect_all
-from .lchase import detect_stream as lchase_detect_stream
-from .lchase import prepare_all as lchase_prepare_all
-from .lchase import prepare_stream as lchase_prepare_stream
 from .linalg import back_substitute, cholesky, qr
-from .llr import LLR_CLIP, LlrFrame, saturate
+from .llr import LLR_CLIP, saturate
 from .reference import brute_pam_argmax, exact_maxlog_llrs, lmmse_llrs
 from .simcli import SimConfig, SimRecord, monte_carlo, parse_snr_grid, write_csv
 
@@ -74,7 +66,6 @@ __all__ = [
     "Interleaver",
     "LLR_CLIP",
     "LchaseStreamContext",
-    "LlrFrame",
     "NotPositiveDefiniteError",
     "PamAxis",
     "SUPPORTED_ORDERS",
@@ -83,10 +74,6 @@ __all__ = [
     "SingularMatrixError",
     "WhitenedModel",
     "back_substitute",
-    "bchase_detect_all",
-    "bchase_detect_stream",
-    "bchase_prepare_all",
-    "bchase_prepare_stream",
     "bcjr_decode",
     "brute_pam_argmax",
     "build_constellation",
@@ -98,10 +85,6 @@ __all__ = [
     "exact_maxlog_llrs",
     "generate_channel",
     "interleave",
-    "lchase_detect_all",
-    "lchase_detect_stream",
-    "lchase_prepare_all",
-    "lchase_prepare_stream",
     "lmmse_llrs",
     "make_interleaver",
     "modulate",

@@ -24,15 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chase
 from .channel import WhitenedModel
-from .chase import (
-    StackedContext,
-    candidate_priors,
-    coset_llrs,
-    detect_rows_in_slices,
-    stack_streams,
-    stacked_model,
-)
 from .constellation import (
     Constellation,
     coset_min_sqdist,
@@ -44,12 +37,12 @@ from .constellation import (
 from .counters import DetectorStats
 from .errors import SingularMatrixError
 from .linalg import qr
-from .llr import LlrFrame, saturate
+from .llr import saturate
 from .reference import brute_pam_argmax
 
 
 @dataclass(frozen=True)
-class BchaseStreamContext(StackedContext):
+class BchaseStreamContext(chase.StackedContext):
     """QR state for one target stream: column `stream` last, rest BLAST-ordered.
 
     layers[k] is the original stream index at permuted position k
@@ -58,10 +51,18 @@ class BchaseStreamContext(StackedContext):
     (see chase.StackedContext).
     """
 
-    stream: int
+    stream: np.ndarray
     layers: np.ndarray
     r: np.ndarray
     y_rot: np.ndarray
+
+    @property
+    def y_last(self) -> np.ndarray:
+        return self.y_rot[..., -1]
+
+    @property
+    def pivot(self) -> np.ndarray:
+        return self.r[..., -1, -1].real
 
 
 def _blast_order_uses(h: np.ndarray, stream: int) -> np.ndarray:
@@ -118,22 +119,13 @@ def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> BchaseStr
     )
 
 
-def prepare_stream(model: WhitenedModel, stream: int) -> BchaseStreamContext:
-    return _prepare_stream_uses(model.h[None], model.y[None], stream)[0]
-
-
-def prepare_all(model: WhitenedModel) -> list[BchaseStreamContext]:
-    return [prepare_stream(model, i) for i in range(model.n_streams)]
-
-
-def prepare_all_uses(models) -> BchaseStreamContext:
+def prepare_all_uses(models: WhitenedModel) -> BchaseStreamContext:
     """Order and factor every stream of every use into one (streams, uses) context.
 
-    models is a sequence of per-use WhitenedModel or one WhitenedModel
-    stacked over uses; ctx[i][u] equals prepare_stream(models[u], i).
+    models is one WhitenedModel stacked over uses; ctx[i][u] is stream i of
+    use u.
     """
-    h, y = stacked_model(models)
-    return stack_streams([_prepare_stream_uses(h, y, i) for i in range(h.shape[-1])])
+    return chase.prepare_all_uses(_prepare_stream_uses, models)
 
 
 def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
@@ -156,40 +148,27 @@ def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
     return out
 
 
-def _detect_rows(
+def _inner_layers(
     ctx: BchaseStreamContext,
     c: Constellation,
     la: np.ndarray,
     use_idx: np.ndarray,
+    total: np.ndarray,
     stats: DetectorStats | None,
-    *,
-    zero_post_llrs: bool = False,
-    genie_symbols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Core detection over a flat batch of contexts (any mix of streams).
-
-    la is (uses, n_streams, q) and use_idx maps each context to its la (and
-    genie_symbols) row. Returns max-log LLRs of shape (len(ctx), q).
-    """
+    """Add every inner layer's best metric to the (rows, M) totals, walking
+    the feedback chain bottom-up under each candidate."""
     batch = len(ctx)
     n = ctx.layers.shape[1]
     m = c.order
     r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
-
     cand = c.symbols
-    prior = candidate_priors(la[use_idx, ctx.stream, :], c)
-    total = prior - np.abs(y_rot[:, -1:] - r[:, -1, -1].real[:, None] * cand) ** 2
-    if stats is not None:
-        stats.metric_evals += batch * m
-        stats.hypotheses += batch * m
-        stats.streams += batch
 
     shat = np.zeros((batch, max(n - 1, 1), m), dtype=complex)
     svar = np.zeros((batch, max(n - 1, 1), m))
 
     for l in range(n - 2, -1, -1):
-        layer_streams = perms[:, l]
-        la_layer = la[use_idx, layer_streams, :]
+        la_layer = la[use_idx, perms[:, l], :]
         r_row = r[:, l, :]
         feedback = np.einsum("uf,ufm->um", r_row[:, l + 1 : n - 1], shat[:, l + 1 : n - 1])
         layer_var = 1.0 + np.einsum(
@@ -222,22 +201,14 @@ def _detect_rows(
         if l == 0:
             break  # nothing below consumes this layer's estimate
 
-        if genie_symbols is not None:
-            shat[:, l, :] = genie_symbols[use_idx, layer_streams][:, None]
-            svar[:, l, :] = 0.0
-            continue
-        if zero_post_llrs:
-            posterior = np.broadcast_to(la_layer[:, None, :], (batch, m, c.bits_per_symbol))
-        else:
-            post = layer_post_llrs(z, r_ll[:, None], layer_var, c)
-            posterior = saturate(la_layer[:, None, :] + post)
-        mean, var = soft_symbol_stats(posterior, c)
+        post = layer_post_llrs(z, r_ll[:, None], layer_var, c)
+        mean, var = soft_symbol_stats(saturate(la_layer[:, None, :] + post), c)
         shat[:, l, :] = mean
         svar[:, l, :] = var
         if stats is not None:
             stats.soft_stat_evals += batch * m
 
-    return coset_llrs(total, c)
+    return total
 
 
 def detect_all_uses(
@@ -251,44 +222,4 @@ def detect_all_uses(
     contexts is the (streams, uses) stack from prepare_all_uses and la is
     (uses, n_streams, q); returns LLRs of the same shape as la.
     """
-    return detect_rows_in_slices(_detect_rows, contexts, c, la, stats)
-
-
-def detect_stream(
-    ctx: BchaseStreamContext,
-    c: Constellation,
-    la,
-    stats: DetectorStats | None = None,
-    *,
-    zero_post_llrs: bool = False,
-    genie_symbols: np.ndarray | None = None,
-) -> np.ndarray:
-    """Max-log LLRs (q,) for one stream of one channel use.
-
-    Test hooks: zero_post_llrs forces every post-detection LLR to zero (the
-    feedback chain then uses priors only); genie_symbols (n_streams,) forces
-    the chain to feed back the true symbols with zero variance.
-    """
-    values = la.values if isinstance(la, LlrFrame) else np.asarray(la, dtype=float)
-    genie = None if genie_symbols is None else np.asarray(genie_symbols)[None]
-    return _detect_rows(
-        ctx[None],
-        c,
-        values[None],
-        np.zeros(1, dtype=int),
-        stats,
-        zero_post_llrs=zero_post_llrs,
-        genie_symbols=genie,
-    )[0]
-
-
-def detect_all(
-    model: WhitenedModel,
-    c: Constellation,
-    la,
-    stats: DetectorStats | None = None,
-) -> LlrFrame:
-    """Detect every stream of one channel use; returns a 'detector' frame."""
-    values = la.values if isinstance(la, LlrFrame) else np.asarray(la, dtype=float)
-    contexts = prepare_all_uses([model])
-    return LlrFrame(detect_all_uses(contexts, c, values[None], stats)[0], "detector")
+    return chase.detect_all_uses(_inner_layers, contexts, c, la, stats)

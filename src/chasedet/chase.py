@@ -1,11 +1,19 @@
-"""What the two Chase detectors share: stacked contexts and the row loop.
+"""The Chase detector both list detectors run: one skeleton, two inner resolvers.
 
 A detector prepares one context per (target stream, channel use). The
 contexts of many uses live in one struct-of-arrays whose fields share their
 leading axes: (streams, uses), stream-major, from prepare_all_uses. Indexing
 a context indexes every field, so ctx[i][u] is the context of stream i on
-use u and ctx[i][u][None] a one-row stack. Detection walks the flattened
-contexts in slices whose largest temporaries fit SLICE_VALUES float64
+use u and ctx[i][u][None] a one-row stack. Every context exposes y_last and
+pivot, the last row of its triangularized system, where the target stream
+sits alone.
+
+Detection searches the target stream exhaustively: each of its M candidate
+values gets its a priori term and last-row metric, the detector's
+inner_layers adds the best metric of every other layer under that candidate
+(linear nulling with slicing for lchase, ordered soft feedback for bchase),
+and bit LLRs are coset maxima over the candidates. The flattened contexts
+are walked in slices whose largest temporaries fit SLICE_VALUES float64
 values, which bounds the working set however many uses are stacked.
 """
 
@@ -53,8 +61,16 @@ class StackedContext:
         return type(self)(**folded)
 
 
-def stack_streams(per_stream: list):
-    """One stream-major context from per-stream contexts stacked over uses."""
+def prepare_all_uses(prepare_stream_uses, models: WhitenedModel):
+    """One (streams, uses) context for a WhitenedModel stacked over uses.
+
+    prepare_stream_uses(h, y, stream) prepares one target stream for every
+    use. A non-finite model raises ValueError.
+    """
+    require_finite(models)
+    per_stream = [
+        prepare_stream_uses(models.h, models.y, i) for i in range(models.n_streams)
+    ]
     first = per_stream[0]
     return type(first)(
         **{
@@ -64,38 +80,35 @@ def stack_streams(per_stream: list):
     )
 
 
-def stacked_model(models) -> tuple[np.ndarray, np.ndarray]:
-    """(h, y) stacked over uses from a stacked WhitenedModel or a sequence.
-
-    Non-finite entries raise ValueError.
-    """
-    if not isinstance(models, WhitenedModel):
-        models = WhitenedModel(np.stack([m.y for m in models]), np.stack([m.h for m in models]))
-    require_finite(models)
-    return models.h, models.y
-
-
-def detect_rows_in_slices(
-    detect_rows,
+def detect_all_uses(
+    inner_layers,
     contexts,
     c: Constellation,
     la: np.ndarray,
     stats: DetectorStats | None,
 ) -> np.ndarray:
-    """Run detect_rows over stream-major contexts; returns (uses, streams, q).
+    """Max-log LLRs of every stream of every use: (uses, streams, q).
 
-    detect_rows(ctx_rows, c, la, use_idx, stats) detects a flat slice of
-    contexts whose la rows are use_idx.
+    contexts is the (streams, uses) stack from prepare_all_uses and la the
+    a priori LLRs (uses, streams, q). inner_layers(ctx_rows, c, la, use_idx,
+    total, stats) returns total, the (rows, M) candidate metrics, with the
+    inner layers' best metrics added; use_idx maps each row to its la row.
     """
     n_streams, n_uses = np.shape(contexts.stream)
     flat = contexts.flat()
-    total = n_streams * n_uses
-    out = np.empty((total, c.bits_per_symbol))
+    rows = n_streams * n_uses
+    out = np.empty((rows, c.bits_per_symbol))
     step = max(1, SLICE_VALUES // context_values(c))
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        use_idx = np.arange(start, stop) % n_uses
-        out[start:stop] = detect_rows(flat[start:stop], c, la, use_idx, stats)
+    for start in range(0, rows, step):
+        ctx = flat[start : start + step]
+        use_idx = np.arange(start, start + len(ctx)) % n_uses
+        prior = candidate_priors(la[use_idx, ctx.stream, :], c)
+        total = prior - np.abs(ctx.y_last[:, None] - ctx.pivot[:, None] * c.symbols) ** 2
+        if stats is not None:
+            stats.metric_evals += len(ctx) * c.order
+            stats.streams += len(ctx)
+        total = inner_layers(ctx, c, la, use_idx, total, stats)
+        out[start : start + len(ctx)] = coset_llrs(total, c)
     return out.reshape(n_streams, n_uses, -1).transpose(1, 0, 2)
 
 

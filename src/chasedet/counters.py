@@ -18,14 +18,12 @@ class DetectorStats:
     metric_evals: int = 0
     boundary_evals: int = 0
     soft_stat_evals: int = 0
-    hypotheses: int = 0
     streams: int = 0
 
     def add(self, other: "DetectorStats") -> None:
         self.metric_evals += other.metric_evals
         self.boundary_evals += other.boundary_evals
         self.soft_stat_evals += other.soft_stat_evals
-        self.hypotheses += other.hypotheses
         self.streams += other.streams
 
     @property

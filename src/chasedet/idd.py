@@ -119,11 +119,11 @@ def _detect_all_uses(
     if cfg.detector == "bchase":
         return bchase.detect_all_uses(contexts, c, la, stats)
     if cfg.detector == "lmmse":
-        return lmmse_llrs(model, c, stats=stats).values
+        return lmmse_llrs(model, c, stats=stats)
     out = np.empty(la.shape)
     for u in range(len(la)):
         use = WhitenedModel(model.y[u], model.h[u])
-        out[u] = exact_maxlog_llrs(use, c, la[u], stats=stats).values
+        out[u] = exact_maxlog_llrs(use, c, la[u], stats=stats)
     return out
 
 

@@ -20,23 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chase
 from .channel import WhitenedModel
-from .chase import (
-    StackedContext,
-    candidate_priors,
-    coset_llrs,
-    detect_rows_in_slices,
-    stack_streams,
-    stacked_model,
-)
 from .constellation import Constellation, pam_boundaries, pam_metric, slice_pam
 from .counters import DetectorStats
 from .linalg import back_substitute, qr, swap_permutation
-from .llr import LlrFrame
 
 
 @dataclass(frozen=True)
-class LchaseStreamContext(StackedContext):
+class LchaseStreamContext(chase.StackedContext):
     """Per-(channel, target stream) factorization state.
 
     layers[k] is the original stream index occupying permuted position k;
@@ -53,6 +45,10 @@ class LchaseStreamContext(StackedContext):
     coupling: np.ndarray
     pivot: np.ndarray
     noise_vars: np.ndarray
+
+    @property
+    def y_last(self) -> np.ndarray:
+        return self.ybar[..., -1]
 
 
 def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> LchaseStreamContext:
@@ -79,53 +75,33 @@ def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> LchaseStr
     )
 
 
-def prepare_stream(model: WhitenedModel, stream: int) -> LchaseStreamContext:
-    """Factor the whitened channel for one target stream."""
-    return _prepare_stream_uses(model.h[None], model.y[None], stream)[0]
-
-
-def prepare_all(model: WhitenedModel) -> list[LchaseStreamContext]:
-    return [prepare_stream(model, i) for i in range(model.n_streams)]
-
-
-def prepare_all_uses(models) -> LchaseStreamContext:
+def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
     """Factor every stream of every use into one (streams, uses) context.
 
-    models is a sequence of per-use WhitenedModel or one WhitenedModel
-    stacked over uses; ctx[i][u] equals prepare_stream(models[u], i).
+    models is one WhitenedModel stacked over uses; ctx[i][u] is stream i of
+    use u.
     """
-    h, y = stacked_model(models)
-    return stack_streams([_prepare_stream_uses(h, y, i) for i in range(h.shape[-1])])
+    return chase.prepare_all_uses(_prepare_stream_uses, models)
 
 
-def _detect_rows(
+def _inner_layers(
     ctx: LchaseStreamContext,
     c: Constellation,
     la: np.ndarray,
     use_idx: np.ndarray,
+    total: np.ndarray,
     stats: DetectorStats | None,
 ) -> np.ndarray:
-    """Core detection over a flat batch of contexts (any mix of streams).
+    """Add every inner layer's sliced best metric to the (rows, M) totals.
 
-    la is (uses, n_streams, q) and use_idx maps each context to its la row.
-    Returns max-log LLRs of shape (len(ctx), q).
+    Boundaries depend on the layer's priors and noise variance only, so one
+    set per context serves all M candidates.
     """
     batch = len(ctx)
-    m = c.order
-    cand = c.symbols
-    prior = candidate_priors(la[use_idx, ctx.stream, :], c)
-    total = prior - np.abs(ctx.ybar[:, -1:] - ctx.pivot[:, None] * cand) ** 2
-    if stats is not None:
-        stats.metric_evals += batch * m
-        stats.hypotheses += batch * m
-        stats.streams += batch
-
-    # Boundaries depend on the layer's priors and noise variance only, so
-    # one set per context serves all M candidates.
     for l in range(ctx.layers.shape[1] - 1):
         la_layer = la[use_idx, ctx.layers[:, l], :]
         var = ctx.noise_vars[:, l]
-        z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * cand
+        z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols
         for axis, cols, zz in (
             (c.real_axis, c.real_bits, z.real),
             (c.imag_axis, c.imag_bits, z.imag),
@@ -136,8 +112,7 @@ def _detect_rows(
             total = total + pam_metric(axis, idx, zz, la_axis, var[:, None])
             if stats is not None:
                 stats.boundary_evals += batch * axis.npairs
-
-    return coset_llrs(total, c)
+    return total
 
 
 def detect_all_uses(
@@ -151,27 +126,4 @@ def detect_all_uses(
     contexts is the (streams, uses) stack from prepare_all_uses and la is
     (uses, n_streams, q); returns LLRs of the same shape as la.
     """
-    return detect_rows_in_slices(_detect_rows, contexts, c, la, stats)
-
-
-def detect_stream(
-    ctx: LchaseStreamContext,
-    c: Constellation,
-    la,
-    stats: DetectorStats | None = None,
-) -> np.ndarray:
-    """Max-log LLRs (q,) for one stream of one channel use."""
-    values = la.values if isinstance(la, LlrFrame) else np.asarray(la, dtype=float)
-    return _detect_rows(ctx[None], c, values[None], np.zeros(1, dtype=int), stats)[0]
-
-
-def detect_all(
-    model: WhitenedModel,
-    c: Constellation,
-    la,
-    stats: DetectorStats | None = None,
-) -> LlrFrame:
-    """Detect every stream of one channel use; returns a 'detector' frame."""
-    values = la.values if isinstance(la, LlrFrame) else np.asarray(la, dtype=float)
-    contexts = prepare_all_uses([model])
-    return LlrFrame(detect_all_uses(contexts, c, values[None], stats)[0], "detector")
+    return chase.detect_all_uses(_inner_layers, contexts, c, la, stats)

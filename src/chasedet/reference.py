@@ -14,7 +14,6 @@ import numpy as np
 from .channel import WhitenedModel, require_finite
 from .constellation import Constellation, PamAxis, coset_min_sqdist
 from .counters import DetectorStats
-from .llr import LlrFrame
 
 MAX_EXHAUSTIVE = 1 << 20
 _CHUNK = 1 << 16
@@ -25,8 +24,8 @@ def exact_maxlog_llrs(
     c: Constellation,
     apriori: np.ndarray | None = None,
     stats: DetectorStats | None = None,
-) -> LlrFrame:
-    """Max-log bit LLRs from a full search over all M**n transmit vectors.
+) -> np.ndarray:
+    """Max-log bit LLRs (n, q) from a full search over all M**n transmit vectors.
 
     For each candidate vector the metric is sum of per-bit a priori terms
     (label * LLR) minus the squared whitened residual; each bit's LLR is the
@@ -76,9 +75,8 @@ def exact_maxlog_llrs(
 
     if stats is not None:
         stats.metric_evals += total
-        stats.hypotheses += total
         stats.streams += n
-    return LlrFrame(values=llrs, role="detector")
+    return llrs
 
 
 def brute_pam_argmax(
@@ -104,13 +102,13 @@ def lmmse_llrs(
     c: Constellation,
     noise_floor: float = 1e-12,
     stats: DetectorStats | None = None,
-) -> LlrFrame:
+) -> np.ndarray:
     """Per-stream LMMSE estimate and scalar max-log demap, zero a priori.
 
     With whitened h, the filter is (h^H h + I)^-1 h^H; the biased estimate
     is rescaled by the filter gain mu and demapped with effective noise
-    variance (1 - mu) / mu per stream (floored for numerical safety). A model
-    stacked over uses gives a frame with the same leading axes. A non-finite
+    variance (1 - mu) / mu per stream (floored for numerical safety). Returns
+    LLRs (n, q); a model stacked over uses adds its leading axes. A non-finite
     model raises ValueError.
     """
     require_finite(model)
@@ -136,4 +134,4 @@ def lmmse_llrs(
         streams = z.size
         stats.metric_evals += streams * (c.real_axis.nlevels + c.imag_axis.nlevels)
         stats.streams += streams
-    return LlrFrame(values=llrs, role="detector")
+    return llrs

@@ -46,6 +46,11 @@ def _report(name: str, ok: bool) -> None:
     assert ok, name
 
 
+def _stack(models) -> WhitenedModel:
+    """One WhitenedModel stacked over a list of channel uses."""
+    return WhitenedModel(y=np.stack([m.y for m in models]), h=np.stack([m.h for m in models]))
+
+
 def _binom_tail_le(k: int, n: int) -> float:
     """Exact P[X <= k] for X ~ Binomial(n, 1/2); 1.0 when n == 0."""
     if n == 0:
@@ -84,10 +89,11 @@ def test_single_stream_detectors_match_oracle():
             h = (0.3 + 1.7 * rng.random()) * iid_complex_gaussian(rng, (2, 1))
             models.append(WhitenedModel(y=iid_complex_gaussian(rng, 2), h=h))
         la = rng.normal(scale=3.0, size=(n, 1, c.bits_per_symbol))
-        l_out = lchase.detect_all_uses(lchase.prepare_all_uses(models), c, la)
-        b_out = bchase.detect_all_uses(bchase.prepare_all_uses(models), c, la)
+        uses = _stack(models)
+        l_out = lchase.detect_all_uses(lchase.prepare_all_uses(uses), c, la)
+        b_out = bchase.detect_all_uses(bchase.prepare_all_uses(uses), c, la)
         for u, model in enumerate(models):
-            ref = exact_maxlog_llrs(model, c, la[u]).values
+            ref = exact_maxlog_llrs(model, c, la[u])
             worst = max(
                 worst,
                 float(np.abs(l_out[u] - ref).max()),
@@ -109,8 +115,9 @@ def test_two_stream_detectors_agree():
             h = iid_complex_gaussian(rng, (2, 2))
             models.append(WhitenedModel(y=iid_complex_gaussian(rng, 2), h=h))
         la = rng.normal(scale=3.0, size=(n, 2, c.bits_per_symbol))
-        l_out = lchase.detect_all_uses(lchase.prepare_all_uses(models), c, la)
-        b_out = bchase.detect_all_uses(bchase.prepare_all_uses(models), c, la)
+        uses = _stack(models)
+        l_out = lchase.detect_all_uses(lchase.prepare_all_uses(uses), c, la)
+        b_out = bchase.detect_all_uses(bchase.prepare_all_uses(uses), c, la)
         worst = max(worst, float(np.abs(l_out - b_out).max()))
     _report("two-stream-crosscheck", worst <= 1e-6)
 
@@ -150,10 +157,11 @@ def test_list_detector_count_identity():
         for order in (4, 16, 64):
             c = build_constellation(order)
             model = WhitenedModel(
-                y=iid_complex_gaussian(rng, n), h=iid_complex_gaussian(rng, (n, n))
+                y=iid_complex_gaussian(rng, n)[None], h=iid_complex_gaussian(rng, (n, n))[None]
             )
             stats = DetectorStats()
-            lchase.detect_all(model, c, np.zeros((n, c.bits_per_symbol)), stats)
+            contexts = lchase.prepare_all_uses(model)
+            lchase.detect_all_uses(contexts, c, np.zeros((1, n, c.bits_per_symbol)), stats)
             expected = n * order - (n - 1) * math.isqrt(order)
             seen[(n, order)] = stats.metrics_per_stream
             ok = ok and stats.metrics_per_stream == expected

@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from chasedet import (
+    LLR_CLIP,
     DetectorStats,
     WhitenedModel,
     build_constellation,
     exact_maxlog_llrs,
 )
-from chasedet import lchase
+from chasedet import bchase, lchase
 from chasedet.bchase import (
     blast_order,
-    detect_all,
     detect_all_uses,
-    detect_stream,
     layer_post_llrs,
-    prepare_all,
     prepare_all_uses,
-    prepare_stream,
 )
 from chasedet.channel import iid_complex_gaussian
 
@@ -27,6 +24,21 @@ def _random_model(rng, n_rx, n, scale=1.0):
     h = scale * iid_complex_gaussian(rng, (n_rx, n))
     y = iid_complex_gaussian(rng, n_rx)
     return WhitenedModel(y=y, h=h)
+
+
+def _stack(*models):
+    """One WhitenedModel stacked over the given channel uses."""
+    return WhitenedModel(y=np.stack([m.y for m in models]), h=np.stack([m.h for m in models]))
+
+
+def _detect(model, c, la, stats=None, det=bchase):
+    """LLRs (n, q) of every stream of one channel use."""
+    la = np.asarray(la, dtype=float)[None]
+    return det.detect_all_uses(det.prepare_all_uses(_stack(model)), c, la, stats)[0]
+
+
+def _zero_post_llrs(z, r_ll, layer_var, c):
+    return np.zeros(np.shape(z) + (c.bits_per_symbol,))
 
 
 def test_blast_order_orthogonal_columns():
@@ -78,8 +90,8 @@ def test_two_streams_equals_list_detector():
     for _ in range(25):
         model = _random_model(rng, 2, 2)
         la = rng.normal(scale=3.0, size=(2, 4))
-        got = detect_all(model, c, la).values
-        ref = lchase.detect_all(model, c, la).values
+        got = _detect(model, c, la)
+        ref = _detect(model, c, la, det=lchase)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
@@ -89,38 +101,34 @@ def test_single_stream_equals_exhaustive():
     for _ in range(20):
         model = _random_model(rng, 2, 1)
         la = rng.normal(scale=2.0, size=(1, 6))
-        got = detect_all(model, c, la).values
-        ref = exact_maxlog_llrs(model, c, la).values
+        got = _detect(model, c, la)
+        ref = exact_maxlog_llrs(model, c, la)
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
-def test_hooks_are_inert_without_feedback_layers():
-    # At two streams nothing feeds back, so the genie and the zeroed
-    # post-detection hooks cannot change the result.
-    c = build_constellation(16)
-    rng = np.random.default_rng(4)
-    model = _random_model(rng, 2, 2)
-    la = rng.normal(size=(2, 4))
-    ctx = prepare_stream(model, 0)
-    base = detect_stream(ctx, c, la)
-    zeroed = detect_stream(ctx, c, la, zero_post_llrs=True)
-    genie = detect_stream(ctx, c, la, genie_symbols=c.symbols[[3, 7]])
-    np.testing.assert_array_equal(base, zeroed)
-    np.testing.assert_array_equal(base, genie)
-
-
-def test_feedback_hooks_alter_deep_chains():
+def test_feedback_hooks_alter_deep_chains(monkeypatch):
+    # Zeroing every post-detection LLR leaves the feedback chain priors
+    # only, which must change the result once layers feed back.
     c = build_constellation(16)
     rng = np.random.default_rng(5)
     model = _random_model(rng, 4, 4)
     la = np.zeros((4, 4))
-    ctx = prepare_stream(model, 0)
-    base = detect_stream(ctx, c, la)
-    zeroed = detect_stream(ctx, c, la, zero_post_llrs=True)
+    base = _detect(model, c, la)[0]
+    monkeypatch.setattr(bchase, "layer_post_llrs", _zero_post_llrs)
+    zeroed = _detect(model, c, la)[0]
     assert not np.allclose(base, zeroed)
 
 
-def test_noiseless_genie_feedback_is_correct():
+def test_noiseless_genie_feedback_is_correct(monkeypatch):
+    # Post-detection LLRs pushed to +-LLR_CLIP: at the true candidate of a
+    # noiseless observation the chain feeds back each layer's true symbol
+    # with zero variance, as a genie would.
+    real_layer_post_llrs = bchase.layer_post_llrs
+
+    def genie(z, r_ll, layer_var, c):
+        return LLR_CLIP * np.sign(real_layer_post_llrs(z, r_ll, layer_var, c))
+
+    monkeypatch.setattr(bchase, "layer_post_llrs", genie)
     c = build_constellation(16)
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -128,12 +136,8 @@ def test_noiseless_genie_feedback_is_correct():
         idx = rng.integers(0, 16, size=4)
         s = c.symbols[idx]
         model = WhitenedModel(y=h @ s, h=h)
-        for i in range(4):
-            ctx = prepare_stream(model, i)
-            llrs = detect_stream(ctx, c, np.zeros((4, 4)), genie_symbols=s)
-            np.testing.assert_array_equal(
-                (llrs > 0).astype(np.int8), c.bit_labels[idx[i]]
-            )
+        llrs = _detect(model, c, np.zeros((4, 4)))
+        np.testing.assert_array_equal((llrs > 0).astype(np.int8), c.bit_labels[idx])
 
 
 def test_high_snr_detection_is_correct():
@@ -147,10 +151,8 @@ def test_high_snr_detection_is_correct():
         h = 8.0 * iid_complex_gaussian(rng, (4, 4))
         idx = rng.integers(0, 64, size=4)
         model = WhitenedModel(y=h @ c.symbols[idx], h=h)
-        frame = detect_all(model, c, np.zeros((4, 6)))
-        np.testing.assert_array_equal(
-            (frame.values > 0).astype(np.int8), c.bit_labels[idx]
-        )
+        llrs = _detect(model, c, np.zeros((4, 6)))
+        np.testing.assert_array_equal((llrs > 0).astype(np.int8), c.bit_labels[idx])
 
 
 @pytest.mark.parametrize("order,n", [(4, 2), (16, 2), (16, 3), (64, 4)])
@@ -159,7 +161,7 @@ def test_complexity_counters(order, n):
     rng = np.random.default_rng(8)
     model = _random_model(rng, n, n)
     stats = DetectorStats()
-    detect_all(model, c, np.zeros((n, c.bits_per_symbol)), stats)
+    _detect(model, c, np.zeros((n, c.bits_per_symbol)), stats)
     root = int(np.sqrt(order))
     assert stats.metric_evals == n * order
     # One prior-only boundary set on the bottom inner layer, per-candidate
@@ -175,8 +177,8 @@ def test_two_stream_count_matches_list_detector():
     rng = np.random.default_rng(9)
     model = _random_model(rng, 2, 2)
     s_b, s_l = DetectorStats(), DetectorStats()
-    detect_all(model, c, np.zeros((2, 6)), s_b)
-    lchase.detect_all(model, c, np.zeros((2, 6)), s_l)
+    _detect(model, c, np.zeros((2, 6)), s_b)
+    _detect(model, c, np.zeros((2, 6)), s_l, det=lchase)
     assert s_b.metric_evals == s_l.metric_evals
     assert s_b.boundary_evals == s_l.boundary_evals
     assert s_b.metrics_per_stream == s_l.metrics_per_stream == 120.0
@@ -187,15 +189,14 @@ def test_batched_paths_agree_with_single_use():
     rng = np.random.default_rng(10)
     models = [_random_model(rng, 4, 4) for _ in range(5)]
     la = rng.normal(scale=2.0, size=(5, 4, 4))
-    contexts = prepare_all_uses(models)
+    contexts = prepare_all_uses(_stack(*models))
     fused = detect_all_uses(contexts, c, la)
     for u, model in enumerate(models):
-        single = detect_all(model, c, la[u]).values
+        single = _detect(model, c, la[u])
         np.testing.assert_allclose(fused[u], single, rtol=1e-12, atol=1e-12)
-        for i, ctx in enumerate(prepare_all(model)):
-            np.testing.assert_allclose(
-                single[i], detect_stream(ctx, c, la[u]), rtol=1e-12, atol=1e-12
-            )
+        for i in range(4):
+            lone = detect_all_uses(contexts[i : i + 1, u : u + 1], c, la[u : u + 1])
+            np.testing.assert_allclose(single[i], lone[0, 0], rtol=1e-12, atol=1e-12)
 
 
 def test_layer_post_llrs_signs_and_shape():
@@ -216,6 +217,4 @@ def test_non_finite_model_is_rejected(field):
     model = _random_model(np.random.default_rng(10), 3, 3)
     getattr(model, field).flat[2] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        detect_all(model, c, np.zeros((3, 4)))
-    with pytest.raises(ValueError, match="finite"):
-        prepare_all_uses([model])
+        _detect(model, c, np.zeros((3, 4)))

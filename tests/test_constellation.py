@@ -1,11 +1,13 @@
 """Alphabet construction, boundary slicing, and soft statistics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from chasedet import (
+    LLR_CLIP,
     SUPPORTED_ORDERS,
     ConfigError,
     Constellation,
@@ -149,6 +151,67 @@ def test_slicer_tie_goes_to_smaller_index():
     bset = pam_boundaries(ax, np.zeros(2), 1.0)
     assert slice_pam(np.array(0.0), ax, bset) == 1
     assert brute_pam_argmax(np.array(0.0), ax, np.zeros(2), np.array(1.0)) == 1
+
+
+def _three_way_ties(axis, rng, n):
+    """Up to n slicing problems at which three levels have equal metrics.
+
+    For levels i < j < k the pair boundaries D_ij and D_jk are linear in
+    the priors; random priors are moved along the direction that makes
+    them coincide, and z is put on the common boundary. Draws whose priors
+    leave +-LLR_CLIP, or whose three tied levels are not the top three,
+    are dropped. Returns (z, la, var).
+    """
+    levels, labels = axis.levels, axis.sub_labels.astype(float)
+    triples = np.array(list(itertools.combinations(range(axis.nlevels), 3)))
+    i, j, k = triples[rng.integers(0, len(triples), n)].T
+
+    def coef(a, b):
+        return (labels[a] - labels[b]) / (2.0 * (levels[a] - levels[b]))[:, None]
+
+    c_ij, c_jk = coef(i, j), coef(j, k)
+    mid_ij, mid_jk = (levels[i] + levels[j]) / 2.0, (levels[j] + levels[k]) / 2.0
+    var = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
+    g = c_ij - c_jk
+    la = rng.uniform(-LLR_CLIP, LLR_CLIP, (n, axis.nbits))
+    t = ((mid_ij - mid_jk) / var - (g * la).sum(axis=1)) / (g * g).sum(axis=1)
+    la = la + t[:, None] * g
+    z = mid_ij - var * (c_ij * la).sum(axis=1)
+    metric = axis.level_priors(la) - (z[:, None] - levels) ** 2 / var[:, None]
+    top3 = np.sort(np.argsort(-metric, axis=1)[:, :3], axis=1)
+    keep = (np.abs(la).max(axis=1) <= LLR_CLIP) & (top3 == np.stack([i, j, k], 1)).all(axis=1)
+    return z[keep], la[keep], var[keep]
+
+
+@pytest.mark.parametrize("order", (16, 64, 256))
+def test_slicer_at_three_way_near_ties(order):
+    # z at, a few ulps off and slightly off constructed three-way ties, with
+    # priors up to +-LLR_CLIP and variances from 1e-3 to 10. The slicer's
+    # level must score within 1e-9 * max(1, |m|) of the brute maximum m, and
+    # must be the brute argmax wherever the top two metrics are further
+    # apart than that. Rounding leaves some z in no slicing interval, so the
+    # direct-evaluation fallback is exercised too.
+    axis = build_constellation(order).real_axis
+    z, la, var = _three_way_ties(axis, np.random.default_rng(order + 1), 20_000)
+    assert len(z) >= 300
+    ulps = np.spacing(z)[:, None] * np.arange(-3, 4)
+    offsets = np.array([-1e-4, -1e-7, -1e-10, 1e-10, 1e-7, 1e-4])
+    z = np.concatenate([z[:, None] + ulps, z[:, None] + offsets], axis=1).ravel()
+    la = np.repeat(la, 13, axis=0)
+    var = np.repeat(var, 13)
+
+    bset = pam_boundaries(axis, la, var)
+    idx = slice_pam(z, axis, bset)
+    got = pam_metric(axis, idx, z, la, var)
+    brute = axis.level_priors(la) - (z[:, None] - axis.levels) ** 2 / var[:, None]
+    top2 = np.sort(brute, axis=1)[:, -2:]
+    tol = 1e-9 * np.maximum(1.0, np.abs(top2[:, 1]))
+    assert np.all(np.abs(got - top2[:, 1]) <= tol)
+    apart = top2[:, 1] - top2[:, 0] > tol
+    assert apart.sum() >= len(z) // 4
+    np.testing.assert_array_equal(idx[apart], brute_pam_argmax(z, axis, la, var)[apart])
+    inside = (z[:, None] >= bset.lower) & (z[:, None] < bset.upper)
+    assert not inside.any(axis=1).all()
 
 
 def test_slicer_broadcast_batches():

@@ -10,14 +10,7 @@ from chasedet import (
     exact_maxlog_llrs,
 )
 from chasedet.channel import iid_complex_gaussian
-from chasedet.lchase import (
-    detect_all,
-    detect_all_uses,
-    detect_stream,
-    prepare_all,
-    prepare_all_uses,
-    prepare_stream,
-)
+from chasedet.lchase import detect_all_uses, prepare_all_uses
 
 
 def _random_model(rng, n_rx, n, scale=1.0):
@@ -26,11 +19,26 @@ def _random_model(rng, n_rx, n, scale=1.0):
     return WhitenedModel(y=y, h=h)
 
 
+def _stack(*models):
+    """One WhitenedModel stacked over the given channel uses."""
+    return WhitenedModel(y=np.stack([m.y for m in models]), h=np.stack([m.h for m in models]))
+
+
+def _contexts(model):
+    """The per-stream contexts of one channel use, indexed by stream."""
+    return prepare_all_uses(_stack(model))[:, 0]
+
+
+def _detect(model, c, la, stats=None):
+    """LLRs (n, q) of every stream of one channel use."""
+    la = np.asarray(la, dtype=float)[None]
+    return detect_all_uses(prepare_all_uses(_stack(model)), c, la, stats)[0]
+
+
 def test_context_layer_bookkeeping():
     rng = np.random.default_rng(0)
     model = _random_model(rng, 4, 4)
-    for i in range(4):
-        ctx = prepare_stream(model, i)
+    for i, ctx in enumerate(_contexts(model)):
         assert ctx.stream == i
         assert ctx.layers[-1] == i
         np.testing.assert_array_equal(np.sort(ctx.layers), np.arange(4))
@@ -44,8 +52,7 @@ def test_context_matches_direct_factorization():
     # column-swapped channel and compare field by field.
     rng = np.random.default_rng(1)
     model = _random_model(rng, 5, 3)
-    for i in range(3):
-        ctx = prepare_stream(model, i)
+    for ctx in _contexts(model):
         q_m, r_m = np.linalg.qr(model.h[:, ctx.layers])
         phase = r_m.diagonal() / np.abs(r_m.diagonal())
         q_m = q_m * phase
@@ -77,8 +84,7 @@ def test_context_resolves_noiseless_observation():
     h = iid_complex_gaussian(rng, (4, 4))
     s = c.symbols[rng.integers(0, 16, size=4)]
     model = WhitenedModel(y=h @ s, h=h)
-    for i in range(4):
-        ctx = prepare_stream(model, i)
+    for i, ctx in enumerate(_contexts(model)):
         np.testing.assert_allclose(ctx.ybar[-1], ctx.pivot * s[i], atol=1e-10)
         resolved = ctx.ybar[:-1] - ctx.coupling * s[i]
         np.testing.assert_allclose(resolved, s[ctx.layers[:-1]], atol=1e-10)
@@ -91,8 +97,8 @@ def test_single_stream_equals_exhaustive(order):
     for _ in range(40):
         model = _random_model(rng, 2, 1)
         la = rng.normal(scale=3.0, size=(1, c.bits_per_symbol))
-        got = detect_all(model, c, la).values
-        ref = exact_maxlog_llrs(model, c, la).values
+        got = _detect(model, c, la)
+        ref = exact_maxlog_llrs(model, c, la)
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
@@ -127,10 +133,9 @@ def test_inner_layer_max_is_exact(order):
     for trial in range(30):
         model = _random_model(rng, 3, 3, scale=0.5 + 1.5 * rng.random())
         la = rng.normal(scale=4.0, size=(3, q))
-        ctxs = prepare_all(model)
-        for ctx in ctxs:
-            got = detect_stream(ctx, c, la)
-            np.testing.assert_allclose(got, _loop_detect_stream(ctx, c, la), atol=1e-12)
+        got = _detect(model, c, la)
+        for i, ctx in enumerate(_contexts(model)):
+            np.testing.assert_allclose(got[i], _loop_detect_stream(ctx, c, la), atol=1e-12)
 
 
 def test_target_prior_shifts_llr_additively():
@@ -141,13 +146,12 @@ def test_target_prior_shifts_llr_additively():
     rng = np.random.default_rng(5)
     model = _random_model(rng, 3, 3)
     la = rng.normal(size=(3, 4))
-    ctx = prepare_stream(model, 1)
-    base = detect_stream(ctx, c, la)
+    base = _detect(model, c, la)[1]
     for k in range(4):
         delta = rng.normal(scale=2.0)
         bumped = la.copy()
         bumped[1, k] += delta
-        got = detect_stream(ctx, c, bumped)
+        got = _detect(model, c, bumped)[1]
         np.testing.assert_allclose(got[k], base[k] + delta, atol=1e-12)
 
 
@@ -158,8 +162,7 @@ def test_noiseless_detection_is_correct():
         h = iid_complex_gaussian(rng, (4, 4))
         idx = rng.integers(0, 64, size=4)
         model = WhitenedModel(y=h @ c.symbols[idx], h=h)
-        frame = detect_all(model, c, np.zeros((4, 6)))
-        hard = (frame.values > 0).astype(np.int8)
+        hard = (_detect(model, c, np.zeros((4, 6))) > 0).astype(np.int8)
         np.testing.assert_array_equal(hard, c.bit_labels[idx])
 
 
@@ -171,7 +174,7 @@ def test_complexity_counter_identity(order, n):
     rng = np.random.default_rng(7)
     model = _random_model(rng, n, n)
     stats = DetectorStats()
-    detect_all(model, c, np.zeros((n, c.bits_per_symbol)), stats)
+    _detect(model, c, np.zeros((n, c.bits_per_symbol)), stats)
     root = int(np.sqrt(order))
     assert stats.streams == n
     assert stats.metric_evals == n * order
@@ -181,32 +184,29 @@ def test_complexity_counter_identity(order, n):
 
 
 def test_batched_paths_agree_with_single_use():
-    # Stacked preparation and the fused (use, stream) detection batch must
-    # reproduce the one-model API; only last-ulp rounding from different
-    # batch compositions is tolerated.
+    # The fused (use, stream) detection batch must reproduce each use
+    # detected alone, and each (stream, use) context detected as a lone
+    # row; only last-ulp rounding from different batch compositions is
+    # tolerated.
     c = build_constellation(16)
     rng = np.random.default_rng(8)
     models = [_random_model(rng, 4, 4) for _ in range(5)]
     la = rng.normal(scale=2.0, size=(5, 4, 4))
-    contexts = prepare_all_uses(models)
+    contexts = prepare_all_uses(_stack(*models))
     fused = detect_all_uses(contexts, c, la)
     for u, model in enumerate(models):
-        single = detect_all(model, c, la[u]).values
+        single = _detect(model, c, la[u])
         np.testing.assert_allclose(fused[u], single, rtol=1e-12, atol=1e-12)
         for i in range(4):
-            ctx = prepare_stream(model, i)
-            np.testing.assert_allclose(
-                single[i], detect_stream(ctx, c, la[u]), rtol=1e-12, atol=1e-12
-            )
+            lone = detect_all_uses(contexts[i : i + 1, u : u + 1], c, la[u : u + 1])
+            np.testing.assert_allclose(single[i], lone[0, 0], rtol=1e-12, atol=1e-12)
 
 
-def test_detect_all_frame_shape_and_role():
+def test_detect_all_uses_shape():
     c = build_constellation(4)
     rng = np.random.default_rng(9)
     model = _random_model(rng, 2, 2)
-    frame = detect_all(model, c, np.zeros((2, 2)))
-    assert frame.role == "detector"
-    assert frame.values.shape == (2, 2)
+    assert _detect(model, c, np.zeros((2, 2))).shape == (2, 2)
 
 
 @pytest.mark.parametrize("field", ["y", "h"])
@@ -216,6 +216,4 @@ def test_non_finite_model_is_rejected(field):
     model = _random_model(np.random.default_rng(10), 2, 2)
     getattr(model, field).flat[1] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        detect_all(model, c, np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="finite"):
-        prepare_all_uses(WhitenedModel(y=model.y[None], h=model.h[None]))
+        _detect(model, c, np.zeros((2, 2)))

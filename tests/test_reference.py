@@ -39,7 +39,7 @@ def test_maxlog_matches_golden_file():
     c, cases = _golden_cases()
     expected = np.loadtxt(_GOLDEN_PATH)
     got = np.stack(
-        [exact_maxlog_llrs(model, c, la).values.ravel() for model, la in cases]
+        [exact_maxlog_llrs(model, c, la).ravel() for model, la in cases]
     )
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
@@ -64,18 +64,16 @@ def _loop_maxlog_2x2(model, c, la):
 def test_maxlog_matches_plain_enumeration():
     c, cases = _golden_cases()
     for model, la in cases:
-        frame = exact_maxlog_llrs(model, c, la)
         np.testing.assert_allclose(
-            frame.values, _loop_maxlog_2x2(model, c, la), atol=1e-12
+            exact_maxlog_llrs(model, c, la), _loop_maxlog_2x2(model, c, la), atol=1e-12
         )
-        assert frame.role == "detector"
 
 
 def test_maxlog_none_apriori_is_zero_apriori():
     c, cases = _golden_cases()
     model, _ = cases[0]
-    a = exact_maxlog_llrs(model, c, None).values
-    b = exact_maxlog_llrs(model, c, np.zeros((2, 2))).values
+    a = exact_maxlog_llrs(model, c, None)
+    b = exact_maxlog_llrs(model, c, np.zeros((2, 2)))
     np.testing.assert_array_equal(a, b)
 
 
@@ -87,9 +85,9 @@ def test_maxlog_chunked_enumeration_consistent():
     rng = np.random.default_rng(5)
     h = iid_complex_gaussian(rng, (4, 4)) * 2.0
     y = iid_complex_gaussian(rng, 4)
-    frame = exact_maxlog_llrs(WhitenedModel(y=y, h=h), c)
-    assert frame.values.shape == (4, 4)
-    assert np.all(np.isfinite(frame.values))
+    llrs = exact_maxlog_llrs(WhitenedModel(y=y, h=h), c)
+    assert llrs.shape == (4, 4)
+    assert np.all(np.isfinite(llrs))
 
 
 def test_maxlog_rejects_oversized_search():
@@ -107,7 +105,6 @@ def test_maxlog_counts_hypotheses():
     stats = DetectorStats()
     exact_maxlog_llrs(model, c, stats=stats)
     assert stats.metric_evals == 256
-    assert stats.hypotheses == 256
     assert stats.streams == 2
 
 
@@ -126,14 +123,14 @@ def test_lmmse_scalar_closed_form():
     g = 1.3 - 0.7j
     y = np.array([0.4 + 0.9j])
     model = WhitenedModel(y=y, h=np.array([[g]]))
-    frame = lmmse_llrs(model, c)
+    llrs = lmmse_llrs(model, c)
     # Unbiased estimate reduces to y / g; effective noise 1 / |g|^2; the
     # per-axis max-log demap is then linear in the estimate for 4-QAM.
     z = y[0] / g
     a = 1.0 / np.sqrt(2.0)
     scale = 4.0 * a * abs(g) ** 2
-    np.testing.assert_allclose(frame.values[0, 0], -scale * z.real, rtol=1e-12)
-    np.testing.assert_allclose(frame.values[0, 1], -scale * z.imag, rtol=1e-12)
+    np.testing.assert_allclose(llrs[0, 0], -scale * z.real, rtol=1e-12)
+    np.testing.assert_allclose(llrs[0, 1], -scale * z.imag, rtol=1e-12)
     del rng
 
 
@@ -152,8 +149,7 @@ def test_lmmse_high_snr_recovers_bits():
         s = c.symbols[idx]
         h = 40.0 * (np.eye(2) + 0.05 * iid_complex_gaussian(rng, (2, 2)))
         y = h @ s + iid_complex_gaussian(rng, 2)
-        frame = lmmse_llrs(WhitenedModel(y=y, h=h), c)
-        hard = (frame.values > 0).astype(np.int8)
+        hard = (lmmse_llrs(WhitenedModel(y=y, h=h), c) > 0).astype(np.int8)
         np.testing.assert_array_equal(hard, c.bit_labels[idx])
 
 
