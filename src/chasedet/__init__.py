@@ -20,10 +20,8 @@ from .codec import (
     CodeConfig,
     Interleaver,
     bcjr_decode,
-    deinterleave,
     depuncture,
     encode,
-    interleave,
     make_interleaver,
     puncture,
 )
@@ -79,12 +77,10 @@ __all__ = [
     "build_constellation",
     "cholesky",
     "coset_min_sqdist",
-    "deinterleave",
     "depuncture",
     "encode",
     "exact_maxlog_llrs",
     "generate_channel",
-    "interleave",
     "lmmse_llrs",
     "make_interleaver",
     "modulate",

@@ -60,21 +60,13 @@ def _complex_normal(normals: np.ndarray, axis: int) -> np.ndarray:
 
 
 def generate_channel(
-    n_r: int,
-    n_t: int,
-    corr: CorrelationModel,
-    rng: np.random.Generator | int | np.ndarray,
+    n_r: int, n_t: int, corr: CorrelationModel, normals: np.ndarray
 ) -> np.ndarray:
-    """Draw Hbar = Rr^(1/2) Hw Rt^(1/2), entries unit-variance complex Gaussian.
+    """Hbar = Rr^(1/2) Hw Rt^(1/2), entries unit-variance complex Gaussian.
 
-    rng is a Generator or a seed, which draws one (n_r, n_t) channel, or an
-    array of standard normals shaped (..., 2, n_r, n_t), real parts before
-    imaginary parts, which gives one channel per leading index. A Generator
-    draws those normals in that order.
+    normals are standard normals shaped (..., 2, n_r, n_t), real parts before
+    imaginary parts; each leading index gives one (n_r, n_t) channel.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    normals = rng if isinstance(rng, np.ndarray) else rng.standard_normal((2, n_r, n_t))
     if normals.shape[-3:] != (2, n_r, n_t):
         raise ValueError(f"expected normals shaped (..., 2, {n_r}, {n_t})")
     h_w = _complex_normal(normals, -3)
@@ -148,24 +140,17 @@ class ChannelRealization:
         return self.h.shape[-1]
 
 
-def transmit(
-    ch: ChannelRealization, s: np.ndarray, rng: np.random.Generator | np.ndarray
-) -> np.ndarray:
+def transmit(ch: ChannelRealization, s: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """y = H s + n with n drawn from CN(0, C_nn).
 
-    s is (n_streams,) or a stack matching a stacked realization. rng is a
-    Generator, or an array of standard normals shaped (..., 2, n_r), real
-    parts before imaginary parts, that the noise is made from. A Generator
-    draws those normals in that order.
+    s is (n_streams,) or a stack matching a stacked realization. The noise is
+    made from standard normals shaped (..., 2, n_r), real parts before
+    imaginary parts.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape[-1:] != (ch.n_streams,):
         raise ValueError(f"expected {ch.n_streams} stream symbols")
     n_r = ch.c_nn.shape[0]
-    if isinstance(rng, np.ndarray):
-        normals = rng
-    else:
-        normals = rng.standard_normal(s.shape[:-1] + (2, n_r))
     if normals.shape[-2:] != (2, n_r):
         raise ValueError(f"expected normals shaped (..., 2, {n_r})")
     w = _complex_normal(normals, -2)

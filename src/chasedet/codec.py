@@ -137,14 +137,6 @@ def make_interleaver(length: int, seed: int) -> Interleaver:
     return Interleaver(perm=perm, inv=np.argsort(perm))
 
 
-def interleave(x: np.ndarray, il: Interleaver) -> np.ndarray:
-    return np.asarray(x)[il.perm]
-
-
-def deinterleave(x: np.ndarray, il: Interleaver) -> np.ndarray:
-    return np.asarray(x)[il.inv]
-
-
 def bcjr_decode(
     channel_llrs: np.ndarray, apriori_llrs: np.ndarray | None, cfg: CodeConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,43 +1,38 @@
-"""Iterative detection and decoding over a block of channel uses.
+"""Iterative detection and decoding over a chunk of code blocks.
 
-One code block is spread over U channel uses of an n_l-stream whitened MIMO
+Each code block is spread over U channel uses of an n_l-stream whitened MIMO
 model: the transmitted (interleaved, punctured) codeword fills the bit slots
 use by use, stream 0 bits 0..q-1 first, then stream 1, and so on; leftover
 slots in the final uses are padded with zero bits. Each iteration runs the
-soft-input detector on every use, feeds its (by default extrinsic) output
-through the deinterleaver and depuncturer into the decoder, and feeds the
-decoder's output back as the next round of detector a priori LLRs.
+soft-input detector on every use, feeds its extrinsic output through the
+deinterleaver and depuncturer into the decoder, and feeds the decoder's
+extrinsic output back as the next round of detector a priori LLRs.
 
-A chunk of blocks runs through the same loop as stacked arrays: every
-block's uses go through one detector call and every block's codeword
-through one decoder call per iteration, and each block's results equal
-those of running it alone.
+A chunk of blocks runs through that loop as stacked arrays: every block's
+uses go through one detector call and every block's codeword through one
+decoder call per iteration, and each block's results equal those of running
+it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from . import bchase, lchase
 from .channel import WhitenedModel
-from .codec import (
-    CodeConfig,
-    Interleaver,
-    bcjr_decode,
-    depuncture,
-    make_interleaver,
-)
+from .codec import CodeConfig, Interleaver, bcjr_decode, depuncture, make_interleaver
 from .constellation import Constellation
 from .counters import DetectorStats
 from .errors import ConfigError
-from .llr import LLR_CLIP, saturate
+from .llr import saturate
 from .reference import exact_maxlog_llrs, lmmse_llrs
 
 DETECTORS = ("lchase", "bchase", "maxlog", "lmmse")
-FEEDBACK_MODES = ("extrinsic", "combined")
+# The Chase detectors' modules; their entry points are looked up at call time.
+_CHASE = {"lchase": lchase, "bchase": bchase}
 
 
 @dataclass(frozen=True)
@@ -47,43 +42,28 @@ class IddConfig:
     detector: str = "lchase"
     iterations: int = 3
     interleaver_seed: int = 0
-    feedback: str = "extrinsic"
 
     def __post_init__(self) -> None:
         if self.detector not in DETECTORS:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if self.iterations < 1:
             raise ConfigError("iterations must be positive")
-        if self.feedback not in FEEDBACK_MODES:
-            raise ConfigError(f"unknown feedback mode {self.feedback!r}")
+
+    @cached_property
+    def interleaver(self) -> Interleaver:
+        """The bit interleaver over one transmitted codeword."""
+        return make_interleaver(self.code.transmitted_len, self.interleaver_seed)
 
 
 @dataclass
 class IddResult:
-    """Per-iteration outcomes of one block; a chunk of B blocks adds a
-    leading block axis to every array, and its iter_stats sum over blocks."""
+    """Per-iteration outcomes of a chunk of B blocks; iter_stats sum over blocks."""
 
-    info_llrs: np.ndarray  # (iterations, K) decoder info-bit LLRs
-    decoded: np.ndarray  # (K,) hard bits from the final iteration
-    iter_block_error: np.ndarray  # (iterations,) bool, any info bit wrong
-    iter_bit_errors: np.ndarray  # (iterations,) int
-    detector_frames: list = field(default_factory=list)  # (U, n, q) per iter
-    apriori_frames: list = field(default_factory=list)  # (U, n, q) per iter
-    decoder_extrinsics: list = field(default_factory=list)  # (coded_len,) per iter
-    iter_stats: list = field(default_factory=list)  # DetectorStats per iter
-
-    def block(self, b: int) -> "IddResult":
-        """Block b of a chunk's result, as if it had run alone (stats excepted)."""
-        return IddResult(
-            info_llrs=self.info_llrs[b],
-            decoded=self.decoded[b],
-            iter_block_error=self.iter_block_error[b],
-            iter_bit_errors=self.iter_bit_errors[b],
-            detector_frames=[f[b] for f in self.detector_frames],
-            apriori_frames=[f[b] for f in self.apriori_frames],
-            decoder_extrinsics=[e[b] for e in self.decoder_extrinsics],
-            iter_stats=self.iter_stats,
-        )
+    info_llrs: np.ndarray  # (B, iterations, K) decoder info-bit LLRs
+    decoded: np.ndarray  # (B, K) hard bits from the final iteration
+    iter_block_error: np.ndarray  # (B, iterations) bool, any info bit wrong
+    iter_bit_errors: np.ndarray  # (B, iterations) int
+    iter_stats: list = field(default_factory=list)  # DetectorStats per iteration
 
 
 def uses_for_block(code: CodeConfig, c: Constellation, n_streams: int) -> int:
@@ -105,67 +85,21 @@ def slot_bits(tx_bits: np.ndarray, c: Constellation, n_streams: int) -> np.ndarr
     return slots.reshape(lead + (uses, n_streams, c.bits_per_symbol))
 
 
-def _detect_all_uses(
-    model: WhitenedModel,
-    contexts,
-    cfg: IddConfig,
-    la: np.ndarray,
-    stats: DetectorStats,
-) -> np.ndarray:
-    """Detector LLRs (uses, n, q) for a model stacked over uses."""
-    c = cfg.constellation
-    if cfg.detector == "lchase":
-        return lchase.detect_all_uses(contexts, c, la, stats)
-    if cfg.detector == "bchase":
-        return bchase.detect_all_uses(contexts, c, la, stats)
-    if cfg.detector == "lmmse":
-        return lmmse_llrs(model, c, stats=stats)
-    out = np.empty(la.shape)
-    for u in range(len(la)):
-        use = WhitenedModel(model.y[u], model.h[u])
-        out[u] = exact_maxlog_llrs(use, c, la[u], stats=stats)
-    return out
-
-
 def run_idd(
-    models: Sequence[WhitenedModel] | WhitenedModel,
+    model: WhitenedModel,
     info_bits: np.ndarray,
     cfg: IddConfig,
     stats: DetectorStats | None = None,
-    *,
-    keep_frames: bool = True,
 ) -> IddResult:
-    """Run the full detect/decode loop and report per-iteration outcomes.
+    """Run the detect/decode loop over a chunk and score every iteration.
 
-    models carry the already-whitened observations of one block, one
-    WhitenedModel per channel use; info_bits are the true payload used only
-    for error counting. A chunk of B blocks is one WhitenedModel with y
-    (B, U, n_rx) and h (B, U, n_rx, n) and info_bits (B, K); its result has
-    a leading block axis (see IddResult). keep_frames=False leaves the
-    per-iteration frame lists empty.
+    model holds the chunk's whitened observations, y (B, U, n_rx) and h
+    (B, U, n_rx, n); info_bits (B, K) are the true payloads, used only for
+    error counting. stats, if given, accumulates every iteration's counters.
     """
-    if isinstance(models, WhitenedModel):
-        return _run_chunk(models, np.asarray(info_bits), cfg, stats, keep_frames)
-    info_bits = np.asarray(info_bits)
-    if info_bits.shape != (cfg.code.info_len,):
-        raise ValueError(f"expected {cfg.code.info_len} info bits")
-    if len(models) < 1:
-        raise ValueError("need at least one channel use")
-    chunk = WhitenedModel(
-        np.stack([m.y for m in models])[None], np.stack([m.h for m in models])[None]
-    )
-    return _run_chunk(chunk, info_bits[None], cfg, stats, keep_frames).block(0)
-
-
-def _run_chunk(
-    model: WhitenedModel,
-    info_bits: np.ndarray,
-    cfg: IddConfig,
-    stats: DetectorStats | None,
-    keep_frames: bool,
-) -> IddResult:
     c = cfg.constellation
     code = cfg.code
+    info_bits = np.asarray(info_bits)
     n_blocks, n_uses, n_rx, n_streams = model.h.shape
     if info_bits.shape != (n_blocks, code.info_len):
         raise ValueError(f"expected {n_blocks} x {code.info_len} info bits")
@@ -181,22 +115,16 @@ def _run_chunk(
             f"{n_uses} uses carry {n_slots} bits, codeword needs {n_tx}"
         )
 
-    il = make_interleaver(n_tx, cfg.interleaver_seed)
+    il = cfg.interleaver
     keep = code.keep_mask()
     uses = WhitenedModel(
         model.y.reshape(-1, n_rx), model.h.reshape(-1, n_rx, n_streams)
     )
-
-    if cfg.detector == "lchase":
-        contexts = lchase.prepare_all_uses(uses)
-    elif cfg.detector == "bchase":
-        contexts = bchase.prepare_all_uses(uses)
-    else:
-        contexts = None
-    # The LMMSE baseline ignores a priori input: its output is already
-    # extrinsic and iterating it would just repeat the first pass, so no a
-    # priori is subtracted or fed back for it.
-    apriori_aware = cfg.detector != "lmmse"
+    chase = _CHASE.get(cfg.detector)
+    contexts = None if chase is None else chase.prepare_all_uses(uses)
+    # The LMMSE baseline ignores a priori input, so one pass already gives
+    # every iteration's outcome.
+    passes = 1 if cfg.detector == "lmmse" else cfg.iterations
 
     result = IddResult(
         info_llrs=np.zeros((n_blocks, cfg.iterations, code.info_len)),
@@ -205,40 +133,38 @@ def _run_chunk(
         iter_bit_errors=np.zeros((n_blocks, cfg.iterations), dtype=np.int64),
     )
 
-    frame = (n_blocks, n_uses, n_streams, q)
-    la_slots = np.zeros((n_blocks, n_slots))
-    for it in range(cfg.iterations):
+    la = np.zeros((n_blocks * n_uses, n_streams, q))
+    for it in range(passes):
         iter_stats = DetectorStats()
-        la = la_slots.reshape(frame)
-        det = _detect_all_uses(uses, contexts, cfg, la.reshape(-1, n_streams, q), iter_stats)
-        det = det.reshape(frame)
-        if keep_frames:
-            result.apriori_frames.append(la.copy())
-            result.detector_frames.append(det)
-
-        if cfg.feedback == "extrinsic" and apriori_aware:
-            fwd_slots = saturate(det.reshape(n_blocks, -1) - la_slots)
+        if chase is not None:
+            det = chase.detect_all_uses(contexts, c, la, iter_stats)
+        elif cfg.detector == "lmmse":
+            det = lmmse_llrs(uses, c, stats=iter_stats)
         else:
-            fwd_slots = saturate(det.reshape(n_blocks, -1))
+            det = np.empty(la.shape)
+            for u in range(len(la)):
+                use = WhitenedModel(uses.y[u], uses.h[u])
+                det[u] = exact_maxlog_llrs(use, c, la[u], stats=iter_stats)
+
+        fwd_slots = saturate((det - la).reshape(n_blocks, n_slots))
         ch_llrs = depuncture(fwd_slots[:, :n_tx][:, il.inv], code)
         dec_ext, info_total, hard = bcjr_decode(ch_llrs, None, code)
-        if keep_frames:
-            result.decoder_extrinsics.append(dec_ext)
-        result.info_llrs[:, it] = info_total
-        result.decoded = hard
+        # The last pass also stands for every iteration left after it.
+        repeats = 1 if it + 1 < passes else cfg.iterations - it
+        span = slice(it, it + repeats)
         errs = np.sum(hard != info_bits, axis=1)
-        result.iter_bit_errors[:, it] = errs
-        result.iter_block_error[:, it] = errs > 0
-        result.iter_stats.append(iter_stats)
-        if stats is not None:
-            stats.add(iter_stats)
+        result.info_llrs[:, span] = info_total[:, None]
+        result.iter_bit_errors[:, span] = errs[:, None]
+        result.iter_block_error[:, span] = errs[:, None] > 0
+        result.decoded = hard
+        for _ in range(repeats):
+            result.iter_stats.append(iter_stats)
+            if stats is not None:
+                stats.add(iter_stats)
 
-        if it + 1 < cfg.iterations and apriori_aware:
-            if cfg.feedback == "extrinsic":
-                back = dec_ext
-            else:
-                back = dec_ext + ch_llrs
+        if it + 1 < passes:
             la_slots = np.zeros((n_blocks, n_slots))
-            la_slots[:, :n_tx] = saturate(back[:, keep][:, il.perm])
+            la_slots[:, :n_tx] = saturate(dec_ext[:, keep][:, il.perm])
+            la = la_slots.reshape(la.shape)
 
     return result

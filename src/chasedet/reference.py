@@ -17,6 +17,8 @@ from .counters import DetectorStats
 
 MAX_EXHAUSTIVE = 1 << 20
 _CHUNK = 1 << 16
+# Floor on the LMMSE effective noise variance, for numerical safety.
+LMMSE_NOISE_FLOOR = 1e-12
 
 
 def exact_maxlog_llrs(
@@ -100,14 +102,13 @@ def brute_pam_argmax(
 def lmmse_llrs(
     model: WhitenedModel,
     c: Constellation,
-    noise_floor: float = 1e-12,
     stats: DetectorStats | None = None,
 ) -> np.ndarray:
     """Per-stream LMMSE estimate and scalar max-log demap, zero a priori.
 
     With whitened h, the filter is (h^H h + I)^-1 h^H; the biased estimate
     is rescaled by the filter gain mu and demapped with effective noise
-    variance (1 - mu) / mu per stream (floored for numerical safety). Returns
+    variance (1 - mu) / mu per stream, floored at LMMSE_NOISE_FLOOR. Returns
     LLRs (n, q); a model stacked over uses adds its leading axes. A non-finite
     model raises ValueError.
     """
@@ -122,7 +123,7 @@ def lmmse_llrs(
     if np.any(mu <= 0.0) or np.any(mu > 1.0 + 1e-9):
         raise ArithmeticError("LMMSE filter gain outside (0, 1]")
     z = shat / mu
-    nu = np.maximum((1.0 - mu) / mu, noise_floor)
+    nu = np.maximum((1.0 - mu) / mu, LMMSE_NOISE_FLOOR)
 
     llrs = np.empty(z.shape + (c.bits_per_symbol,))
     d0, d1 = coset_min_sqdist(z.real, c.real_axis)

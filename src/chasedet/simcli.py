@@ -40,7 +40,7 @@ from .channel import (
     transmit,
     whiten,
 )
-from .codec import SUPPORTED_RATES, CodeConfig, encode, make_interleaver, puncture
+from .codec import SUPPORTED_RATES, CodeConfig, encode, puncture
 from .constellation import SUPPORTED_ORDERS, build_constellation, modulate
 from .errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
 from .idd import DETECTORS, IddConfig, IddResult, run_idd, slot_bits, uses_for_block
@@ -239,34 +239,26 @@ def build_config(config_path: str | None, overrides: dict) -> SimConfig:
 @dataclass
 class _Bundle:
     cfg: SimConfig
-    constellation: object
-    code: CodeConfig
     idd_cfg: IddConfig
-    interleaver: object
     corr: CorrelationModel
     w: np.ndarray
     n_uses: int
 
 
 def _build_bundle(cfg: SimConfig) -> _Bundle:
-    c = build_constellation(cfg.mod)
-    code = CodeConfig(cfg.info_bits, cfg.rate)
     idd_cfg = IddConfig(
-        constellation=c,
-        code=code,
+        constellation=build_constellation(cfg.mod),
+        code=CodeConfig(cfg.info_bits, cfg.rate),
         detector=cfg.detector,
         iterations=cfg.iterations,
         interleaver_seed=cfg.seed,
     )
     return _Bundle(
         cfg=cfg,
-        constellation=c,
-        code=code,
         idd_cfg=idd_cfg,
-        interleaver=make_interleaver(code.transmitted_len, cfg.seed),
         corr=CorrelationModel(rho_tx=cfg.corr_tx, rho_rx=cfg.corr_rx),
         w=np.eye(cfg.n_tx, cfg.n_streams, dtype=complex),
-        n_uses=uses_for_block(code, c, cfg.n_streams),
+        n_uses=uses_for_block(idd_cfg.code, idd_cfg.constellation, cfg.n_streams),
     )
 
 
@@ -304,7 +296,7 @@ class BlockTallies:
 def chunk_blocks(bundle: _Bundle) -> int:
     """Blocks per chunk under the CHUNK_VALUES working-set cap, at least one."""
     cfg = bundle.cfg
-    per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.code.steps
+    per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.idd_cfg.code.steps
     return max(1, CHUNK_VALUES // per_block)
 
 
@@ -335,12 +327,13 @@ def _chunk_model(
     normals: np.ndarray,
 ) -> WhitenedModel:
     """Whitened (B, U, ...) observations of blocks from payloads and normals."""
-    cfg = bundle.cfg
+    cfg, idd_cfg = bundle.cfg, bundle.idd_cfg
+    c, code = idd_cfg.constellation, idd_cfg.code
     n_blocks, n_uses, n_rx = len(info), bundle.n_uses, cfg.n_rx
     sigma2 = cfg.n_streams * 10.0 ** (-snr_db / 10.0)
 
-    tx_bits = puncture(encode(info, bundle.code), bundle.code)[:, bundle.interleaver.perm]
-    symbols = modulate(slot_bits(tx_bits, bundle.constellation, cfg.n_streams), bundle.constellation)
+    tx_bits = puncture(encode(info, code), code)[:, idd_cfg.interleaver.perm]
+    symbols = modulate(slot_bits(tx_bits, c, cfg.n_streams), c)
     per_use = normals.reshape(n_blocks, n_uses, -1)
     split = 2 * n_rx * cfg.n_tx
     hbar = generate_channel(
@@ -364,7 +357,7 @@ def _simulate(
 ) -> IddResult:
     """Blocks from payloads and standard normals to per-iteration outcomes."""
     model = _chunk_model(bundle, point_idx, snr_db, first_block, info, normals)
-    return run_idd(model, info, bundle.idd_cfg, keep_frames=False)
+    return run_idd(model, info, bundle.idd_cfg)
 
 
 def _redraw_block(bundle: _Bundle, point_idx: int, snr_db: float, block_idx: int):

@@ -1,0 +1,71 @@
+"""Source hygiene of the package, read with the standard library's ast."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "chasedet"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _tree(module: str) -> ast.Module:
+    path = PACKAGE / f"{module}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _loaded(tree: ast.Module) -> set:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _defined(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    tree = _tree(module)
+    assert sorted(_imported(tree) - _loaded(tree)) == []
+
+
+def _tracing_wraps() -> tuple:
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.WRAPS
+
+
+def test_traced_names_are_module_globals():
+    # The benchmark's tracer replaces module attributes by name, so each
+    # traced function must be defined by its module or looked up there as a
+    # global at call time; a call through another module would go untraced.
+    missing = []
+    for module, attr, *_ in _tracing_wraps():
+        tree = _tree(module)
+        if attr not in _defined(tree) | _loaded(tree):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -21,6 +21,7 @@ from chasedet import (
     slot_bits,
     uses_for_block,
 )
+from chasedet import idd, lchase
 from chasedet.channel import iid_complex_gaussian
 
 
@@ -44,112 +45,113 @@ def test_slot_bits_layout_and_padding():
 
 
 def _make_block(rng, cfg, n_rx, n_streams, sigma=0.0, gain=1.0):
-    """Encode, interleave, slot, modulate, and transmit one block."""
+    """Encode, interleave, slot, modulate, and transmit a chunk of one block."""
     c = cfg.constellation
     code = cfg.code
     info = rng.integers(0, 2, code.info_len, dtype=np.int8)
     tx = puncture(encode(info, code), code)
-    il = make_interleaver(code.transmitted_len, cfg.interleaver_seed)
-    slots = slot_bits(tx[il.perm], c, n_streams)
-    models = []
+    slots = slot_bits(tx[cfg.interleaver.perm], c, n_streams)
+    ys, hs = [], []
     for u in range(slots.shape[0]):
         s = modulate(slots[u], c)
         h = gain * iid_complex_gaussian(rng, (n_rx, n_streams))
-        y = h @ s + sigma * iid_complex_gaussian(rng, n_rx)
-        models.append(WhitenedModel(y=y, h=h))
-    return info, models
+        ys.append(h @ s + sigma * iid_complex_gaussian(rng, n_rx))
+        hs.append(h)
+    return info[None], WhitenedModel(y=np.stack(ys)[None], h=np.stack(hs)[None])
+
+
+def _record(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends (args, result) of each
+    call to calls, array arguments copied as they were at the call."""
+    real = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        saved = tuple(np.copy(a) if isinstance(a, np.ndarray) else a for a in args)
+        out = real(*args, **kwargs)
+        calls.append((saved, out))
+        return out
+
+    monkeypatch.setattr(module, name, recorded)
 
 
 def test_noiseless_block_decodes_first_iteration():
     c = build_constellation(16)
     cfg = IddConfig(constellation=c, code=CodeConfig(64, 0.5), iterations=3)
     rng = np.random.default_rng(0)
-    info, models = _make_block(rng, cfg, 4, 4, sigma=0.0, gain=3.0)
-    res = run_idd(models, info, cfg)
+    info, model = _make_block(rng, cfg, 4, 4, sigma=0.0, gain=3.0)
+    res = run_idd(model, info, cfg)
     np.testing.assert_array_equal(res.decoded, info)
-    np.testing.assert_array_equal(res.iter_bit_errors, [0, 0, 0])
+    np.testing.assert_array_equal(res.iter_bit_errors, [[0, 0, 0]])
     assert not res.iter_block_error.any()
-    assert res.info_llrs.shape == (3, 64)
+    assert res.info_llrs.shape == (1, 3, 64)
 
 
-def test_feedback_plumbing_reconstructs():
+def test_feedback_plumbing_reconstructs(monkeypatch):
     # Rebuild iteration t's decoder input and iteration t+1's a priori from
-    # the recorded frames and the declared wiring: extrinsic forward through
-    # deinterleave/depuncture, decoder extrinsic back through the mirror path.
+    # the recorded detector and decoder calls and the declared wiring:
+    # extrinsic forward through deinterleave/depuncture, decoder extrinsic
+    # back through the mirror path.
     c = build_constellation(16)
     code = CodeConfig(64, 0.5)
     cfg = IddConfig(constellation=c, code=code, iterations=3, interleaver_seed=7)
     rng = np.random.default_rng(1)
-    info, models = _make_block(rng, cfg, 4, 4, sigma=0.9)
-    res = run_idd(models, info, cfg)
+    info, model = _make_block(rng, cfg, 4, 4, sigma=0.9)
+    detects, decodes = [], []
+    _record(monkeypatch, lchase, "detect_all_uses", detects)
+    _record(monkeypatch, idd, "bcjr_decode", decodes)
+    res = run_idd(model, info, cfg)
 
     il = make_interleaver(code.transmitted_len, 7)
     keep = code.keep_mask()
     n_tx = code.transmitted_len
-    assert not res.apriori_frames[0].any()
+    assert len(detects) == len(decodes) == 3
+    las = [args[2].reshape(1, -1) for args, _ in detects]
+    assert not las[0].any()
     for t in range(3):
-        det = res.detector_frames[t].reshape(-1)
-        la = res.apriori_frames[t].reshape(-1)
-        fwd = saturate(det - la)
-        ch = depuncture(fwd[:n_tx][il.inv], code)
-        ext, info_total, _ = bcjr_decode(ch, None, code)
-        np.testing.assert_allclose(info_total, res.info_llrs[t], atol=1e-12)
-        np.testing.assert_allclose(ext, res.decoder_extrinsics[t], atol=1e-12)
+        det = detects[t][1].reshape(1, -1)
+        fwd = saturate(det - las[t])
+        (ch, _, _), (ext, info_total, _) = decodes[t]
+        np.testing.assert_array_equal(ch, depuncture(fwd[:, :n_tx][:, il.inv], code))
+        np.testing.assert_array_equal(info_total, res.info_llrs[:, t])
         if t + 1 < 3:
-            nxt = res.apriori_frames[t + 1].reshape(-1)
-            np.testing.assert_allclose(
-                nxt[:n_tx], saturate(ext[keep][il.perm]), atol=1e-12
-            )
-            assert not nxt[n_tx:].any()
+            nxt = las[t + 1]
+            np.testing.assert_array_equal(nxt[:, :n_tx], saturate(ext[:, keep][:, il.perm]))
+            assert not nxt[:, n_tx:].any()
 
 
-def test_combined_feedback_differs_and_decodes():
-    c = build_constellation(16)
-    code = CodeConfig(64, 0.5)
-    rng_a = np.random.default_rng(2)
-    rng_b = np.random.default_rng(2)
-    cfg_e = IddConfig(constellation=c, code=code, iterations=2)
-    cfg_c = IddConfig(constellation=c, code=code, iterations=2, feedback="combined")
-    info, models = _make_block(rng_a, cfg_e, 4, 4, sigma=0.8)
-    info_b, models_b = _make_block(rng_b, cfg_c, 4, 4, sigma=0.8)
-    np.testing.assert_array_equal(info, info_b)
-    res_e = run_idd(models, info, cfg_e)
-    res_c = run_idd(models_b, info, cfg_c)
-    np.testing.assert_array_equal(res_e.info_llrs[0], res_c.info_llrs[0])
-    assert not np.array_equal(res_e.apriori_frames[1], res_c.apriori_frames[1])
-    # Combined feedback folds the channel term back in on top of the
-    # extrinsic, so the second-iteration a priori is strictly stronger.
-    assert (
-        np.abs(res_c.apriori_frames[1]).sum() > np.abs(res_e.apriori_frames[1]).sum()
-    )
-
-
-def test_lmmse_iterations_are_identical():
+def test_lmmse_iterations_are_identical(monkeypatch):
     c = build_constellation(16)
     cfg = IddConfig(
         constellation=c, code=CodeConfig(64, 0.5), detector="lmmse", iterations=3
     )
     rng = np.random.default_rng(3)
-    info, models = _make_block(rng, cfg, 4, 4, sigma=1.0)
-    res = run_idd(models, info, cfg)
-    np.testing.assert_array_equal(res.info_llrs[0], res.info_llrs[1])
-    np.testing.assert_array_equal(res.info_llrs[0], res.info_llrs[2])
-    for t in range(3):
-        assert not res.apriori_frames[t].any()
-        np.testing.assert_array_equal(res.detector_frames[t], res.detector_frames[0])
+    info, model = _make_block(rng, cfg, 4, 4, sigma=1.0)
+    calls = []
+    _record(monkeypatch, idd, "lmmse_llrs", calls)
+    stats = DetectorStats()
+    res = run_idd(model, info, cfg, stats=stats)
+    # lmmse ignores priors: one detect/decode pass stands for all three.
+    assert len(calls) == 1
+    assert stats.streams == 3 * 9 * 4
+    assert len(res.iter_stats) == 3
+    np.testing.assert_array_equal(res.info_llrs[:, 0], res.info_llrs[:, 1])
+    np.testing.assert_array_equal(res.info_llrs[:, 0], res.info_llrs[:, 2])
+    np.testing.assert_array_equal(res.iter_bit_errors[:, 0], res.iter_bit_errors[:, 2])
 
 
-def test_exhaustive_detector_path():
+def test_exhaustive_detector_path(monkeypatch):
     c = build_constellation(4)
     cfg = IddConfig(
         constellation=c, code=CodeConfig(64, 0.5), detector="maxlog", iterations=2
     )
     rng = np.random.default_rng(4)
-    info, models = _make_block(rng, cfg, 2, 2, sigma=0.0, gain=3.0)
-    res = run_idd(models, info, cfg)
+    info, model = _make_block(rng, cfg, 2, 2, sigma=0.0, gain=3.0)
+    calls = []
+    _record(monkeypatch, idd, "exact_maxlog_llrs", calls)
+    res = run_idd(model, info, cfg)
     np.testing.assert_array_equal(res.decoded, info)
-    assert len(res.detector_frames) == 2
-    assert res.detector_frames[0].shape == (33, 2, 2)
+    assert len(calls) == 2 * 33
+    assert all(llrs.shape == (2, 2) for _, llrs in calls)
 
 
 def test_bchase_path_decodes():
@@ -158,8 +160,8 @@ def test_bchase_path_decodes():
         constellation=c, code=CodeConfig(64, 0.5), detector="bchase", iterations=2
     )
     rng = np.random.default_rng(5)
-    info, models = _make_block(rng, cfg, 4, 4, sigma=0.0, gain=4.0)
-    res = run_idd(models, info, cfg)
+    info, model = _make_block(rng, cfg, 4, 4, sigma=0.0, gain=4.0)
+    res = run_idd(model, info, cfg)
     np.testing.assert_array_equal(res.decoded, info)
 
 
@@ -167,13 +169,22 @@ def test_detector_stats_accumulate():
     c = build_constellation(16)
     cfg = IddConfig(constellation=c, code=CodeConfig(64, 0.5), iterations=3)
     rng = np.random.default_rng(6)
-    info, models = _make_block(rng, cfg, 4, 4, sigma=1.0)
+    info, model = _make_block(rng, cfg, 4, 4, sigma=1.0)
     stats = DetectorStats()
-    res = run_idd(models, info, cfg, stats=stats)
+    res = run_idd(model, info, cfg, stats=stats)
     assert stats.streams == 3 * 9 * 4
     assert stats.metric_evals == 3 * 9 * 4 * 16
     assert stats.metric_evals == sum(s.metric_evals for s in res.iter_stats)
     assert stats.boundary_evals == sum(s.boundary_evals for s in res.iter_stats)
+
+
+def test_interleaver_is_built_once_from_the_seed():
+    code = CodeConfig(64, 0.5)
+    cfg = IddConfig(constellation=build_constellation(4), code=code, interleaver_seed=5)
+    assert cfg.interleaver is cfg.interleaver
+    il = make_interleaver(code.transmitted_len, 5)
+    np.testing.assert_array_equal(cfg.interleaver.perm, il.perm)
+    np.testing.assert_array_equal(cfg.interleaver.inv, il.inv)
 
 
 def test_config_and_input_validation():
@@ -183,14 +194,16 @@ def test_config_and_input_validation():
         IddConfig(constellation=c, code=code, detector="zf")
     with pytest.raises(ConfigError):
         IddConfig(constellation=c, code=code, iterations=0)
-    with pytest.raises(ConfigError):
-        IddConfig(constellation=c, code=code, feedback="raw")
     cfg = IddConfig(constellation=c, code=code)
     rng = np.random.default_rng(7)
-    _, models = _make_block(rng, cfg, 2, 2)
+    info, model = _make_block(rng, cfg, 2, 2)
     with pytest.raises(ValueError):
-        run_idd(models, np.zeros(10, dtype=np.int8), cfg)
+        run_idd(model, np.zeros((1, 10), dtype=np.int8), cfg)
     with pytest.raises(ValueError):
-        run_idd(models[:5], np.zeros(64, dtype=np.int8), cfg)
+        run_idd(model, np.concatenate([info, info]), cfg)
     with pytest.raises(ValueError):
-        run_idd([], np.zeros(64, dtype=np.int8), cfg)
+        run_idd(WhitenedModel(model.y[:, 1:], model.h), info, cfg)
+    with pytest.raises(ValueError):
+        run_idd(WhitenedModel(model.y[:, :5], model.h[:, :5]), info, cfg)
+    with pytest.raises(ValueError):
+        run_idd(WhitenedModel(model.y[:, :0], model.h[:, :0]), info, cfg)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chasedet import chase, run_idd, simcli
+from chasedet import bchase, chase, idd, lchase, run_idd, simcli
 from chasedet.errors import ConfigError, SingularMatrixError
 from chasedet.simcli import (
     CSV_HEADER,
@@ -236,6 +236,31 @@ _CHUNK_LINKS = {
 }
 
 
+# The detector entry points run_idd calls.
+_DETECT_ENTRIES = (
+    (lchase, "detect_all_uses"),
+    (bchase, "detect_all_uses"),
+    (idd, "lmmse_llrs"),
+    (idd, "exact_maxlog_llrs"),
+)
+
+
+def _run_recording_llrs(model, info, idd_cfg):
+    """run_idd's result and its detector LLRs, shaped (passes, B, U, n, q)."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in _DETECT_ENTRIES:
+
+            def recorded(*args, _real=getattr(module, name), **kwargs):
+                llrs = _real(*args, **kwargs)
+                out.append(llrs.reshape((-1,) + llrs.shape[-2:]))
+                return llrs
+
+            mp.setattr(module, name, recorded)
+        result = run_idd(model, info, idd_cfg)
+    return result, np.concatenate(out).reshape((-1,) + model.h.shape[:2] + out[0].shape[1:])
+
+
 @pytest.mark.parametrize("link", sorted(_CHUNK_LINKS))
 @settings(max_examples=6, deadline=None)
 @given(
@@ -253,11 +278,13 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     )
     bundle = _build_bundle(cfg)
     info, normals = _draws(bundle, 1, 0, blocks)
-    cap = per_slice * chase.context_values(bundle.constellation)
+    cap = per_slice * chase.context_values(bundle.idd_cfg.constellation)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chase, "SLICE_VALUES", cap)
         whole = simulate_chunk(bundle, 1, snr, 0, blocks)
-        chunk = run_idd(_chunk_model(bundle, 1, snr, 0, info, normals), info, bundle.idd_cfg)
+        chunk, chunk_llrs = _run_recording_llrs(
+            _chunk_model(bundle, 1, snr, 0, info, normals), info, bundle.idd_cfg
+        )
     singles = [simulate_chunk(bundle, 1, snr, b, b + 1) for b in range(blocks)]
     np.testing.assert_array_equal(whole.flags, np.concatenate([t.flags for t in singles]))
     np.testing.assert_array_equal(
@@ -267,11 +294,10 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     np.testing.assert_array_equal(whole.streams, sum(t.streams for t in singles))
     for b in range(blocks):
         one = slice(b, b + 1)
-        alone = run_idd(
+        alone, alone_llrs = _run_recording_llrs(
             _chunk_model(bundle, 1, snr, b, info[one], normals[one]), info[one], bundle.idd_cfg
         )
-        for t in range(cfg.iterations):
-            np.testing.assert_array_equal(chunk.detector_frames[t][b], alone.detector_frames[t][0])
+        np.testing.assert_array_equal(chunk_llrs[:, b], alone_llrs[:, 0])
         np.testing.assert_array_equal(chunk.info_llrs[b], alone.info_llrs[0])
 
 
