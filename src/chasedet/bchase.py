@@ -12,10 +12,11 @@ under the per-candidate effective variance.
 
 The bottom-most inner layer sees no feedback (unit effective variance), so
 one boundary set per context slices it for every candidate. Layers above it
-take the metric argmax over each axis's sqrt(M) levels directly, which
-picks the same level as a per-candidate boundary set would; DetectorStats
-still charges those per-candidate boundaries, the paper's cost model. The
-top layer computes no post-detection LLRs since nothing consumes them.
+evaluate the metric of each axis's sqrt(M) levels directly and take their
+maximum, the metric of the level a per-candidate boundary set would pick;
+DetectorStats still charges those per-candidate boundaries, the paper's cost
+model. The top layer computes no post-detection LLRs since nothing consumes
+them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import chase
 from .channel import WhitenedModel
 from .constellation import (
     Constellation,
+    PamAxis,
     coset_min_sqdist,
     pam_boundaries,
     pam_metric,
@@ -38,7 +40,6 @@ from .counters import DetectorStats
 from .errors import SingularMatrixError
 from .linalg import qr
 from .llr import saturate
-from .reference import brute_pam_argmax
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,19 @@ def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
     return out
 
 
+def _best_level_metric(z, axis: PamAxis, apriori, noise_var) -> np.ndarray:
+    """Maximum over the axis levels of pam_metric, one level at a time.
+
+    Each level's metric rounds exactly as pam_metric's does, so this is
+    pam_metric at the metric argmax; z and noise_var are (rows, M).
+    """
+    prior = axis.level_priors(apriori)
+    best = prior[..., 0] - (z - axis.levels[0]) ** 2 / noise_var
+    for m in range(1, axis.nlevels):
+        np.maximum(best, prior[..., m] - (z - axis.levels[m]) ** 2 / noise_var, out=best)
+    return best
+
+
 def _inner_layers(
     ctx: BchaseStreamContext,
     c: Constellation,
@@ -180,9 +194,10 @@ def _inner_layers(
         # The bottom inner layer has no feedback, so its effective variance
         # (hence its boundary set) is the same for every candidate and the
         # slicer serves all M candidates. Above it the variance differs per
-        # candidate, and evaluating the sqrt(M) level metrics directly picks
-        # the same level for less work than a boundary set per candidate; the
-        # count still charges the paper's per-candidate boundary sets.
+        # candidate, and the maximum of the sqrt(M) level metrics is the
+        # sliced level's metric for less work than a boundary set per
+        # candidate; the count still charges the paper's per-candidate
+        # boundary sets.
         bottom = l == n - 2
 
         for axis, cols, zz in (
@@ -192,9 +207,10 @@ def _inner_layers(
             la_axis = la_layer[:, cols][:, None, :]
             if bottom:
                 idx = slice_pam(zz, axis, pam_boundaries(axis, la_axis, eff_var[:, :1]))
+                best = pam_metric(axis, idx, zz, la_axis, eff_var)
             else:
-                idx = brute_pam_argmax(zz, axis, la_axis, eff_var)
-            total = total + pam_metric(axis, idx, zz, la_axis, eff_var)
+                best = _best_level_metric(zz, axis, la_axis, eff_var)
+            total = total + best
             if stats is not None:
                 stats.boundary_evals += batch * (1 if bottom else m) * axis.npairs
 

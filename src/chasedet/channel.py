@@ -48,11 +48,6 @@ def _sym_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def iid_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) entries: unit total variance split across real and imaginary."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _complex_normal(normals: np.ndarray, axis: int) -> np.ndarray:
     """CN(0, 1) entries from standard normals, real parts at index 0 of axis."""
     re, im = np.take(normals, 0, axis), np.take(normals, 1, axis)

@@ -103,8 +103,14 @@ class PamAxis:
             self.bit_cosets.append((zeros, ones))
 
     def level_priors(self, apriori: np.ndarray) -> np.ndarray:
-        """Per-level a priori term sum_n b_mn * La(n); apriori is (..., nbits)."""
-        return np.asarray(apriori, dtype=float) @ self._labels_f.T
+        """Per-level a priori term sum_n b_mn * La(n): (..., nbits) -> (..., L).
+
+        An elementwise product summed over the bit axis. The matmul form
+        rounds differently at 256-QAM, so every metric takes its priors from
+        here and they agree to the last bit.
+        """
+        apriori = np.asarray(apriori, dtype=float)
+        return (apriori[..., None, :] * self._labels_f).sum(axis=-1)
 
 
 class BoundarySet:
@@ -136,7 +142,7 @@ class BoundarySet:
         self.values = values
         self.lower = lower
         self.upper = upper
-        self._level_prior = axis.level_priors(apriori)
+        self._apriori = apriori
         self._var = var
 
 
@@ -157,27 +163,45 @@ def slice_pam(z, axis: PamAxis, boundaries: BoundarySet) -> np.ndarray:
     min_{u<m} D_um) contains z, which is exactly the argmax of
     pam_metric over all levels, with ties resolved toward the smaller index
     (more positive level). Total on all real inputs.
+
+    The levels are walked from the most negative (index L-1) to the most
+    positive, each claiming the z inside its interval; all work is on arrays
+    shaped like z. The intervals stay disjoint after rounding, because
+    lower_m >= D_mu >= upper_u for every u > m, so no z is claimed twice.
     """
     z = np.asarray(z, dtype=float)
-    ze = z[..., None]
-    inside = (ze >= boundaries.lower) & (ze < boundaries.upper)
-    idx = inside.argmax(axis=-1)
-    covered = inside.any(axis=-1)
-    if not np.all(covered):
+    lower, upper = boundaries.lower, boundaries.upper
+    shape = np.broadcast_shapes(z.shape, lower.shape[:-1])
+    idx = np.zeros(shape, dtype=np.intp)
+    covered = np.zeros(shape, dtype=bool)
+    inside = np.empty(shape, dtype=bool)
+    below = np.empty(shape, dtype=bool)
+    for m in range(axis.nlevels - 1, -1, -1):
+        np.greater_equal(z, lower[..., m], out=inside)
+        inside &= np.less(z, upper[..., m], out=below)
+        np.putmask(idx, inside, m)
+        covered |= inside
+    if not covered.all():
         # Float rounding can open an ulp-wide gap between intervals at 3-way
         # near-ties; resolve those inputs by direct metric evaluation.
-        metric = boundaries._level_prior - (
-            (ze - boundaries.axis.levels) ** 2
+        metric = boundaries.axis.level_priors(boundaries._apriori) - (
+            (z[..., None] - boundaries.axis.levels) ** 2
         ) / boundaries._var[..., None]
         idx = np.where(covered, idx, metric.argmax(axis=-1))
     return idx
 
 
 def pam_metric(axis: PamAxis, level, z, apriori: np.ndarray, noise_var) -> np.ndarray:
-    """Per-level metric sum_n b_mn*La(n) - (z - x_m)^2 / noise_var."""
+    """Per-level metric sum_n b_mn*La(n) - (z - x_m)^2 / noise_var.
+
+    The prior term is formed once per level by PamAxis.level_priors, shaped
+    (..., L) like apriori's batch axes, and gathered at `level` by flat
+    index; those batch axes broadcast against level's.
+    """
     level = np.asarray(level)
-    apriori = np.asarray(apriori, dtype=float)
-    prior = (axis._labels_f[level] * apriori).sum(axis=-1)
+    prior = axis.level_priors(apriori)
+    start = np.arange(0, prior.size, axis.nlevels).reshape(prior.shape[:-1])
+    prior = prior.take(start + level)
     dist = (np.asarray(z, dtype=float) - axis.levels[level]) ** 2
     return prior - dist / np.asarray(noise_var, dtype=float)
 

@@ -26,7 +26,6 @@ from chasedet import (
     slice_pam,
 )
 from chasedet import bchase, lchase
-from chasedet.channel import iid_complex_gaussian
 from chasedet.simcli import (
     SimConfig,
     _build_bundle,
@@ -35,6 +34,8 @@ from chasedet.simcli import (
     validate_config,
     write_csv,
 )
+
+from draws import iid_complex_gaussian
 
 MC_BLOCKS = 2000
 GAIN_GRID = (8.0, 10.0, 12.0, 14.0, 16.0)

@@ -5,10 +5,13 @@ import pytest
 
 from chasedet import (
     LLR_CLIP,
+    SUPPORTED_ORDERS,
     DetectorStats,
     WhitenedModel,
+    brute_pam_argmax,
     build_constellation,
     exact_maxlog_llrs,
+    pam_metric,
 )
 from chasedet import bchase, lchase
 from chasedet.bchase import (
@@ -17,7 +20,8 @@ from chasedet.bchase import (
     layer_post_llrs,
     prepare_all_uses,
 )
-from chasedet.channel import iid_complex_gaussian
+
+from draws import iid_complex_gaussian
 
 
 def _random_model(rng, n_rx, n, scale=1.0):
@@ -218,3 +222,18 @@ def test_non_finite_model_is_rejected(field):
     getattr(model, field).flat[2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         _detect(model, c, np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_feedback_layer_metric_is_metric_at_brute_argmax(order):
+    # Layers above the bottom one add the largest level metric under each
+    # candidate's own variance: pam_metric at the brute-force argmax level.
+    axis = build_constellation(order).real_axis
+    rng = np.random.default_rng(order + 13)
+    rows, m = 300, order
+    z = rng.uniform(-2.0, 2.0, (rows, m))
+    la = rng.uniform(-LLR_CLIP, LLR_CLIP, (rows, 1, axis.nbits))
+    var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, m))
+    idx = brute_pam_argmax(z, axis, la, var)
+    want = pam_metric(axis, idx, z, la, var)
+    assert np.array_equal(bchase._best_level_metric(z, axis, la, var), want)

@@ -214,6 +214,58 @@ def test_slicer_at_three_way_near_ties(order):
     assert not inside.any(axis=1).all()
 
 
+def _slice_by_masks(z, axis, bset):
+    """The (..., L) interval-mask slicer: first level whose interval holds z,
+    and the direct metric argmax where none does."""
+    ze = np.asarray(z, dtype=float)[..., None]
+    inside = (ze >= bset.lower) & (ze < bset.upper)
+    idx = inside.argmax(axis=-1)
+    covered = inside.any(axis=-1)
+    metric = axis.level_priors(bset._apriori) - (ze - axis.levels) ** 2 / bset._var[..., None]
+    return np.where(covered, idx, metric.argmax(axis=-1))
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_slicer_level_walk_matches_mask_rule(order):
+    # z on every pair boundary of its row, one ulp either side of it, and at
+    # random, against Cauchy-tailed priors and log-uniform variances over
+    # six decades: the per-level walk must give the mask rule's index.
+    ax = build_constellation(order).real_axis
+    rng = np.random.default_rng(order + 7)
+    rows = 4000 // ax.nlevels
+    la = np.clip(3.0 * rng.standard_cauchy((rows, 1, ax.nbits)), -LLR_CLIP, LLR_CLIP)
+    var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    bset = pam_boundaries(ax, la, var)
+    on = bset.values[:, 0, :]
+    z = np.concatenate(
+        [
+            on,
+            np.nextafter(on, -np.inf),
+            np.nextafter(on, np.inf),
+            rng.standard_cauchy((rows, ax.npairs)),
+        ],
+        axis=1,
+    )
+    idx = slice_pam(z, ax, bset)
+    assert idx.shape == z.shape
+    assert np.array_equal(idx, _slice_by_masks(z, ax, bset))
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_pam_metric_sums_priors_in_label_order(order):
+    # The level prior is summed over bits exactly as the gathered-label form
+    # sums it; a matmul would round differently at 256-QAM.
+    ax = build_constellation(order).real_axis
+    rng = np.random.default_rng(order + 11)
+    rows, m = 500, order
+    la = rng.uniform(-LLR_CLIP, LLR_CLIP, (rows, 1, ax.nbits))
+    var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    z = rng.uniform(-2.0, 2.0, (rows, m))
+    idx = rng.integers(0, ax.nlevels, (rows, m))
+    want = (ax._labels_f[idx] * la).sum(axis=-1) - (z - ax.levels[idx]) ** 2 / var
+    assert np.array_equal(pam_metric(ax, idx, z, la, var), want)
+
+
 def test_slicer_broadcast_batches():
     # Shared boundary batch (n, 1) against per-hypothesis z (n, m).
     ax = build_constellation(16).real_axis

@@ -69,3 +69,16 @@ def test_traced_names_are_module_globals():
         if attr not in _defined(tree) | _loaded(tree):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("module", ("chase", "lchase", "bchase"))
+def test_detection_path_imports_no_oracle(module):
+    # The oracle gates compare the detectors with chasedet.reference; a
+    # detector that used the oracle would be compared with itself.
+    names = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert [name for name in names if "reference" in name.split(".")] == []

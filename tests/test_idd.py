@@ -22,7 +22,8 @@ from chasedet import (
     uses_for_block,
 )
 from chasedet import idd, lchase
-from chasedet.channel import iid_complex_gaussian
+
+from draws import iid_complex_gaussian
 
 
 def test_uses_for_block():

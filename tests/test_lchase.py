@@ -9,8 +9,9 @@ from chasedet import (
     build_constellation,
     exact_maxlog_llrs,
 )
-from chasedet.channel import iid_complex_gaussian
 from chasedet.lchase import detect_all_uses, prepare_all_uses
+
+from draws import iid_complex_gaussian
 
 
 def _random_model(rng, n_rx, n, scale=1.0):

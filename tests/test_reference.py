@@ -13,7 +13,8 @@ from chasedet import (
     exact_maxlog_llrs,
     lmmse_llrs,
 )
-from chasedet.channel import iid_complex_gaussian
+
+from draws import iid_complex_gaussian
 
 _GOLDEN_PATH = Path(__file__).parent / "golden" / "maxlog_2x2_qpsk.txt"
 
