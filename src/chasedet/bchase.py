@@ -39,7 +39,6 @@ from .constellation import (
 from .counters import DetectorStats
 from .errors import SingularMatrixError
 from .linalg import qr
-from .llr import saturate
 
 
 @dataclass(frozen=True)
@@ -149,6 +148,24 @@ def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
     return out
 
 
+def context_values(c: Constellation, n_streams: int) -> int:
+    """Float64 values one context keeps live at its peak.
+
+    The peak falls in soft_symbol_stats on the top feedback layer. Per
+    candidate, one axis's (level, bit) sign products before and after the 1
+    is added and both axes' level products take L*q + 2*L values; the
+    layer's LLRs, their saturated copy and tanh and one axis's half of it,
+    4*q; the inner layers' soft means and variances, 3 per stream; and z, the
+    feedback, the variances and the running total, 8. The per-stream and
+    per-bit terms round up enough to cover the last layer's statistics as
+    well. Per context, the a priori and output LLRs and the boundary sets
+    take under 16*q more. tests/test_chase.py holds a measured peak to this.
+    """
+    n_levels, q = c.real_axis.nlevels, c.bits_per_symbol
+    per_candidate = n_levels * q + 2 * n_levels + 4 * q + 3 * n_streams + 8
+    return c.order * per_candidate + 16 * q
+
+
 def _best_level_metric(z, axis: PamAxis, apriori, noise_var) -> np.ndarray:
     """Maximum over the axis levels of pam_metric, one level at a time.
 
@@ -169,9 +186,9 @@ def _inner_layers(
     use_idx: np.ndarray,
     total: np.ndarray,
     stats: DetectorStats | None,
-) -> np.ndarray:
-    """Add every inner layer's best metric to the (rows, M) totals, walking
-    the feedback chain bottom-up under each candidate."""
+) -> None:
+    """Add every inner layer's best metric to the (rows, M) totals in place,
+    walking the feedback chain bottom-up under each candidate."""
     batch = len(ctx)
     n = ctx.layers.shape[1]
     m = c.order
@@ -210,7 +227,7 @@ def _inner_layers(
                 best = pam_metric(axis, idx, zz, la_axis, eff_var)
             else:
                 best = _best_level_metric(zz, axis, la_axis, eff_var)
-            total = total + best
+            total += best
             if stats is not None:
                 stats.boundary_evals += batch * (1 if bottom else m) * axis.npairs
 
@@ -218,13 +235,11 @@ def _inner_layers(
             break  # nothing below consumes this layer's estimate
 
         post = layer_post_llrs(z, r_ll[:, None], layer_var, c)
-        mean, var = soft_symbol_stats(saturate(la_layer[:, None, :] + post), c)
+        mean, var = soft_symbol_stats(la_layer[:, None, :] + post, c)
         shat[:, l, :] = mean
         svar[:, l, :] = var
         if stats is not None:
             stats.soft_stat_evals += batch * m
-
-    return total
 
 
 def detect_all_uses(
@@ -238,4 +253,7 @@ def detect_all_uses(
     contexts is the (streams, uses) stack from prepare_all_uses and la is
     (uses, n_streams, q); returns LLRs of the same shape as la.
     """
-    return chase.detect_all_uses(_inner_layers, contexts, c, la, stats)
+    n_streams = contexts.layers.shape[-1]
+    return chase.detect_all_uses(
+        _inner_layers, context_values(c, n_streams), contexts, c, la, stats
+    )

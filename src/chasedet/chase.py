@@ -13,8 +13,10 @@ values gets its a priori term and last-row metric, the detector's
 inner_layers adds the best metric of every other layer under that candidate
 (linear nulling with slicing for lchase, ordered soft feedback for bchase),
 and bit LLRs are coset maxima over the candidates. The flattened contexts
-are walked in slices whose largest temporaries fit SLICE_VALUES float64
-values, which bounds the working set however many uses are stacked.
+are walked in slices. Each detector charges a context the float64 values it
+keeps live at its peak (lchase.context_values, bchase.context_values), and a
+slice holds as many contexts as fit SLICE_VALUES, which bounds the working
+set however many uses are stacked.
 """
 
 from __future__ import annotations
@@ -27,19 +29,9 @@ from .channel import WhitenedModel, require_finite
 from .constellation import Constellation
 from .counters import DetectorStats
 
-# Working-set cap of one detection slice, in float64 values. Each context is
-# charged context_values(c), its largest temporary.
-SLICE_VALUES = 3 << 15
-
-
-def context_values(c: Constellation) -> int:
-    """Values charged per context: M * sqrt(M) * q.
-
-    soft_symbol_stats holds two (candidate, level, bit) products of
-    M * sqrt(M) * q/2 values per axis, the largest temporaries of either
-    detector; the slicer's (candidate, level) arrays are smaller.
-    """
-    return c.order * c.real_axis.nlevels * c.bits_per_symbol
+# Cap on the float64 values one detection slice keeps live at once (3.1 MB).
+# A slice takes as many contexts as fit under it at the detector's charge.
+SLICE_VALUES = 3 << 17
 
 
 class StackedContext:
@@ -82,6 +74,7 @@ def prepare_all_uses(prepare_stream_uses, models: WhitenedModel):
 
 def detect_all_uses(
     inner_layers,
+    context_values: int,
     contexts,
     c: Constellation,
     la: np.ndarray,
@@ -91,23 +84,25 @@ def detect_all_uses(
 
     contexts is the (streams, uses) stack from prepare_all_uses and la the
     a priori LLRs (uses, streams, q). inner_layers(ctx_rows, c, la, use_idx,
-    total, stats) returns total, the (rows, M) candidate metrics, with the
-    inner layers' best metrics added; use_idx maps each row to its la row.
+    total, stats) adds the inner layers' best metrics to total, the (rows, M)
+    candidate metrics, in place; use_idx maps each row to its la row.
+    context_values is the detector's live float64 values per context, which
+    sizes the slices under SLICE_VALUES.
     """
     n_streams, n_uses = np.shape(contexts.stream)
     flat = contexts.flat()
     rows = n_streams * n_uses
     out = np.empty((rows, c.bits_per_symbol))
-    step = max(1, SLICE_VALUES // context_values(c))
+    step = max(1, SLICE_VALUES // context_values)
     for start in range(0, rows, step):
         ctx = flat[start : start + step]
         use_idx = np.arange(start, start + len(ctx)) % n_uses
-        prior = candidate_priors(la[use_idx, ctx.stream, :], c)
-        total = prior - np.abs(ctx.y_last[:, None] - ctx.pivot[:, None] * c.symbols) ** 2
+        total = candidate_priors(la[use_idx, ctx.stream, :], c)
+        total -= np.abs(ctx.y_last[:, None] - ctx.pivot[:, None] * c.symbols) ** 2
         if stats is not None:
             stats.metric_evals += len(ctx) * c.order
             stats.streams += len(ctx)
-        total = inner_layers(ctx, c, la, use_idx, total, stats)
+        inner_layers(ctx, c, la, use_idx, total, stats)
         out[start : start + len(ctx)] = coset_llrs(total, c)
     return out.reshape(n_streams, n_uses, -1).transpose(1, 0, 2)
 

@@ -67,7 +67,7 @@ def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> LchaseStr
     )
     return LchaseStreamContext(
         stream=np.full(n_uses, stream),
-        layers=np.broadcast_to(perm, (n_uses, n)),
+        layers=np.tile(perm, (n_uses, 1)),
         ybar=ybar,
         coupling=coupling,
         pivot=r[:, n - 1, n - 1].real,
@@ -84,6 +84,18 @@ def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
     return chase.prepare_all_uses(_prepare_stream_uses, models)
 
 
+def context_values(c: Constellation) -> int:
+    """Float64 values one context keeps live at its peak: 11*M + 8*q.
+
+    The peak falls in pam_metric on an inner layer. Per candidate it holds
+    the running total, the layer's complex z, the sliced levels and
+    pam_metric's gathered priors and distance temporaries, under 11 values;
+    per context, the a priori and output LLRs and the boundary sets take
+    under 8*q more.
+    """
+    return 11 * c.order + 8 * c.bits_per_symbol
+
+
 def _inner_layers(
     ctx: LchaseStreamContext,
     c: Constellation,
@@ -91,8 +103,8 @@ def _inner_layers(
     use_idx: np.ndarray,
     total: np.ndarray,
     stats: DetectorStats | None,
-) -> np.ndarray:
-    """Add every inner layer's sliced best metric to the (rows, M) totals.
+) -> None:
+    """Add every inner layer's sliced best metric to the (rows, M) totals in place.
 
     Boundaries depend on the layer's priors and noise variance only, so one
     set per context serves all M candidates.
@@ -109,10 +121,9 @@ def _inner_layers(
             la_axis = la_layer[:, cols][:, None, :]
             bset = pam_boundaries(axis, la_axis, var[:, None])
             idx = slice_pam(zz, axis, bset)
-            total = total + pam_metric(axis, idx, zz, la_axis, var[:, None])
+            total += pam_metric(axis, idx, zz, la_axis, var[:, None])
             if stats is not None:
                 stats.boundary_evals += batch * axis.npairs
-    return total
 
 
 def detect_all_uses(
@@ -126,4 +137,4 @@ def detect_all_uses(
     contexts is the (streams, uses) stack from prepare_all_uses and la is
     (uses, n_streams, q); returns LLRs of the same shape as la.
     """
-    return chase.detect_all_uses(_inner_layers, contexts, c, la, stats)
+    return chase.detect_all_uses(_inner_layers, context_values(c), contexts, c, la, stats)

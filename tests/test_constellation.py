@@ -299,8 +299,8 @@ def test_coset_min_sqdist_brute():
     for n, (zeros, ones) in enumerate(ax.bit_cosets):
         ref0 = ((z[:, None] - ax.levels[zeros]) ** 2).min(axis=1)
         ref1 = ((z[:, None] - ax.levels[ones]) ** 2).min(axis=1)
-        np.testing.assert_allclose(d0[:, n], ref0, atol=1e-15)
-        np.testing.assert_allclose(d1[:, n], ref1, atol=1e-15)
+        np.testing.assert_array_equal(d0[:, n], ref0)
+        np.testing.assert_array_equal(d1[:, n], ref1)
 
 
 def _soft_stats_direct(llrs, c: Constellation):
@@ -348,3 +348,39 @@ def test_soft_symbol_stats_batched():
     m0, v0 = soft_symbol_stats(llrs[1, 4], c)
     np.testing.assert_allclose(mean[1, 4], m0, atol=1e-14)
     np.testing.assert_allclose(var[1, 4], v0, atol=1e-14)
+
+
+def _soft_stats_prod_form(llrs, c: Constellation):
+    """soft_symbol_stats in its np.prod form, kept to pin its rounding."""
+    llrs = np.clip(np.asarray(llrs, dtype=float), -LLR_CLIP, LLR_CLIP)
+    t = np.tanh(llrs / 2.0)
+    mean_parts = []
+    var_total = 0.0
+    for axis, cols in ((c.real_axis, c.real_bits), (c.imag_axis, c.imag_bits)):
+        ta = t[..., cols]
+        probs = np.prod(1.0 + axis.signs * ta[..., None, :], axis=-1) / axis.nlevels
+        mean = probs @ axis.levels
+        second = probs @ (axis.levels**2)
+        mean_parts.append(mean)
+        var_total = var_total + np.clip(second - mean**2, 0.0, None)
+    return mean_parts[0] + 1j * mean_parts[1], var_total
+
+
+@pytest.mark.parametrize("rows", (1, 5, 32))
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_soft_symbol_stats_bit_exact(order, rows):
+    # Bit for bit the np.prod form, for rows of q LLRs and for rows of M
+    # candidates' LLRs as bchase passes them, a tenth of them infinite.
+    # np.prod leaves its (..., L) products level-major, and the matrix
+    # products round differently over a C-contiguous copy, so a rewrite
+    # must keep that layout or still pass this.
+    c = build_constellation(order)
+    rng = np.random.default_rng(order * 100 + rows)
+    for shape in ((rows, c.bits_per_symbol), (rows, c.order, c.bits_per_symbol)):
+        llrs = rng.standard_cauchy(shape) * 4.0
+        infinite = rng.random(shape) < 0.1
+        llrs[infinite] = np.copysign(np.inf, llrs[infinite])
+        mean, var = soft_symbol_stats(llrs, c)
+        ref_mean, ref_var = _soft_stats_prod_form(llrs, c)
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(var, ref_var)

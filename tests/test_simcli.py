@@ -236,6 +236,16 @@ _CHUNK_LINKS = {
 }
 
 
+def _context_values(cfg, c):
+    """The charge per context a Chase detector slices by; lmmse and maxlog
+    do not slice, so any cap serves them."""
+    if cfg.detector == "lchase":
+        return lchase.context_values(c)
+    if cfg.detector == "bchase":
+        return bchase.context_values(c, cfg.n_streams)
+    return 1
+
+
 # The detector entry points run_idd calls.
 _DETECT_ENTRIES = (
     (lchase, "detect_all_uses"),
@@ -278,7 +288,7 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     )
     bundle = _build_bundle(cfg)
     info, normals = _draws(bundle, 1, 0, blocks)
-    cap = per_slice * chase.context_values(bundle.idd_cfg.constellation)
+    cap = per_slice * _context_values(cfg, bundle.idd_cfg.constellation)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chase, "SLICE_VALUES", cap)
         whole = simulate_chunk(bundle, 1, snr, 0, blocks)
