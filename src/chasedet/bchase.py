@@ -151,17 +151,27 @@ def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
 def context_values(c: Constellation, n_streams: int) -> int:
     """Float64 values one context keeps live at its peak.
 
-    The peak falls in soft_symbol_stats on the top feedback layer. Per
-    candidate, one axis's (level, bit) sign products before and after the 1
-    is added and both axes' level products take L*q + 2*L values; the
-    layer's LLRs, their saturated copy and tanh and one axis's half of it,
-    4*q; the inner layers' soft means and variances, 3 per stream; and z, the
-    feedback, the variances and the running total, 8. The per-stream and
-    per-bit terms round up enough to cover the last layer's statistics as
-    well. Per context, the a priori and output LLRs and the boundary sets
-    take under 16*q more. tests/test_chase.py holds a measured peak to this.
+    With three or more streams the peak falls in soft_symbol_stats on the
+    top feedback layer. Per candidate, one axis's (level, bit) sign products
+    before and after the 1 is added and both axes' level products take
+    L*q + 2*L values; the layer's LLRs, their saturated copy and tanh and one
+    axis's half of it, 4*q; the inner layers' soft means and variances, 3 per
+    stream; and z, the feedback, the variances and the running total, 8. The
+    per-stream and per-bit terms round up enough to cover the last layer's
+    statistics as well.
+
+    With one or two streams no layer feeds back, and the peak falls in
+    pam_metric on the bottom layer: the running total, z, the (zero)
+    feedback, the soft means and variances, both variances and the sliced
+    levels take 11 values per candidate, pam_metric's temporaries 5 more,
+    17 in all.
+
+    Per context, the a priori and output LLRs and the boundary sets take
+    under 16*q more. tests/test_chase.py holds a measured peak to this.
     """
     n_levels, q = c.real_axis.nlevels, c.bits_per_symbol
+    if n_streams <= 2:
+        return 17 * c.order + 16 * q
     per_candidate = n_levels * q + 2 * n_levels + 4 * q + 3 * n_streams + 8
     return c.order * per_candidate + 16 * q
 

@@ -9,10 +9,11 @@ parts and the noise's real and imaginary parts. Results are therefore
 reproducible bit for bit regardless of worker count, and two detectors run
 with the same seed see identical payloads, channels, and noise.
 
-The blocks of an SNR point run in chunks: every stage, from channel draw to
-decoder, handles a chunk's blocks as stacked arrays. Chunk size follows from
-the configuration and a fixed working-set cap, and results do not depend on
-it.
+The blocks of the whole SNR grid run in chunks, in order, so a chunk may
+hold the tail of one point and the head of the next: every stage, from
+channel draw to decoder, handles a chunk's blocks as stacked arrays, each
+block at its own point's SNR. Chunk size follows from the configuration and
+a fixed working-set cap, and results do not depend on it.
 
 SNR is per-receive-antenna Es/N0 in dB: noise variance is
 n_streams * 10**(-snr/10) with unit-energy streams and unit-variance
@@ -27,7 +28,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -271,16 +273,7 @@ class BlockTallies:
     evals: np.ndarray  # (iterations,) metric plus boundary evaluations
     streams: np.ndarray  # (iterations,) detected streams
     redraws: int
-
-    @classmethod
-    def of(cls, result: IddResult, redraws: int) -> "BlockTallies":
-        return cls(
-            flags=result.iter_block_error,
-            bit_errors=result.iter_bit_errors,
-            evals=np.array([s.metric_evals + s.boundary_evals for s in result.iter_stats]),
-            streams=np.array([s.streams for s in result.iter_stats]),
-            redraws=redraws,
-        )
+    seconds: float = 0.0  # elapsed time charged to these blocks
 
     @classmethod
     def concat(cls, parts: list) -> "BlockTallies":
@@ -290,7 +283,30 @@ class BlockTallies:
             evals=sum(p.evals for p in parts),
             streams=sum(p.streams for p in parts),
             redraws=sum(p.redraws for p in parts),
+            seconds=sum(p.seconds for p in parts),
         )
+
+    @classmethod
+    def split(cls, result: IddResult, sizes: list) -> list:
+        """Tallies of a chunk's consecutive runs of `sizes` blocks.
+
+        The counters are the paper's cost model, a fixed count per detected
+        stream and so per block: each run takes its share by block count, and
+        a count that differs between blocks fails here.
+        """
+        stats = result.iter_stats
+        n_blocks = len(result.iter_block_error)
+        evals, evals_left = np.divmod([s.metric_evals + s.boundary_evals for s in stats], n_blocks)
+        streams, streams_left = np.divmod([s.streams for s in stats], n_blocks)
+        if evals_left.any() or streams_left.any():
+            raise AssertionError("detector counters are not a fixed count per block")
+        cuts = np.cumsum(sizes)[:-1]
+        return [
+            cls(f, e, evals * len(f), streams * len(f), 0)
+            for f, e in zip(
+                np.split(result.iter_block_error, cuts), np.split(result.iter_bit_errors, cuts)
+            )
+        ]
 
 
 def chunk_blocks(bundle: _Bundle) -> int:
@@ -298,6 +314,23 @@ def chunk_blocks(bundle: _Bundle) -> int:
     cfg = bundle.cfg
     per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.idd_cfg.code.steps
     return max(1, CHUNK_VALUES // per_block)
+
+
+def _grid_chunks(cfg: SimConfig, size: int) -> list:
+    """The grid's (point, block) pairs in order, cut every `size` blocks.
+
+    A chunk is a list of (point, start, stop) parts, blocks start..stop-1 of
+    SNR point `point`; it may hold the tail of one point and the head of the
+    next.
+    """
+    n_points, per_point = len(cfg.snr_db), cfg.blocks
+    return [
+        [
+            (p, max(lo - p * per_point, 0), min(lo + size - p * per_point, per_point))
+            for p in range(lo // per_point, min(-(-(lo + size) // per_point), n_points))
+        ]
+        for lo in range(0, n_points * per_point, size)
+    ]
 
 
 def _block_rng(cfg: SimConfig, point_idx: int, block_idx: int) -> np.random.Generator:
@@ -352,15 +385,19 @@ def _chunk_model(
     return model
 
 
-def _simulate(
-    bundle: _Bundle, point_idx: int, snr_db: float, first_block: int, info, normals
-) -> IddResult:
-    """Blocks from payloads and standard normals to per-iteration outcomes."""
-    model = _chunk_model(bundle, point_idx, snr_db, first_block, info, normals)
-    return run_idd(model, info, bundle.idd_cfg)
+def _simulate(bundle: _Bundle, parts: list, draws: list) -> IddResult:
+    """Chunk parts, each at its own SNR, from payloads and normals to outcomes."""
+    models = [
+        _chunk_model(bundle, point, bundle.cfg.snr_db[point], start, info, normals)
+        for (point, start, _), (info, normals) in zip(parts, draws)
+    ]
+    model = WhitenedModel(
+        np.concatenate([m.y for m in models]), np.concatenate([m.h for m in models])
+    )
+    return run_idd(model, np.concatenate([info for info, _ in draws]), bundle.idd_cfg)
 
 
-def _redraw_block(bundle: _Bundle, point_idx: int, snr_db: float, block_idx: int):
+def _redraw_block(bundle: _Bundle, point_idx: int, block_idx: int) -> BlockTallies:
     """One block on its own, redrawing its channel while it is singular."""
     rng = _block_rng(bundle.cfg, point_idx, block_idx)
     info = rng.integers(0, 2, (1, bundle.cfg.info_bits), dtype=np.int8)
@@ -368,8 +405,9 @@ def _redraw_block(bundle: _Bundle, point_idx: int, snr_db: float, block_idx: int
     while True:
         normals = rng.standard_normal((1, _normals_per_block(bundle)))
         try:
-            result = _simulate(bundle, point_idx, snr_db, block_idx, info, normals)
-            return BlockTallies.of(result, redraws)
+            part = (point_idx, block_idx, block_idx + 1)
+            result = _simulate(bundle, [part], [(info, normals)])
+            return replace(BlockTallies.split(result, [1])[0], redraws=redraws)
         except (SingularMatrixError, NotPositiveDefiniteError) as exc:
             redraws += 1
             if redraws > MAX_REDRAWS:
@@ -382,21 +420,28 @@ def _redraw_block(bundle: _Bundle, point_idx: int, snr_db: float, block_idx: int
             )
 
 
-def simulate_chunk(
-    bundle: _Bundle, point_idx: int, snr_db: float, start: int, stop: int
-) -> BlockTallies:
-    """Blocks start..stop-1 of one SNR point, run as one stacked chunk.
+def simulate_chunk(bundle: _Bundle, parts: list) -> list:
+    """One chunk of the sweep, run as one stack; one BlockTallies per part.
 
-    A chunk whose stacked run meets a singular channel is re-run block by
-    block, and only the blocks that fail on their own redraw.
+    parts are (point, start, stop) spans as _grid_chunks cuts them. A chunk
+    whose stacked run meets a singular channel is re-run block by block, and
+    only the blocks that fail on their own redraw. The chunk's elapsed time
+    is charged to its parts by their share of its blocks.
     """
-    info, normals = _draws(bundle, point_idx, start, stop)
+    started = time.perf_counter()
+    sizes = [stop - start for _, start, stop in parts]
     try:
-        return BlockTallies.of(_simulate(bundle, point_idx, snr_db, start, info, normals), 0)
+        result = _simulate(bundle, parts, [_draws(bundle, *part) for part in parts])
+        tallies = BlockTallies.split(result, sizes)
     except (SingularMatrixError, NotPositiveDefiniteError):
-        return BlockTallies.concat(
-            [_redraw_block(bundle, point_idx, snr_db, b) for b in range(start, stop)]
-        )
+        tallies = [
+            BlockTallies.concat([_redraw_block(bundle, point, b) for b in range(start, stop)])
+            for point, start, stop in parts
+        ]
+    elapsed = time.perf_counter() - started
+    for t, size in zip(tallies, sizes):
+        t.seconds = elapsed * size / sum(sizes)
+    return tallies
 
 
 _WORKER_BUNDLE = None
@@ -407,69 +452,57 @@ def _init_worker(cfg: SimConfig) -> None:
     _WORKER_BUNDLE = _build_bundle(cfg)
 
 
-def _pool_chunk(args) -> BlockTallies:
-    return simulate_chunk(_WORKER_BUNDLE, *args)
+def _pool_chunk(parts: list) -> list:
+    return simulate_chunk(_WORKER_BUNDLE, parts)
 
 
-def simulate_blocks(bundle: _Bundle, point_idx: int, snr_db: float, pool=None) -> BlockTallies:
-    """Every block of one SNR point, chunk by chunk (spread over pool if given)."""
+def simulate_sweep(bundle: _Bundle, pool=None) -> list:
+    """Every block of the SNR grid, chunk by chunk; one BlockTallies per point.
+
+    Chunks follow the grid's blocks in order and may span points. A pool
+    gets at least as many chunks as workers and runs them with no barrier
+    between points.
+    """
     cfg = bundle.cfg
     size = chunk_blocks(bundle)
     if pool is not None:
-        size = min(size, -(-cfg.blocks // cfg.workers))
-    spans = [(start, min(start + size, cfg.blocks)) for start in range(0, cfg.blocks, size)]
+        size = min(size, -(-len(cfg.snr_db) * cfg.blocks // cfg.workers))
+    chunks = _grid_chunks(cfg, size)
     if pool is None:
-        parts = [simulate_chunk(bundle, point_idx, snr_db, a, b) for a, b in spans]
+        done = (simulate_chunk(bundle, parts) for parts in chunks)
     else:
-        parts = list(pool.map(_pool_chunk, [(point_idx, snr_db, a, b) for a, b in spans]))
-    return BlockTallies.concat(parts)
-
-
-def simulate_point(
-    bundle: _Bundle, point_idx: int, snr_db: float, pool=None
-) -> list:
-    """All blocks at one SNR point, reduced to per-iteration records."""
-    cfg = bundle.cfg
-    started = time.perf_counter()
-    tallies = simulate_blocks(bundle, point_idx, snr_db, pool)
-    elapsed = time.perf_counter() - started if cfg.timing else 0.0
-    if tallies.redraws:
-        log.info("snr %.12g dB: %d channel redraws", snr_db, tallies.redraws)
-
-    records = []
-    for t in range(cfg.iterations):
-        block_errors = int(tallies.flags[:, t].sum())
-        bit_errors = int(tallies.bit_errors[:, t].sum())
-        records.append(
-            SimRecord(
-                snr_db=snr_db,
-                iteration=t + 1,
-                detector=cfg.detector,
-                blocks=cfg.blocks,
-                block_errors=block_errors,
-                bit_errors=bit_errors,
-                bler=block_errors / cfg.blocks,
-                ber=bit_errors / (cfg.blocks * cfg.info_bits),
-                metric_count_mean=float(tallies.evals[t] / tallies.streams[t]),
-                wall_time_s=elapsed,
-            )
-        )
-    return records
+        done = pool.map(_pool_chunk, chunks)
+    per_point = [[] for _ in cfg.snr_db]
+    for parts, tallies in zip(chunks, done):
+        for (point, _, _), t in zip(parts, tallies):
+            per_point[point].append(t)
+    return [BlockTallies.concat(ts) for ts in per_point]
 
 
 def monte_carlo(cfg: SimConfig) -> list:
     """Sweep the SNR grid; returns SimRecords, grid-major, iteration-minor."""
     bundle = _build_bundle(cfg)
-    records = []
+    pool = None
     if cfg.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_worker, initargs=(cfg,)
-        ) as pool:
-            for point_idx, snr_db in enumerate(cfg.snr_db):
-                records.extend(simulate_point(bundle, point_idx, snr_db, pool))
-    else:
-        for point_idx, snr_db in enumerate(cfg.snr_db):
-            records.extend(simulate_point(bundle, point_idx, snr_db))
+        pool = ProcessPoolExecutor(cfg.workers, initializer=_init_worker, initargs=(cfg,))
+    with pool or nullcontext():
+        per_point = simulate_sweep(bundle, pool)
+
+    records = []
+    for snr_db, tallies in zip(cfg.snr_db, per_point):
+        if tallies.redraws:
+            log.info("snr %.12g dB: %d channel redraws", snr_db, tallies.redraws)
+        seconds = tallies.seconds if cfg.timing else 0.0
+        for t in range(cfg.iterations):
+            block_errors = int(tallies.flags[:, t].sum())
+            bit_errors = int(tallies.bit_errors[:, t].sum())
+            records.append(
+                SimRecord(
+                    snr_db, t + 1, cfg.detector, cfg.blocks, block_errors, bit_errors,
+                    block_errors / cfg.blocks, bit_errors / (cfg.blocks * cfg.info_bits),
+                    float(tallies.evals[t] / tallies.streams[t]), seconds,
+                )
+            )
     return records
 
 

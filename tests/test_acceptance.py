@@ -30,7 +30,7 @@ from chasedet.simcli import (
     SimConfig,
     _build_bundle,
     monte_carlo,
-    simulate_blocks,
+    simulate_sweep,
     validate_config,
     write_csv,
 )
@@ -238,8 +238,7 @@ def _per_block_flags(detector, corr, grid, seed):
             seed=seed,
         )
     )
-    bundle = _build_bundle(cfg)
-    return np.stack([simulate_blocks(bundle, p, snr).flags for p, snr in enumerate(grid)])
+    return np.stack([tallies.flags for tallies in simulate_sweep(_build_bundle(cfg))])
 
 
 def test_iteration_gain_uncorrelated_channel():

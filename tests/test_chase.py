@@ -17,7 +17,7 @@ def _charge(detector, c, n_streams):
     return bchase.context_values(c, n_streams)
 
 
-@pytest.mark.parametrize("n_streams", (4, 6))
+@pytest.mark.parametrize("n_streams", (2, 4, 6))
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
 @pytest.mark.parametrize("detector", (lchase, bchase), ids=("lchase", "bchase"))
 def test_detection_peak_stays_under_slice_cap(detector, order, n_streams):

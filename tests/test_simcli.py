@@ -287,15 +287,15 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
         seed=seed, snr_db=(snr,), blocks=blocks, info_bits=16, **_CHUNK_LINKS[link]
     )
     bundle = _build_bundle(cfg)
-    info, normals = _draws(bundle, 1, 0, blocks)
+    info, normals = _draws(bundle, 0, 0, blocks)
     cap = per_slice * _context_values(cfg, bundle.idd_cfg.constellation)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chase, "SLICE_VALUES", cap)
-        whole = simulate_chunk(bundle, 1, snr, 0, blocks)
+        (whole,) = simulate_chunk(bundle, [(0, 0, blocks)])
         chunk, chunk_llrs = _run_recording_llrs(
-            _chunk_model(bundle, 1, snr, 0, info, normals), info, bundle.idd_cfg
+            _chunk_model(bundle, 0, snr, 0, info, normals), info, bundle.idd_cfg
         )
-    singles = [simulate_chunk(bundle, 1, snr, b, b + 1) for b in range(blocks)]
+    singles = [simulate_chunk(bundle, [(0, b, b + 1)])[0] for b in range(blocks)]
     np.testing.assert_array_equal(whole.flags, np.concatenate([t.flags for t in singles]))
     np.testing.assert_array_equal(
         whole.bit_errors, np.concatenate([t.bit_errors for t in singles])
@@ -305,7 +305,7 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     for b in range(blocks):
         one = slice(b, b + 1)
         alone, alone_llrs = _run_recording_llrs(
-            _chunk_model(bundle, 1, snr, b, info[one], normals[one]), info[one], bundle.idd_cfg
+            _chunk_model(bundle, 0, snr, b, info[one], normals[one]), info[one], bundle.idd_cfg
         )
         np.testing.assert_array_equal(chunk_llrs[:, b], alone_llrs[:, 0])
         np.testing.assert_array_equal(chunk.info_llrs[b], alone.info_llrs[0])
@@ -322,14 +322,14 @@ def test_non_finite_whitened_model_names_point_and_block(monkeypatch):
 
     monkeypatch.setattr(simcli, "whiten", poisoned)
     with pytest.raises(FloatingPointError, match="snr point 1 block 3"):
-        simulate_chunk(bundle, 1, 4.0, 1, 4)
+        simulate_chunk(bundle, [(1, 1, 4)])
 
 
 def test_singular_chunk_reruns_block_by_block(monkeypatch, caplog):
     # A chunk that meets a singular channel is re-run one block at a time;
     # only the block that fails alone is redrawn, and it is logged.
     bundle = _build_bundle(_tiny_config(blocks=4))
-    clean = [simulate_chunk(bundle, 0, 2.0, b, b + 1) for b in range(4)]
+    clean = [simulate_chunk(bundle, [(0, b, b + 1)])[0] for b in range(4)]
     real_run_idd = simcli.run_idd
     calls = []
 
@@ -342,10 +342,82 @@ def test_singular_chunk_reruns_block_by_block(monkeypatch, caplog):
 
     monkeypatch.setattr(simcli, "run_idd", flaky)
     with caplog.at_level(logging.WARNING, logger="chasedet.sim"):
-        got = simulate_chunk(bundle, 0, 2.0, 0, 4)
+        (got,) = simulate_chunk(bundle, [(0, 0, 4)])
     assert calls == [4, 1, 1, 1, 1, 1]
     assert got.redraws == 1
     assert "redrawing channel for snr point 0 block 2" in caplog.text
     for b in (0, 1, 3):
         np.testing.assert_array_equal(got.flags[b], clean[b].flags[0])
         np.testing.assert_array_equal(got.bit_errors[b], clean[b].bit_errors[0])
+
+
+def test_singular_chunk_spanning_points_reruns_block_by_block(monkeypatch, caplog):
+    # A singular chunk that holds the tail of point 0 and the head of point 1
+    # re-runs each part block by block under its own point's seeds and SNR.
+    bundle = _build_bundle(_tiny_config(blocks=3, snr_db=(2.0, 6.0)))
+    parts = [(0, 1, 3), (1, 0, 2)]
+    blocks = ((0, 1), (0, 2), (1, 0), (1, 1))
+    clean = [simulate_chunk(bundle, [(p, b, b + 1)])[0] for p, b in blocks]
+    real_run_idd = simcli.run_idd
+    calls = []
+
+    def flaky(model, info, cfg, *args, **kwargs):
+        calls.append(len(info))
+        # Call 1 is the stacked chunk, call 4 point 1 block 0's first draw.
+        if len(calls) in (1, 4):
+            raise SingularMatrixError("forced")
+        return real_run_idd(model, info, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(simcli, "run_idd", flaky)
+    with caplog.at_level(logging.WARNING, logger="chasedet.sim"):
+        got = simulate_chunk(bundle, parts)
+    assert calls == [4, 1, 1, 1, 1, 1]
+    assert [t.redraws for t in got] == [0, 1]
+    assert "redrawing channel for snr point 1 block 0" in caplog.text
+    assert "snr point 0" not in caplog.text
+    flags = np.concatenate([t.flags for t in got])
+    bit_errors = np.concatenate([t.bit_errors for t in got])
+    for row in (0, 1, 3):
+        np.testing.assert_array_equal(flags[row], clean[row].flags[0])
+        np.testing.assert_array_equal(bit_errors[row], clean[row].bit_errors[0])
+    for t in got:
+        np.testing.assert_array_equal(t.evals, 2 * clean[0].evals)
+        np.testing.assert_array_equal(t.streams, 2 * clean[0].streams)
+
+
+@pytest.mark.parametrize("link", ("lchase", "bchase", "lmmse", "maxlog"))
+def test_chunks_straddling_points_match_point_aligned_chunks(link, monkeypatch):
+    # Three points of four blocks in 3-block chunks: every chunk after the
+    # first holds the tail of one point and the head of the next. The
+    # records, metric_count_mean included, equal those of a sweep in which
+    # each point is one chunk of its own.
+    cfg = _tiny_config(snr_db=(0.0, 4.0, 8.0), blocks=4, **_CHUNK_LINKS[link])
+    bundle = _build_bundle(cfg)
+    per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.idd_cfg.code.steps
+    real_run_idd = simcli.run_idd
+    calls = []
+
+    def counted(model, info, idd_cfg, *args, **kwargs):
+        calls.append(len(info))
+        return real_run_idd(model, info, idd_cfg, *args, **kwargs)
+
+    monkeypatch.setattr(simcli, "run_idd", counted)
+    records, sweeps = {}, {}
+    for size in (4, 3):
+        monkeypatch.setattr(simcli, "CHUNK_VALUES", size * per_block)
+        assert simcli.chunk_blocks(bundle) == size
+        calls.clear()
+        sweeps[size] = simcli.simulate_sweep(bundle)
+        assert calls == [size] * (12 // size)
+        records[size] = monte_carlo(cfg)
+    assert [(p, a, b) for chunk in simcli._grid_chunks(cfg, 3) for p, a, b in chunk] == [
+        (0, 0, 3), (0, 3, 4), (1, 0, 2), (1, 2, 4), (2, 0, 1), (2, 1, 4)
+    ]
+    assert records[3] == records[4]
+    assert len(records[3]) == 3 * cfg.iterations
+    # Each point's counters are its own blocks' share, not the chunk's.
+    for straddled, aligned in zip(sweeps[3], sweeps[4]):
+        np.testing.assert_array_equal(straddled.flags, aligned.flags)
+        np.testing.assert_array_equal(straddled.bit_errors, aligned.bit_errors)
+        np.testing.assert_array_equal(straddled.evals, aligned.evals)
+        np.testing.assert_array_equal(straddled.streams, aligned.streams)
