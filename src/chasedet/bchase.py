@@ -66,7 +66,14 @@ class BchaseStreamContext(chase.StackedContext):
 
 
 def _blast_order_uses(h: np.ndarray, stream: int) -> np.ndarray:
-    """blast_order for a stack of uses at once; h is (U, n_rx, n)."""
+    """Column orders (U, n), each with `stream` last and the rest V-BLAST sorted.
+
+    h is (U, n_rx, n). Working from the bottom-most inner position upward
+    (earliest detected first), each step assigns the remaining column with
+    the smallest zero-forcing noise amplification, the corresponding diagonal
+    entry of (H_sub^H H_sub)^-1, i.e. the squared row norm of R_sub^-1. Ties
+    go to the smaller original column index.
+    """
     n_uses, _, n = h.shape
     rows = np.arange(n_uses)
     gram = np.einsum("uji,ujk->uik", h.conj(), h)
@@ -90,22 +97,6 @@ def _blast_order_uses(h: np.ndarray, stream: int) -> np.ndarray:
         keep[rows, pick] = False
         remaining = remaining[keep].reshape(n_uses, k - 1)
     return order
-
-
-def blast_order(h: np.ndarray, stream: int) -> np.ndarray:
-    """Column order with `stream` last and the rest V-BLAST sorted.
-
-    Working from the bottom-most inner position upward (earliest detected
-    first), each step assigns the remaining column with the smallest
-    zero-forcing noise amplification, the corresponding diagonal entry of
-    (H_sub^H H_sub)^-1, i.e. the squared row norm of R_sub^-1. Ties go to the
-    smaller original column index.
-    """
-    h = np.asarray(h)
-    n = h.shape[1]
-    if not 0 <= stream < n:
-        raise ValueError(f"stream index {stream} out of range for {n}")
-    return _blast_order_uses(h[None], stream)[0]
 
 
 def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> BchaseStreamContext:

@@ -8,8 +8,8 @@ class ConfigError(ValueError):
 class SingularMatrixError(ArithmeticError):
     """Numerically rank-deficient matrix where full rank is required.
 
-    The Monte Carlo harness treats this as "redraw the channel"; everyone
-    else should let it propagate.
+    The Monte Carlo simulator re-raises it with the SNR points and blocks of
+    the chunk that met it.
     """
 
 

@@ -23,13 +23,12 @@ channel entries.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +47,12 @@ from .errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
 from .idd import DETECTORS, IddConfig, IddResult, run_idd, slot_bits, uses_for_block
 from .reference import MAX_EXHAUSTIVE
 
-log = logging.getLogger("chasedet.sim")
-
 CSV_HEADER = (
     "snr_db,iteration,detector,blocks,block_errors,bit_errors,"
     "bler,ber,metric_count_mean,wall_time_s"
 )
-MAX_REDRAWS = 32
+# Largest SNR grid a 'start:step:stop' range may expand to.
+MAX_SNR_POINTS = 10_000
 # Working-set cap of one chunk, in float64 values. A block is charged
 # uses * streams * M (its candidate metrics) plus 64 per trellis step: the
 # decoder's branch terms for both directions (32), its path metrics (8) and
@@ -121,13 +119,19 @@ def parse_snr_grid(text: str) -> tuple:
             if len(parts) != 3:
                 raise ValueError
             start, step, stop = (float(p) for p in parts)
-            if step == 0.0 or (stop - start) / step < 0.0:
+            if step == 0.0 or not (stop - start) / step >= 0.0:
                 raise ValueError
-            count = int(np.floor((stop - start) / step + 1e-9)) + 1
-            return tuple(start + step * i for i in range(count))
+            count = np.floor((stop - start) / step + 1e-9) + 1
+            if count > MAX_SNR_POINTS:
+                raise ConfigError(
+                    f"SNR grid {text!r} has {count:.3g} points, more than {MAX_SNR_POINTS}"
+                )
+            return tuple(start + step * i for i in range(int(count)))
         if "," in text:
             return tuple(float(p) for p in text.split(","))
         return (float(text),)
+    except ConfigError:
+        raise
     except ValueError:
         raise ConfigError(f"cannot parse SNR grid {text!r}") from None
 
@@ -141,33 +145,34 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# Config file/flag keys and how they land in SimConfig. "corr" fans out to
-# both correlation fields.
+# Config file keys, each also a flag (--key, '_' as '-'): the SimConfig
+# field it sets, the converter its text goes through and its --help line.
+# "corr" fans out to both correlation fields.
 _KEY_FIELDS = {
-    "detector": ("detector", str),
-    "mod": ("mod", int),
-    "streams": ("n_streams", int),
-    "rx": ("n_rx", int),
-    "tx": ("n_tx", int),
-    "corr": (("corr_tx", "corr_rx"), float),
-    "corr_tx": ("corr_tx", float),
-    "corr_rx": ("corr_rx", float),
-    "rate": ("rate", float),
-    "snr": ("snr_db", parse_snr_grid),
-    "blocks": ("blocks", int),
-    "iters": ("iterations", int),
-    "info_bits": ("info_bits", int),
-    "seed": ("seed", int),
-    "out": ("out", str),
-    "workers": ("workers", int),
-    "timing": ("timing", _parse_bool),
+    "detector": ("detector", str, f"one of {', '.join(DETECTORS)}"),
+    "mod": ("mod", int, f"QAM order, one of {', '.join(map(str, SUPPORTED_ORDERS))}"),
+    "streams": ("n_streams", int, "spatial streams"),
+    "rx": ("n_rx", int, "receive antennas"),
+    "tx": ("n_tx", int, "transmit antennas"),
+    "corr": (("corr_tx", "corr_rx"), float, "tx and rx correlation"),
+    "corr_tx": ("corr_tx", float, "tx correlation"),
+    "corr_rx": ("corr_rx", float, "rx correlation"),
+    "rate": ("rate", float, f"code rate, one of {', '.join(map(str, SUPPORTED_RATES))}"),
+    "snr": ("snr_db", parse_snr_grid, "grid 'start:step:stop', list, or value"),
+    "blocks": ("blocks", int, "blocks per SNR point"),
+    "iters": ("iterations", int, "detection iterations"),
+    "info_bits": ("info_bits", int, "information bits per block"),
+    "seed": ("seed", int, "master seed"),
+    "out": ("out", str, "output CSV path"),
+    "workers": ("workers", int, "worker processes"),
+    "timing": ("timing", _parse_bool, "fill wall_time_s (that column is then machine dependent)"),
 }
 
 
 def _apply_key(values: dict, key: str, raw, where: str) -> None:
     if key not in _KEY_FIELDS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    dest, conv = _KEY_FIELDS[key]
+    dest, conv, _ = _KEY_FIELDS[key]
     try:
         value = conv(raw) if isinstance(raw, str) else raw
     except ConfigError:
@@ -211,6 +216,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError(f"rate must be one of {SUPPORTED_RATES}")
     if not cfg.snr_db:
         raise ConfigError("SNR grid is empty")
+    if not np.isfinite(cfg.snr_db).all():
+        raise ConfigError("SNR values must be finite")
     if cfg.blocks < 1 or cfg.iterations < 1 or cfg.info_bits < 1:
         raise ConfigError("blocks, iters, and info_bits must be positive")
     if cfg.workers < 1:
@@ -272,7 +279,6 @@ class BlockTallies:
     bit_errors: np.ndarray  # (blocks, iterations)
     evals: np.ndarray  # (iterations,) metric plus boundary evaluations
     streams: np.ndarray  # (iterations,) detected streams
-    redraws: int
     seconds: float = 0.0  # elapsed time charged to these blocks
 
     @classmethod
@@ -282,7 +288,6 @@ class BlockTallies:
             bit_errors=np.concatenate([p.bit_errors for p in parts]),
             evals=sum(p.evals for p in parts),
             streams=sum(p.streams for p in parts),
-            redraws=sum(p.redraws for p in parts),
             seconds=sum(p.seconds for p in parts),
         )
 
@@ -302,7 +307,7 @@ class BlockTallies:
             raise AssertionError("detector counters are not a fixed count per block")
         cuts = np.cumsum(sizes)[:-1]
         return [
-            cls(f, e, evals * len(f), streams * len(f), 0)
+            cls(f, e, evals * len(f), streams * len(f))
             for f, e in zip(
                 np.split(result.iter_block_error, cuts), np.split(result.iter_bit_errors, cuts)
             )
@@ -333,21 +338,16 @@ def _grid_chunks(cfg: SimConfig, size: int) -> list:
     ]
 
 
-def _block_rng(cfg: SimConfig, point_idx: int, block_idx: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, point_idx, block_idx]))
-
-
-def _normals_per_block(bundle: _Bundle) -> int:
-    cfg = bundle.cfg
-    return bundle.n_uses * 2 * cfg.n_rx * (cfg.n_tx + 1)
-
-
 def _draws(bundle: _Bundle, point_idx: int, start: int, stop: int) -> tuple:
-    """Payloads (B, K) and first-attempt standard normals of blocks start..stop-1."""
+    """Payloads (B, K) and standard normals of blocks start..stop-1."""
     cfg = bundle.cfg
-    rngs = [_block_rng(cfg, point_idx, b) for b in range(start, stop)]
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([cfg.seed, point_idx, b]))
+        for b in range(start, stop)
+    ]
     info = np.stack([rng.integers(0, 2, cfg.info_bits, dtype=np.int8) for rng in rngs])
-    normals = np.stack([rng.standard_normal(_normals_per_block(bundle)) for rng in rngs])
+    n_normals = bundle.n_uses * 2 * cfg.n_rx * (cfg.n_tx + 1)
+    normals = np.stack([rng.standard_normal(n_normals) for rng in rngs])
     return info, normals
 
 
@@ -397,47 +397,22 @@ def _simulate(bundle: _Bundle, parts: list, draws: list) -> IddResult:
     return run_idd(model, np.concatenate([info for info, _ in draws]), bundle.idd_cfg)
 
 
-def _redraw_block(bundle: _Bundle, point_idx: int, block_idx: int) -> BlockTallies:
-    """One block on its own, redrawing its channel while it is singular."""
-    rng = _block_rng(bundle.cfg, point_idx, block_idx)
-    info = rng.integers(0, 2, (1, bundle.cfg.info_bits), dtype=np.int8)
-    redraws = 0
-    while True:
-        normals = rng.standard_normal((1, _normals_per_block(bundle)))
-        try:
-            part = (point_idx, block_idx, block_idx + 1)
-            result = _simulate(bundle, [part], [(info, normals)])
-            return replace(BlockTallies.split(result, [1])[0], redraws=redraws)
-        except (SingularMatrixError, NotPositiveDefiniteError) as exc:
-            redraws += 1
-            if redraws > MAX_REDRAWS:
-                raise
-            log.warning(
-                "redrawing channel for snr point %d block %d: %s",
-                point_idx,
-                block_idx,
-                exc,
-            )
-
-
 def simulate_chunk(bundle: _Bundle, parts: list) -> list:
     """One chunk of the sweep, run as one stack; one BlockTallies per part.
 
-    parts are (point, start, stop) spans as _grid_chunks cuts them. A chunk
-    whose stacked run meets a singular channel is re-run block by block, and
-    only the blocks that fail on their own redraw. The chunk's elapsed time
-    is charged to its parts by their share of its blocks.
+    parts are (point, start, stop) spans as _grid_chunks cuts them. A
+    singular channel anywhere in the chunk re-raises its error, naming every
+    part's point and blocks. The chunk's elapsed time is charged to its parts
+    by their share of its blocks.
     """
     started = time.perf_counter()
     sizes = [stop - start for _, start, stop in parts]
     try:
         result = _simulate(bundle, parts, [_draws(bundle, *part) for part in parts])
-        tallies = BlockTallies.split(result, sizes)
-    except (SingularMatrixError, NotPositiveDefiniteError):
-        tallies = [
-            BlockTallies.concat([_redraw_block(bundle, point, b) for b in range(start, stop)])
-            for point, start, stop in parts
-        ]
+    except (SingularMatrixError, NotPositiveDefiniteError) as exc:
+        where = ", ".join(f"snr point {p} blocks {a}..{b - 1}" for p, a, b in parts)
+        raise type(exc)(f"{exc} in the chunk of {where}") from exc
+    tallies = BlockTallies.split(result, sizes)
     elapsed = time.perf_counter() - started
     for t, size in zip(tallies, sizes):
         t.seconds = elapsed * size / sum(sizes)
@@ -490,8 +465,6 @@ def monte_carlo(cfg: SimConfig) -> list:
 
     records = []
     for snr_db, tallies in zip(cfg.snr_db, per_point):
-        if tallies.redraws:
-            log.info("snr %.12g dB: %d channel redraws", snr_db, tallies.redraws)
         seconds = tallies.seconds if cfg.timing else 0.0
         for t in range(cfg.iterations):
             block_errors = int(tallies.flags[:, t].sum())
@@ -530,33 +503,16 @@ def _make_parser() -> argparse.ArgumentParser:
         "detection and decoding.",
     )
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--detector", choices=DETECTORS)
-    parser.add_argument("--mod", type=int, choices=SUPPORTED_ORDERS)
-    parser.add_argument("--streams", type=int, help="spatial streams")
-    parser.add_argument("--rx", type=int, help="receive antennas")
-    parser.add_argument("--tx", type=int, help="transmit antennas")
-    parser.add_argument("--corr", type=float, help="tx and rx correlation")
-    parser.add_argument("--corr-tx", type=float, dest="corr_tx")
-    parser.add_argument("--corr-rx", type=float, dest="corr_rx")
-    parser.add_argument("--rate", type=float, choices=SUPPORTED_RATES)
-    parser.add_argument("--snr", help="grid 'start:step:stop', list, or value")
-    parser.add_argument("--blocks", type=int, help="blocks per SNR point")
-    parser.add_argument("--iters", type=int, help="detection iterations")
-    parser.add_argument("--info-bits", type=int, dest="info_bits")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--workers", type=int, help="worker processes")
-    parser.add_argument(
-        "--timing",
-        action="store_true",
-        default=None,
-        help="fill wall_time_s (that column is then machine dependent)",
-    )
+    for key, (_, _, text) in _KEY_FIELDS.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "timing":
+            parser.add_argument(flag, dest=key, action="store_true", default=None, help=text)
+        else:
+            parser.add_argument(flag, dest=key, help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = vars(_make_parser().parse_args(argv))
     config_path = args.pop("config")
     try:

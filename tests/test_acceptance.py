@@ -11,21 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from chasedet import (
-    ChannelRealization,
-    CodeConfig,
-    DetectorStats,
-    WhitenedModel,
-    bcjr_decode,
-    brute_pam_argmax,
-    build_constellation,
-    encode,
-    exact_maxlog_llrs,
-    pam_boundaries,
-    pam_metric,
-    slice_pam,
-)
 from chasedet import bchase, lchase
+from chasedet.channel import ChannelRealization, WhitenedModel
+from chasedet.codec import CodeConfig, bcjr_decode, encode
+from chasedet.constellation import build_constellation, pam_boundaries, pam_metric, slice_pam
+from chasedet.counters import DetectorStats
+from chasedet.reference import brute_pam_argmax, exact_maxlog_llrs
 from chasedet.simcli import (
     SimConfig,
     _build_bundle,

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from chasedet import (
+from chasedet.channel import (
     ChannelRealization,
-    ConfigError,
     CorrelationModel,
     generate_channel,
     transmit,
     whiten,
 )
+from chasedet.errors import ConfigError
 
 
 def test_correlation_matrices_exponential():

@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chasedet import LLR_CLIP, SUPPORTED_ORDERS, WhitenedModel, build_constellation
 from chasedet import bchase, chase, lchase
+from chasedet.channel import WhitenedModel
+from chasedet.constellation import SUPPORTED_ORDERS, build_constellation
+from chasedet.llr import LLR_CLIP
 
 from draws import iid_complex_gaussian
 

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from chasedet import (
-    CodeConfig,
-    ConfigError,
-    bcjr_decode,
-    depuncture,
-    encode,
-    make_interleaver,
-    puncture,
-)
+from chasedet.codec import CodeConfig, bcjr_decode, depuncture, encode, make_interleaver, puncture
+from chasedet.errors import ConfigError
 from chasedet.llr import LLR_CLIP
 
 

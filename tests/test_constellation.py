@@ -6,10 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from chasedet import (
-    LLR_CLIP,
+from chasedet.constellation import (
     SUPPORTED_ORDERS,
-    ConfigError,
     Constellation,
     PamAxis,
     build_constellation,
@@ -20,6 +18,8 @@ from chasedet import (
     slice_pam,
     soft_symbol_stats,
 )
+from chasedet.errors import ConfigError
+from chasedet.llr import LLR_CLIP
 from chasedet.reference import brute_pam_argmax
 
 RT2 = math.sqrt(2.0)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,39 @@ def test_traced_names_are_module_globals():
         if attr not in _defined(tree) | _loaded(tree):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def _package_names_read(source: str) -> set:
+    """Names a source takes from the chasedet package itself, not a submodule."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "chasedet" and not node.level:
+            names.update(a.name for a in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "chasedet"
+        ):
+            names.add(node.attr)
+    return names - set(MODULES)
+
+
+def test_public_surface_is_what_callers_use():
+    # chasedet exports exactly the names the README example imports from it
+    # and the ones perfbench reads as chasedet.<name>; the tests and every
+    # other caller import from the submodules.
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    ]
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    used = _package_names_read(example)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _package_names_read(path.read_text())
+    assert sorted(exported) == sorted(used)
 
 
 @pytest.mark.parametrize("module", ("chase", "lchase", "bchase"))

@@ -3,25 +3,14 @@
 import numpy as np
 import pytest
 
-from chasedet import (
-    CodeConfig,
-    ConfigError,
-    DetectorStats,
-    IddConfig,
-    WhitenedModel,
-    bcjr_decode,
-    build_constellation,
-    depuncture,
-    encode,
-    make_interleaver,
-    modulate,
-    puncture,
-    run_idd,
-    saturate,
-    slot_bits,
-    uses_for_block,
-)
 from chasedet import idd, lchase
+from chasedet.channel import WhitenedModel
+from chasedet.codec import CodeConfig, bcjr_decode, depuncture, encode, make_interleaver, puncture
+from chasedet.constellation import build_constellation, modulate
+from chasedet.counters import DetectorStats
+from chasedet.errors import ConfigError
+from chasedet.idd import IddConfig, run_idd, slot_bits, uses_for_block
+from chasedet.llr import saturate
 
 from draws import iid_complex_gaussian
 

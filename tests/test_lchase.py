@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from chasedet import (
-    DetectorStats,
-    WhitenedModel,
-    build_constellation,
-    exact_maxlog_llrs,
-)
+from chasedet.channel import WhitenedModel
+from chasedet.constellation import build_constellation
+from chasedet.counters import DetectorStats
 from chasedet.lchase import detect_all_uses, prepare_all_uses
+from chasedet.reference import exact_maxlog_llrs
 
 from draws import iid_complex_gaussian
 

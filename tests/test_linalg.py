@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from chasedet import (
-    NotPositiveDefiniteError,
-    SingularMatrixError,
-    back_substitute,
-    cholesky,
-    qr,
-)
-from chasedet.linalg import swap_permutation
+from chasedet.errors import NotPositiveDefiniteError, SingularMatrixError
+from chasedet.linalg import back_substitute, cholesky, qr, swap_permutation
 
 
 def _random_complex(rng, shape):

@@ -5,14 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chasedet import (
-    DetectorStats,
-    WhitenedModel,
-    brute_pam_argmax,
-    build_constellation,
-    exact_maxlog_llrs,
-    lmmse_llrs,
-)
+from chasedet.channel import WhitenedModel
+from chasedet.constellation import build_constellation
+from chasedet.counters import DetectorStats
+from chasedet.reference import brute_pam_argmax, exact_maxlog_llrs, lmmse_llrs
 
 from draws import iid_complex_gaussian
 

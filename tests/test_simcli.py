@@ -1,15 +1,16 @@
 """Simulator configuration, reproducibility, chunking, and CSV output."""
 
-import logging
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chasedet import bchase, chase, idd, lchase, run_idd, simcli
-from chasedet.errors import ConfigError, SingularMatrixError
+from chasedet import bchase, chase, idd, lchase, simcli
+from chasedet.errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
+from chasedet.idd import run_idd
 from chasedet.simcli import (
     CSV_HEADER,
     SimConfig,
@@ -37,6 +38,30 @@ def test_parse_snr_grid_forms():
     for bad in ("4:0:8", "1:2", "1:2:3:4", "abc", "4;8"):
         with pytest.raises(ConfigError):
             parse_snr_grid(bad)
+
+
+@pytest.mark.parametrize(
+    "text", ("0:1:inf", "0:1e-300:1", "0:1e-3:100", "nan", "0:inf:10", "inf", "-inf", "1,nan")
+)
+def test_bad_snr_grids_are_config_errors(text, monkeypatch, tmp_path, capsys):
+    # Unbounded, non-finite or oversized grids fail at the config boundary,
+    # and no grid is built past the point cap on the way.
+    def capped_range(*args):
+        assert len(range(*args)) <= simcli.MAX_SNR_POINTS
+        return range(*args)
+
+    monkeypatch.setattr(simcli, "range", capped_range, raising=False)
+    with pytest.raises(ConfigError):
+        build_config(None, {"snr": text})
+    assert main([f"--snr={text}", "--blocks", "1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_snr_grid_cap_is_inclusive():
+    assert len(parse_snr_grid(f"1:1:{simcli.MAX_SNR_POINTS}")) == simcli.MAX_SNR_POINTS
+    with pytest.raises(ConfigError, match="more than"):
+        parse_snr_grid(f"0:1:{simcli.MAX_SNR_POINTS}")
 
 
 def test_config_file_parsing(tmp_path):
@@ -88,6 +113,8 @@ def test_validate_config_rejections():
         {"corr_tx": 1.0},
         {"rate": 0.75},
         {"snr_db": ()},
+        {"snr_db": (4.0, float("nan"))},
+        {"snr_db": (float("inf"),)},
         {"blocks": 0},
         {"iterations": 0},
         {"workers": 0},
@@ -210,6 +237,65 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,text", (("--mod", "5"), ("--detector", "foo"), ("--blocks", "many")))
+def test_main_rejects_bad_flag_values(flag, text, tmp_path, capsys):
+    # Flags go through the config converters and validate_config, so a bad
+    # value is an error line naming the key and exit code 2.
+    out = tmp_path / "x.csv"
+    assert main([flag, text, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert flag[2:] in line
+    assert not out.exists()
+
+
+# One value per config key, as text; each differs from SimConfig's default.
+_KEY_SAMPLES = {
+    "detector": "bchase",
+    "mod": "64",
+    "streams": "1",
+    "rx": "3",
+    "tx": "4",
+    "corr": "0.5",
+    "corr_tx": "0.25",
+    "corr_rx": "0.75",
+    "rate": "0.83",
+    "snr": "0:5:10",
+    "blocks": "7",
+    "iters": "2",
+    "info_bits": "32",
+    "seed": "5",
+    "out": "other.csv",
+    "workers": "2",
+    "timing": "true",
+}
+
+
+@pytest.mark.parametrize("key", sorted(simcli._KEY_FIELDS))
+def test_flag_and_config_line_build_the_same_config(key, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    text = _KEY_SAMPLES[key]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {text}\n")
+    flag = "--" + key.replace("_", "-")
+    args = vars(simcli._make_parser().parse_args([flag] if key == "timing" else [flag, text]))
+    assert args.pop("config") is None
+    from_flag = build_config(None, args)
+    assert from_flag == build_config(str(path), {})
+    assert from_flag != SimConfig()
+
+
+def test_parser_flags_are_the_key_table():
+    parser = simcli._make_parser()
+    flags = {s for action in parser._actions for s in action.option_strings}
+    keys = {"--" + key.replace("_", "-") for key in simcli._KEY_FIELDS}
+    assert flags == keys | {"-h", "--help", "--config"}
+    assert len(keys) == 17
+    help_text = parser.format_help()
+    for _, _, text in simcli._KEY_FIELDS.values():
+        assert " ".join(text.split()) in " ".join(help_text.split())
+
+
 def test_workers_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert validate_config(SimConfig(workers=3)).workers == 3
@@ -325,64 +411,59 @@ def test_non_finite_whitened_model_names_point_and_block(monkeypatch):
         simulate_chunk(bundle, [(1, 1, 4)])
 
 
-def test_singular_chunk_reruns_block_by_block(monkeypatch, caplog):
-    # A chunk that meets a singular channel is re-run one block at a time;
-    # only the block that fails alone is redrawn, and it is logged.
+def _forced_singular(monkeypatch, error):
+    """Make every run_idd call fail with `error`; returns the calls' block counts."""
+    calls = []
+
+    def singular(model, info, cfg, *args, **kwargs):
+        calls.append(len(info))
+        raise error("forced")
+
+    monkeypatch.setattr(simcli, "run_idd", singular)
+    return calls
+
+
+@pytest.mark.parametrize("error", (SingularMatrixError, NotPositiveDefiniteError))
+def test_singular_chunk_raises_naming_its_blocks(monkeypatch, error):
+    # A chunk that meets a singular channel fails with the same error type,
+    # naming its SNR point and blocks; nothing is redrawn or re-run.
     bundle = _build_bundle(_tiny_config(blocks=4))
-    clean = [simulate_chunk(bundle, [(0, b, b + 1)])[0] for b in range(4)]
-    real_run_idd = simcli.run_idd
-    calls = []
-
-    def flaky(model, info, cfg, *args, **kwargs):
-        calls.append(len(info))
-        # Call 1 is the stacked chunk, call 4 block 2's first draw.
-        if len(calls) in (1, 4):
-            raise SingularMatrixError("forced")
-        return real_run_idd(model, info, cfg, *args, **kwargs)
-
-    monkeypatch.setattr(simcli, "run_idd", flaky)
-    with caplog.at_level(logging.WARNING, logger="chasedet.sim"):
-        (got,) = simulate_chunk(bundle, [(0, 0, 4)])
-    assert calls == [4, 1, 1, 1, 1, 1]
-    assert got.redraws == 1
-    assert "redrawing channel for snr point 0 block 2" in caplog.text
-    for b in (0, 1, 3):
-        np.testing.assert_array_equal(got.flags[b], clean[b].flags[0])
-        np.testing.assert_array_equal(got.bit_errors[b], clean[b].bit_errors[0])
+    calls = _forced_singular(monkeypatch, error)
+    with pytest.raises(error) as raised:
+        simulate_chunk(bundle, [(0, 0, 4)])
+    assert str(raised.value) == "forced in the chunk of snr point 0 blocks 0..3"
+    assert calls == [4]
 
 
-def test_singular_chunk_spanning_points_reruns_block_by_block(monkeypatch, caplog):
-    # A singular chunk that holds the tail of point 0 and the head of point 1
-    # re-runs each part block by block under its own point's seeds and SNR.
+def test_singular_chunk_spanning_points_names_every_part(monkeypatch):
+    # A chunk holding the tail of point 0 and the head of point 1 names both.
     bundle = _build_bundle(_tiny_config(blocks=3, snr_db=(2.0, 6.0)))
-    parts = [(0, 1, 3), (1, 0, 2)]
-    blocks = ((0, 1), (0, 2), (1, 0), (1, 1))
-    clean = [simulate_chunk(bundle, [(p, b, b + 1)])[0] for p, b in blocks]
-    real_run_idd = simcli.run_idd
-    calls = []
+    calls = _forced_singular(monkeypatch, SingularMatrixError)
+    with pytest.raises(SingularMatrixError) as raised:
+        simulate_chunk(bundle, [(0, 1, 3), (1, 0, 2)])
+    assert str(raised.value) == (
+        "forced in the chunk of snr point 0 blocks 1..2, snr point 1 blocks 0..1"
+    )
+    assert calls == [4]
 
-    def flaky(model, info, cfg, *args, **kwargs):
-        calls.append(len(info))
-        # Call 1 is the stacked chunk, call 4 point 1 block 0's first draw.
-        if len(calls) in (1, 4):
-            raise SingularMatrixError("forced")
-        return real_run_idd(model, info, cfg, *args, **kwargs)
 
-    monkeypatch.setattr(simcli, "run_idd", flaky)
-    with caplog.at_level(logging.WARNING, logger="chasedet.sim"):
-        got = simulate_chunk(bundle, parts)
-    assert calls == [4, 1, 1, 1, 1, 1]
-    assert [t.redraws for t in got] == [0, 1]
-    assert "redrawing channel for snr point 1 block 0" in caplog.text
-    assert "snr point 0" not in caplog.text
-    flags = np.concatenate([t.flags for t in got])
-    bit_errors = np.concatenate([t.bit_errors for t in got])
-    for row in (0, 1, 3):
-        np.testing.assert_array_equal(flags[row], clean[row].flags[0])
-        np.testing.assert_array_equal(bit_errors[row], clean[row].bit_errors[0])
-    for t in got:
-        np.testing.assert_array_equal(t.evals, 2 * clean[0].evals)
-        np.testing.assert_array_equal(t.streams, 2 * clean[0].streams)
+@pytest.mark.parametrize(
+    "workers,where",
+    (
+        (1, "snr point 0 blocks 0..1, snr point 1 blocks 0..1"),
+        (2, "snr point 1 blocks 0..1"),
+    ),
+    ids=("serial", "pooled"),
+)
+def test_noiseless_point_fails_loudly_serial_and_pooled(workers, where):
+    # Zero noise variance (SNR inf, which validate_config rejects) leaves the
+    # noise covariance without a Cholesky factor. The sweep raises that
+    # error with the failing chunk's parts: one chunk over both points
+    # serially, one chunk per point with two workers.
+    cfg = replace(_tiny_config(blocks=2, snr_db=(2.0, 6.0), workers=workers), snr_db=(2.0, np.inf))
+    with pytest.raises(NotPositiveDefiniteError) as raised:
+        monte_carlo(cfg)
+    assert str(raised.value).endswith(f" in the chunk of {where}")
 
 
 @pytest.mark.parametrize("link", ("lchase", "bchase", "lmmse", "maxlog"))
