@@ -143,13 +143,15 @@ def context_values(c: Constellation, n_streams: int) -> int:
     """Float64 values one context keeps live at its peak.
 
     With three or more streams the peak falls in soft_symbol_stats on the
-    top feedback layer. Per candidate, one axis's (level, bit) sign products
-    before and after the 1 is added and both axes' level products take
-    L*q + 2*L values; the layer's LLRs, their saturated copy and tanh and one
-    axis's half of it, 4*q; the inner layers' soft means and variances, 3 per
-    stream; and z, the feedback, the variances and the running total, 8. The
-    per-stream and per-bit terms round up enough to cover the last layer's
-    statistics as well.
+    top feedback layer, once it has formed the second axis's level
+    products. Per candidate, the layer's post-detection LLRs, their sum with
+    the a priori LLRs, that sum's tanh and the axis's 1 - t and 1 + t factors
+    take 4*q values; the level products L; the first axis's mean and
+    variance, the running variance and the second axis's moments and their
+    temporaries under 8 more; the inner layers' soft means and variances, 3
+    per stream; and z, the feedback, the variances and the running total, 8.
+    That peak, under L + 4*q + 3*n_streams + 16, is bounded at every order
+    by the charge of L*q + 2*L + 4*q + 3*n_streams + 8 per candidate.
 
     With one or two streams no layer feeds back, and the peak falls in
     pam_metric on the bottom layer: the running total, z, the (zero)

@@ -169,41 +169,43 @@ def bcjr_decode(
     n_blocks = lam.size // cfg.coded_len
     # Both recursions run in one loop over a direction axis: index 0 is the
     # forward pass at step t = j, index 1 the backward pass at t = steps-1-j.
-    # Branch terms per (j, direction, block, edge) take a path metric m as
+    # Branch terms per (j, direction, edge, block) take a path metric m as
     # (m + c0*l0) + c1*l1, the scalar recursion's order. Path metrics are
     # held as 2 x 2 arrays over the state bits: alphas as (d1, d2), betas as
     # (d2, d1), so each step broadcasts the previous one over its branches
-    # and keeps the better of the two in either direction. The tail steps
-    # need no forcing of input 0: beta at the last step is finite at state 0
-    # only, so beta is -inf at every state a tail input 1 leads to, every
-    # such branch and edge total is -inf, and max(x, -inf) == x.
-    pairs = lam.reshape(n_blocks, steps, 2).transpose(1, 0, 2)
-    g0 = np.empty((steps, 2, n_blocks, 2, 2, 2))
+    # and keeps the better of the two in either direction. Blocks are the
+    # innermost axis, so every array operation runs over them contiguously.
+    # The tail steps need no forcing of input 0: beta at the last step is
+    # finite at state 0 only, so beta is -inf at every state a tail input 1
+    # leads to, every such branch and edge total is -inf, and
+    # max(x, -inf) == x.
+    pairs = lam.reshape(n_blocks, steps, 2).transpose(1, 2, 0)[:, :, None, None, None]
+    g0 = np.empty((steps, 2, 2, 2, 2, n_blocks))
     g1 = np.empty_like(g0)
     for d, (layout, ordered) in enumerate(((_FWD, pairs), (_BWD, pairs[::-1]))):
-        np.multiply(_C0_BITS.transpose(layout), ordered[:, :, 0, None, None, None], out=g0[:, d])
-        np.multiply(_C1_BITS.transpose(layout), ordered[:, :, 1, None, None, None], out=g1[:, d])
+        np.multiply(_C0_BITS.transpose(layout)[..., None], ordered[:, 0], out=g0[:, d])
+        np.multiply(_C1_BITS.transpose(layout)[..., None], ordered[:, 1], out=g1[:, d])
 
-    paths = np.full((steps + 1, 2, n_blocks, 2, 2), -np.inf)
-    paths[0, :, :, 0, 0] = 0.0
-    cand = np.empty((2, n_blocks, 2, 2, 2))
-    first, second = cand[..., 0], cand[..., 1]
-    for prev, b0, b1, nxt in zip(paths[:-1, :, :, None], g0, g1, paths[1:]):
+    paths = np.full((steps + 1, 2, 2, 2, n_blocks), -np.inf)
+    paths[0, :, 0, 0] = 0.0
+    cand = np.empty((2, 2, 2, 2, n_blocks))
+    first, second = cand[:, :, :, 0], cand[:, :, :, 1]
+    for prev, b0, b1, nxt in zip(paths[:-1, :, None], g0, g1, paths[1:]):
         np.add(prev, b0, out=cand)
         np.add(cand, b1, out=cand)
         np.maximum(first, second, out=nxt)
 
     # Edge totals (alpha(t, s) + gamma(t, s, u)) + beta(t+1, ns) as
-    # (step, block, d2, d1, u), built in place in the backward branch terms
+    # (step, d2, d1, u, block), built in place in the backward branch terms
     # read in step order.
     totals = g0[::-1, 1]
     totals += g1[::-1, 1]
     del g1
-    totals += paths[:-1, 0].transpose(0, 1, 3, 2)[..., None]
-    totals += paths[-2::-1, 1][:, :, None]
-    edges = totals.reshape(steps, n_blocks, 8)
+    totals += paths[:-1, 0].transpose(0, 2, 1, 3)[:, :, :, None]
+    totals += paths[-2::-1, 1][:, None]
+    edges = totals.reshape(steps, 8, n_blocks)
     llr_c0, llr_c1, llr_u = (
-        (edges[..., ones].max(axis=-1) - edges[..., zeros].max(axis=-1)).T
+        (edges[:, ones].max(axis=1) - edges[:, zeros].max(axis=1)).T
         for zeros, ones in _EDGE_COSETS
     )
 

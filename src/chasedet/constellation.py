@@ -66,7 +66,6 @@ class PamAxis:
         self.nlevels = len(levels)
         self.nbits = self.sub_labels.shape[1]
         self._labels_f = self.sub_labels.astype(float)
-        self.signs = 2.0 * self._labels_f - 1.0
 
         # Unordered level pairs (m, u) with m < u, i.e. x_m > x_u.
         first, second = np.triu_indices(self.nlevels, 1)
@@ -93,14 +92,10 @@ class PamAxis:
             self._pairs_by_second[m, : len(idx)] = idx
             self._second_mask[m, : len(idx)] = True
 
-        # Level indices per (bit, value) coset; both must be populated.
-        self.bit_cosets: list[tuple[np.ndarray, np.ndarray]] = []
-        for n in range(self.nbits):
-            zeros = np.nonzero(self.sub_labels[:, n] == 0)[0]
-            ones = np.nonzero(self.sub_labels[:, n] == 1)[0]
-            if len(zeros) == 0 or len(ones) == 0:
+        # Every bit's 0 and 1 cosets must be populated.
+        for n, column in enumerate(self.sub_labels.T):
+            if not ((column == 0).any() and (column == 1).any()):
                 raise ValueError(f"axis bit {n} has an empty coset")
-            self.bit_cosets.append((zeros, ones))
 
     def level_priors(self, apriori: np.ndarray) -> np.ndarray:
         """Per-level a priori term sum_n b_mn * La(n): (..., nbits) -> (..., L).
@@ -214,13 +209,19 @@ def coset_min_sqdist(z, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
     the post-detection LLRs of the feedback chain and the LMMSE demapper.
     """
     z = np.asarray(z, dtype=float)
-    d2 = (z[..., None] - axis.levels) ** 2
-    d0 = np.empty(z.shape + (axis.nbits,))
-    d1 = np.empty(z.shape + (axis.nbits,))
-    for n, (zeros, ones) in enumerate(axis.bit_cosets):
-        d0[..., n] = d2[..., zeros].min(axis=-1)
-        d1[..., n] = d2[..., ones].min(axis=-1)
-    return d0, d1
+    # Levels are walked one at a time with z's shape innermost: each level's
+    # squared distance is formed once and folded into the bit-major minima
+    # of every coset it belongs to.
+    d0 = np.full((axis.nbits,) + z.shape, np.inf)
+    d1 = np.full((axis.nbits,) + z.shape, np.inf)
+    dist = np.empty(z.shape)
+    for level, bits in zip(axis.levels, axis.sub_labels):
+        np.subtract(z, level, out=dist)
+        np.square(dist, out=dist)
+        for n, bit in enumerate(bits):
+            best = d1[n, ...] if bit else d0[n, ...]
+            np.minimum(best, dist, out=best)
+    return np.moveaxis(d0, 0, -1), np.moveaxis(d1, 0, -1)
 
 
 class Constellation:
@@ -298,6 +299,33 @@ def modulate(bits, c: Constellation) -> np.ndarray:
     return c.symbols[idx]
 
 
+def _axis_stats(t, cols, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance of one axis from t = tanh(LLR/2), (..., q).
+
+    A level's probability is the product over its bits of 1 + t or 1 - t as
+    its sub-label bit is 1 or 0, multiplied left to right, over L. The
+    matrix products round by memory layout, so the (..., L) probabilities
+    are laid out as np.prod over (..., L, bits) leaves them: level-major,
+    except for a one-bit axis, whose levels are innermost.
+    """
+    factors = [(1.0 - t[..., k], 1.0 + t[..., k]) for k in cols]
+    if axis.nbits == 1:
+        probs = np.empty(t.shape[:-1] + (axis.nlevels,))
+        rows = np.moveaxis(probs, -1, 0)
+    else:
+        rows = np.empty((axis.nlevels,) + t.shape[:-1])
+        probs = np.moveaxis(rows, 0, -1)
+    for m, bits in enumerate(axis.sub_labels):
+        row = rows[m, ...]
+        row[...] = factors[0][bits[0]]
+        for pair, bit in zip(factors[1:], bits[1:]):
+            row *= pair[bit]
+    rows /= axis.nlevels
+    mean = probs @ axis.levels
+    second = probs @ (axis.levels**2)
+    return mean, np.clip(second - mean**2, 0.0, None)
+
+
 def soft_symbol_stats(llrs, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of a symbol given per-bit LLRs (..., q).
 
@@ -306,15 +334,11 @@ def soft_symbol_stats(llrs, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     Inputs are saturated first, so +-inf LLRs are safe and a fully saturated
     vector returns the labeled point with exactly zero variance.
     """
-    llrs = saturate(np.asarray(llrs, dtype=float))
-    t = np.tanh(llrs / 2.0)
+    t = np.tanh(saturate(np.asarray(llrs, dtype=float)) / 2.0)
     mean_parts = []
     var_total = 0.0
     for axis, cols in ((c.real_axis, c.real_bits), (c.imag_axis, c.imag_bits)):
-        ta = t[..., cols]
-        probs = np.prod(1.0 + axis.signs * ta[..., None, :], axis=-1) / axis.nlevels
-        mean = probs @ axis.levels
-        second = probs @ (axis.levels**2)
+        mean, var = _axis_stats(t, cols, axis)
         mean_parts.append(mean)
-        var_total = var_total + np.clip(second - mean**2, 0.0, None)
+        var_total = var_total + var
     return mean_parts[0] + 1j * mean_parts[1], var_total

@@ -53,10 +53,14 @@ CSV_HEADER = (
 )
 # Largest SNR grid a 'start:step:stop' range may expand to.
 MAX_SNR_POINTS = 10_000
+# Most blocks a run may simulate over its whole SNR grid: the sweep's chunk
+# list is built before the first block runs.
+MAX_GRID_BLOCKS = 10**7
 # Working-set cap of one chunk, in float64 values. A block is charged
 # uses * streams * M (its candidate metrics) plus 64 per trellis step: the
 # decoder's branch terms for both directions (32), its path metrics (8) and
-# the LLR and edge-total temporaries; see chunk_blocks.
+# the LLR and edge-coset temporaries; see chunk_blocks. tests/test_codec.py
+# holds a decode of a chunk under it.
 CHUNK_VALUES = 1 << 20
 
 
@@ -220,6 +224,12 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError("SNR values must be finite")
     if cfg.blocks < 1 or cfg.iterations < 1 or cfg.info_bits < 1:
         raise ConfigError("blocks, iters, and info_bits must be positive")
+    grid_blocks = len(cfg.snr_db) * cfg.blocks
+    if grid_blocks > MAX_GRID_BLOCKS:
+        raise ConfigError(
+            f"{len(cfg.snr_db)} SNR points x {cfg.blocks} blocks make {grid_blocks} "
+            f"blocks, more than {MAX_GRID_BLOCKS}"
+        )
     if cfg.workers < 1:
         raise ConfigError("workers must be positive")
     cpus = os.cpu_count() or 1
@@ -531,6 +541,3 @@ def main(argv=None) -> int:
     print(f"wrote {cfg.out} ({len(records)} rows)")
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,11 @@
 """Convolutional code, puncturing, interleaving, and the max-log decoder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from chasedet import simcli
 from chasedet.codec import CodeConfig, bcjr_decode, depuncture, encode, make_interleaver, puncture
 from chasedet.errors import ConfigError
 from chasedet.llr import LLR_CLIP
@@ -208,6 +211,100 @@ def test_bcjr_block_axis_equals_single_rows():
         row = bcjr_decode(lam[b], ap[b], cfg)
         for got, want in zip((ext[b], info_total[b], hard[b]), row):
             np.testing.assert_array_equal(got, want)
+
+
+# Trellis tables of the state-innermost reference below, built as codec
+# builds them: branch bits indexed [d1, d2, u].
+_D1, _D2, _U = np.indices((2, 2, 2))
+_C0_BITS = (_U ^ _D1 ^ _D2).astype(float)
+_C1_BITS = (_U ^ _D2).astype(float)
+_FWD, _BWD = (2, 0, 1), (1, 0, 2)
+_EDGE_COSETS = tuple(
+    tuple(np.flatnonzero(bits.transpose(_BWD).reshape(-1) == v) for v in (0, 1))
+    for bits in (_C0_BITS, _C1_BITS, _U)
+)
+
+
+def _bcjr_state_innermost(lam, cfg):
+    """bcjr_decode's recursion with the trellis states innermost, as
+    (step, direction, block, 2, 2, 2) branch terms, kept to pin its rounding."""
+    steps, k = cfg.steps, cfg.info_len
+    n_blocks = lam.size // cfg.coded_len
+    pairs = lam.reshape(n_blocks, steps, 2).transpose(1, 0, 2)
+    g0 = np.empty((steps, 2, n_blocks, 2, 2, 2))
+    g1 = np.empty_like(g0)
+    for d, (layout, ordered) in enumerate(((_FWD, pairs), (_BWD, pairs[::-1]))):
+        np.multiply(_C0_BITS.transpose(layout), ordered[:, :, 0, None, None, None], out=g0[:, d])
+        np.multiply(_C1_BITS.transpose(layout), ordered[:, :, 1, None, None, None], out=g1[:, d])
+    paths = np.full((steps + 1, 2, n_blocks, 2, 2), -np.inf)
+    paths[0, :, :, 0, 0] = 0.0
+    cand = np.empty((2, n_blocks, 2, 2, 2))
+    for prev, b0, b1, nxt in zip(paths[:-1, :, :, None], g0, g1, paths[1:]):
+        np.add(prev, b0, out=cand)
+        np.add(cand, b1, out=cand)
+        np.maximum(cand[..., 0], cand[..., 1], out=nxt)
+    totals = g0[::-1, 1]
+    totals += g1[::-1, 1]
+    totals += paths[:-1, 0].transpose(0, 1, 3, 2)[..., None]
+    totals += paths[-2::-1, 1][:, :, None]
+    edges = totals.reshape(steps, n_blocks, 8)
+    llr_c0, llr_c1, llr_u = (
+        (edges[..., ones].max(axis=-1) - edges[..., zeros].max(axis=-1)).T
+        for zeros, ones in _EDGE_COSETS
+    )
+    coded_total = np.empty((n_blocks, cfg.coded_len))
+    coded_total[:, 0::2] = llr_c0
+    coded_total[:, 1::2] = llr_c1
+    info_total = llr_u[:, :k].reshape(lam.shape[:-1] + (k,))
+    return coded_total.reshape(lam.shape) - lam, info_total, (info_total > 0).astype(np.int8)
+
+
+@pytest.mark.parametrize("apriori", (False, True), ids=("no-apriori", "apriori"))
+@pytest.mark.parametrize("rate", (0.5, 0.83))
+@pytest.mark.parametrize("info_len", (1, 64, 512))
+def test_bcjr_bit_exact(info_len, rate, apriori):
+    # Bit for bit the state-innermost recursion, for a 1-D block and for
+    # stacks of 1, 2 and 17, with Cauchy LLRs (some clipped, punctured
+    # positions zero) so near-ties and saturated metrics both occur.
+    cfg = CodeConfig(info_len=info_len, rate=rate)
+    rng = np.random.default_rng(info_len * 10 + int(apriori) + (2 if rate == 0.5 else 4))
+    for lead in ((), (1,), (2,), (17,)):
+        shape = lead + (cfg.transmitted_len,)
+        ch = depuncture(np.clip(rng.standard_cauchy(shape) * 3.0, -LLR_CLIP, LLR_CLIP), cfg)
+        ap = np.clip(rng.standard_cauchy(ch.shape), -LLR_CLIP, LLR_CLIP) if apriori else None
+        got = bcjr_decode(ch, ap, cfg)
+        want = _bcjr_state_innermost(ch if ap is None else ch + ap, cfg)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize(
+    "link",
+    (
+        dict(mod=16, n_streams=4, n_rx=4, n_tx=4, info_bits=64),
+        dict(mod=4, n_streams=2, n_rx=2, n_tx=2, info_bits=512, rate=0.83),
+        dict(mod=256, n_streams=8, n_rx=8, n_tx=8, info_bits=64, rate=0.83),
+        dict(mod=4, n_streams=2, n_rx=2, n_tx=2, info_bits=4096),
+    ),
+    ids=("gate-16qam", "long-2x2", "256qam-8x8", "k4096"),
+)
+def test_bcjr_peak_stays_under_chunk_charge(link):
+    # simcli.chunk_blocks charges each block 64 float64 values per trellis
+    # step for the decoder; one decode of a chunk of that many blocks, with
+    # a priori LLRs, stays under it, outputs included.
+    bundle = simcli._build_bundle(simcli.validate_config(simcli.SimConfig(**link)))
+    cfg, blocks = bundle.idd_cfg.code, simcli.chunk_blocks(bundle)
+    rng = np.random.default_rng(blocks)
+    ch = rng.normal(scale=3.0, size=(blocks, cfg.coded_len))
+    ap = rng.normal(size=ch.shape)
+    tracemalloc.start()
+    try:
+        bcjr_decode(ch, ap, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 8 * cfg.steps * blocks
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -292,15 +292,18 @@ def test_pam_metric_formula():
 
 
 def test_coset_min_sqdist_brute():
-    ax = build_constellation(64).real_axis
     rng = np.random.default_rng(3)
-    z = rng.uniform(-2, 2, 50)
-    d0, d1 = coset_min_sqdist(z, ax)
-    for n, (zeros, ones) in enumerate(ax.bit_cosets):
-        ref0 = ((z[:, None] - ax.levels[zeros]) ** 2).min(axis=1)
-        ref1 = ((z[:, None] - ax.levels[ones]) ** 2).min(axis=1)
-        np.testing.assert_array_equal(d0[:, n], ref0)
-        np.testing.assert_array_equal(d1[:, n], ref1)
+    for order, shape in itertools.product(SUPPORTED_ORDERS, ((50,), (7, 16), ())):
+        ax = build_constellation(order).real_axis
+        z = rng.uniform(-2, 2, shape)
+        d0, d1 = coset_min_sqdist(z, ax)
+        assert d0.shape == d1.shape == shape + (ax.nbits,)
+        for n, column in enumerate(ax.sub_labels.T):
+            zeros, ones = np.flatnonzero(column == 0), np.flatnonzero(column == 1)
+            ref0 = ((z[..., None] - ax.levels[zeros]) ** 2).min(axis=-1)
+            ref1 = ((z[..., None] - ax.levels[ones]) ** 2).min(axis=-1)
+            np.testing.assert_array_equal(d0[..., n], ref0)
+            np.testing.assert_array_equal(d1[..., n], ref1)
 
 
 def _soft_stats_direct(llrs, c: Constellation):
@@ -358,7 +361,8 @@ def _soft_stats_prod_form(llrs, c: Constellation):
     var_total = 0.0
     for axis, cols in ((c.real_axis, c.real_bits), (c.imag_axis, c.imag_bits)):
         ta = t[..., cols]
-        probs = np.prod(1.0 + axis.signs * ta[..., None, :], axis=-1) / axis.nlevels
+        signs = 2.0 * axis.sub_labels.astype(float) - 1.0
+        probs = np.prod(1.0 + signs * ta[..., None, :], axis=-1) / axis.nlevels
         mean = probs @ axis.levels
         second = probs @ (axis.levels**2)
         mean_parts.append(mean)
@@ -371,9 +375,12 @@ def _soft_stats_prod_form(llrs, c: Constellation):
 def test_soft_symbol_stats_bit_exact(order, rows):
     # Bit for bit the np.prod form, for rows of q LLRs and for rows of M
     # candidates' LLRs as bchase passes them, a tenth of them infinite.
-    # np.prod leaves its (..., L) products level-major, and the matrix
-    # products round differently over a C-contiguous copy, so a rewrite
-    # must keep that layout or still pass this.
+    # soft_symbol_stats multiplies each level's 1 +- t factors left to
+    # right, as np.prod does, into a level-major array (levels innermost
+    # for QPSK's one-bit axes), the layout np.prod leaves; the matrix
+    # products round differently over any other layout. Its peak per
+    # candidate is the q-wide factors and L products of one axis, not the
+    # (L, q) sign products of the np.prod form.
     c = build_constellation(order)
     rng = np.random.default_rng(order * 100 + rows)
     for shape in ((rows, c.bits_per_symbol), (rows, c.order, c.bits_per_symbol)):

@@ -1,7 +1,10 @@
 """Simulator configuration, reproducibility, chunking, and CSV output."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,33 @@ def test_snr_grid_cap_is_inclusive():
     assert len(parse_snr_grid(f"1:1:{simcli.MAX_SNR_POINTS}")) == simcli.MAX_SNR_POINTS
     with pytest.raises(ConfigError, match="more than"):
         parse_snr_grid(f"0:1:{simcli.MAX_SNR_POINTS}")
+
+
+def test_grid_block_cap_is_inclusive(monkeypatch, tmp_path, capsys):
+    # The cap is checked before any block runs.
+    monkeypatch.setattr(simcli, "simulate_sweep", None)
+    cap = simcli.MAX_GRID_BLOCKS
+    at_cap = SimConfig(snr_db=(4.0, 6.0), blocks=cap // 2)
+    assert validate_config(at_cap) is at_cap
+    with pytest.raises(ConfigError, match=f"make {cap + 1} blocks, more than {cap}$"):
+        validate_config(SimConfig(snr_db=(4.0,), blocks=cap + 1))
+    out = tmp_path / "x.csv"
+    assert main(["--snr", "4,6", "--blocks", str(cap // 2 + 1), "--out", str(out)]) == 2
+    assert f"make {cap + 2} blocks, more than {cap}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    src = str(Path(simcli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "chasedet", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("usage: chasedet")
 
 
 def test_config_file_parsing(tmp_path):
