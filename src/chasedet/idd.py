@@ -11,7 +11,7 @@ extrinsic output back as the next round of detector a priori LLRs.
 A chunk of blocks runs through that loop as stacked arrays: every block's
 uses go through one detector call and every block's codeword through one
 decoder call per iteration, and each block's results equal those of running
-it alone.
+it alone. All four detectors sit behind one (prepare, detect) table.
 """
 
 from __future__ import annotations
@@ -30,9 +30,15 @@ from .errors import ConfigError
 from .llr import saturate
 from .reference import exact_maxlog_llrs, lmmse_llrs
 
-DETECTORS = ("lchase", "bchase", "maxlog", "lmmse")
-# The Chase detectors' modules; their entry points are looked up at call time.
-_CHASE = {"lchase": lchase, "bchase": bchase}
+# Detector name -> (prepare(uses), detect(prepared, c, la, stats) -> LLRs shaped
+# like la), over a stack of uses. The lambdas look functions up at call time.
+_DETECT = {
+    "lchase": (lambda uses: lchase.prepare_all_uses(uses), lambda *a: lchase.detect_all_uses(*a)),
+    "bchase": (lambda uses: bchase.prepare_all_uses(uses), lambda *a: bchase.detect_all_uses(*a)),
+    "maxlog": (lambda uses: uses, lambda *a: exact_maxlog_llrs(*a)),
+    "lmmse": (lambda uses: uses, lambda uses, c, la, stats: lmmse_llrs(uses, c, stats)),
+}
+DETECTORS = tuple(_DETECT)
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,7 @@ class IddResult:
 
 def uses_for_block(code: CodeConfig, c: Constellation, n_streams: int) -> int:
     """Channel uses needed to carry one transmitted codeword."""
-    per_use = n_streams * c.bits_per_symbol
-    return -(-code.transmitted_len // per_use)
+    return -(-code.transmitted_len // (n_streams * c.bits_per_symbol))
 
 
 def slot_bits(tx_bits: np.ndarray, c: Constellation, n_streams: int) -> np.ndarray:
@@ -95,33 +100,26 @@ def run_idd(
 
     model holds the chunk's whitened observations, y (B, U, n_rx) and h
     (B, U, n_rx, n); info_bits (B, K) are the true payloads, used only for
-    error counting. stats, if given, accumulates every iteration's counters.
+    error counting. The detector's entry in the table prepares all B*U uses
+    once, and its detect call takes all of them once per pass. stats, if
+    given, accumulates every iteration's counters.
     """
-    c = cfg.constellation
-    code = cfg.code
+    c, code = cfg.constellation, cfg.code
     info_bits = np.asarray(info_bits)
     n_blocks, n_uses, n_rx, n_streams = model.h.shape
     if info_bits.shape != (n_blocks, code.info_len):
         raise ValueError(f"expected {n_blocks} x {code.info_len} info bits")
     if model.y.shape != (n_blocks, n_uses, n_rx):
         raise ValueError("y and h disagree on blocks, uses or receive antennas")
-    if n_uses < 1:
-        raise ValueError("need at least one channel use")
-    q = c.bits_per_symbol
+    q, n_tx = c.bits_per_symbol, code.transmitted_len
     n_slots = n_uses * n_streams * q
-    n_tx = code.transmitted_len
     if n_slots < n_tx:
-        raise ValueError(
-            f"{n_uses} uses carry {n_slots} bits, codeword needs {n_tx}"
-        )
+        raise ValueError(f"{n_uses} uses carry {n_slots} bits, codeword needs {n_tx}")
 
-    il = cfg.interleaver
-    keep = code.keep_mask()
-    uses = WhitenedModel(
-        model.y.reshape(-1, n_rx), model.h.reshape(-1, n_rx, n_streams)
-    )
-    chase = _CHASE.get(cfg.detector)
-    contexts = None if chase is None else chase.prepare_all_uses(uses)
+    il, keep = cfg.interleaver, code.keep_mask()
+    uses = WhitenedModel(model.y.reshape(-1, n_rx), model.h.reshape(-1, n_rx, n_streams))
+    prepare, detect = _DETECT[cfg.detector]
+    prepared = prepare(uses)
     # The LMMSE baseline ignores a priori input, so one pass already gives
     # every iteration's outcome.
     passes = 1 if cfg.detector == "lmmse" else cfg.iterations
@@ -136,16 +134,7 @@ def run_idd(
     la = np.zeros((n_blocks * n_uses, n_streams, q))
     for it in range(passes):
         iter_stats = DetectorStats()
-        if chase is not None:
-            det = chase.detect_all_uses(contexts, c, la, iter_stats)
-        elif cfg.detector == "lmmse":
-            det = lmmse_llrs(uses, c, stats=iter_stats)
-        else:
-            det = np.empty(la.shape)
-            for u in range(len(la)):
-                use = WhitenedModel(uses.y[u], uses.h[u])
-                det[u] = exact_maxlog_llrs(use, c, la[u], stats=iter_stats)
-
+        det = detect(prepared, c, la, iter_stats)
         fwd_slots = saturate((det - la).reshape(n_blocks, n_slots))
         ch_llrs = depuncture(fwd_slots[:, :n_tx][:, il.inv], code)
         dec_ext, info_total, hard = bcjr_decode(ch_llrs, None, code)

@@ -2,23 +2,39 @@
 
 The exhaustive detector enumerates every transmit vector and is the ground
 truth the list detectors are measured against; it is feasible only while
-M**n_streams stays small (capped at 2**20 hypotheses). The LMMSE detector
-is the cheap non-iterative baseline: a per-stream linear estimate followed
-by a scalar max-log demap, ignoring any a priori input.
+M**n_streams stays small (capped at 2**20 hypotheses). A stack of uses runs
+in slices under chase.SLICE_VALUES, and a use whose metric table alone
+exceeds it walks its hypotheses in chunks. The LMMSE detector is the cheap
+non-iterative baseline: a per-stream linear estimate followed by a scalar
+max-log demap, ignoring any a priori input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import chase
 from .channel import WhitenedModel, require_finite
 from .constellation import Constellation, PamAxis, coset_min_sqdist
 from .counters import DetectorStats
 
 MAX_EXHAUSTIVE = 1 << 20
-_CHUNK = 1 << 16
 # Floor on the LMMSE effective noise variance, for numerical safety.
 LMMSE_NOISE_FLOOR = 1e-12
+
+
+def _hypotheses(c: Constellation, n: int, lo: int, hi: int) -> tuple:
+    """Base-M digits (hi - lo, n) of hypotheses lo..hi-1, stream 0 first, and symbols."""
+    digits = np.arange(lo, hi)[:, None] // c.order ** np.arange(n - 1, -1, -1)
+    digits %= c.order
+    return digits, c.symbols[digits]
+
+
+def hypothesis_values(n_streams: int, n_rx: int) -> int:
+    """Float64 values the max-log oracle keeps live per (use, hypothesis) at its peak."""
+    # s @ h^T and the residual take 4 per receive antenna, the digits and
+    # symbols 3 per stream, and priors, metrics, sums and numpy buffers 8.
+    return 4 * n_rx + 3 * n_streams + 8
 
 
 def exact_maxlog_llrs(
@@ -27,58 +43,53 @@ def exact_maxlog_llrs(
     apriori: np.ndarray | None = None,
     stats: DetectorStats | None = None,
 ) -> np.ndarray:
-    """Max-log bit LLRs (n, q) from a full search over all M**n transmit vectors.
+    """Max-log bit LLRs (..., n, q) from a full search over all M**n transmit vectors.
 
-    For each candidate vector the metric is sum of per-bit a priori terms
-    (label * LLR) minus the squared whitened residual; each bit's LLR is the
-    difference of coset maxima. A non-finite model raises ValueError.
+    model is one use, y (rx,) and h (rx, n), or a stack of uses with leading
+    axes on both, which apriori (..., n, q) shares. A candidate's metric is
+    its a priori term (label * LLR) minus its squared whitened residual; each
+    bit's LLR is the difference of coset maxima. A non-finite model raises
+    ValueError.
     """
     require_finite(model)
-    n = model.n_streams
-    m = c.order
-    q = c.bits_per_symbol
-    total = m**n
+    lead, (n_rx, n) = model.h.shape[:-2], model.h.shape[-2:]
+    m, q, total = c.order, c.bits_per_symbol, c.order**n
     if total > MAX_EXHAUSTIVE:
         raise ValueError(
-            f"{m}-QAM with {n} streams needs {total} hypotheses, "
-            f"cap is {MAX_EXHAUSTIVE}"
+            f"{m}-QAM with {n} streams needs {total} hypotheses, cap is {MAX_EXHAUSTIVE}"
         )
-    if apriori is None:
-        apriori = np.zeros((n, q))
-    apriori = np.asarray(apriori, dtype=float)
-    if apriori.shape != (n, q):
-        raise ValueError(f"expected a priori shape {(n, q)}")
+    apriori = np.zeros(lead + (n, q)) if apriori is None else np.asarray(apriori, dtype=float)
+    if apriori.shape != lead + (n, q):
+        raise ValueError(f"expected a priori shape {lead + (n, q)}")
 
-    # Stream i is digit i of the hypothesis index, most significant first,
-    # so the metric table reshapes to (M,) * n with axis i = stream i.
-    prior_tab = apriori @ c.bit_labels_f.T  # (n, M)
-    radix = m ** np.arange(n - 1, -1, -1)
-    metrics = np.empty(total)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        digits = (idx[:, None] // radix) % m  # (chunk, n)
-        s = c.symbols[digits]
-        resid = model.y[None, :] - s @ model.h.T
-        prior = np.zeros(len(idx))
+    y = model.y.reshape(-1, 1, n_rx)
+    h_t = np.swapaxes(model.h.reshape(-1, n_rx, n), 1, 2)
+    charge = hypothesis_values(n, n_rx)
+    step = min(total, max(1, chase.SLICE_VALUES // charge))
+    use_step = max(1, chase.SLICE_VALUES // (charge * total))
+    whole = _hypotheses(c, n, 0, total) if step == total else None
+    metrics = np.empty((min(use_step, len(y)), total))
+    llrs = np.empty((len(y), n, q))
+    for start in range(0, len(y), use_step):
+        uses = slice(start, start + use_step)
+        prior_tab = apriori.reshape(-1, n, q)[uses] @ c.bit_labels_f.T  # (uses, n, M)
+        rows = metrics[: len(prior_tab)]
+        for lo in range(0, total, step):
+            digits, s = whole or _hypotheses(c, n, lo, min(lo + step, total))
+            prior = np.zeros((len(rows), len(s)))
+            for i in range(n):
+                prior += prior_tab[:, i, digits[:, i]]
+            sq_dist = np.sum(np.abs(y[uses] - s @ h_t[uses]) ** 2, axis=2)
+            rows[:, lo : lo + len(s)] = prior - sq_dist
+        table = rows.reshape((-1,) + (m,) * n)  # axis i + 1 is stream i
         for i in range(n):
-            prior += prior_tab[i, digits[:, i]]
-        metrics[start : start + len(idx)] = prior - np.sum(
-            np.abs(resid) ** 2, axis=1
-        )
-
-    table = metrics.reshape((m,) * n)
-    llrs = np.empty((n, q))
-    for i in range(n):
-        other = tuple(j for j in range(n) if j != i)
-        per_symbol = table.max(axis=other) if other else table
-        for k in range(q):
-            zeros, ones = c.bit_coset_idx[k]
-            llrs[i, k] = per_symbol[ones].max() - per_symbol[zeros].max()
+            other = tuple(j + 1 for j in range(n) if j != i)
+            llrs[uses, i] = chase.coset_llrs(table.max(axis=other), c)
 
     if stats is not None:
-        stats.metric_evals += total
-        stats.streams += n
-    return llrs
+        stats.metric_evals += len(y) * total
+        stats.streams += len(y) * n
+    return llrs.reshape(lead + (n, q))
 
 
 def brute_pam_argmax(

@@ -26,6 +26,7 @@ import argparse
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
@@ -53,8 +54,8 @@ CSV_HEADER = (
 )
 # Largest SNR grid a 'start:step:stop' range may expand to.
 MAX_SNR_POINTS = 10_000
-# Most blocks a run may simulate over its whole SNR grid: the sweep's chunk
-# list is built before the first block runs.
+# Most blocks a run may simulate over its whole SNR grid: the sweep keeps
+# every block's flags and bit errors until the run ends.
 MAX_GRID_BLOCKS = 10**7
 # Working-set cap of one chunk, in float64 values. A block is charged
 # uses * streams * M (its candidate metrics) plus 64 per trellis step: the
@@ -292,14 +293,22 @@ class BlockTallies:
     seconds: float = 0.0  # elapsed time charged to these blocks
 
     @classmethod
-    def concat(cls, parts: list) -> "BlockTallies":
+    def zeros(cls, blocks: int, iterations: int) -> "BlockTallies":
         return cls(
-            flags=np.concatenate([p.flags for p in parts]),
-            bit_errors=np.concatenate([p.bit_errors for p in parts]),
-            evals=sum(p.evals for p in parts),
-            streams=sum(p.streams for p in parts),
-            seconds=sum(p.seconds for p in parts),
+            flags=np.zeros((blocks, iterations), dtype=bool),
+            bit_errors=np.zeros((blocks, iterations), dtype=np.int64),
+            evals=np.zeros(iterations, dtype=np.int64),
+            streams=np.zeros(iterations, dtype=np.int64),
         )
+
+    def add(self, start: int, part: "BlockTallies") -> None:
+        """Take in the tallies of the run of blocks that begins at block `start`."""
+        stop = start + len(part.flags)
+        self.flags[start:stop] = part.flags
+        self.bit_errors[start:stop] = part.bit_errors
+        self.evals += part.evals
+        self.streams += part.streams
+        self.seconds += part.seconds
 
     @classmethod
     def split(cls, result: IddResult, sizes: list) -> list:
@@ -331,21 +340,19 @@ def chunk_blocks(bundle: _Bundle) -> int:
     return max(1, CHUNK_VALUES // per_block)
 
 
-def _grid_chunks(cfg: SimConfig, size: int) -> list:
+def _grid_chunks(cfg: SimConfig, size: int):
     """The grid's (point, block) pairs in order, cut every `size` blocks.
 
-    A chunk is a list of (point, start, stop) parts, blocks start..stop-1 of
-    SNR point `point`; it may hold the tail of one point and the head of the
-    next.
+    Yields each chunk as it is asked for: a list of (point, start, stop)
+    parts, blocks start..stop-1 of SNR point `point`; it may hold the tail of
+    one point and the head of the next.
     """
     n_points, per_point = len(cfg.snr_db), cfg.blocks
-    return [
-        [
+    for lo in range(0, n_points * per_point, size):
+        yield [
             (p, max(lo - p * per_point, 0), min(lo + size - p * per_point, per_point))
             for p in range(lo // per_point, min(-(-(lo + size) // per_point), n_points))
         ]
-        for lo in range(0, n_points * per_point, size)
-    ]
 
 
 def _draws(bundle: _Bundle, point_idx: int, start: int, stop: int) -> tuple:
@@ -441,12 +448,32 @@ def _pool_chunk(parts: list) -> list:
     return simulate_chunk(_WORKER_BUNDLE, parts)
 
 
+def _pooled(pool, chunks, window: int):
+    """(parts, tallies) of every chunk in grid order, run on the pool with at
+    most `window` chunks submitted and not yet collected. A chunk that fails
+    cancels the ones still queued, as Executor.map does."""
+    in_flight = deque()
+    try:
+        for parts in chunks:
+            in_flight.append((parts, pool.submit(_pool_chunk, parts)))
+            if len(in_flight) == window:
+                first, future = in_flight.popleft()
+                yield first, future.result()
+        while in_flight:
+            first, future = in_flight.popleft()
+            yield first, future.result()
+    finally:
+        for _, future in in_flight:
+            future.cancel()
+
+
 def simulate_sweep(bundle: _Bundle, pool=None) -> list:
     """Every block of the SNR grid, chunk by chunk; one BlockTallies per point.
 
-    Chunks follow the grid's blocks in order and may span points. A pool
-    gets at least as many chunks as workers and runs them with no barrier
-    between points.
+    Chunks follow the grid's blocks in order and may span points, and each
+    is cut only when it is about to run. A pool gets at least as many chunks
+    as workers and runs them with no barrier between points, two per worker
+    in flight.
     """
     cfg = bundle.cfg
     size = chunk_blocks(bundle)
@@ -454,14 +481,14 @@ def simulate_sweep(bundle: _Bundle, pool=None) -> list:
         size = min(size, -(-len(cfg.snr_db) * cfg.blocks // cfg.workers))
     chunks = _grid_chunks(cfg, size)
     if pool is None:
-        done = (simulate_chunk(bundle, parts) for parts in chunks)
+        done = ((parts, simulate_chunk(bundle, parts)) for parts in chunks)
     else:
-        done = pool.map(_pool_chunk, chunks)
-    per_point = [[] for _ in cfg.snr_db]
-    for parts, tallies in zip(chunks, done):
-        for (point, _, _), t in zip(parts, tallies):
-            per_point[point].append(t)
-    return [BlockTallies.concat(ts) for ts in per_point]
+        done = _pooled(pool, chunks, 2 * cfg.workers)
+    per_point = [BlockTallies.zeros(cfg.blocks, cfg.iterations) for _ in cfg.snr_db]
+    for parts, tallies in done:
+        for (point, start, _), t in zip(parts, tallies):
+            per_point[point].add(start, t)
+    return per_point
 
 
 def monte_carlo(cfg: SimConfig) -> list:
@@ -541,3 +568,6 @@ def main(argv=None) -> int:
     print(f"wrote {cfg.out} ({len(records)} rows)")
     return 0
 
+
+if __name__ == "__main__":
+    sys.exit("error: chasedet.simcli has no entry point; run 'python -m chasedet'")

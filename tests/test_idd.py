@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chasedet import idd, lchase
+from chasedet import bchase, idd, lchase
 from chasedet.channel import WhitenedModel
 from chasedet.codec import CodeConfig, bcjr_decode, depuncture, encode, make_interleaver, puncture
 from chasedet.constellation import build_constellation, modulate
@@ -140,8 +140,41 @@ def test_exhaustive_detector_path(monkeypatch):
     _record(monkeypatch, idd, "exact_maxlog_llrs", calls)
     res = run_idd(model, info, cfg)
     np.testing.assert_array_equal(res.decoded, info)
-    assert len(calls) == 2 * 33
-    assert all(llrs.shape == (2, 2) for _, llrs in calls)
+    # One call per pass, over all 33 uses of the block.
+    assert len(calls) == 2
+    assert all(llrs.shape == (33, 2, 2) for _, llrs in calls)
+
+
+# The detect entry of each detector, as run_idd looks it up at call time.
+_DETECT_ENTRIES = {
+    "lchase": (lchase, "detect_all_uses"),
+    "bchase": (bchase, "detect_all_uses"),
+    "maxlog": (idd, "exact_maxlog_llrs"),
+    "lmmse": (idd, "lmmse_llrs"),
+}
+
+
+@pytest.mark.parametrize("detector", idd.DETECTORS)
+def test_one_detect_call_per_pass_over_every_use(detector, monkeypatch):
+    # A chunk of two blocks of 33 uses: each pass is one call of the chosen
+    # detector over all B*U uses (one call in all for lmmse), and no other
+    # detector runs.
+    c = build_constellation(4)
+    cfg = IddConfig(
+        constellation=c, code=CodeConfig(64, 0.5), detector=detector, iterations=3
+    )
+    rng = np.random.default_rng(8)
+    (info0, m0), (info1, m1) = (_make_block(rng, cfg, 2, 2, sigma=0.5) for _ in range(2))
+    model = WhitenedModel(np.concatenate([m0.y, m1.y]), np.concatenate([m0.h, m1.h]))
+    calls = {name: [] for name in _DETECT_ENTRIES}
+    for name, (module, attr) in _DETECT_ENTRIES.items():
+        _record(monkeypatch, module, attr, calls[name])
+    run_idd(model, np.concatenate([info0, info1]), cfg)
+    passes = 1 if detector == "lmmse" else 3
+    assert {name: len(made) for name, made in calls.items()} == {
+        name: passes if name == detector else 0 for name in _DETECT_ENTRIES
+    }
+    assert all(llrs.shape == (2 * 33, 2, 2) for _, llrs in calls[detector])
 
 
 def test_bchase_path_decodes():

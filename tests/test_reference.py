@@ -1,14 +1,22 @@
 """Exhaustive max-log reference and the LMMSE baseline."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chasedet import chase
 from chasedet.channel import WhitenedModel
 from chasedet.constellation import build_constellation
 from chasedet.counters import DetectorStats
-from chasedet.reference import brute_pam_argmax, exact_maxlog_llrs, lmmse_llrs
+from chasedet.reference import (
+    MAX_EXHAUSTIVE,
+    brute_pam_argmax,
+    exact_maxlog_llrs,
+    hypothesis_values,
+    lmmse_llrs,
+)
 
 from draws import iid_complex_gaussian
 
@@ -85,6 +93,100 @@ def test_maxlog_chunked_enumeration_consistent():
     llrs = exact_maxlog_llrs(WhitenedModel(y=y, h=h), c)
     assert llrs.shape == (4, 4)
     assert np.all(np.isfinite(llrs))
+
+
+def _use_stack(rng, n, uses, lead=()):
+    """Whitened n x n models of `uses` channel uses, stacked on lead + (uses,)."""
+    h = iid_complex_gaussian(rng, lead + (uses, n, n)) * 2.0
+    return WhitenedModel(y=iid_complex_gaussian(rng, lead + (uses, n)), h=h)
+
+
+_STACK_CASES = [
+    (order, n) for order in (4, 16, 64) for n in (1, 2, 3, 4) if order**n <= MAX_EXHAUSTIVE
+]
+
+
+@pytest.mark.parametrize("per_slice", ("one", "few", "all"))
+@pytest.mark.parametrize("priors", ("zero", "random"))
+@pytest.mark.parametrize("order,n", _STACK_CASES)
+def test_maxlog_stack_equals_per_use_calls(order, n, priors, per_slice, monkeypatch):
+    # One call over a stack of uses gives bit for bit the LLRs and counters
+    # of one call per use, with slices of one use, of two or of the stack.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n])
+    uses = 3 if order**n > 4096 else 7
+    model = _use_stack(rng, n, uses)
+    la = np.zeros((uses, n, c.bits_per_symbol))
+    if priors == "random":
+        la = rng.normal(scale=3.0, size=la.shape)
+    per_use = hypothesis_values(n, n) * order**n
+    slice_uses = {"one": 1, "few": 2, "all": uses}[per_slice]
+    monkeypatch.setattr(chase, "SLICE_VALUES", slice_uses * per_use)
+    stacked_stats, single_stats = DetectorStats(), DetectorStats()
+    stacked = exact_maxlog_llrs(model, c, la, stats=stacked_stats)
+    singles = [
+        exact_maxlog_llrs(WhitenedModel(model.y[u], model.h[u]), c, la[u], stats=single_stats)
+        for u in range(uses)
+    ]
+    np.testing.assert_array_equal(stacked, np.stack(singles))
+    assert stacked_stats == single_stats
+    assert stacked_stats.metric_evals == uses * order**n
+    assert stacked_stats.streams == uses * n
+
+
+def test_maxlog_stack_keeps_its_leading_axes():
+    c = build_constellation(16)
+    rng = np.random.default_rng(21)
+    model = _use_stack(rng, 2, 3, lead=(2,))
+    la = rng.normal(size=(2, 3, 2, 4))
+    llrs = exact_maxlog_llrs(model, c, la)
+    flat = exact_maxlog_llrs(
+        WhitenedModel(model.y.reshape(6, 2), model.h.reshape(6, 2, 2)), c, la.reshape(6, 2, 4)
+    )
+    np.testing.assert_array_equal(llrs, flat.reshape(2, 3, 2, 4))
+    with pytest.raises(ValueError, match="a priori shape"):
+        exact_maxlog_llrs(model, c, la[0])
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of a second, identical call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_maxlog_stack_peak_stays_under_slice_cap():
+    # A QPSK stack of more than four slices keeps no more than SLICE_VALUES
+    # float64 values live besides its output; nothing grows with the stack.
+    c = build_constellation(4)
+    rng = np.random.default_rng(22)
+    per_slice = chase.SLICE_VALUES // (hypothesis_values(2, 2) * 4**2)
+    uses = 4 * per_slice + 1
+    model = _use_stack(rng, 2, uses)
+    la = rng.normal(scale=3.0, size=(uses, 2, 2))
+    out, peak = _traced_peak(exact_maxlog_llrs, model, c, la)
+    assert peak <= chase.SLICE_VALUES * 8 + out.nbytes
+
+
+def test_maxlog_use_over_the_cap_walks_its_table_in_chunks(monkeypatch):
+    # One 16-QAM use with four streams charges more than the cap: its
+    # 16**4 hypotheses go in chunks, so the call holds its one metric table
+    # and at most SLICE_VALUES values more, and its LLRs equal those of an
+    # unchunked walk.
+    c = build_constellation(16)
+    assert hypothesis_values(4, 4) * 16**4 > chase.SLICE_VALUES
+    rng = np.random.default_rng(23)
+    model = _use_stack(rng, 4, 1)
+    la = rng.normal(scale=3.0, size=(1, 4, 4))
+    out, peak = _traced_peak(exact_maxlog_llrs, model, c, la)
+    assert peak <= (chase.SLICE_VALUES + 16**4) * 8 + out.nbytes
+    monkeypatch.setattr(chase, "SLICE_VALUES", hypothesis_values(4, 4) * 16**4)
+    np.testing.assert_array_equal(out, exact_maxlog_llrs(model, c, la))
 
 
 def test_maxlog_rejects_oversized_search():

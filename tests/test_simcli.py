@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chasedet import bchase, chase, idd, lchase, simcli
+from chasedet import bchase, chase, idd, lchase, reference, simcli
 from chasedet.errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
 from chasedet.idd import run_idd
 from chasedet.simcli import (
@@ -81,17 +83,31 @@ def test_grid_block_cap_is_inclusive(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_python_dash_m_runs_the_cli_without_warnings():
+def _run_python(*args):
+    """A Python subprocess that imports this package, run to completion."""
     src = str(Path(simcli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "chasedet", "--help"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    done = _run_python("-W", "error::RuntimeWarning", "-m", "chasedet", "--help")
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.startswith("usage: chasedet")
+
+
+def test_python_dash_m_simcli_fails_pointing_to_the_package():
+    # The module form runs nothing: it exits non-zero with one line naming
+    # the real entry point.
+    done = _run_python("-W", "ignore::RuntimeWarning", "-m", "chasedet.simcli", "--help")
+    assert done.returncode != 0
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert "'python -m chasedet'" in done.stderr
 
 
 def test_config_file_parsing(tmp_path):
@@ -229,6 +245,71 @@ def test_worker_pool_matches_serial():
     assert serial == pooled
 
 
+def test_sweep_cuts_chunks_as_it_runs_them(monkeypatch):
+    # At one block per chunk, the sweep holds neither a list of chunks nor
+    # one tally object per chunk: its peak is within twice the per-block
+    # flags and bit errors it returns (9 bytes a block here), where a chunk
+    # list built up front alone took over 200 bytes a block.
+    cfg = SimConfig(snr_db=(0.0, 1.0, 2.0, 3.0), blocks=5000, iterations=1)
+    bundle = _build_bundle(cfg)
+    monkeypatch.setattr(simcli, "CHUNK_VALUES", 1)
+    assert simcli.chunk_blocks(bundle) == 1
+
+    def no_blocks_run(bundle, parts):
+        ones = np.ones(1, dtype=np.int64)
+        return [
+            simcli.BlockTallies(
+                np.zeros((b - a, 1), dtype=bool), np.zeros((b - a, 1), dtype=np.int64), ones, ones
+            )
+            for _, a, b in parts
+        ]
+
+    monkeypatch.setattr(simcli, "simulate_chunk", no_blocks_run)
+    monkeypatch.setattr(simcli, "run_idd", None)
+    tracemalloc.start()
+    try:
+        per_point = simcli.simulate_sweep(bundle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(t.flags) for t in per_point] == [5000] * 4
+    assert peak <= 2 * sum(t.flags.nbytes + t.bit_errors.nbytes for t in per_point)
+
+
+def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
+    # A pool stand-in that runs each chunk when it is submitted: the sweep
+    # never has more than two chunks per worker submitted and not yet
+    # collected, and it tallies them in grid order, as the serial sweep does.
+    cfg = _tiny_config(snr_db=(0.0, 4.0, 8.0), blocks=5, workers=2)
+    bundle = _build_bundle(cfg)
+    monkeypatch.setattr(simcli, "CHUNK_VALUES", 1)
+    monkeypatch.setattr(simcli, "_WORKER_BUNDLE", bundle)
+    pending, most = set(), []
+
+    class Pool:
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            pending.add(future)
+            most.append(len(pending))
+            real = future.result
+
+            def collect(*a):
+                pending.discard(future)
+                return real(*a)
+
+            future.result = collect
+            return future
+
+    pooled = simcli.simulate_sweep(bundle, Pool())
+    assert max(most) == 2 * cfg.workers
+    assert len(most) == 15 and not pending
+    for got, want in zip(pooled, simcli.simulate_sweep(bundle)):
+        np.testing.assert_array_equal(got.flags, want.flags)
+        np.testing.assert_array_equal(got.bit_errors, want.bit_errors)
+        np.testing.assert_array_equal(got.evals, want.evals)
+
+
 def test_timing_column():
     records = monte_carlo(_tiny_config(timing=True, blocks=2, iterations=1))
     assert records[0].wall_time_s > 0.0
@@ -353,12 +434,15 @@ _CHUNK_LINKS = {
 
 
 def _context_values(cfg, c):
-    """The charge per context a Chase detector slices by; lmmse and maxlog
-    do not slice, so any cap serves them."""
+    """The charge per context a detector slices by: a (stream, use) for the
+    Chase detectors and a use, all its hypotheses, for maxlog; lmmse does
+    not slice, so any cap serves it."""
     if cfg.detector == "lchase":
         return lchase.context_values(c)
     if cfg.detector == "bchase":
         return bchase.context_values(c, cfg.n_streams)
+    if cfg.detector == "maxlog":
+        return reference.hypothesis_values(cfg.n_streams, cfg.n_rx) * c.order**cfg.n_streams
     return 1
 
 
