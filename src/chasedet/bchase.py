@@ -30,6 +30,7 @@ from .channel import WhitenedModel
 from .constellation import (
     Constellation,
     PamAxis,
+    axis_parts,
     coset_min_sqdist,
     pam_boundaries,
     pam_metric,
@@ -125,47 +126,43 @@ def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
     z is the feedback-cancelled, r_ll-normalized layer observation (so the
     residual distance to a symbol s is |r_ll|^2 |z - s|^2), and layer_var the
     layer's effective noise variance. Distance-only (prior-free) coset minima
-    are taken per axis. Shapes broadcast; the result gains a trailing q axis.
+    are taken for both axes at once. Shapes broadcast; the result gains a
+    trailing q axis.
     """
     z = np.asarray(z)
     scale = np.asarray(r_ll, dtype=float) ** 2 / np.asarray(layer_var, dtype=float)
     out = np.empty(np.broadcast(z, scale).shape + (c.bits_per_symbol,))
-    for axis, cols, zz in (
-        (c.real_axis, c.real_bits, z.real),
-        (c.imag_axis, c.imag_bits, z.imag),
-    ):
-        d0, d1 = coset_min_sqdist(zz, axis)
-        out[..., cols] = (d0 - d1) * scale[..., None]
+    d0, d1 = coset_min_sqdist(np.stack((z.real, z.imag)), c.axis)
+    axis_parts(out)[...] = (d0 - d1) * scale[..., None]
     return out
 
 
 def context_values(c: Constellation, n_streams: int) -> int:
-    """Float64 values one context keeps live at its peak.
+    """Float64 values one context is charged.
 
-    With three or more streams the peak falls in soft_symbol_stats on the
-    top feedback layer, once it has formed the second axis's level
-    products. Per candidate, the layer's post-detection LLRs, their sum with
-    the a priori LLRs, that sum's tanh and the axis's 1 - t and 1 + t factors
-    take 4*q values; the level products L; the first axis's mean and
-    variance, the running variance and the second axis's moments and their
-    temporaries under 8 more; the inner layers' soft means and variances, 3
-    per stream; and z, the feedback, the variances and the running total, 8.
-    That peak, under L + 4*q + 3*n_streams + 16, is bounded at every order
-    by the charge of L*q + 2*L + 4*q + 3*n_streams + 8 per candidate.
+    With three or more streams the peak falls in soft_symbol_stats on a
+    feedback layer, once it has formed both axes' level products. Per
+    candidate it holds the running total; the inner layers' soft means and
+    variances, 3 per stream; the layer's z, its stacked axes and the two
+    variances, 6; the summed a priori and post-detection LLRs and their
+    tanh, 2*q; the level products of both axes, 2*L; one bit's 1 - t and
+    1 + t factors and the moments with their temporaries, under 14 more.
+    The charge L*q + 2*L + 4*q + 3*n_streams + 16 per candidate bounds that
+    peak at every order; charging the peak itself raised peak RSS.
 
     With one or two streams no layer feeds back, and the peak falls in
-    pam_metric on the bottom layer: the running total, z, the (zero)
-    feedback, the soft means and variances, both variances and the sliced
-    levels take 11 values per candidate, pam_metric's temporaries 5 more,
-    17 in all.
+    pam_metric on the bottom layer: the running total, z and its stacked
+    axes, the soft means and variances, both variances and the sliced
+    levels take 12 values per candidate, pam_metric's temporaries 8 more;
+    the charge is 24.
 
     Per context, the a priori and output LLRs and the boundary sets take
     under 16*q more. tests/test_chase.py holds a measured peak to this.
     """
-    n_levels, q = c.real_axis.nlevels, c.bits_per_symbol
+    n_levels, q = c.axis.nlevels, c.bits_per_symbol
     if n_streams <= 2:
-        return 17 * c.order + 16 * q
-    per_candidate = n_levels * q + 2 * n_levels + 4 * q + 3 * n_streams + 8
+        return 24 * c.order + 16 * q
+    per_candidate = n_levels * q + 2 * n_levels + 4 * q + 3 * n_streams + 16
     return c.order * per_candidate + 16 * q
 
 
@@ -173,7 +170,7 @@ def _best_level_metric(z, axis: PamAxis, apriori, noise_var) -> np.ndarray:
     """Maximum over the axis levels of pam_metric, one level at a time.
 
     Each level's metric rounds exactly as pam_metric's does, so this is
-    pam_metric at the metric argmax; z and noise_var are (rows, M).
+    pam_metric at the metric argmax; z is (2, rows, M), noise_var (rows, M).
     """
     prior = axis.level_priors(apriori)
     best = prior[..., 0] - (z - axis.levels[0]) ** 2 / noise_var
@@ -197,6 +194,7 @@ def _inner_layers(
     m = c.order
     r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
     cand = c.symbols
+    axis = c.axis
 
     shat = np.zeros((batch, max(n - 1, 1), m), dtype=complex)
     svar = np.zeros((batch, max(n - 1, 1), m))
@@ -204,12 +202,13 @@ def _inner_layers(
     for l in range(n - 2, -1, -1):
         la_layer = la[use_idx, perms[:, l], :]
         r_row = r[:, l, :]
-        feedback = np.einsum("uf,ufm->um", r_row[:, l + 1 : n - 1], shat[:, l + 1 : n - 1])
+        r_ll = r_row[:, l].real
+        z = y_rot[:, l : l + 1] - r_row[:, n - 1 : n] * cand
+        z -= np.einsum("uf,ufm->um", r_row[:, l + 1 : n - 1], shat[:, l + 1 : n - 1])
+        z /= r_ll[:, None]
         layer_var = 1.0 + np.einsum(
             "uf,ufm->um", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[:, l + 1 : n - 1]
         )
-        r_ll = r_row[:, l].real
-        z = (y_rot[:, l : l + 1] - r_row[:, n - 1 : n] * cand - feedback) / r_ll[:, None]
         eff_var = layer_var / r_ll[:, None] ** 2
         # The bottom inner layer has no feedback, so its effective variance
         # (hence its boundary set) is the same for every candidate and the
@@ -219,26 +218,21 @@ def _inner_layers(
         # candidate; the count still charges the paper's per-candidate
         # boundary sets.
         bottom = l == n - 2
-
-        for axis, cols, zz in (
-            (c.real_axis, c.real_bits, z.real),
-            (c.imag_axis, c.imag_bits, z.imag),
-        ):
-            la_axis = la_layer[:, cols][:, None, :]
-            if bottom:
-                idx = slice_pam(zz, axis, pam_boundaries(axis, la_axis, eff_var[:, :1]))
-                best = pam_metric(axis, idx, zz, la_axis, eff_var)
-            else:
-                best = _best_level_metric(zz, axis, la_axis, eff_var)
-            total += best
-            if stats is not None:
-                stats.boundary_evals += batch * (1 if bottom else m) * axis.npairs
+        la_axes = axis_parts(la_layer).copy()[:, :, None, :]
+        z_axes = np.stack((z.real, z.imag))
+        if bottom:
+            idx = slice_pam(z_axes, axis, pam_boundaries(axis, la_axes, eff_var[:, :1]))
+            chase.add_axis_metrics(total, pam_metric(axis, idx, z_axes, la_axes, eff_var))
+        else:
+            chase.add_axis_metrics(total, _best_level_metric(z_axes, axis, la_axes, eff_var))
+        if stats is not None:
+            stats.boundary_evals += batch * (1 if bottom else m) * 2 * axis.npairs
 
         if l == 0:
             break  # nothing below consumes this layer's estimate
 
-        post = layer_post_llrs(z, r_ll[:, None], layer_var, c)
-        mean, var = soft_symbol_stats(la_layer[:, None, :] + post, c)
+        post = la_layer[:, None, :] + layer_post_llrs(z, r_ll[:, None], layer_var, c)
+        mean, var = soft_symbol_stats(post, c)
         shat[:, l, :] = mean
         svar[:, l, :] = var
         if stats is not None:

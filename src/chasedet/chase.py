@@ -13,8 +13,8 @@ values gets its a priori term and last-row metric, the detector's
 inner_layers adds the best metric of every other layer under that candidate
 (linear nulling with slicing for lchase, ordered soft feedback for bchase),
 and bit LLRs are coset maxima over the candidates. The flattened contexts
-are walked in slices. Each detector charges a context the float64 values it
-keeps live at its peak (lchase.context_values, bchase.context_values), and a
+are walked in slices. Each detector charges a context a bound on the float64
+values it keeps live (lchase.context_values, bchase.context_values), and a
 slice holds as many contexts as fit SLICE_VALUES, which bounds the working
 set however many uses are stacked.
 """
@@ -86,14 +86,18 @@ def detect_all_uses(
     a priori LLRs (uses, streams, q). inner_layers(ctx_rows, c, la, use_idx,
     total, stats) adds the inner layers' best metrics to total, the (rows, M)
     candidate metrics, in place; use_idx maps each row to its la row.
-    context_values is the detector's live float64 values per context, which
-    sizes the slices under SLICE_VALUES.
+    context_values is the detector's charge in float64 values per context,
+    which sizes the slices under SLICE_VALUES.
     """
     n_streams, n_uses = np.shape(contexts.stream)
     flat = contexts.flat()
     rows = n_streams * n_uses
-    out = np.empty((rows, c.bits_per_symbol))
     step = max(1, SLICE_VALUES // context_values)
+    # Freeing an untouched block of a slice's working set raises glibc's mmap
+    # and heap-trim thresholds above it (mallopt(3)), so slice temporaries
+    # reuse heap pages instead of faulting them back in on every slice.
+    np.empty(min(step, rows) * context_values)
+    out = np.empty((rows, c.bits_per_symbol))
     for start in range(0, rows, step):
         ctx = flat[start : start + step]
         use_idx = np.arange(start, start + len(ctx)) % n_uses
@@ -117,6 +121,13 @@ def candidate_priors(la_rows: np.ndarray, c: Constellation) -> np.ndarray:
     if len(la_rows) == 1:
         return (np.concatenate([la_rows, la_rows]) @ c.bit_labels_f.T)[:1]
     return la_rows @ c.bit_labels_f.T
+
+
+def add_axis_metrics(total: np.ndarray, best: np.ndarray) -> None:
+    """Add a (2, rows, M) stack of per-axis layer metrics to total in place,
+    the real axis first, so the sum rounds as two per-axis passes did."""
+    total += best[0]
+    total += best[1]
 
 
 def coset_llrs(total: np.ndarray, c: Constellation) -> np.ndarray:

@@ -37,8 +37,8 @@ class PamAxis:
     """One PAM coordinate: descending levels plus their Gray sub-labels.
 
     Precomputes the per-pair tables used to modulate decision boundaries so
-    that boundary construction is a couple of matrix products regardless of
-    how many (batched) LLR vectors are involved.
+    that boundary values are one matrix product regardless of how many
+    (batched) LLR vectors are involved.
     """
 
     def __init__(self, levels: np.ndarray, sub_labels: np.ndarray):
@@ -76,22 +76,6 @@ class PamAxis:
         self.pair_coef = (self._labels_f[first] - self._labels_f[second]) / gap[:, None]
         self.npairs = len(first)
 
-        # Gather tables mapping each level to the pair slots that bound it
-        # from below (first == m) or above (second == m), padded and masked
-        # so interval extraction is one gather plus one reduction.
-        width = self.nlevels - 1
-        self._pairs_by_first = np.zeros((self.nlevels, width), dtype=int)
-        self._first_mask = np.zeros((self.nlevels, width), dtype=bool)
-        self._pairs_by_second = np.zeros((self.nlevels, width), dtype=int)
-        self._second_mask = np.zeros((self.nlevels, width), dtype=bool)
-        for m in range(self.nlevels):
-            idx = np.nonzero(first == m)[0]
-            self._pairs_by_first[m, : len(idx)] = idx
-            self._first_mask[m, : len(idx)] = True
-            idx = np.nonzero(second == m)[0]
-            self._pairs_by_second[m, : len(idx)] = idx
-            self._second_mask[m, : len(idx)] = True
-
         # Every bit's 0 and 1 cosets must be populated.
         for n, column in enumerate(self.sub_labels.T):
             if not ((column == 0).any() and (column == 1).any()):
@@ -126,12 +110,14 @@ class BoundarySet:
             raise ValueError("noise_var must be positive and finite")
 
         values = axis.pair_mid - var[..., None] * (apriori @ axis.pair_coef.T)
-        lower = np.where(
-            axis._first_mask, values[..., axis._pairs_by_first], -np.inf
-        ).max(axis=-1)
-        upper = np.where(
-            axis._second_mask, values[..., axis._pairs_by_second], np.inf
-        ).min(axis=-1)
+        # Max and min are exact in any order: pair by pair from -inf / +inf,
+        # lower_m = max_{u>m} D_mu and upper_u = min_{m<u} D_mu, level-major.
+        lower = np.full((axis.nlevels,) + values.shape[:-1], -np.inf)
+        upper = np.full_like(lower, np.inf)
+        for p, (m, u) in enumerate(zip(axis.pair_first, axis.pair_second)):
+            np.maximum(lower[m, ...], values[..., p], out=lower[m, ...])
+            np.minimum(upper[u, ...], values[..., p], out=upper[u, ...])
+        lower, upper = np.moveaxis(lower, 0, -1), np.moveaxis(upper, 0, -1)
 
         self.axis = axis
         self.values = values
@@ -244,8 +230,9 @@ class Constellation:
         amplitudes = np.arange(side - 1, -side, -2, dtype=float)
         levels = amplitudes / norm
         sub_labels = _gray_sub_labels(q // 2)
-        self.real_axis = PamAxis(levels, sub_labels)
-        self.imag_axis = PamAxis(levels, sub_labels)
+        # Square QAM: both coordinates are the same PAM axis.
+        self.axis = PamAxis(levels, sub_labels)
+        self.real_axis = self.imag_axis = self.axis
 
         self.real_bits = np.arange(0, q, 2)
         self.imag_bits = np.arange(1, q, 2)
@@ -299,27 +286,38 @@ def modulate(bits, c: Constellation) -> np.ndarray:
     return c.symbols[idx]
 
 
-def _axis_stats(t, cols, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance of one axis from t = tanh(LLR/2), (..., q).
+def axis_parts(bits: np.ndarray) -> np.ndarray:
+    """Per-bit values (..., q) as (2, ..., q/2): the real axis's bits (the even
+    label positions), then the imaginary axis's. A view where reshape allows."""
+    return np.moveaxis(bits.reshape(bits.shape[:-1] + (-1, 2)), -1, 0)
+
+
+def _axis_stats(t, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances of both axes from t = tanh(LLR/2) as
+    axis_parts stacks it, (2, ..., nbits).
 
     A level's probability is the product over its bits of 1 + t or 1 - t as
-    its sub-label bit is 1 or 0, multiplied left to right, over L. The
-    matrix products round by memory layout, so the (..., L) probabilities
-    are laid out as np.prod over (..., L, bits) leaves them: level-major,
-    except for a one-bit axis, whose levels are innermost.
+    its sub-label bit is 1 or 0, multiplied left to right from an exact 1.0,
+    over L; a reflected-Gray label prefix is shared by a block of levels and
+    multiplied once, at the block's first level. The matrix products round
+    by memory layout, so each axis's (..., L) probabilities are laid out as
+    np.prod over (..., L, bits) leaves them: level-major, except for a
+    one-bit axis, whose levels are innermost.
     """
-    factors = [(1.0 - t[..., k], 1.0 + t[..., k]) for k in cols]
     if axis.nbits == 1:
         probs = np.empty(t.shape[:-1] + (axis.nlevels,))
-        rows = np.moveaxis(probs, -1, 0)
+        rows = np.moveaxis(probs, -1, 1)
     else:
-        rows = np.empty((axis.nlevels,) + t.shape[:-1])
-        probs = np.moveaxis(rows, 0, -1)
-    for m, bits in enumerate(axis.sub_labels):
-        row = rows[m, ...]
-        row[...] = factors[0][bits[0]]
-        for pair, bit in zip(factors[1:], bits[1:]):
-            row *= pair[bit]
+        rows = np.empty(t.shape[:1] + (axis.nlevels,) + t.shape[1:-1])
+        probs = np.moveaxis(rows, 1, -1)
+    rows[:, 0] = 1.0
+    for k in range(axis.nbits):
+        factors = (1.0 - t[..., k], 1.0 + t[..., k])
+        half = axis.nlevels >> (k + 1)
+        for first in range(0, axis.nlevels, 2 * half):
+            bit, other = axis.sub_labels[[first, first + half], k]
+            np.multiply(rows[:, first], factors[other], out=rows[:, first + half])
+            rows[:, first] *= factors[bit]
     rows /= axis.nlevels
     mean = probs @ axis.levels
     second = probs @ (axis.levels**2)
@@ -334,11 +332,8 @@ def soft_symbol_stats(llrs, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     Inputs are saturated first, so +-inf LLRs are safe and a fully saturated
     vector returns the labeled point with exactly zero variance.
     """
-    t = np.tanh(saturate(np.asarray(llrs, dtype=float)) / 2.0)
-    mean_parts = []
-    var_total = 0.0
-    for axis, cols in ((c.real_axis, c.real_bits), (c.imag_axis, c.imag_bits)):
-        mean, var = _axis_stats(t, cols, axis)
-        mean_parts.append(mean)
-        var_total = var_total + var
-    return mean_parts[0] + 1j * mean_parts[1], var_total
+    t = axis_parts(saturate(np.asarray(llrs, dtype=float))).copy()
+    t /= 2.0
+    np.tanh(t, out=t)
+    mean, var = _axis_stats(t, c.axis)
+    return mean[0] + 1j * mean[1], var[0] + var[1]

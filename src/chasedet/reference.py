@@ -15,7 +15,7 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, PamAxis, coset_min_sqdist
+from .constellation import Constellation, PamAxis, axis_parts, coset_min_sqdist
 from .counters import DetectorStats
 
 MAX_EXHAUSTIVE = 1 << 20
@@ -79,7 +79,10 @@ def exact_maxlog_llrs(
             prior = np.zeros((len(rows), len(s)))
             for i in range(n):
                 prior += prior_tab[:, i, digits[:, i]]
-            sq_dist = np.sum(np.abs(y[uses] - s @ h_t[uses]) ** 2, axis=2)
+            # A one-row product goes to gemv, which rounds unlike gemm: a lone
+            # hypothesis is padded to two, as chase.candidate_priors pads.
+            tx = (np.concatenate([s, s]) if len(s) == 1 else s) @ h_t[uses]
+            sq_dist = np.sum(np.abs(y[uses] - tx[:, : len(s)]) ** 2, axis=2)
             rows[:, lo : lo + len(s)] = prior - sq_dist
         table = rows.reshape((-1,) + (m,) * n)  # axis i + 1 is stream i
         for i in range(n):
@@ -137,13 +140,11 @@ def lmmse_llrs(
     nu = np.maximum((1.0 - mu) / mu, LMMSE_NOISE_FLOOR)
 
     llrs = np.empty(z.shape + (c.bits_per_symbol,))
-    d0, d1 = coset_min_sqdist(z.real, c.real_axis)
-    llrs[..., c.real_bits] = (d0 - d1) / nu[..., None]
-    d0, d1 = coset_min_sqdist(z.imag, c.imag_axis)
-    llrs[..., c.imag_bits] = (d0 - d1) / nu[..., None]
+    d0, d1 = coset_min_sqdist(np.stack((z.real, z.imag)), c.axis)
+    np.divide(d0 - d1, nu[..., None], out=axis_parts(llrs))
 
     if stats is not None:
         streams = z.size
-        stats.metric_evals += streams * (c.real_axis.nlevels + c.imag_axis.nlevels)
+        stats.metric_evals += streams * 2 * c.axis.nlevels
         stats.streams += streams
     return llrs

@@ -6,7 +6,15 @@ import pytest
 from chasedet import bchase, lchase
 from chasedet.bchase import detect_all_uses, layer_post_llrs, prepare_all_uses
 from chasedet.channel import WhitenedModel
-from chasedet.constellation import SUPPORTED_ORDERS, build_constellation, pam_metric
+from chasedet.constellation import (
+    SUPPORTED_ORDERS,
+    build_constellation,
+    coset_min_sqdist,
+    pam_boundaries,
+    pam_metric,
+    slice_pam,
+    soft_symbol_stats,
+)
 from chasedet.counters import DetectorStats
 from chasedet.llr import LLR_CLIP
 from chasedet.reference import brute_pam_argmax, exact_maxlog_llrs
@@ -230,3 +238,80 @@ def test_feedback_layer_metric_is_metric_at_brute_argmax(order):
     idx = brute_pam_argmax(z, axis, la, var)
     want = pam_metric(axis, idx, z, la, var)
     assert np.array_equal(bchase._best_level_metric(z, axis, la, var), want)
+
+
+def _post_llrs_per_axis(z, r_ll, layer_var, c):
+    """layer_post_llrs as it took the real axis's coset minima, then the imaginary's."""
+    scale = np.asarray(r_ll, dtype=float) ** 2 / np.asarray(layer_var, dtype=float)
+    out = np.empty(np.broadcast(z, scale).shape + (c.bits_per_symbol,))
+    for axis, cols, zz in ((c.real_axis, c.real_bits, z.real), (c.imag_axis, c.imag_bits, z.imag)):
+        d0, d1 = coset_min_sqdist(zz, axis)
+        out[..., cols] = (d0 - d1) * scale[..., None]
+    return out
+
+
+def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
+    """bchase._inner_layers as it walked the real axis, then the imaginary one."""
+    batch, n, m = len(ctx), ctx.layers.shape[1], c.order
+    r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
+    shat = np.zeros((batch, max(n - 1, 1), m), dtype=complex)
+    svar = np.zeros((batch, max(n - 1, 1), m))
+    for l in range(n - 2, -1, -1):
+        la_layer = la[use_idx, perms[:, l], :]
+        r_row = r[:, l, :]
+        feedback = np.einsum("uf,ufm->um", r_row[:, l + 1 : n - 1], shat[:, l + 1 : n - 1])
+        layer_var = 1.0 + np.einsum(
+            "uf,ufm->um", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[:, l + 1 : n - 1]
+        )
+        r_ll = r_row[:, l].real
+        z = (y_rot[:, l : l + 1] - r_row[:, n - 1 : n] * c.symbols - feedback) / r_ll[:, None]
+        eff_var = layer_var / r_ll[:, None] ** 2
+        bottom = l == n - 2
+        for axis, cols, zz in ((c.real_axis, c.real_bits, z.real), (c.imag_axis, c.imag_bits, z.imag)):
+            la_axis = la_layer[:, cols][:, None, :]
+            if bottom:
+                idx = slice_pam(zz, axis, pam_boundaries(axis, la_axis, eff_var[:, :1]))
+                total += pam_metric(axis, idx, zz, la_axis, eff_var)
+            else:
+                total += bchase._best_level_metric(zz, axis, la_axis, eff_var)
+            stats.boundary_evals += batch * (1 if bottom else m) * axis.npairs
+        if l == 0:
+            break
+        post = _post_llrs_per_axis(z, r_ll[:, None], layer_var, c)
+        shat[:, l, :], svar[:, l, :] = soft_symbol_stats(la_layer[:, None, :] + post, c)
+        stats.soft_stat_evals += batch * m
+
+
+@pytest.mark.parametrize("priors", ("zero", "cauchy"))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 6))
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_inner_layers_match_per_axis_walk(order, n, priors):
+    # Both axes in one walk, on the sliced bottom layer and on the feedback
+    # layers, add to the candidate totals bit for bit what the per-axis walk
+    # added, real axis first, with the same counts.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n])
+    uses = 4 if order < 256 else 2
+    la = np.zeros((uses, n, c.bits_per_symbol))
+    if priors == "cauchy":
+        la = np.clip(3.0 * rng.standard_cauchy(la.shape), -LLR_CLIP, LLR_CLIP)
+    models = [_random_model(rng, n, n) for _ in range(uses)]
+    ctx = prepare_all_uses(_stack(*models)).flat()
+    use_idx = np.arange(len(ctx)) % uses
+    start = rng.normal(scale=10.0, size=(len(ctx), order))
+    got, want = start.copy(), start.copy()
+    got_stats, want_stats = DetectorStats(), DetectorStats()
+    bchase._inner_layers(ctx, c, la, use_idx, got, got_stats)
+    _inner_layers_per_axis(ctx, c, la, use_idx, want, want_stats)
+    assert np.array_equal(got, want)
+    assert got_stats == want_stats
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_layer_post_llrs_match_per_axis_minima(order):
+    c = build_constellation(order)
+    rng = np.random.default_rng(order + 19)
+    z = iid_complex_gaussian(rng, (40, order)) * 2.0
+    r_ll, layer_var = rng.uniform(0.2, 3.0, (40, 1)), rng.uniform(0.5, 20.0, (40, order))
+    want = _post_llrs_per_axis(z, r_ll, layer_var, c)
+    assert np.array_equal(layer_post_llrs(z, r_ll, layer_var, c), want)

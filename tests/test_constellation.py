@@ -251,6 +251,45 @@ def test_slicer_level_walk_matches_mask_rule(order):
     assert np.array_equal(idx, _slice_by_masks(z, ax, bset))
 
 
+def _bounds_by_masked_gather(axis, values):
+    """Interval bounds as masked (..., L, L-1) gathers of the pair values,
+    the form BoundarySet built them in before its pair walk."""
+    width = axis.nlevels - 1
+    by_first = np.zeros((axis.nlevels, width), dtype=int)
+    first_mask = np.zeros((axis.nlevels, width), dtype=bool)
+    by_second = np.zeros((axis.nlevels, width), dtype=int)
+    second_mask = np.zeros((axis.nlevels, width), dtype=bool)
+    for m in range(axis.nlevels):
+        idx = np.nonzero(axis.pair_first == m)[0]
+        by_first[m, : len(idx)] = idx
+        first_mask[m, : len(idx)] = True
+        idx = np.nonzero(axis.pair_second == m)[0]
+        by_second[m, : len(idx)] = idx
+        second_mask[m, : len(idx)] = True
+    lower = np.where(first_mask, values[..., by_first], -np.inf).max(axis=-1)
+    upper = np.where(second_mask, values[..., by_second], np.inf).min(axis=-1)
+    return lower, upper
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_boundary_pair_walk_matches_masked_gather(order):
+    # lower and upper, -inf and +inf ends included, equal the masked gather
+    # form's for a stack of both axes' problems under Cauchy-tailed priors
+    # and for a single problem.
+    ax = build_constellation(order).axis
+    rng = np.random.default_rng(order + 17)
+    rows = 300
+    la = np.clip(3.0 * rng.standard_cauchy((2, rows, 1, ax.nbits)), -LLR_CLIP, LLR_CLIP)
+    var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    for bset in (pam_boundaries(ax, la, var), pam_boundaries(ax, la[0, 0, 0], var[0, 0])):
+        lower, upper = _bounds_by_masked_gather(ax, bset.values)
+        assert bset.lower.shape == bset.values.shape[:-1] + (ax.nlevels,)
+        assert np.array_equal(bset.lower, lower)
+        assert np.array_equal(bset.upper, upper)
+        assert np.all(bset.lower[..., -1] == -np.inf)
+        assert np.all(bset.upper[..., 0] == np.inf)
+
+
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
 def test_pam_metric_sums_priors_in_label_order(order):
     # The level prior is summed over bits exactly as the gathered-label form

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
+from chasedet import lchase
 from chasedet.channel import WhitenedModel
-from chasedet.constellation import build_constellation
+from chasedet.constellation import (
+    SUPPORTED_ORDERS,
+    build_constellation,
+    pam_boundaries,
+    pam_metric,
+    slice_pam,
+)
 from chasedet.counters import DetectorStats
 from chasedet.lchase import detect_all_uses, prepare_all_uses
+from chasedet.llr import LLR_CLIP
 from chasedet.reference import exact_maxlog_llrs
 
 from draws import iid_complex_gaussian
@@ -216,3 +224,45 @@ def test_non_finite_model_is_rejected(field):
     getattr(model, field).flat[1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         _detect(model, c, np.zeros((2, 2)))
+
+
+def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
+    """lchase._inner_layers as it walked the real axis, then the imaginary one."""
+    batch = len(ctx)
+    for l in range(ctx.layers.shape[1] - 1):
+        la_layer = la[use_idx, ctx.layers[:, l], :]
+        var = ctx.noise_vars[:, l]
+        z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols
+        for axis, cols, zz in (
+            (c.real_axis, c.real_bits, z.real),
+            (c.imag_axis, c.imag_bits, z.imag),
+        ):
+            la_axis = la_layer[:, cols][:, None, :]
+            bset = pam_boundaries(axis, la_axis, var[:, None])
+            idx = slice_pam(zz, axis, bset)
+            total += pam_metric(axis, idx, zz, la_axis, var[:, None])
+            stats.boundary_evals += batch * axis.npairs
+
+
+@pytest.mark.parametrize("priors", ("zero", "cauchy"))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 6))
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_inner_layers_match_per_axis_walk(order, n, priors):
+    # Both axes in one walk add to the candidate totals bit for bit what
+    # the per-axis walk added, real axis first, and count the same pairs.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n])
+    uses = 4
+    la = np.zeros((uses, n, c.bits_per_symbol))
+    if priors == "cauchy":
+        la = np.clip(3.0 * rng.standard_cauchy(la.shape), -LLR_CLIP, LLR_CLIP)
+    models = [_random_model(rng, n, n) for _ in range(uses)]
+    ctx = prepare_all_uses(_stack(*models)).flat()
+    use_idx = np.arange(len(ctx)) % uses
+    start = rng.normal(scale=10.0, size=(len(ctx), order))
+    got, want = start.copy(), start.copy()
+    got_stats, want_stats = DetectorStats(), DetectorStats()
+    lchase._inner_layers(ctx, c, la, use_idx, got, got_stats)
+    _inner_layers_per_axis(ctx, c, la, use_idx, want, want_stats)
+    assert np.array_equal(got, want)
+    assert got_stats == want_stats

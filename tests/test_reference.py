@@ -189,6 +189,24 @@ def test_maxlog_use_over_the_cap_walks_its_table_in_chunks(monkeypatch):
     np.testing.assert_array_equal(out, exact_maxlog_llrs(model, c, la))
 
 
+_CHUNK_CASES = [(order, n) for order in (4, 16, 64) for n in (2, 3, 4) if order**n <= 4096]
+
+
+@pytest.mark.parametrize("cap", (1, 50))
+@pytest.mark.parametrize("order,n", _CHUNK_CASES)
+def test_maxlog_llrs_do_not_depend_on_the_chunk_size(order, n, cap, monkeypatch):
+    # A cap of 1 walks one hypothesis per chunk, and 50 one or two (two
+    # with two streams at QPSK); the LLRs equal those of a walk over the
+    # whole table at once, bit for bit. Larger tables take seconds a use.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n, cap])
+    model = _use_stack(rng, n, 2)
+    la = rng.normal(scale=3.0, size=(2, n, c.bits_per_symbol))
+    whole = exact_maxlog_llrs(model, c, la)
+    monkeypatch.setattr(chase, "SLICE_VALUES", cap)
+    np.testing.assert_array_equal(exact_maxlog_llrs(model, c, la), whole)
+
+
 def test_maxlog_rejects_oversized_search():
     c = build_constellation(64)
     model = WhitenedModel(y=np.zeros(4, dtype=complex), h=np.eye(4, dtype=complex))
