@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chase
-from .channel import WhitenedModel
+from .channel import WhitenedModel, require_finite
 from .constellation import (
     Constellation,
     PamAxis,
@@ -66,27 +66,31 @@ class BchaseStreamContext(chase.StackedContext):
         return self.r[..., -1, -1].real
 
 
-def _blast_order_uses(h: np.ndarray, stream: int) -> np.ndarray:
-    """Column orders (U, n), each with `stream` last and the rest V-BLAST sorted.
+def _blast_orders(h: np.ndarray) -> np.ndarray:
+    """Column orders (n*U, n) of every target stream of every use, stream-major.
 
-    h is (U, n_rx, n). Working from the bottom-most inner position upward
-    (earliest detected first), each step assigns the remaining column with
-    the smallest zero-forcing noise amplification, the corresponding diagonal
-    entry of (H_sub^H H_sub)^-1, i.e. the squared row norm of R_sub^-1. Ties
-    go to the smaller original column index.
+    h is (U, n_rx, n); row i*U + u has stream i last and the rest of use u's
+    columns V-BLAST sorted. Working from the bottom-most inner position
+    upward (earliest detected first), each step assigns the remaining column
+    with the smallest zero-forcing noise amplification, the corresponding
+    diagonal entry of (H_sub^H H_sub)^-1, i.e. the squared row norm of
+    R_sub^-1. Ties go to the smaller original column index. One walk orders
+    all n*U rows.
     """
     n_uses, _, n = h.shape
-    rows = np.arange(n_uses)
+    rows = np.arange(n * n_uses)
+    use, stream = rows % n_uses, rows // n_uses
     gram = np.einsum("uji,ujk->uik", h.conj(), h)
-    remaining = np.tile([k for k in range(n) if k != stream], (n_uses, 1))
-    order = np.empty((n_uses, n), dtype=int)
+    others = np.arange(n - 1)
+    remaining = others + (others >= stream[:, None])
+    order = np.empty((len(rows), n), dtype=int)
     order[:, -1] = stream
     for pos in range(n - 2, -1, -1):
         k = remaining.shape[1]
         if k == 1:
             order[:, pos] = remaining[:, 0]
             break
-        sub = gram[rows[:, None, None], remaining[:, :, None], remaining[:, None, :]]
+        sub = gram[use[:, None, None], remaining[:, :, None], remaining[:, None, :]]
         try:
             inv = np.linalg.inv(sub)
         except np.linalg.LinAlgError as exc:
@@ -94,30 +98,29 @@ def _blast_order_uses(h: np.ndarray, stream: int) -> np.ndarray:
         amplification = np.diagonal(inv, axis1=1, axis2=2).real
         pick = amplification.argmin(axis=1)
         order[:, pos] = remaining[rows, pick]
-        keep = np.ones((n_uses, k), dtype=bool)
+        keep = np.ones((len(rows), k), dtype=bool)
         keep[rows, pick] = False
-        remaining = remaining[keep].reshape(n_uses, k - 1)
+        remaining = remaining[keep].reshape(len(rows), k - 1)
     return order
-
-
-def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> BchaseStreamContext:
-    """Order and factor one target stream for a stack of uses (h is (U, n_rx, n))."""
-    orders = _blast_order_uses(h, stream)
-    h_perm = np.take_along_axis(h, orders[:, None, :], axis=2)
-    factors = qr(h_perm)
-    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), y)
-    return BchaseStreamContext(
-        stream=np.full(len(h), stream), layers=orders, r=factors.r, y_rot=y_rot
-    )
 
 
 def prepare_all_uses(models: WhitenedModel) -> BchaseStreamContext:
     """Order and factor every stream of every use into one (streams, uses) context.
 
     models is one WhitenedModel stacked over uses; ctx[i][u] is stream i of
-    use u.
+    use u. One BLAST walk orders all (stream, use) pairs, stream-major, and
+    one QR and one rotation factor them. A non-finite model raises
+    ValueError.
     """
-    return chase.prepare_all_uses(_prepare_stream_uses, models)
+    require_finite(models)
+    n_uses, _, n = models.h.shape
+    orders = _blast_orders(models.h)
+    h_perm = np.take_along_axis(np.tile(models.h, (n, 1, 1)), orders[:, None, :], axis=2)
+    factors = qr(h_perm)
+    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), np.tile(models.y, (n, 1)))
+    return BchaseStreamContext(
+        stream=orders[:, -1], layers=orders, r=factors.r, y_rot=y_rot
+    ).reshape(n, n_uses)
 
 
 def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:

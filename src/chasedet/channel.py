@@ -118,8 +118,6 @@ class ChannelRealization:
         if c_nn.shape != (n_r, n_r):
             raise ConfigError("noise covariance must be N_r x N_r")
 
-        self.hbar = hbar
-        self.w = w
         self.h = hbar @ w
         self.c_nn = c_nn
         # B = C_nn^-1 assembled from the noise factor by substitution, then

@@ -1,12 +1,13 @@
 """The Chase detector both list detectors run: one skeleton, two inner resolvers.
 
-A detector prepares one context per (target stream, channel use). The
-contexts of many uses live in one struct-of-arrays whose fields share their
-leading axes: (streams, uses), stream-major, from prepare_all_uses. Indexing
-a context indexes every field, so ctx[i][u] is the context of stream i on
-use u and ctx[i][u][None] a one-row stack. Every context exposes y_last and
-pivot, the last row of its triangularized system, where the target stream
-sits alone.
+A detector prepares one context per (target stream, channel use). Each
+detector's prepare_all_uses lays the column orders of all its (stream, use)
+pairs stream-major along one row axis, factors them in one pass and reshapes
+the result to leading axes (streams, uses): a struct-of-arrays whose fields
+share those axes. Indexing a context indexes every field, so ctx[i][u] is
+the context of stream i on use u and ctx[i][u][None] a one-row stack. Every
+context exposes y_last and pivot, the last row of its triangularized system,
+where the target stream sits alone.
 
 Detection searches the target stream exhaustively: each of its M candidate
 values gets its a priori term and last-row metric, the detector's
@@ -25,7 +26,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from .channel import WhitenedModel, require_finite
 from .constellation import Constellation
 from .counters import DetectorStats
 
@@ -35,7 +35,12 @@ SLICE_VALUES = 3 << 17
 
 
 class StackedContext:
-    """Mixin for frozen dataclasses whose `stream` field fixes the batch axes."""
+    """Mixin for frozen dataclasses whose `stream` field fixes the batch axes.
+
+    A detector's prepare_all_uses builds its context with one stream-major
+    row axis and returns it reshaped to (streams, uses); detection folds it
+    back into rows.
+    """
 
     def __len__(self) -> int:
         return len(self.stream)
@@ -43,33 +48,17 @@ class StackedContext:
     def __getitem__(self, idx):
         return type(self)(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
-    def flat(self):
-        """The same contexts with every batch axis folded into one row axis."""
-        lead, rows = np.ndim(self.stream), np.size(self.stream)
-        folded = {}
+    def reshape(self, *batch):
+        """The same contexts with their batch axes reshaped to `batch`, as
+        np.reshape takes a shape: reshape(-1) folds them into one row axis and
+        reshape(n_streams, n_uses) unfolds stream-major rows."""
+        lead = np.ndim(self.stream)
+        batch = np.reshape(self.stream, batch).shape  # -1 resolved on `stream`
+        shaped = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            folded[f.name] = np.reshape(value, (rows,) + np.shape(value)[lead:])
-        return type(self)(**folded)
-
-
-def prepare_all_uses(prepare_stream_uses, models: WhitenedModel):
-    """One (streams, uses) context for a WhitenedModel stacked over uses.
-
-    prepare_stream_uses(h, y, stream) prepares one target stream for every
-    use. A non-finite model raises ValueError.
-    """
-    require_finite(models)
-    per_stream = [
-        prepare_stream_uses(models.h, models.y, i) for i in range(models.n_streams)
-    ]
-    first = per_stream[0]
-    return type(first)(
-        **{
-            f.name: np.stack([getattr(ctx, f.name) for ctx in per_stream])
-            for f in fields(first)
-        }
-    )
+            shaped[f.name] = np.reshape(value, batch + np.shape(value)[lead:])
+        return type(self)(**shaped)
 
 
 def detect_all_uses(
@@ -82,7 +71,7 @@ def detect_all_uses(
 ) -> np.ndarray:
     """Max-log LLRs of every stream of every use: (uses, streams, q).
 
-    contexts is the (streams, uses) stack from prepare_all_uses and la the
+    contexts is a detector's (streams, uses) stack and la the
     a priori LLRs (uses, streams, q). inner_layers(ctx_rows, c, la, use_idx,
     total, stats) adds the inner layers' best metrics to total, the (rows, M)
     candidate metrics, in place; use_idx maps each row to its la row.
@@ -90,7 +79,7 @@ def detect_all_uses(
     which sizes the slices under SLICE_VALUES.
     """
     n_streams, n_uses = np.shape(contexts.stream)
-    flat = contexts.flat()
+    flat = contexts.reshape(-1)
     rows = n_streams * n_uses
     step = max(1, SLICE_VALUES // context_values)
     # Freeing an untouched block of a slice's working set raises glibc's mmap

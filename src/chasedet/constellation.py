@@ -119,7 +119,6 @@ class BoundarySet:
             np.minimum(upper[u, ...], values[..., p], out=upper[u, ...])
         lower, upper = np.moveaxis(lower, 0, -1), np.moveaxis(upper, 0, -1)
 
-        self.axis = axis
         self.values = values
         self.lower = lower
         self.upper = upper
@@ -165,8 +164,8 @@ def slice_pam(z, axis: PamAxis, boundaries: BoundarySet) -> np.ndarray:
     if not covered.all():
         # Float rounding can open an ulp-wide gap between intervals at 3-way
         # near-ties; resolve those inputs by direct metric evaluation.
-        metric = boundaries.axis.level_priors(boundaries._apriori) - (
-            (z[..., None] - boundaries.axis.levels) ** 2
+        metric = axis.level_priors(boundaries._apriori) - (
+            (z[..., None] - axis.levels) ** 2
         ) / boundaries._var[..., None]
         idx = np.where(covered, idx, metric.argmax(axis=-1))
     return idx
@@ -232,10 +231,6 @@ class Constellation:
         sub_labels = _gray_sub_labels(q // 2)
         # Square QAM: both coordinates are the same PAM axis.
         self.axis = PamAxis(levels, sub_labels)
-        self.real_axis = self.imag_axis = self.axis
-
-        self.real_bits = np.arange(0, q, 2)
-        self.imag_bits = np.arange(1, q, 2)
 
         shifts = np.arange(q - 1, -1, -1)
         ks = np.arange(order)
@@ -247,11 +242,9 @@ class Constellation:
         gray_ints = (sub_labels * sub_weights).sum(axis=1)
         gray_to_level[gray_ints] = np.arange(side)
 
-        real_sub = self.bit_labels[:, self.real_bits] @ sub_weights
-        imag_sub = self.bit_labels[:, self.imag_bits] @ sub_weights
-        self.real_level_idx = gray_to_level[real_sub]
-        self.imag_level_idx = gray_to_level[imag_sub]
-        self.symbols = levels[self.real_level_idx] + 1j * levels[self.imag_level_idx]
+        sub_ints = axis_parts(self.bit_labels) @ sub_weights
+        real_levels, imag_levels = levels[gray_to_level[sub_ints]]
+        self.symbols = real_levels + 1j * imag_levels
 
         energy = np.mean(np.abs(self.symbols) ** 2)
         if abs(energy - 1.0) > 1e-12:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chase
-from .channel import WhitenedModel
+from .channel import WhitenedModel, require_finite
 from .constellation import Constellation, axis_parts, pam_boundaries, pam_metric, slice_pam
 from .counters import DetectorStats
 from .linalg import back_substitute, qr, swap_permutation
@@ -51,12 +51,20 @@ class LchaseStreamContext(chase.StackedContext):
         return self.ybar[..., -1]
 
 
-def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> LchaseStreamContext:
-    """Factor one target stream for a stack of uses (h is (U, n_rx, n))."""
-    n_uses, _, n = h.shape
-    perm = swap_permutation(n, stream)
-    factors = qr(h[:, :, perm])
-    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), y)
+def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
+    """Factor every stream of every use into one (streams, uses) context.
+
+    models is one WhitenedModel stacked over uses; ctx[i][u] is stream i of
+    use u. Stream i's swap permutation is laid over every use, stream-major,
+    so one QR, one rotation and one set of back substitutions serve all
+    (stream, use) pairs. A non-finite model raises ValueError.
+    """
+    require_finite(models)
+    n_uses, _, n = models.h.shape
+    layers = np.repeat(swap_permutation(n, np.arange(n)), n_uses, axis=0)
+    h_perm = np.take_along_axis(np.tile(models.h, (n, 1, 1)), layers[:, None, :], axis=2)
+    factors = qr(h_perm)
+    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), np.tile(models.y, (n, 1)))
     r = factors.r
     r_inner = r[:, : n - 1, : n - 1]
     coupling = back_substitute(r_inner, r[:, : n - 1, n - 1])
@@ -66,22 +74,13 @@ def _prepare_stream_uses(h: np.ndarray, y: np.ndarray, stream: int) -> LchaseStr
         [back_substitute(r_inner, y_rot[:, : n - 1]), y_rot[:, n - 1 :]], axis=-1
     )
     return LchaseStreamContext(
-        stream=np.full(n_uses, stream),
-        layers=np.tile(perm, (n_uses, 1)),
+        stream=layers[:, -1],
+        layers=layers,
         ybar=ybar,
         coupling=coupling,
         pivot=r[:, n - 1, n - 1].real,
         noise_vars=noise_vars,
-    )
-
-
-def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
-    """Factor every stream of every use into one (streams, uses) context.
-
-    models is one WhitenedModel stacked over uses; ctx[i][u] is stream i of
-    use u.
-    """
-    return chase.prepare_all_uses(_prepare_stream_uses, models)
+    ).reshape(n, n_uses)
 
 
 def context_values(c: Constellation) -> int:

@@ -95,10 +95,15 @@ def cholesky(b: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(str(exc)) from None
 
 
-def swap_permutation(n: int, i: int) -> np.ndarray:
-    """Index map that swaps positions i and n-1 (an involution)."""
-    if not 0 <= i < n:
+def swap_permutation(n: int, i) -> np.ndarray:
+    """Index map that swaps positions i and n-1 (an involution).
+
+    An array of indices i gives one map per entry, stacked along i's axes.
+    """
+    i = np.asarray(i)
+    if np.any((i < 0) | (i >= n)):
         raise ValueError(f"stream index {i} out of range for {n}")
-    perm = np.arange(n)
-    perm[i], perm[n - 1] = perm[n - 1], perm[i]
+    perm = np.tile(np.arange(n), i.shape + (1,))
+    perm[..., n - 1] = i
+    np.put_along_axis(perm, i[..., None], n - 1, axis=-1)
     return perm

@@ -48,10 +48,6 @@ from .errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
 from .idd import DETECTORS, IddConfig, IddResult, run_idd, slot_bits, uses_for_block
 from .reference import MAX_EXHAUSTIVE
 
-CSV_HEADER = (
-    "snr_db,iteration,detector,blocks,block_errors,bit_errors,"
-    "bler,ber,metric_count_mean,wall_time_s"
-)
 # Largest SNR grid a 'start:step:stop' range may expand to.
 MAX_SNR_POINTS = 10_000
 # Most blocks a run may simulate over its whole SNR grid: the sweep keeps
@@ -99,20 +95,12 @@ class SimRecord:
     wall_time_s: float
 
     def to_row(self) -> str:
-        return ",".join(
-            (
-                f"{self.snr_db:.12g}",
-                str(self.iteration),
-                self.detector,
-                str(self.blocks),
-                str(self.block_errors),
-                str(self.bit_errors),
-                f"{self.bler:.12g}",
-                f"{self.ber:.12g}",
-                f"{self.metric_count_mean:.12g}",
-                f"{self.wall_time_s:.12g}",
-            )
-        )
+        """The CSV row: floats as %.12g, ints and strings as str, in field order."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in values)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SimRecord))
 
 
 def parse_snr_grid(text: str) -> tuple:

@@ -14,7 +14,13 @@ import numpy as np
 from chasedet import bchase, lchase
 from chasedet.channel import ChannelRealization, WhitenedModel
 from chasedet.codec import CodeConfig, bcjr_decode, encode
-from chasedet.constellation import build_constellation, pam_boundaries, pam_metric, slice_pam
+from chasedet.constellation import (
+    axis_parts,
+    build_constellation,
+    pam_boundaries,
+    pam_metric,
+    slice_pam,
+)
 from chasedet.counters import DetectorStats
 from chasedet.reference import brute_pam_argmax, exact_maxlog_llrs
 from chasedet.simcli import (
@@ -57,7 +63,7 @@ def test_slicer_equals_brute_argmax():
     rng = np.random.default_rng(101)
     ok = True
     for order in (4, 16, 64):
-        axis = build_constellation(order).real_axis
+        axis = build_constellation(order).axis
         n = 100_000
         z = rng.uniform(-4.0, 4.0, n)
         la = rng.uniform(-10.0, 10.0, (n, axis.nbits))
@@ -126,10 +132,8 @@ def test_layer_metric_max_is_exact():
         la = rng.uniform(-10.0, 10.0, (n, c.bits_per_symbol))
         var = np.exp(rng.uniform(np.log(0.05), np.log(10.0), n))
         total = np.zeros(n)
-        for axis, cols, z in (
-            (c.real_axis, c.real_bits, zc.real),
-            (c.imag_axis, c.imag_bits, zc.imag),
-        ):
+        axis = c.axis
+        for cols, z in zip(axis_parts(np.arange(c.bits_per_symbol)), (zc.real, zc.imag)):
             la_axis = la[:, cols]
             idx = slice_pam(z, axis, pam_boundaries(axis, la_axis, var))
             total += pam_metric(axis, idx, z, la_axis, var)

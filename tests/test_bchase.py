@@ -8,6 +8,7 @@ from chasedet.bchase import detect_all_uses, layer_post_llrs, prepare_all_uses
 from chasedet.channel import WhitenedModel
 from chasedet.constellation import (
     SUPPORTED_ORDERS,
+    axis_parts,
     build_constellation,
     coset_min_sqdist,
     pam_boundaries,
@@ -45,7 +46,7 @@ def _zero_post_llrs(z, r_ll, layer_var, c):
 
 def blast_order(h, stream):
     """BLAST column order of one channel use."""
-    return bchase._blast_order_uses(np.asarray(h)[None], stream)[0]
+    return bchase._blast_orders(np.asarray(h)[None])[stream]
 
 
 def test_blast_order_orthogonal_columns():
@@ -229,7 +230,7 @@ def test_non_finite_model_is_rejected(field):
 def test_feedback_layer_metric_is_metric_at_brute_argmax(order):
     # Layers above the bottom one add the largest level metric under each
     # candidate's own variance: pam_metric at the brute-force argmax level.
-    axis = build_constellation(order).real_axis
+    axis = build_constellation(order).axis
     rng = np.random.default_rng(order + 13)
     rows, m = 300, order
     z = rng.uniform(-2.0, 2.0, (rows, m))
@@ -244,8 +245,8 @@ def _post_llrs_per_axis(z, r_ll, layer_var, c):
     """layer_post_llrs as it took the real axis's coset minima, then the imaginary's."""
     scale = np.asarray(r_ll, dtype=float) ** 2 / np.asarray(layer_var, dtype=float)
     out = np.empty(np.broadcast(z, scale).shape + (c.bits_per_symbol,))
-    for axis, cols, zz in ((c.real_axis, c.real_bits, z.real), (c.imag_axis, c.imag_bits, z.imag)):
-        d0, d1 = coset_min_sqdist(zz, axis)
+    for cols, zz in zip(axis_parts(np.arange(c.bits_per_symbol)), (z.real, z.imag)):
+        d0, d1 = coset_min_sqdist(zz, c.axis)
         out[..., cols] = (d0 - d1) * scale[..., None]
     return out
 
@@ -267,7 +268,8 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
         z = (y_rot[:, l : l + 1] - r_row[:, n - 1 : n] * c.symbols - feedback) / r_ll[:, None]
         eff_var = layer_var / r_ll[:, None] ** 2
         bottom = l == n - 2
-        for axis, cols, zz in ((c.real_axis, c.real_bits, z.real), (c.imag_axis, c.imag_bits, z.imag)):
+        axis = c.axis
+        for cols, zz in zip(axis_parts(np.arange(c.bits_per_symbol)), (z.real, z.imag)):
             la_axis = la_layer[:, cols][:, None, :]
             if bottom:
                 idx = slice_pam(zz, axis, pam_boundaries(axis, la_axis, eff_var[:, :1]))
@@ -296,7 +298,7 @@ def test_inner_layers_match_per_axis_walk(order, n, priors):
     if priors == "cauchy":
         la = np.clip(3.0 * rng.standard_cauchy(la.shape), -LLR_CLIP, LLR_CLIP)
     models = [_random_model(rng, n, n) for _ in range(uses)]
-    ctx = prepare_all_uses(_stack(*models)).flat()
+    ctx = prepare_all_uses(_stack(*models)).reshape(-1)
     use_idx = np.arange(len(ctx)) % uses
     start = rng.normal(scale=10.0, size=(len(ctx), order))
     got, want = start.copy(), start.copy()

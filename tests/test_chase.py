@@ -1,6 +1,7 @@
 """The shared Chase driver: detection slices and their working set."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from chasedet import bchase, chase, lchase
 from chasedet.channel import WhitenedModel
 from chasedet.constellation import SUPPORTED_ORDERS, build_constellation
+from chasedet.linalg import back_substitute, qr, swap_permutation
 from chasedet.llr import LLR_CLIP
 
 from draws import iid_complex_gaussian
@@ -44,3 +46,78 @@ def test_detection_peak_stays_under_slice_cap(detector, order, n_streams):
         tracemalloc.stop()
     assert uses * n_streams > 4 * per_slice
     assert peak <= chase.SLICE_VALUES * 8 + out.nbytes
+
+
+def _per_stream_lchase(h, y, stream):
+    """One target stream of lchase, factored as a per-stream pass did."""
+    n_uses, _, n = h.shape
+    perm = swap_permutation(n, stream)
+    factors = qr(h[:, :, perm])
+    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), y)
+    r = factors.r
+    r_inner = r[:, : n - 1, : n - 1]
+    coupling = back_substitute(r_inner, r[:, : n - 1, n - 1])
+    inv_inner = back_substitute(r_inner, np.eye(n - 1, dtype=complex)[None])
+    ybar = np.concatenate(
+        [back_substitute(r_inner, y_rot[:, : n - 1]), y_rot[:, n - 1 :]], axis=-1
+    )
+    return {
+        "stream": np.full(n_uses, stream),
+        "layers": np.tile(perm, (n_uses, 1)),
+        "ybar": ybar,
+        "coupling": coupling,
+        "pivot": r[:, n - 1, n - 1].real,
+        "noise_vars": (np.abs(inv_inner) ** 2).sum(axis=-1),
+    }
+
+
+def _per_stream_blast_order(h, stream):
+    """BLAST column orders of one target stream, walked as a per-stream pass did."""
+    n_uses, _, n = h.shape
+    rows = np.arange(n_uses)
+    gram = np.einsum("uji,ujk->uik", h.conj(), h)
+    remaining = np.tile([k for k in range(n) if k != stream], (n_uses, 1))
+    order = np.empty((n_uses, n), dtype=int)
+    order[:, -1] = stream
+    for pos in range(n - 2, -1, -1):
+        k = remaining.shape[1]
+        if k == 1:
+            order[:, pos] = remaining[:, 0]
+            break
+        sub = gram[rows[:, None, None], remaining[:, :, None], remaining[:, None, :]]
+        pick = np.diagonal(np.linalg.inv(sub), axis1=1, axis2=2).real.argmin(axis=1)
+        order[:, pos] = remaining[rows, pick]
+        keep = np.ones((n_uses, k), dtype=bool)
+        keep[rows, pick] = False
+        remaining = remaining[keep].reshape(n_uses, k - 1)
+    return order
+
+
+def _per_stream_bchase(h, y, stream):
+    """One target stream of bchase, ordered and factored as a per-stream pass did."""
+    orders = _per_stream_blast_order(h, stream)
+    factors = qr(np.take_along_axis(h, orders[:, None, :], axis=2))
+    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), y)
+    return {"stream": np.full(len(h), stream), "layers": orders, "r": factors.r, "y_rot": y_rot}
+
+
+@pytest.mark.parametrize("extra_rx", (0, 1))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 6))
+@pytest.mark.parametrize("detector", (lchase, bchase), ids=("lchase", "bchase"))
+def test_contexts_match_per_stream_stack(detector, n, extra_rx):
+    # Every (stream, use) context, field by field, equals what factoring one
+    # target stream at a time over all uses and stacking the streams gives.
+    # A square identity channel ties every BLAST amplification.
+    rng = np.random.default_rng([n, extra_rx])
+    n_rx, uses = n + extra_rx, 7
+    h = iid_complex_gaussian(rng, (uses, n_rx, n)) * rng.uniform(0.1, 3.0, (uses, 1, 1))
+    if extra_rx == 0:
+        h[0] = np.eye(n)
+    y = iid_complex_gaussian(rng, (uses, n_rx))
+    per_stream = _per_stream_lchase if detector is lchase else _per_stream_bchase
+    streams = [per_stream(h, y, i) for i in range(n)]
+    contexts = detector.prepare_all_uses(WhitenedModel(y=y, h=h))
+    assert np.shape(contexts.stream) == (n, uses)
+    for f in fields(contexts):
+        want = np.stack([s[f.name] for s in streams])
+        assert np.array_equal(getattr(contexts, f.name), want), f.name

@@ -10,6 +10,7 @@ from chasedet.constellation import (
     SUPPORTED_ORDERS,
     Constellation,
     PamAxis,
+    axis_parts,
     build_constellation,
     coset_min_sqdist,
     modulate,
@@ -48,10 +49,10 @@ def test_qpsk_symbols_frozen():
 def test_16qam_axis_frozen():
     c = build_constellation(16)
     np.testing.assert_allclose(
-        c.real_axis.levels, np.array([3.0, 1.0, -1.0, -3.0]) / RT10, atol=1e-15
+        c.axis.levels, np.array([3.0, 1.0, -1.0, -3.0]) / RT10, atol=1e-15
     )
     # Binary-reflected Gray code, all-zero sub-label on the most positive level.
-    assert c.real_axis.sub_labels.tolist() == [[0, 0], [0, 1], [1, 1], [1, 0]]
+    assert c.axis.sub_labels.tolist() == [[0, 0], [0, 1], [1, 1], [1, 0]]
     # Symbol 5 has label 0101: real sub-label 00, imaginary sub-label 11.
     np.testing.assert_allclose(c.symbols[5], (3.0 - 1.0j) / RT10, atol=1e-15)
 
@@ -72,7 +73,7 @@ def test_modulate_validates():
 
 def test_even_bits_drive_real_axis():
     c = build_constellation(64)
-    for k in c.real_bits:
+    for k in axis_parts(np.arange(c.bits_per_symbol))[0]:
         flipped = c.bit_labels.copy()
         flipped[:, k] ^= 1
         s = modulate(flipped, c)
@@ -100,7 +101,7 @@ def test_axis_validation():
 
 def test_boundaries_zero_prior_are_midpoints():
     c = build_constellation(16)
-    ax = c.real_axis
+    ax = c.axis
     bset = pam_boundaries(ax, np.zeros(2), 1.0)
     np.testing.assert_allclose(bset.values, ax.pair_mid, atol=1e-15)
     # Interval bounds collapse to midpoints between adjacent levels.
@@ -123,7 +124,7 @@ def test_boundary_prior_shift_closed_form():
 
 
 def test_boundaries_reject_bad_variance():
-    ax = build_constellation(4).real_axis
+    ax = build_constellation(4).axis
     with pytest.raises(ValueError):
         pam_boundaries(ax, np.zeros(1), 0.0)
     with pytest.raises(ValueError):
@@ -132,7 +133,7 @@ def test_boundaries_reject_bad_variance():
 
 @pytest.mark.parametrize("order", (4, 16, 64))
 def test_slicer_matches_brute_argmax(order):
-    ax = build_constellation(order).real_axis
+    ax = build_constellation(order).axis
     rng = np.random.default_rng(order)
     n = 4000
     z = rng.uniform(-3.0, 3.0, n)
@@ -147,7 +148,7 @@ def test_slicer_matches_brute_argmax(order):
 def test_slicer_tie_goes_to_smaller_index():
     # z = 0 with zero priors ties the two middle levels; the smaller index
     # (more positive level) must win.
-    ax = build_constellation(16).real_axis
+    ax = build_constellation(16).axis
     bset = pam_boundaries(ax, np.zeros(2), 1.0)
     assert slice_pam(np.array(0.0), ax, bset) == 1
     assert brute_pam_argmax(np.array(0.0), ax, np.zeros(2), np.array(1.0)) == 1
@@ -191,7 +192,7 @@ def test_slicer_at_three_way_near_ties(order):
     # must be the brute argmax wherever the top two metrics are further
     # apart than that. Rounding leaves some z in no slicing interval, so the
     # direct-evaluation fallback is exercised too.
-    axis = build_constellation(order).real_axis
+    axis = build_constellation(order).axis
     z, la, var = _three_way_ties(axis, np.random.default_rng(order + 1), 20_000)
     assert len(z) >= 300
     ulps = np.spacing(z)[:, None] * np.arange(-3, 4)
@@ -230,7 +231,7 @@ def test_slicer_level_walk_matches_mask_rule(order):
     # z on every pair boundary of its row, one ulp either side of it, and at
     # random, against Cauchy-tailed priors and log-uniform variances over
     # six decades: the per-level walk must give the mask rule's index.
-    ax = build_constellation(order).real_axis
+    ax = build_constellation(order).axis
     rng = np.random.default_rng(order + 7)
     rows = 4000 // ax.nlevels
     la = np.clip(3.0 * rng.standard_cauchy((rows, 1, ax.nbits)), -LLR_CLIP, LLR_CLIP)
@@ -294,7 +295,7 @@ def test_boundary_pair_walk_matches_masked_gather(order):
 def test_pam_metric_sums_priors_in_label_order(order):
     # The level prior is summed over bits exactly as the gathered-label form
     # sums it; a matmul would round differently at 256-QAM.
-    ax = build_constellation(order).real_axis
+    ax = build_constellation(order).axis
     rng = np.random.default_rng(order + 11)
     rows, m = 500, order
     la = rng.uniform(-LLR_CLIP, LLR_CLIP, (rows, 1, ax.nbits))
@@ -307,7 +308,7 @@ def test_pam_metric_sums_priors_in_label_order(order):
 
 def test_slicer_broadcast_batches():
     # Shared boundary batch (n, 1) against per-hypothesis z (n, m).
-    ax = build_constellation(16).real_axis
+    ax = build_constellation(16).axis
     rng = np.random.default_rng(5)
     la = rng.uniform(-4, 4, (6, 1, 2))
     var = rng.uniform(0.1, 2.0, (6, 1))
@@ -322,7 +323,7 @@ def test_slicer_broadcast_batches():
 
 
 def test_pam_metric_formula():
-    ax = build_constellation(16).real_axis
+    ax = build_constellation(16).axis
     la = np.array([0.7, -1.3])
     z, v, m = 0.4, 0.6, 2
     got = pam_metric(ax, m, z, la, v)
@@ -333,7 +334,7 @@ def test_pam_metric_formula():
 def test_coset_min_sqdist_brute():
     rng = np.random.default_rng(3)
     for order, shape in itertools.product(SUPPORTED_ORDERS, ((50,), (7, 16), ())):
-        ax = build_constellation(order).real_axis
+        ax = build_constellation(order).axis
         z = rng.uniform(-2, 2, shape)
         d0, d1 = coset_min_sqdist(z, ax)
         assert d0.shape == d1.shape == shape + (ax.nbits,)
@@ -398,7 +399,8 @@ def _soft_stats_prod_form(llrs, c: Constellation):
     t = np.tanh(llrs / 2.0)
     mean_parts = []
     var_total = 0.0
-    for axis, cols in ((c.real_axis, c.real_bits), (c.imag_axis, c.imag_bits)):
+    axis = c.axis
+    for cols in axis_parts(np.arange(c.bits_per_symbol)):
         ta = t[..., cols]
         signs = 2.0 * axis.sub_labels.astype(float) - 1.0
         probs = np.prod(1.0 + signs * ta[..., None, :], axis=-1) / axis.nlevels

@@ -3,9 +3,15 @@
 import ast
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from chasedet.channel import WhitenedModel
+
+from draws import iid_complex_gaussian
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chasedet"
@@ -52,12 +58,16 @@ def test_no_unused_imports(module):
     assert sorted(_imported(tree) - _loaded(tree)) == []
 
 
-def _tracing_wraps() -> tuple:
+def _tracing():
     path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.WRAPS
+    return tracing
+
+
+def _tracing_wraps() -> tuple:
+    return _tracing().WRAPS
 
 
 def test_traced_names_are_module_globals():
@@ -116,3 +126,19 @@ def test_detection_path_imports_no_oracle(module):
         elif isinstance(node, ast.Import):
             names += [a.name for a in node.names]
     assert [name for name in names if "reference" in name.split(".")] == []
+
+
+@pytest.mark.parametrize("detector", ("lchase", "bchase"))
+def test_traced_context_count_is_streams_times_uses(detector):
+    # The benchmark's tracer counts the contexts a detect call receives as
+    # len(ctx) * len(ctx[0]), so prepared contexts must keep their
+    # (streams, uses) leading axes.
+    module = importlib.import_module(f"chasedet.{detector}")
+    rng = np.random.default_rng(0)
+    n_streams, n_rx, uses = 3, 4, 5
+    h = iid_complex_gaussian(rng, (uses, n_rx, n_streams))
+    y = iid_complex_gaussian(rng, (uses, n_rx))
+    contexts = module.prepare_all_uses(WhitenedModel(y=y, h=h))
+    counts = Counter()
+    _tracing()._count_contexts(detector)(counts, (contexts,), None)
+    assert counts == {f"{detector}.contexts": n_streams * uses}

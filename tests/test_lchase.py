@@ -7,6 +7,7 @@ from chasedet import lchase
 from chasedet.channel import WhitenedModel
 from chasedet.constellation import (
     SUPPORTED_ORDERS,
+    axis_parts,
     build_constellation,
     pam_boundaries,
     pam_metric,
@@ -233,10 +234,8 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
         la_layer = la[use_idx, ctx.layers[:, l], :]
         var = ctx.noise_vars[:, l]
         z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols
-        for axis, cols, zz in (
-            (c.real_axis, c.real_bits, z.real),
-            (c.imag_axis, c.imag_bits, z.imag),
-        ):
+        axis = c.axis
+        for cols, zz in zip(axis_parts(np.arange(c.bits_per_symbol)), (z.real, z.imag)):
             la_axis = la_layer[:, cols][:, None, :]
             bset = pam_boundaries(axis, la_axis, var[:, None])
             idx = slice_pam(zz, axis, bset)
@@ -257,7 +256,7 @@ def test_inner_layers_match_per_axis_walk(order, n, priors):
     if priors == "cauchy":
         la = np.clip(3.0 * rng.standard_cauchy(la.shape), -LLR_CLIP, LLR_CLIP)
     models = [_random_model(rng, n, n) for _ in range(uses)]
-    ctx = prepare_all_uses(_stack(*models)).flat()
+    ctx = prepare_all_uses(_stack(*models)).reshape(-1)
     use_idx = np.arange(len(ctx)) % uses
     start = rng.normal(scale=10.0, size=(len(ctx), order))
     got, want = start.copy(), start.copy()

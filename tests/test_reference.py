@@ -227,7 +227,7 @@ def test_maxlog_counts_hypotheses():
 
 def test_brute_pam_argmax_breaks_ties_low():
     c = build_constellation(4)
-    axis = c.real_axis
+    axis = c.axis
     # z = 0 between the two levels with zero prior: equal metrics, the
     # smaller index (the positive level) must win.
     idx = brute_pam_argmax(np.zeros(3), axis, np.zeros((3, 1)), np.ones(3))
