@@ -52,7 +52,6 @@ class BchaseStreamContext(chase.StackedContext):
     (see chase.StackedContext).
     """
 
-    stream: np.ndarray
     layers: np.ndarray
     r: np.ndarray
     y_rot: np.ndarray
@@ -118,9 +117,7 @@ def prepare_all_uses(models: WhitenedModel) -> BchaseStreamContext:
     h_perm = np.take_along_axis(np.tile(models.h, (n, 1, 1)), orders[:, None, :], axis=2)
     factors = qr(h_perm)
     y_rot = np.einsum("uji,uj->ui", factors.q.conj(), np.tile(models.y, (n, 1)))
-    return BchaseStreamContext(
-        stream=orders[:, -1], layers=orders, r=factors.r, y_rot=y_rot
-    ).reshape(n, n_uses)
+    return BchaseStreamContext(layers=orders, r=factors.r, y_rot=y_rot).reshape(n, n_uses)
 
 
 def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:

@@ -97,8 +97,10 @@ def require_finite(model: WhitenedModel) -> None:
 class ChannelRealization:
     """One channel draw plus everything needed to transmit and whiten on it.
 
-    hbar may be a stack (..., n_r, n_t) of draws sharing one noise
-    covariance; the whitener is then factored once for all of them.
+    hbar may be a stack (..., n_r, n_t) of draws, and c_nn one (n_r, n_r)
+    noise covariance or a stack whose leading axes broadcast against hbar's,
+    such as (B, 1, n_r, n_r) for B blocks of uses: each covariance's noise
+    factor and whitener are factored once, for every draw it applies to.
     """
 
     def __init__(self, hbar: np.ndarray, c_nn: np.ndarray, w: np.ndarray | None = None):
@@ -115,7 +117,7 @@ class ChannelRealization:
                 f"{n_l} streams exceed antenna budget ({n_t} tx, {n_r} rx)"
             )
         c_nn = np.asarray(c_nn, dtype=complex)
-        if c_nn.shape != (n_r, n_r):
+        if c_nn.shape[-2:] != (n_r, n_r):
             raise ConfigError("noise covariance must be N_r x N_r")
 
         self.h = hbar @ w
@@ -123,10 +125,10 @@ class ChannelRealization:
         # B = C_nn^-1 assembled from the noise factor by substitution, then
         # held through its own Cholesky factor; the whitener is L^H.
         self._noise_factor = cholesky(c_nn)
-        y_inv = back_substitute(self._noise_factor.conj().T, np.eye(n_r, dtype=complex))
-        b = y_inv @ y_inv.conj().T
-        b = (b + b.conj().T) / 2.0
-        self.whitener = cholesky(b).conj().T
+        y_inv = back_substitute(_adjoint(self._noise_factor), np.eye(n_r, dtype=complex))
+        b = y_inv @ _adjoint(y_inv)
+        b = (b + _adjoint(b)) / 2.0
+        self.whitener = _adjoint(cholesky(b))
 
     @property
     def n_streams(self) -> int:
@@ -143,7 +145,7 @@ def transmit(ch: ChannelRealization, s: np.ndarray, normals: np.ndarray) -> np.n
     s = np.asarray(s, dtype=complex)
     if s.shape[-1:] != (ch.n_streams,):
         raise ValueError(f"expected {ch.n_streams} stream symbols")
-    n_r = ch.c_nn.shape[0]
+    n_r = ch.c_nn.shape[-1]
     if normals.shape[-2:] != (2, n_r):
         raise ValueError(f"expected normals shaped (..., 2, {n_r})")
     w = _complex_normal(normals, -2)
@@ -154,6 +156,11 @@ def whiten(y: np.ndarray, ch: ChannelRealization) -> WhitenedModel:
     """Apply the realization's whitener to an observation (or a stack)."""
     y = np.asarray(y, dtype=complex)
     return WhitenedModel(_apply(ch.whitener, y), ch.whitener @ ch.h)
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(a, -2, -1).conj()
 
 
 def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:

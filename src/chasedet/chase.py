@@ -35,15 +35,21 @@ SLICE_VALUES = 3 << 17
 
 
 class StackedContext:
-    """Mixin for frozen dataclasses whose `stream` field fixes the batch axes.
+    """Mixin for frozen dataclasses whose `layers` field, each context's
+    column order (..., n), fixes the batch axes.
 
     A detector's prepare_all_uses builds its context with one stream-major
     row axis and returns it reshaped to (streams, uses); detection folds it
     back into rows.
     """
 
+    @property
+    def stream(self) -> np.ndarray:
+        """The target stream of each context, last in its column order."""
+        return self.layers[..., -1]
+
     def __len__(self) -> int:
-        return len(self.stream)
+        return len(self.layers)
 
     def __getitem__(self, idx):
         return type(self)(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})

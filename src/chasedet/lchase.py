@@ -39,7 +39,6 @@ class LchaseStreamContext(chase.StackedContext):
     leading batch axes (see chase.StackedContext).
     """
 
-    stream: np.ndarray
     layers: np.ndarray
     ybar: np.ndarray
     coupling: np.ndarray
@@ -74,7 +73,6 @@ def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
         [back_substitute(r_inner, y_rot[:, : n - 1]), y_rot[:, n - 1 :]], axis=-1
     )
     return LchaseStreamContext(
-        stream=layers[:, -1],
         layers=layers,
         ybar=ybar,
         coupling=coupling,

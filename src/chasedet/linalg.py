@@ -82,15 +82,21 @@ def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cholesky(b: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L with L L^H = B for Hermitian positive definite B."""
+    """Lower Cholesky factor L with L L^H = B for Hermitian positive definite B.
+
+    Leading batch dimensions are factored together in one call, each matrix
+    checked for symmetry against its own scale (and a batch fails as a whole
+    if any member is not Hermitian or not positive definite).
+    """
     b = np.asarray(b, dtype=complex)
-    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("cholesky expects a square matrix")
-    if np.abs(b - b.conj().T).max() > 1e-10 * scale:
+    if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
+        raise ValueError("cholesky expects square matrices")
+    b_h = np.swapaxes(b, -2, -1).conj()
+    scale = np.maximum(1.0, np.abs(b).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(b - b_h).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
         raise ValueError("matrix is not Hermitian")
     try:
-        return np.linalg.cholesky((b + b.conj().T) / 2.0)
+        return np.linalg.cholesky((b + b_h) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from None
 

@@ -2,18 +2,22 @@
 
 Each block draws a payload, encodes, interleaves, and maps it onto U channel
 uses of an n_streams MIMO channel, then runs iterative detection and
-decoding and scores every iteration. Per-block randomness comes from
-SeedSequence([seed, snr_index, block_index]): the payload, then one
-standard_normal call holding, use by use, the channel's real and imaginary
-parts and the noise's real and imaginary parts. Results are therefore
-reproducible bit for bit regardless of worker count, and two detectors run
-with the same seed see identical payloads, channels, and noise.
+decoding and scores every iteration. The grid's blocks are numbered
+point-major: grid block g is block g % blocks of SNR point g // blocks.
+Per-block randomness comes from SeedSequence([seed, snr_index,
+block_index]): the payload, then one standard_normal call holding, use by
+use, the channel's real and imaginary parts and the noise's real and
+imaginary parts. Results are therefore reproducible bit for bit regardless
+of worker count, and two detectors run with the same seed see identical
+payloads, channels, and noise.
 
-The blocks of the whole SNR grid run in chunks, in order, so a chunk may
-hold the tail of one point and the head of the next: every stage, from
-channel draw to decoder, handles a chunk's blocks as stacked arrays, each
-block at its own point's SNR. Chunk size follows from the configuration and
-a fixed working-set cap, and results do not depend on it.
+The grid blocks run in chunks, each a range lo..hi-1, so a chunk may hold
+the tail of one point and the head of the next: every stage, from channel
+draw to decoder, handles a chunk's blocks as stacked arrays in one call,
+each block at its own point's SNR. The sweep keeps (grid blocks,
+iterations) flags and bit errors and one DetectorStats per iteration.
+Chunk size follows from the configuration and a fixed working-set cap, and
+results do not depend on it.
 
 SNR is per-receive-antenna Es/N0 in dB: noise variance is
 n_streams * 10**(-snr/10) with unit-energy streams and unit-variance
@@ -44,8 +48,9 @@ from .channel import (
 )
 from .codec import SUPPORTED_RATES, CodeConfig, encode, puncture
 from .constellation import SUPPORTED_ORDERS, build_constellation, modulate
+from .counters import DetectorStats
 from .errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
-from .idd import DETECTORS, IddConfig, IddResult, run_idd, slot_bits, uses_for_block
+from .idd import DETECTORS, IddConfig, run_idd, slot_bits, uses_for_block
 from .reference import MAX_EXHAUSTIVE
 
 # Largest SNR grid a 'start:step:stop' range may expand to.
@@ -251,6 +256,7 @@ class _Bundle:
     corr: CorrelationModel
     w: np.ndarray
     n_uses: int
+    sigma2: np.ndarray  # (points,) noise variance of each SNR point
 
 
 def _build_bundle(cfg: SimConfig) -> _Bundle:
@@ -267,58 +273,8 @@ def _build_bundle(cfg: SimConfig) -> _Bundle:
         corr=CorrelationModel(rho_tx=cfg.corr_tx, rho_rx=cfg.corr_rx),
         w=np.eye(cfg.n_tx, cfg.n_streams, dtype=complex),
         n_uses=uses_for_block(idd_cfg.code, idd_cfg.constellation, cfg.n_streams),
+        sigma2=np.array([cfg.n_streams * 10.0 ** (-snr_db / 10.0) for snr_db in cfg.snr_db]),
     )
-
-
-@dataclass
-class BlockTallies:
-    """Per-block outcomes of a run of blocks and their summed counters."""
-
-    flags: np.ndarray  # (blocks, iterations) bool, any info bit wrong
-    bit_errors: np.ndarray  # (blocks, iterations)
-    evals: np.ndarray  # (iterations,) metric plus boundary evaluations
-    streams: np.ndarray  # (iterations,) detected streams
-    seconds: float = 0.0  # elapsed time charged to these blocks
-
-    @classmethod
-    def zeros(cls, blocks: int, iterations: int) -> "BlockTallies":
-        return cls(
-            flags=np.zeros((blocks, iterations), dtype=bool),
-            bit_errors=np.zeros((blocks, iterations), dtype=np.int64),
-            evals=np.zeros(iterations, dtype=np.int64),
-            streams=np.zeros(iterations, dtype=np.int64),
-        )
-
-    def add(self, start: int, part: "BlockTallies") -> None:
-        """Take in the tallies of the run of blocks that begins at block `start`."""
-        stop = start + len(part.flags)
-        self.flags[start:stop] = part.flags
-        self.bit_errors[start:stop] = part.bit_errors
-        self.evals += part.evals
-        self.streams += part.streams
-        self.seconds += part.seconds
-
-    @classmethod
-    def split(cls, result: IddResult, sizes: list) -> list:
-        """Tallies of a chunk's consecutive runs of `sizes` blocks.
-
-        The counters are the paper's cost model, a fixed count per detected
-        stream and so per block: each run takes its share by block count, and
-        a count that differs between blocks fails here.
-        """
-        stats = result.iter_stats
-        n_blocks = len(result.iter_block_error)
-        evals, evals_left = np.divmod([s.metric_evals + s.boundary_evals for s in stats], n_blocks)
-        streams, streams_left = np.divmod([s.streams for s in stats], n_blocks)
-        if evals_left.any() or streams_left.any():
-            raise AssertionError("detector counters are not a fixed count per block")
-        cuts = np.cumsum(sizes)[:-1]
-        return [
-            cls(f, e, evals * len(f), streams * len(f))
-            for f, e in zip(
-                np.split(result.iter_block_error, cuts), np.split(result.iter_bit_errors, cuts)
-            )
-        ]
 
 
 def chunk_blocks(bundle: _Bundle) -> int:
@@ -328,27 +284,12 @@ def chunk_blocks(bundle: _Bundle) -> int:
     return max(1, CHUNK_VALUES // per_block)
 
 
-def _grid_chunks(cfg: SimConfig, size: int):
-    """The grid's (point, block) pairs in order, cut every `size` blocks.
-
-    Yields each chunk as it is asked for: a list of (point, start, stop)
-    parts, blocks start..stop-1 of SNR point `point`; it may hold the tail of
-    one point and the head of the next.
-    """
-    n_points, per_point = len(cfg.snr_db), cfg.blocks
-    for lo in range(0, n_points * per_point, size):
-        yield [
-            (p, max(lo - p * per_point, 0), min(lo + size - p * per_point, per_point))
-            for p in range(lo // per_point, min(-(-(lo + size) // per_point), n_points))
-        ]
-
-
-def _draws(bundle: _Bundle, point_idx: int, start: int, stop: int) -> tuple:
-    """Payloads (B, K) and standard normals of blocks start..stop-1."""
+def _draws(bundle: _Bundle, lo: int, hi: int) -> tuple:
+    """Payloads (B, K) and standard normals of grid blocks lo..hi-1."""
     cfg = bundle.cfg
     rngs = [
-        np.random.default_rng(np.random.SeedSequence([cfg.seed, point_idx, b]))
-        for b in range(start, stop)
+        np.random.default_rng(np.random.SeedSequence([cfg.seed, *divmod(g, cfg.blocks)]))
+        for g in range(lo, hi)
     ]
     info = np.stack([rng.integers(0, 2, cfg.info_bits, dtype=np.int8) for rng in rngs])
     n_normals = bundle.n_uses * 2 * cfg.n_rx * (cfg.n_tx + 1)
@@ -357,18 +298,14 @@ def _draws(bundle: _Bundle, point_idx: int, start: int, stop: int) -> tuple:
 
 
 def _chunk_model(
-    bundle: _Bundle,
-    point_idx: int,
-    snr_db: float,
-    first_block: int,
-    info: np.ndarray,
-    normals: np.ndarray,
+    bundle: _Bundle, lo: int, info: np.ndarray, normals: np.ndarray
 ) -> WhitenedModel:
-    """Whitened (B, U, ...) observations of blocks from payloads and normals."""
+    """Whitened (B, U, ...) observations of grid blocks lo..lo+B-1, each at
+    its point's SNR, from their payloads and normals."""
     cfg, idd_cfg = bundle.cfg, bundle.idd_cfg
     c, code = idd_cfg.constellation, idd_cfg.code
     n_blocks, n_uses, n_rx = len(info), bundle.n_uses, cfg.n_rx
-    sigma2 = cfg.n_streams * 10.0 ** (-snr_db / 10.0)
+    sigma2 = bundle.sigma2[np.arange(lo, lo + n_blocks) // cfg.blocks]
 
     tx_bits = puncture(encode(info, code), code)[:, idd_cfg.interleaver.perm]
     symbols = modulate(slot_bits(tx_bits, c, cfg.n_streams), c)
@@ -378,50 +315,39 @@ def _chunk_model(
         n_rx, cfg.n_tx, bundle.corr,
         per_use[..., :split].reshape(n_blocks, n_uses, 2, n_rx, cfg.n_tx),
     )
-    ch = ChannelRealization(hbar, sigma2 * np.eye(n_rx), bundle.w)
+    ch = ChannelRealization(hbar, sigma2[:, None, None, None] * np.eye(n_rx), bundle.w)
     y = transmit(ch, symbols, per_use[..., split:].reshape(n_blocks, n_uses, 2, n_rx))
     model = whiten(y, ch)
     finite = np.isfinite(model.y).all(axis=(1, 2)) & np.isfinite(model.h).all(axis=(1, 2, 3))
     if not finite.all():
+        point, block = divmod(lo + int(np.argmin(finite)), cfg.blocks)
         raise FloatingPointError(
-            f"non-finite whitened channel or observation at snr point {point_idx} "
-            f"block {first_block + int(np.argmin(finite))}"
+            f"non-finite whitened channel or observation at snr point {point} block {block}"
         )
     return model
 
 
-def _simulate(bundle: _Bundle, parts: list, draws: list) -> IddResult:
-    """Chunk parts, each at its own SNR, from payloads and normals to outcomes."""
-    models = [
-        _chunk_model(bundle, point, bundle.cfg.snr_db[point], start, info, normals)
-        for (point, start, _), (info, normals) in zip(parts, draws)
-    ]
-    model = WhitenedModel(
-        np.concatenate([m.y for m in models]), np.concatenate([m.h for m in models])
-    )
-    return run_idd(model, np.concatenate([info for info, _ in draws]), bundle.idd_cfg)
+def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> tuple:
+    """Grid blocks lo..hi-1, run as one stack.
 
-
-def simulate_chunk(bundle: _Bundle, parts: list) -> list:
-    """One chunk of the sweep, run as one stack; one BlockTallies per part.
-
-    parts are (point, start, stop) spans as _grid_chunks cuts them. A
-    singular channel anywhere in the chunk re-raises its error, naming every
-    part's point and blocks. The chunk's elapsed time is charged to its parts
-    by their share of its blocks.
+    Returns their (blocks, iterations) flags (any info bit wrong) and bit
+    errors, one DetectorStats per iteration summed over them, and the
+    chunk's elapsed seconds. A singular channel anywhere in the chunk
+    re-raises its error, naming each SNR point of the chunk and its blocks.
     """
     started = time.perf_counter()
-    sizes = [stop - start for _, start, stop in parts]
+    info, normals = _draws(bundle, lo, hi)
     try:
-        result = _simulate(bundle, parts, [_draws(bundle, *part) for part in parts])
+        result = run_idd(_chunk_model(bundle, lo, info, normals), info, bundle.idd_cfg)
     except (SingularMatrixError, NotPositiveDefiniteError) as exc:
-        where = ", ".join(f"snr point {p} blocks {a}..{b - 1}" for p, a, b in parts)
+        per = bundle.cfg.blocks
+        where = ", ".join(
+            f"snr point {p} blocks {max(lo - p * per, 0)}..{min(hi - p * per, per) - 1}"
+            for p in range(lo // per, (hi - 1) // per + 1)
+        )
         raise type(exc)(f"{exc} in the chunk of {where}") from exc
-    tallies = BlockTallies.split(result, sizes)
     elapsed = time.perf_counter() - started
-    for t, size in zip(tallies, sizes):
-        t.seconds = elapsed * size / sum(sizes)
-    return tallies
+    return result.iter_block_error, result.iter_bit_errors, result.iter_stats, elapsed
 
 
 _WORKER_BUNDLE = None
@@ -432,18 +358,18 @@ def _init_worker(cfg: SimConfig) -> None:
     _WORKER_BUNDLE = _build_bundle(cfg)
 
 
-def _pool_chunk(parts: list) -> list:
-    return simulate_chunk(_WORKER_BUNDLE, parts)
+def _pool_chunk(lo: int, hi: int) -> tuple:
+    return simulate_chunk(_WORKER_BUNDLE, lo, hi)
 
 
 def _pooled(pool, chunks, window: int):
-    """(parts, tallies) of every chunk in grid order, run on the pool with at
-    most `window` chunks submitted and not yet collected. A chunk that fails
-    cancels the ones still queued, as Executor.map does."""
+    """(lo, outcome) of every (lo, hi) chunk in grid order, run on the pool
+    with at most `window` chunks submitted and not yet collected. A chunk
+    that fails cancels the ones still queued, as Executor.map does."""
     in_flight = deque()
     try:
-        for parts in chunks:
-            in_flight.append((parts, pool.submit(_pool_chunk, parts)))
+        for lo, hi in chunks:
+            in_flight.append((lo, pool.submit(_pool_chunk, lo, hi)))
             if len(in_flight) == window:
                 first, future = in_flight.popleft()
                 yield first, future.result()
@@ -455,28 +381,40 @@ def _pooled(pool, chunks, window: int):
             future.cancel()
 
 
-def simulate_sweep(bundle: _Bundle, pool=None) -> list:
-    """Every block of the SNR grid, chunk by chunk; one BlockTallies per point.
+def simulate_sweep(bundle: _Bundle, pool=None) -> tuple:
+    """Every block of the SNR grid, chunk by chunk.
 
-    Chunks follow the grid's blocks in order and may span points, and each
-    is cut only when it is about to run. A pool gets at least as many chunks
-    as workers and runs them with no barrier between points, two per worker
-    in flight.
+    Grid block g is block g % blocks of SNR point g // blocks, and a chunk
+    is a range of grid blocks, so it may span points; each is cut only when
+    it is about to run. A pool gets at least as many chunks as workers and
+    runs them with no barrier between points, two per worker in flight.
+    Returns the (grid blocks, iterations) flags and bit errors, one
+    DetectorStats per iteration summed over the grid, and each point's
+    seconds: every chunk's elapsed time charged to its blocks' points by
+    their share of its blocks.
     """
     cfg = bundle.cfg
+    n_blocks = len(cfg.snr_db) * cfg.blocks
     size = chunk_blocks(bundle)
     if pool is not None:
-        size = min(size, -(-len(cfg.snr_db) * cfg.blocks // cfg.workers))
-    chunks = _grid_chunks(cfg, size)
+        size = min(size, -(-n_blocks // cfg.workers))
+    chunks = ((lo, min(lo + size, n_blocks)) for lo in range(0, n_blocks, size))
     if pool is None:
-        done = ((parts, simulate_chunk(bundle, parts)) for parts in chunks)
+        done = ((lo, simulate_chunk(bundle, lo, hi)) for lo, hi in chunks)
     else:
         done = _pooled(pool, chunks, 2 * cfg.workers)
-    per_point = [BlockTallies.zeros(cfg.blocks, cfg.iterations) for _ in cfg.snr_db]
-    for parts, tallies in done:
-        for (point, start, _), t in zip(parts, tallies):
-            per_point[point].add(start, t)
-    return per_point
+    flags = np.zeros((n_blocks, cfg.iterations), dtype=bool)
+    bit_errors = np.zeros((n_blocks, cfg.iterations), dtype=np.int64)
+    stats = [DetectorStats() for _ in range(cfg.iterations)]
+    seconds = np.zeros(len(cfg.snr_db))
+    for lo, (chunk_flags, chunk_bit_errors, chunk_stats, elapsed) in done:
+        hi = lo + len(chunk_flags)
+        flags[lo:hi] = chunk_flags
+        bit_errors[lo:hi] = chunk_bit_errors
+        for total, part in zip(stats, chunk_stats):
+            total.add(part)
+        np.add.at(seconds, np.arange(lo, hi) // cfg.blocks, elapsed / (hi - lo))
+    return flags, bit_errors, stats, seconds
 
 
 def monte_carlo(cfg: SimConfig) -> list:
@@ -486,19 +424,20 @@ def monte_carlo(cfg: SimConfig) -> list:
     if cfg.workers > 1:
         pool = ProcessPoolExecutor(cfg.workers, initializer=_init_worker, initargs=(cfg,))
     with pool or nullcontext():
-        per_point = simulate_sweep(bundle, pool)
+        flags, bit_errors, stats, seconds = simulate_sweep(bundle, pool)
 
+    shape = (len(cfg.snr_db), cfg.blocks, cfg.iterations)
+    block_errors = flags.reshape(shape).sum(axis=1).tolist()
+    bit_errors = bit_errors.reshape(shape).sum(axis=1).tolist()
     records = []
-    for snr_db, tallies in zip(cfg.snr_db, per_point):
-        seconds = tallies.seconds if cfg.timing else 0.0
-        for t in range(cfg.iterations):
-            block_errors = int(tallies.flags[:, t].sum())
-            bit_errors = int(tallies.bit_errors[:, t].sum())
+    for p, snr_db in enumerate(cfg.snr_db):
+        wall_time = float(seconds[p]) if cfg.timing else 0.0
+        for t, (errors, bits) in enumerate(zip(block_errors[p], bit_errors[p])):
             records.append(
                 SimRecord(
-                    snr_db, t + 1, cfg.detector, cfg.blocks, block_errors, bit_errors,
-                    block_errors / cfg.blocks, bit_errors / (cfg.blocks * cfg.info_bits),
-                    float(tallies.evals[t] / tallies.streams[t]), seconds,
+                    snr_db, t + 1, cfg.detector, cfg.blocks, errors, bits,
+                    errors / cfg.blocks, bits / (cfg.blocks * cfg.info_bits),
+                    stats[t].metrics_per_stream, wall_time,
                 )
             )
     return records

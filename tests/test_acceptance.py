@@ -233,7 +233,8 @@ def _per_block_flags(detector, corr, grid, seed):
             seed=seed,
         )
     )
-    return np.stack([tallies.flags for tallies in simulate_sweep(_build_bundle(cfg))])
+    flags, *_ = simulate_sweep(_build_bundle(cfg))
+    return flags.reshape(len(grid), MC_BLOCKS, -1)
 
 
 def test_iteration_gain_uncorrelated_channel():

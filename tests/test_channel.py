@@ -103,6 +103,35 @@ def test_whiten_consistency():
     assert model.n_streams == 2
 
 
+@pytest.mark.parametrize("n_r", range(1, 7))
+@pytest.mark.parametrize("colored", (False, True), ids=("white", "colored"))
+def test_stacked_noise_covariances_match_per_block_realizations(n_r, colored):
+    # A (B, 1, n_r, n_r) stack of noise covariances over a (B, U, n_r, n_t)
+    # stack of channels transmits and whitens bit for bit as B realizations
+    # of one block each.
+    rng = np.random.default_rng(n_r)
+    blocks, uses, n_t = 3, 5, n_r + 1
+    corr = CorrelationModel(0.5, 0.5)
+    hbar = generate_channel(n_r, n_t, corr, rng.standard_normal((blocks, uses, 2, n_r, n_t)))
+    c_nn = rng.uniform(0.1, 2.0, (blocks, 1, 1, 1)) * np.eye(n_r)
+    if colored:
+        a = rng.normal(size=(blocks, 1, n_r, n_r)) + 1j * rng.normal(size=(blocks, 1, n_r, n_r))
+        c_nn = c_nn + a @ np.swapaxes(a, -2, -1).conj()
+    w = np.eye(n_t, n_r, dtype=complex)
+    s = rng.normal(size=(blocks, uses, n_r)) + 1j * rng.normal(size=(blocks, uses, n_r))
+    normals = rng.standard_normal((blocks, uses, 2, n_r))
+    stacked = ChannelRealization(hbar, c_nn, w)
+    y = transmit(stacked, s, normals)
+    model = whiten(y, stacked)
+    for b in range(blocks):
+        alone = ChannelRealization(hbar[b], c_nn[b, 0], w)
+        y_alone = transmit(alone, s[b], normals[b])
+        assert np.array_equal(y[b], y_alone)
+        model_alone = whiten(y_alone, alone)
+        assert np.array_equal(model.y[b], model_alone.y)
+        assert np.array_equal(model.h[b], model_alone.h)
+
+
 def test_precoder_selects_streams():
     hbar = np.arange(6, dtype=float).reshape(2, 3) + 0j
     w = np.eye(3, 2, dtype=complex)

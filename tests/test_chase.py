@@ -118,6 +118,7 @@ def test_contexts_match_per_stream_stack(detector, n, extra_rx):
     streams = [per_stream(h, y, i) for i in range(n)]
     contexts = detector.prepare_all_uses(WhitenedModel(y=y, h=h))
     assert np.shape(contexts.stream) == (n, uses)
+    assert np.array_equal(contexts.stream, np.stack([s["stream"] for s in streams]))
     for f in fields(contexts):
         want = np.stack([s[f.name] for s in streams])
         assert np.array_equal(getattr(contexts, f.name), want), f.name

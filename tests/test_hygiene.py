@@ -97,6 +97,12 @@ def _package_names_read(source: str) -> set:
     return names - set(MODULES)
 
 
+def _readme_example() -> str:
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    return example
+
+
 def test_public_surface_is_what_callers_use():
     # chasedet exports exactly the names the README example imports from it
     # and the ones perfbench reads as chasedet.<name>; the tests and every
@@ -107,9 +113,7 @@ def test_public_surface_is_what_callers_use():
         for node in init.body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
     ]
-    readme = (ROOT / "README.md").read_text()
-    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
-    used = _package_names_read(example)
+    used = _package_names_read(_readme_example())
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         used |= _package_names_read(path.read_text())
     assert sorted(exported) == sorted(used)
@@ -142,3 +146,58 @@ def test_traced_context_count_is_streams_times_uses(detector):
     counts = Counter()
     _tracing()._count_contexts(detector)(counts, (contexts,), None)
     assert counts == {f"{detector}.contexts": n_streams * uses}
+
+
+def _top_level_definitions(tree: ast.Module):
+    """Names of a module's functions and classes and of their classes'
+    methods; dunder methods are called by the language, so they are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name
+
+
+def _names_read(tree: ast.AST) -> set:
+    """Names loaded, bare or as an attribute, outside a definition of that name."""
+    names = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        if name is not None and name not in inside:
+            names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return names
+
+
+# Oracles kept for the tests to compare the package against.
+_READ_BY_TESTS_ONLY = {"reference.brute_pam_argmax"}
+
+
+def test_every_definition_is_read_outside_tests():
+    # A function, class or method that only tests call is dead weight: each
+    # must be read by the package, by perfbench or by the README example.
+    # Names are matched by name alone, not resolved.
+    sources = [p.read_text() for p in PACKAGE.glob("*.py")]
+    sources += [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    read = set().union(*(_names_read(ast.parse(src)) for src in sources + [_readme_example()]))
+    unread = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in _top_level_definitions(_tree(module))
+        if name not in read
+    ]
+    assert sorted(unread) == sorted(_READ_BY_TESTS_ONLY)

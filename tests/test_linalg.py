@@ -99,6 +99,21 @@ def test_cholesky_matches_numpy_and_validates():
         cholesky(-np.eye(3))
 
 
+def test_cholesky_factors_a_stack_matrix_by_matrix():
+    # A stack is factored as numpy factors each member alone, and one
+    # non-Hermitian member fails the whole stack.
+    rng = np.random.default_rng(4)
+    a = _random_complex(rng, (3, 2, 4, 4))
+    b = a @ np.swapaxes(a, -2, -1).conj() + np.eye(4)
+    l = cholesky(b)
+    assert l.shape == b.shape
+    for idx in np.ndindex(b.shape[:-2]):
+        np.testing.assert_array_equal(l[idx], np.linalg.cholesky(b[idx]))
+    b[2, 1, 0, 3] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        cholesky(b)
+
+
 def test_permutation_helpers():
     p = swap_permutation(4, 1)
     assert p.tolist() == [0, 3, 2, 1]

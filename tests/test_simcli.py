@@ -7,6 +7,7 @@ import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasedet import bchase, chase, idd, lchase, reference, simcli
+from chasedet.counters import DetectorStats
 from chasedet.errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
 from chasedet.idd import run_idd
 from chasedet.simcli import (
@@ -247,33 +249,32 @@ def test_worker_pool_matches_serial():
 
 def test_sweep_cuts_chunks_as_it_runs_them(monkeypatch):
     # At one block per chunk, the sweep holds neither a list of chunks nor
-    # one tally object per chunk: its peak is within twice the per-block
-    # flags and bit errors it returns (9 bytes a block here), where a chunk
-    # list built up front alone took over 200 bytes a block.
+    # anything per chunk: its peak is within twice the per-block flags and
+    # bit errors it returns (9 bytes a block here), where a chunk list built
+    # up front alone took over 200 bytes a block.
     cfg = SimConfig(snr_db=(0.0, 1.0, 2.0, 3.0), blocks=5000, iterations=1)
     bundle = _build_bundle(cfg)
     monkeypatch.setattr(simcli, "CHUNK_VALUES", 1)
     assert simcli.chunk_blocks(bundle) == 1
 
-    def no_blocks_run(bundle, parts):
-        ones = np.ones(1, dtype=np.int64)
-        return [
-            simcli.BlockTallies(
-                np.zeros((b - a, 1), dtype=bool), np.zeros((b - a, 1), dtype=np.int64), ones, ones
-            )
-            for _, a, b in parts
-        ]
+    def no_blocks_run(bundle, lo, hi):
+        return (
+            np.zeros((hi - lo, 1), dtype=bool),
+            np.zeros((hi - lo, 1), dtype=np.int64),
+            [DetectorStats(1, 0, 0, 1)],
+            0.0,
+        )
 
     monkeypatch.setattr(simcli, "simulate_chunk", no_blocks_run)
     monkeypatch.setattr(simcli, "run_idd", None)
     tracemalloc.start()
     try:
-        per_point = simcli.simulate_sweep(bundle)
+        flags, bit_errors, *_ = simcli.simulate_sweep(bundle)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [len(t.flags) for t in per_point] == [5000] * 4
-    assert peak <= 2 * sum(t.flags.nbytes + t.bit_errors.nbytes for t in per_point)
+    assert flags.shape == bit_errors.shape == (4 * 5000, 1)
+    assert peak <= 2 * (flags.nbytes + bit_errors.nbytes)
 
 
 def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
@@ -301,18 +302,45 @@ def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
             future.result = collect
             return future
 
-    pooled = simcli.simulate_sweep(bundle, Pool())
+    flags, bit_errors, stats, _ = simcli.simulate_sweep(bundle, Pool())
     assert max(most) == 2 * cfg.workers
     assert len(most) == 15 and not pending
-    for got, want in zip(pooled, simcli.simulate_sweep(bundle)):
-        np.testing.assert_array_equal(got.flags, want.flags)
-        np.testing.assert_array_equal(got.bit_errors, want.bit_errors)
-        np.testing.assert_array_equal(got.evals, want.evals)
+    want_flags, want_bit_errors, want_stats, _ = simcli.simulate_sweep(bundle)
+    np.testing.assert_array_equal(flags, want_flags)
+    np.testing.assert_array_equal(bit_errors, want_bit_errors)
+    assert stats == want_stats
 
 
 def test_timing_column():
     records = monte_carlo(_tiny_config(timing=True, blocks=2, iterations=1))
     assert records[0].wall_time_s > 0.0
+
+
+def test_timing_charges_each_chunk_to_points_by_block_share(monkeypatch):
+    # Three points of four blocks in 3-block chunks, on a clock whose k-th
+    # reading is k**2: chunk i runs from reading 2i to 2i+1, so it takes
+    # 4i+1 seconds. Each point's wall_time_s is the sum over the chunks it
+    # ran in of its share of their blocks; without --timing it is 0.
+    cfg = _tiny_config(snr_db=(0.0, 4.0, 8.0), blocks=4)
+    bundle = _build_bundle(cfg)
+    per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.idd_cfg.code.steps
+    monkeypatch.setattr(simcli, "CHUNK_VALUES", 3 * per_block)
+
+    def fake_clock():
+        readings = iter(range(100))
+        return SimpleNamespace(perf_counter=lambda: float(next(readings) ** 2))
+
+    elapsed = [4.0 * i + 1.0 for i in range(4)]
+    # Blocks of each point in each chunk: 0-2 | 3, 4-5 | 6-7, 8 | 9-11.
+    shares = [(3, 1, 0, 0), (0, 2, 2, 0), (0, 0, 1, 3)]
+    want = [sum(e * n / 3 for e, n in zip(elapsed, share)) for share in shares]
+    monkeypatch.setattr(simcli, "time", fake_clock())
+    timed = monte_carlo(replace(cfg, timing=True))
+    assert [r.wall_time_s for r in timed] == pytest.approx(
+        [w for w in want for _ in range(cfg.iterations)]
+    )
+    monkeypatch.setattr(simcli, "time", fake_clock())
+    assert [r.wall_time_s for r in monte_carlo(cfg)] == [0.0] * 6
 
 
 def test_config_lines_roundtrip_keys():
@@ -487,25 +515,26 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
         seed=seed, snr_db=(snr,), blocks=blocks, info_bits=16, **_CHUNK_LINKS[link]
     )
     bundle = _build_bundle(cfg)
-    info, normals = _draws(bundle, 0, 0, blocks)
+    info, normals = _draws(bundle, 0, blocks)
     cap = per_slice * _context_values(cfg, bundle.idd_cfg.constellation)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chase, "SLICE_VALUES", cap)
-        (whole,) = simulate_chunk(bundle, [(0, 0, blocks)])
+        flags, bit_errors, stats, _ = simulate_chunk(bundle, 0, blocks)
         chunk, chunk_llrs = _run_recording_llrs(
-            _chunk_model(bundle, 0, snr, 0, info, normals), info, bundle.idd_cfg
+            _chunk_model(bundle, 0, info, normals), info, bundle.idd_cfg
         )
-    singles = [simulate_chunk(bundle, [(0, b, b + 1)])[0] for b in range(blocks)]
-    np.testing.assert_array_equal(whole.flags, np.concatenate([t.flags for t in singles]))
-    np.testing.assert_array_equal(
-        whole.bit_errors, np.concatenate([t.bit_errors for t in singles])
-    )
-    np.testing.assert_array_equal(whole.evals, sum(t.evals for t in singles))
-    np.testing.assert_array_equal(whole.streams, sum(t.streams for t in singles))
+    singles = [simulate_chunk(bundle, b, b + 1) for b in range(blocks)]
+    np.testing.assert_array_equal(flags, np.concatenate([t[0] for t in singles]))
+    np.testing.assert_array_equal(bit_errors, np.concatenate([t[1] for t in singles]))
+    summed = [DetectorStats() for _ in stats]
+    for _, _, single_stats, _ in singles:
+        for total, part in zip(summed, single_stats):
+            total.add(part)
+    assert stats == summed
     for b in range(blocks):
         one = slice(b, b + 1)
         alone, alone_llrs = _run_recording_llrs(
-            _chunk_model(bundle, 0, snr, b, info[one], normals[one]), info[one], bundle.idd_cfg
+            _chunk_model(bundle, b, info[one], normals[one]), info[one], bundle.idd_cfg
         )
         np.testing.assert_array_equal(chunk_llrs[:, b], alone_llrs[:, 0])
         np.testing.assert_array_equal(chunk.info_llrs[b], alone.info_llrs[0])
@@ -522,7 +551,7 @@ def test_non_finite_whitened_model_names_point_and_block(monkeypatch):
 
     monkeypatch.setattr(simcli, "whiten", poisoned)
     with pytest.raises(FloatingPointError, match="snr point 1 block 3"):
-        simulate_chunk(bundle, [(1, 1, 4)])
+        simulate_chunk(bundle, 5, 8)  # snr point 1, blocks 1..3
 
 
 def _forced_singular(monkeypatch, error):
@@ -544,7 +573,7 @@ def test_singular_chunk_raises_naming_its_blocks(monkeypatch, error):
     bundle = _build_bundle(_tiny_config(blocks=4))
     calls = _forced_singular(monkeypatch, error)
     with pytest.raises(error) as raised:
-        simulate_chunk(bundle, [(0, 0, 4)])
+        simulate_chunk(bundle, 0, 4)
     assert str(raised.value) == "forced in the chunk of snr point 0 blocks 0..3"
     assert calls == [4]
 
@@ -554,7 +583,7 @@ def test_singular_chunk_spanning_points_names_every_part(monkeypatch):
     bundle = _build_bundle(_tiny_config(blocks=3, snr_db=(2.0, 6.0)))
     calls = _forced_singular(monkeypatch, SingularMatrixError)
     with pytest.raises(SingularMatrixError) as raised:
-        simulate_chunk(bundle, [(0, 1, 3), (1, 0, 2)])
+        simulate_chunk(bundle, 1, 5)
     assert str(raised.value) == (
         "forced in the chunk of snr point 0 blocks 1..2, snr point 1 blocks 0..1"
     )
@@ -585,7 +614,8 @@ def test_chunks_straddling_points_match_point_aligned_chunks(link, monkeypatch):
     # Three points of four blocks in 3-block chunks: every chunk after the
     # first holds the tail of one point and the head of the next. The
     # records, metric_count_mean included, equal those of a sweep in which
-    # each point is one chunk of its own.
+    # each point is one chunk of its own, and so do the per-block outcomes
+    # and the summed counters.
     cfg = _tiny_config(snr_db=(0.0, 4.0, 8.0), blocks=4, **_CHUNK_LINKS[link])
     bundle = _build_bundle(cfg)
     per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.idd_cfg.code.steps
@@ -605,14 +635,10 @@ def test_chunks_straddling_points_match_point_aligned_chunks(link, monkeypatch):
         sweeps[size] = simcli.simulate_sweep(bundle)
         assert calls == [size] * (12 // size)
         records[size] = monte_carlo(cfg)
-    assert [(p, a, b) for chunk in simcli._grid_chunks(cfg, 3) for p, a, b in chunk] == [
-        (0, 0, 3), (0, 3, 4), (1, 0, 2), (1, 2, 4), (2, 0, 1), (2, 1, 4)
-    ]
     assert records[3] == records[4]
     assert len(records[3]) == 3 * cfg.iterations
-    # Each point's counters are its own blocks' share, not the chunk's.
-    for straddled, aligned in zip(sweeps[3], sweeps[4]):
-        np.testing.assert_array_equal(straddled.flags, aligned.flags)
-        np.testing.assert_array_equal(straddled.bit_errors, aligned.bit_errors)
-        np.testing.assert_array_equal(straddled.evals, aligned.evals)
-        np.testing.assert_array_equal(straddled.streams, aligned.streams)
+    flags, bit_errors, stats, _ = sweeps[3]
+    want_flags, want_bit_errors, want_stats, _ = sweeps[4]
+    np.testing.assert_array_equal(flags, want_flags)
+    np.testing.assert_array_equal(bit_errors, want_bit_errors)
+    assert stats == want_stats
