@@ -7,7 +7,9 @@ The decoder is a max-log BCJR returning per-coded-bit extrinsic LLRs
 (total - channel - a priori), per-info-bit LLRs, and hard decisions. Its
 forward and backward recursions run together in one loop over the trellis
 steps, stacked on a direction axis, so each step costs three array
-operations for every block of a chunk and both directions at once.
+operations for every block of a chunk and both directions at once. Branch
+terms are formed a span of steps at a time in two fixed-size buffers, so
+they take the same memory whatever the code length.
 """
 
 from __future__ import annotations
@@ -33,15 +35,26 @@ _D1, _D2, _U = np.indices((2, 2, 2))
 _C0_BITS = (_U ^ _D1 ^ _D2).astype(float)
 _C1_BITS = (_U ^ _D2).astype(float)
 # The forward recursion lays branches out as (u, d1, d2), the backward one
-# and the edge totals as (d2, d1, u); see bcjr_decode.
+# and the edge totals as (d2, d1, u); see bcjr_decode. Each coded bit's
+# branch bits are stacked over the (forward, backward) direction axis.
 _FWD = (2, 0, 1)
 _BWD = (1, 0, 2)
-# Edges flattened from (d2, d1, u), split into (zeros, ones) cosets of the
-# first coded bit, the second coded bit and the info bit.
-_EDGE_COSETS = tuple(
-    tuple(np.flatnonzero(bits.transpose(_BWD).reshape(-1) == v) for v in (0, 1))
+_C0_DIRS, _C1_DIRS = (
+    np.stack([bits.transpose(_FWD), bits.transpose(_BWD)])[..., None]
+    for bits in (_C0_BITS, _C1_BITS)
+)
+# Edge totals are laid out (d2, d1, u). Flipping u flips every coded bit
+# and the info bit, so per (d2, d1) row the two edges split into one edge
+# of each coset; per bit and row, the reversal that puts the bit-0 edge
+# first.
+_EDGE_ORDERS = tuple(
+    tuple(slice(None, None, -1 if one else 1) for one in bits.transpose(_BWD)[..., 0].ravel())
     for bits in (_C0_BITS, _C1_BITS, _U)
 )
+# Float64 values in each of bcjr_decode's two branch-term buffers (256 kB).
+# A trellis step takes 16 per block (2 directions x 8 edges); a buffer holds
+# as many steps as fit, at least one.
+_BRANCH_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -179,35 +192,56 @@ def bcjr_decode(
     # finite at state 0 only, so beta is -inf at every state a tail input 1
     # leads to, every such branch and edge total is -inf, and
     # max(x, -inf) == x.
-    pairs = lam.reshape(n_blocks, steps, 2).transpose(1, 2, 0)[:, :, None, None, None]
-    g0 = np.empty((steps, 2, 2, 2, 2, n_blocks))
+    # The LLR pairs are copied once as (j, direction, bit, block); branch
+    # terms are formed a span of steps at a time in two buffers reused
+    # across the spans, so their size does not grow with the code.
+    pairs = np.empty((steps, 2, 2, n_blocks))
+    pairs[:, 0] = lam.reshape(n_blocks, steps, 2).transpose(1, 2, 0)
+    pairs[:, 1] = pairs[::-1, 0]
+    span = min(max(1, _BRANCH_VALUES // (16 * n_blocks)), steps)
+    g0 = np.empty((span, 2, 2, 2, 2, n_blocks))
     g1 = np.empty_like(g0)
-    for d, (layout, ordered) in enumerate(((_FWD, pairs), (_BWD, pairs[::-1]))):
-        np.multiply(_C0_BITS.transpose(layout)[..., None], ordered[:, 0], out=g0[:, d])
-        np.multiply(_C1_BITS.transpose(layout)[..., None], ordered[:, 1], out=g1[:, d])
 
     paths = np.full((steps + 1, 2, 2, 2, n_blocks), -np.inf)
     paths[0, :, 0, 0] = 0.0
     cand = np.empty((2, 2, 2, 2, n_blocks))
     first, second = cand[:, :, :, 0], cand[:, :, :, 1]
-    for prev, b0, b1, nxt in zip(paths[:-1, :, None], g0, g1, paths[1:]):
-        np.add(prev, b0, out=cand)
-        np.add(cand, b1, out=cand)
-        np.maximum(first, second, out=nxt)
+    for j in range(0, steps, span):
+        llrs = pairs[j : j + span, :, :, None, None, None]
+        n = len(llrs)
+        np.multiply(_C0_DIRS, llrs[:, :, 0], out=g0[:n])
+        np.multiply(_C1_DIRS, llrs[:, :, 1], out=g1[:n])
+        for prev, b0, b1, nxt in zip(
+            paths[j : j + n, :, None], g0[:n], g1[:n], paths[j + 1 : j + n + 1]
+        ):
+            np.add(prev, b0, out=cand)
+            np.add(cand, b1, out=cand)
+            np.maximum(first, second, out=nxt)
 
     # Edge totals (alpha(t, s) + gamma(t, s, u)) + beta(t+1, ns) as
-    # (step, d2, d1, u, block), built in place in the backward branch terms
-    # read in step order.
-    totals = g0[::-1, 1]
-    totals += g1[::-1, 1]
-    del g1
-    totals += paths[:-1, 0].transpose(0, 2, 1, 3)[:, :, :, None]
-    totals += paths[-2::-1, 1][:, None]
-    edges = totals.reshape(steps, 8, n_blocks)
-    llr_c0, llr_c1, llr_u = (
-        (edges[:, ones].max(axis=1) - edges[:, zeros].max(axis=1)).T
-        for zeros, ones in _EDGE_COSETS
-    )
+    # (step, d2, d1, u, block), built in place in backward-layout branch
+    # terms formed again in step order; with one layout the buffers hold
+    # twice the steps. Both coset maxima of a bit are one walk over the
+    # (d2, d1) rows, in the order max(axis=1) over each coset's edges would
+    # take them.
+    g0, g1 = (g.reshape((2 * span,) + g.shape[2:]) for g in (g0, g1))
+    out_llrs = np.empty((3, steps, n_blocks))
+    best = np.empty((2 * span, 2, n_blocks))
+    for t in range(0, steps, 2 * span):
+        llrs = pairs[t : t + 2 * span, 0, :, None, None, None]
+        n = len(llrs)
+        totals = np.multiply(_C0_DIRS[1], llrs[:, 0], out=g0[:n])
+        totals += np.multiply(_C1_DIRS[1], llrs[:, 1], out=g1[:n])
+        totals += paths[t : t + n, 0].transpose(0, 2, 1, 3)[:, :, :, None]
+        totals += paths[steps - t - n : steps - t, 1][::-1, None]
+        rows = totals.reshape(n, 4, 2, n_blocks)
+        top = best[:n]
+        for out, orders in zip(out_llrs[:, t : t + n], _EDGE_ORDERS):
+            np.maximum(rows[:, 0, orders[0]], rows[:, 1, orders[1]], out=top)
+            for row in (2, 3):
+                np.maximum(top, rows[:, row, orders[row]], out=top)
+            np.subtract(top[:, 1], top[:, 0], out=out)
+    llr_c0, llr_c1, llr_u = out_llrs.transpose(0, 2, 1)
 
     coded_total = np.empty((n_blocks, cfg.coded_len))
     coded_total[:, 0::2] = llr_c0

@@ -84,21 +84,38 @@ class PamAxis:
     def level_priors(self, apriori: np.ndarray) -> np.ndarray:
         """Per-level a priori term sum_n b_mn * La(n): (..., nbits) -> (..., L).
 
-        An elementwise product summed over the bit axis. The matmul form
-        rounds differently at 256-QAM, so every metric takes its priors from
-        here and they agree to the last bit.
+        Bit terms are added left to right onto +0.0, as a sum over the bit
+        axis adds them, so a -0.0 term comes out +0.0 there too. The matmul
+        form rounds differently at 256-QAM, so every metric takes its priors
+        from here and they agree to the last bit.
         """
         apriori = np.asarray(apriori, dtype=float)
-        return (apriori[..., None, :] * self._labels_f).sum(axis=-1)
+        labels = self._labels_f
+        prior = 0.0 + apriori[..., :1] * labels[:, 0]
+        for k in range(1, self.nbits):
+            prior += apriori[..., k : k + 1] * labels[:, k]
+        return prior
 
 
 class BoundarySet:
     """A-priori-modulated slicing boundaries for one PamAxis.
 
-    Holds one boundary value per unordered level pair plus the per-level
-    [lower, upper) interval bounds they induce. Leading batch dimensions of
-    `apriori`/`noise_var` are carried through, so one BoundarySet can describe
-    a whole batch of independent slicing problems.
+    Holds one boundary value D_mu per unordered level pair (m < u), the
+    per-level [lower, upper) intervals they induce, lower_m = max_{u>m} D_mu
+    and upper_u = min_{m<u} D_mu, and the L-1 decision thresholds slice_pam
+    counts. Leading batch dimensions of `apriori`/`noise_var` are carried
+    through, so one BoundarySet can describe a whole batch of independent
+    slicing problems.
+
+    Non-empty intervals are disjoint and ordered, since lower_m >= D_mu >=
+    upper_u for every u > m. Threshold t_m (m = 1..L-1, level-major, shaped
+    (L-1, ...)) is the smallest lower bound of a non-empty interval above
+    level m, so a z in some interval lies below exactly as many thresholds
+    as that interval's index. Float rounding can leave an ulp-wide gap
+    between neighbouring intervals at a three-way near-tie, and a
+    non-finite prior can empty the bottom interval. `gapped` is set when
+    some set of the batch has such a hole, which slice_pam then resolves by
+    direct metric evaluation.
     """
 
     def __init__(self, axis: PamAxis, apriori: np.ndarray, noise_var) -> None:
@@ -111,17 +128,28 @@ class BoundarySet:
 
         values = axis.pair_mid - var[..., None] * (apriori @ axis.pair_coef.T)
         # Max and min are exact in any order: pair by pair from -inf / +inf,
-        # lower_m = max_{u>m} D_mu and upper_u = min_{m<u} D_mu, level-major.
+        # level-major.
         lower = np.full((axis.nlevels,) + values.shape[:-1], -np.inf)
         upper = np.full_like(lower, np.inf)
         for p, (m, u) in enumerate(zip(axis.pair_first, axis.pair_second)):
             np.maximum(lower[m, ...], values[..., p], out=lower[m, ...])
             np.minimum(upper[u, ...], values[..., p], out=upper[u, ...])
-        lower, upper = np.moveaxis(lower, 0, -1), np.moveaxis(upper, 0, -1)
+        # Non-empty levels (lower < upper; NaN bounds count as empty) feed a
+        # running minimum, walked because np.minimum.accumulate takes several
+        # times as long on these short axes. A gap is a non-empty level whose
+        # upper bound falls short of the threshold above it, or an empty
+        # bottom level, which only a non-finite prior makes.
+        open_ = lower < upper
+        thresholds = np.where(open_[:-1], lower[:-1], np.inf)
+        for m in range(1, axis.nlevels - 1):
+            np.minimum(thresholds[m - 1, ...], thresholds[m, ...], out=thresholds[m, ...])
+        gap = open_[1:] & (upper[1:] < thresholds)
 
         self.values = values
-        self.lower = lower
-        self.upper = upper
+        self.lower = np.moveaxis(lower, 0, -1)
+        self.upper = np.moveaxis(upper, 0, -1)
+        self.thresholds = thresholds
+        self.gapped = bool(gap.any()) or not open_[-1].all()
         self._apriori = apriori
         self._var = var
 
@@ -144,26 +172,21 @@ def slice_pam(z, axis: PamAxis, boundaries: BoundarySet) -> np.ndarray:
     pam_metric over all levels, with ties resolved toward the smaller index
     (more positive level). Total on all real inputs.
 
-    The levels are walked from the most negative (index L-1) to the most
-    positive, each claiming the z inside its interval; all work is on arrays
-    shaped like z. The intervals stay disjoint after rounding, because
-    lower_m >= D_mu >= upper_u for every u > m, so no z is claimed twice.
+    The index is the count of a-priori-shifted thresholds above z, one
+    comparison per threshold on arrays shaped like z (see BoundarySet).
+    Only a gapped set or a non-finite z needs more: there the count is kept
+    where its interval holds z and the rest take the direct metric argmax.
     """
     z = np.asarray(z, dtype=float)
-    lower, upper = boundaries.lower, boundaries.upper
-    shape = np.broadcast_shapes(z.shape, lower.shape[:-1])
+    shape = np.broadcast_shapes(z.shape, boundaries.values.shape[:-1])
     idx = np.zeros(shape, dtype=np.intp)
-    covered = np.zeros(shape, dtype=bool)
-    inside = np.empty(shape, dtype=bool)
     below = np.empty(shape, dtype=bool)
-    for m in range(axis.nlevels - 1, -1, -1):
-        np.greater_equal(z, lower[..., m], out=inside)
-        inside &= np.less(z, upper[..., m], out=below)
-        np.putmask(idx, inside, m)
-        covered |= inside
-    if not covered.all():
-        # Float rounding can open an ulp-wide gap between intervals at 3-way
-        # near-ties; resolve those inputs by direct metric evaluation.
+    for t in boundaries.thresholds:
+        np.less(z, t, out=below)
+        idx += below
+    if boundaries.gapped or not np.isfinite(z).all():
+        upper = np.broadcast_to(boundaries.upper, shape + (axis.nlevels,))
+        covered = z < np.take_along_axis(upper, idx[..., None], axis=-1)[..., 0]
         metric = axis.level_priors(boundaries._apriori) - (
             (z[..., None] - axis.levels) ** 2
         ) / boundaries._var[..., None]

@@ -2,7 +2,9 @@
 
 The Chase counting convention: `metric_evals` are full candidate metric
 evaluations (the per-candidate last-layer terms, or exhaustive enumeration),
-`boundary_evals` are slicing boundary values actually computed. Slicer
+`boundary_evals` are slicing boundary values actually computed, one per
+pair of PAM levels: the paper's pairwise cost model, which the count keeps
+although the slicer folds them into L-1 thresholds per axis. Slicer
 comparisons and metric lookups at already-sliced points are free by
 convention. Under this convention the L-Chase count per detected stream is
 exactly n_streams*M - (n_streams-1)*sqrt(M).

@@ -103,7 +103,7 @@ def brute_pam_argmax(
 ) -> np.ndarray:
     """Index of the metric-maximizing level by direct evaluation.
 
-    Same metric as the interval slicer: per-level prior minus squared
+    Same metric as the threshold slicer: per-level prior minus squared
     distance over the noise variance, ties to the smaller index.
     """
     z = np.asarray(z, dtype=float)

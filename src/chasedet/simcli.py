@@ -59,10 +59,12 @@ MAX_SNR_POINTS = 10_000
 # every block's flags and bit errors until the run ends.
 MAX_GRID_BLOCKS = 10**7
 # Working-set cap of one chunk, in float64 values. A block is charged
-# uses * streams * M (its candidate metrics) plus 64 per trellis step: the
-# decoder's branch terms for both directions (32), its path metrics (8) and
-# the LLR and edge-coset temporaries; see chunk_blocks. tests/test_codec.py
-# holds a decode of a chunk under it.
+# uses * streams * M (its candidate metrics) plus 64 per trellis step for
+# the decoder, which holds its path metrics (8), its LLR copy, edge LLRs
+# and outputs, and two branch-term buffers of fixed size: 27 to 45 values
+# per step at the simulated lengths. The charge stays above that at 64 so
+# the chunk cuts do not move; see chunk_blocks. tests/test_codec.py holds a
+# decode of a chunk under it.
 CHUNK_VALUES = 1 << 20
 
 

@@ -252,6 +252,106 @@ def test_slicer_level_walk_matches_mask_rule(order):
     assert np.array_equal(idx, _slice_by_masks(z, ax, bset))
 
 
+@pytest.mark.parametrize("order", (16, 64, 256))
+def test_gapped_sets_match_mask_rule(order):
+    # One boundary set per near-tie problem, z at and a few ulps around the
+    # tie: rounding opens an ulp-wide gap between two intervals in some of
+    # them, BoundarySet flags exactly those that can leave a z uncovered,
+    # and every z gets the mask rule's index, the direct-metric fallback
+    # included.
+    axis = build_constellation(order).axis
+    z, la, var = _three_way_ties(axis, np.random.default_rng(order + 3), 6000)
+    z = z[:, None] + np.spacing(z)[:, None] * np.arange(-3, 4)
+    gapped = uncovered = 0
+    for zi, lai, vi in zip(z, la, var):
+        bset = pam_boundaries(axis, lai, vi)
+        inside = (zi[:, None] >= bset.lower) & (zi[:, None] < bset.upper)
+        covered = inside.any(axis=-1)
+        assert bset.gapped or covered.all()
+        gapped += bset.gapped
+        uncovered += (~covered).sum()
+        assert np.array_equal(slice_pam(zi, axis, bset), _slice_by_masks(zi, axis, bset))
+    assert gapped > 0 and uncovered > 0
+    assert gapped < len(z)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_slicer_at_nan_and_infinities(order):
+    # NaN and +inf fall in no interval and take the metric argmax, level 0;
+    # -inf lies in the bottom interval. Finite z beside them keep their
+    # counted level.
+    ax = build_constellation(order).axis
+    rng = np.random.default_rng(order + 5)
+    rows = 200
+    la = np.clip(3.0 * rng.standard_cauchy((rows, 1, ax.nbits)), -LLR_CLIP, LLR_CLIP)
+    la[0] = 0.0
+    var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    bset = pam_boundaries(ax, la, var)
+    z = np.concatenate(
+        [np.tile([np.nan, np.inf, -np.inf], (rows, 1)), rng.standard_normal((rows, 5))], axis=1
+    )
+    idx = slice_pam(z, ax, bset)
+    assert np.array_equal(idx, _slice_by_masks(z, ax, bset))
+    assert np.all(idx[:, :2] == 0) and np.all(idx[:, 2] == ax.nlevels - 1)
+    assert np.array_equal(idx[:, 3:], slice_pam(z[:, 3:], ax, bset))
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_slicer_with_non_finite_priors_matches_mask_rule(order):
+    # Infinite and NaN priors give infinite or NaN boundaries, which can
+    # leave even the bottom interval empty; finite z still get the mask
+    # rule's index, through the fallback wherever a threshold count is not
+    # covered.
+    ax = build_constellation(order).axis
+    rng = np.random.default_rng(order + 9)
+    rows = 400
+    la = np.clip(3.0 * rng.standard_cauchy((rows, 1, ax.nbits)), -LLR_CLIP, LLR_CLIP)
+    for bad in (np.inf, -np.inf, np.nan):
+        la[rng.random(la.shape) < 0.15] = bad
+    var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    z = rng.standard_normal((rows, 20))
+    with np.errstate(invalid="ignore"):
+        bset = pam_boundaries(ax, la, var)
+        assert bset.gapped
+        assert np.array_equal(slice_pam(z, ax, bset), _slice_by_masks(z, ax, bset))
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_zero_prior_thresholds_are_adjacent_midpoints(order):
+    # Without priors the L-1 thresholds are the midpoints between adjacent
+    # levels, whatever the variance, and no set has a gap.
+    ax = build_constellation(order).axis
+    var = np.array([[1e-3], [1.0], [40.0]])
+    bset = pam_boundaries(ax, np.zeros((3, 1, ax.nbits)), var)
+    mids = (ax.levels[:-1] + ax.levels[1:]) / 2.0
+    assert bset.thresholds.shape == (ax.nlevels - 1, 3, 1)
+    assert np.all(bset.thresholds == mids[:, None, None])
+    assert not bset.gapped
+
+
+def _level_priors_by_sum(axis, apriori):
+    """Per-level priors as a sum over the bit axis of an (..., L, nbits)
+    product, the form PamAxis.level_priors took before its walk over bits."""
+    return (np.asarray(apriori, dtype=float)[..., None, :] * axis._labels_f).sum(axis=-1)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_level_priors_match_bit_axis_sum(order):
+    # Bit for bit the sum form, signed zeros included, under Cauchy-tailed
+    # priors sprinkled with -0.0 and +0.0, for a stacked and a single
+    # problem and an all -0.0 prior.
+    ax = build_constellation(order).axis
+    rng = np.random.default_rng(order + 13)
+    la = np.clip(3.0 * rng.standard_cauchy((2, 300, 1, ax.nbits)), -LLR_CLIP, LLR_CLIP)
+    la[rng.random(la.shape) < 0.2] = -0.0
+    la[rng.random(la.shape) < 0.1] = 0.0
+    for a in (la, la[0, 0, 0], np.full(ax.nbits, -0.0)):
+        got, want = ax.level_priors(a), _level_priors_by_sum(ax, a)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _bounds_by_masked_gather(axis, values):
     """Interval bounds as masked (..., L, L-1) gathers of the pair values,
     the form BoundarySet built them in before its pair walk."""
