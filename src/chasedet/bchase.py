@@ -140,15 +140,17 @@ def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
 def context_values(c: Constellation, n_streams: int) -> int:
     """Float64 values one context is charged.
 
-    With three or more streams the peak falls in soft_symbol_stats on a
-    feedback layer, once it has formed both axes' level products. Per
-    candidate it holds the running total; the inner layers' soft means and
-    variances, 3 per stream; the layer's z, its stacked axes and the two
-    variances, 6; the summed a priori and post-detection LLRs and their
-    tanh, 2*q; the level products of both axes, 2*L; one bit's 1 - t and
-    1 + t factors and the moments with their temporaries, under 14 more.
-    The charge L*q + 2*L + 4*q + 3*n_streams + 16 per candidate bounds that
-    peak at every order; charging the peak itself raised peak RSS.
+    With three or more streams the peak falls on a feedback layer, in
+    layer_post_llrs (in soft_symbol_stats for QPSK with three streams), at
+    under 6*q + 3*n_streams + 16 values per candidate under tracemalloc.
+    Per candidate it holds the running total; the inner layers' soft means
+    and variances, 3 per stream; the layer's z, its stacked axes and the
+    two variances, 6; both axes' q-wide coset minima, their scaled
+    difference and the output LLRs. soft_symbol_stats holds the LLRs,
+    their tanh and six moment arrays one bit wide. The charge L*q + 2*L +
+    4*q + 3*n_streams + 16 per candidate, sized for the level products an
+    earlier soft_symbol_stats held, stays above that peak; charging the
+    peak itself raised peak RSS.
 
     With one or two streams no layer feeds back, and the peak falls in
     pam_metric on the bottom layer: the running total, z and its stacked
@@ -171,11 +173,19 @@ def _best_level_metric(z, axis: PamAxis, apriori, noise_var) -> np.ndarray:
 
     Each level's metric rounds exactly as pam_metric's does, so this is
     pam_metric at the metric argmax; z is (2, rows, M), noise_var (rows, M).
+    The levels are walked in two buffers of the result's shape.
     """
     prior = axis.level_priors(apriori)
-    best = prior[..., 0] - (z - axis.levels[0]) ** 2 / noise_var
-    for m in range(1, axis.nlevels):
-        np.maximum(best, prior[..., m] - (z - axis.levels[m]) ** 2 / noise_var, out=best)
+    best = np.empty(np.broadcast_shapes(np.shape(z), prior.shape[:-1], np.shape(noise_var)))
+    metric = np.empty_like(best)
+    for m, level in enumerate(axis.levels):
+        out = metric if m else best
+        np.subtract(z, level, out=out)
+        np.square(out, out=out)
+        np.divide(out, noise_var, out=out)
+        np.subtract(prior[..., m], out, out=out)
+        if m:
+            np.maximum(best, metric, out=best)
     return best
 
 

