@@ -31,7 +31,8 @@ from .constellation import (
     Constellation,
     PamAxis,
     axis_parts,
-    coset_min_sqdist,
+    coset_sqdist_gap,
+    label_order,
     pam_boundaries,
     pam_metric,
     slice_pam,
@@ -127,30 +128,32 @@ def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
     residual distance to a symbol s is |r_ll|^2 |z - s|^2), and layer_var the
     layer's effective noise variance. Distance-only (prior-free) coset minima
     are taken for both axes at once. Shapes broadcast; the result gains a
-    trailing q axis.
+    trailing q axis, a view over bit-major memory (see label_order) that
+    callers may update in place.
     """
     z = np.asarray(z)
     scale = np.asarray(r_ll, dtype=float) ** 2 / np.asarray(layer_var, dtype=float)
-    out = np.empty(np.broadcast(z, scale).shape + (c.bits_per_symbol,))
-    d0, d1 = coset_min_sqdist(np.stack((z.real, z.imag)), c.axis)
-    axis_parts(out)[...] = (d0 - d1) * scale[..., None]
-    return out
+    gap = coset_sqdist_gap(np.broadcast_to(z, np.broadcast_shapes(z.shape, scale.shape)), c.axis)
+    gap *= scale
+    return label_order(gap)
 
 
 def context_values(c: Constellation, n_streams: int) -> int:
     """Float64 values one context is charged.
 
     With three or more streams the peak falls on a feedback layer, in
-    layer_post_llrs (in soft_symbol_stats for QPSK with three streams), at
-    under 6*q + 3*n_streams + 16 values per candidate under tracemalloc.
-    Per candidate it holds the running total; the inner layers' soft means
-    and variances, 3 per stream; the layer's z, its stacked axes and the
-    two variances, 6; both axes' q-wide coset minima, their scaled
-    difference and the output LLRs. soft_symbol_stats holds the LLRs,
-    their tanh and six moment arrays one bit wide. The charge L*q + 2*L +
-    4*q + 3*n_streams + 16 per candidate, sized for the level products an
-    earlier soft_symbol_stats held, stays above that peak; charging the
-    peak itself raised peak RSS.
+    layer_post_llrs or soft_symbol_stats, at under 2*q + 3*n_streams + 8
+    values per candidate under tracemalloc. Per candidate it holds the
+    running total; the inner layers' soft means and variances, 3 per
+    stream; the layer's z and variance, 3; and then either z's stacked
+    axes, both axes' q-wide coset minima and one level's distances, or the
+    LLRs, their tanh and three moment arrays one bit wide. The charge,
+    4*q + 3*n_streams + 16 per candidate, leaves about the headroom
+    lchase's leaves: at 64-QAM a full slice of either detector holds about
+    1.8 MB at its peak, so bchase's slices do not raise the process's peak
+    RSS. A charge of 2*q + 3*n_streams + 12, just above the peak, filled
+    bchase's slices to 2.6 MB and raised peak RSS by 0.5 MB for no
+    measurable speed.
 
     With one or two streams no layer feeds back, and the peak falls in
     pam_metric on the bottom layer: the running total, z and its stacked
@@ -161,10 +164,10 @@ def context_values(c: Constellation, n_streams: int) -> int:
     Per context, the a priori and output LLRs and the boundary sets take
     under 16*q more. tests/test_chase.py holds a measured peak to this.
     """
-    n_levels, q = c.axis.nlevels, c.bits_per_symbol
+    q = c.bits_per_symbol
     if n_streams <= 2:
         return 24 * c.order + 16 * q
-    per_candidate = n_levels * q + 2 * n_levels + 4 * q + 3 * n_streams + 16
+    per_candidate = 4 * q + 3 * n_streams + 16
     return c.order * per_candidate + 16 * q
 
 
@@ -187,6 +190,27 @@ def _best_level_metric(z, axis: PamAxis, apriori, noise_var) -> np.ndarray:
         if m:
             np.maximum(best, metric, out=best)
     return best
+
+
+def _layer_metric(z, r_ll, layer_var, la_layer, axis: PamAxis, bottom: bool) -> np.ndarray:
+    """Best metric of one inner layer under each candidate, both axes
+    stacked (2, rows, M); z and layer_var are (rows, M), r_ll (rows,) and
+    la_layer (rows, q). Its effective variance is layer_var / r_ll^2.
+
+    The bottom inner layer has no feedback, so its effective variance (hence
+    its boundary set) is the same for every candidate and the slicer serves
+    all M candidates. Above it the variance differs per candidate, and the
+    maximum of the sqrt(M) level metrics is the sliced level's metric for
+    less work than a boundary set per candidate; the count still charges the
+    paper's per-candidate boundary sets.
+    """
+    eff_var = layer_var / r_ll[:, None] ** 2
+    la_axes = axis_parts(la_layer).copy()[:, :, None, :]
+    z_axes = np.stack((z.real, z.imag))
+    if bottom:
+        idx = slice_pam(z_axes, axis, pam_boundaries(axis, la_axes, eff_var[:, :1]))
+        return pam_metric(axis, idx, z_axes, la_axes, eff_var)
+    return _best_level_metric(z_axes, axis, la_axes, eff_var)
 
 
 def _inner_layers(
@@ -219,32 +243,18 @@ def _inner_layers(
         layer_var = 1.0 + np.einsum(
             "uf,ufm->um", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[:, l + 1 : n - 1]
         )
-        eff_var = layer_var / r_ll[:, None] ** 2
-        # The bottom inner layer has no feedback, so its effective variance
-        # (hence its boundary set) is the same for every candidate and the
-        # slicer serves all M candidates. Above it the variance differs per
-        # candidate, and the maximum of the sqrt(M) level metrics is the
-        # sliced level's metric for less work than a boundary set per
-        # candidate; the count still charges the paper's per-candidate
-        # boundary sets.
         bottom = l == n - 2
-        la_axes = axis_parts(la_layer).copy()[:, :, None, :]
-        z_axes = np.stack((z.real, z.imag))
-        if bottom:
-            idx = slice_pam(z_axes, axis, pam_boundaries(axis, la_axes, eff_var[:, :1]))
-            chase.add_axis_metrics(total, pam_metric(axis, idx, z_axes, la_axes, eff_var))
-        else:
-            chase.add_axis_metrics(total, _best_level_metric(z_axes, axis, la_axes, eff_var))
+        chase.add_axis_metrics(total, _layer_metric(z, r_ll, layer_var, la_layer, axis, bottom))
         if stats is not None:
             stats.boundary_evals += batch * (1 if bottom else m) * 2 * axis.npairs
 
         if l == 0:
             break  # nothing below consumes this layer's estimate
 
-        post = la_layer[:, None, :] + layer_post_llrs(z, r_ll[:, None], layer_var, c)
-        mean, var = soft_symbol_stats(post, c)
-        shat[:, l, :] = mean
-        svar[:, l, :] = var
+        post = layer_post_llrs(z, r_ll[:, None], layer_var, c)
+        post += la_layer[:, None, :]
+        shat[:, l, :], svar[:, l, :] = soft_symbol_stats(post, c)
+        del post  # not live under the next layer's coset minima
         if stats is not None:
             stats.soft_stat_evals += batch * m
 

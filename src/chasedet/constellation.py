@@ -232,6 +232,18 @@ def coset_min_sqdist(z, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
     return np.moveaxis(d0, 0, -1), np.moveaxis(d1, 0, -1)
 
 
+def coset_sqdist_gap(z, axis: PamAxis) -> np.ndarray:
+    """d0 - d1 of coset_min_sqdist for both parts of a complex z, bit-major:
+    (axis.nbits, 2) + z.shape, the real part first along axis 1.
+
+    The difference is taken in place on coset_min_sqdist's bit-major
+    buffers, so every per-bit slice is contiguous; label_order views the
+    result per bit.
+    """
+    d0, d1 = coset_min_sqdist(np.stack((z.real, z.imag)), axis)
+    return np.moveaxis(np.subtract(d0, d1, out=d0), -1, 0)
+
+
 class Constellation:
     """Unit-energy Gray-mapped square QAM alphabet.
 
@@ -308,9 +320,16 @@ def axis_parts(bits: np.ndarray) -> np.ndarray:
     return np.moveaxis(bits.reshape(bits.shape[:-1] + (-1, 2)), -1, 0)
 
 
+def label_order(parts: np.ndarray) -> np.ndarray:
+    """Bit-major per-axis values (nbits, 2, ...) as per-bit values (..., q), a
+    view: label position 2n + a holds axis a's bit n (see axis_parts)."""
+    return np.moveaxis(parts, (0, 1), (-2, -1)).reshape(parts.shape[2:] + (-1,))
+
+
 def _axis_stats(t, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances of both axes from t = tanh(LLR/2) as
-    axis_parts stacks it, (2, ..., nbits).
+    """Posterior means and variances of both axes from saturated LLRs as
+    axis_parts stacks them, (2, ..., nbits), which it overwrites with
+    t = tanh(LLR/2). Bit-major memory makes every t[..., j] contiguous.
 
     With s_j = 1 - 2 b_j, the reflected-Gray level is d * s_0 (2^(k-1) +
     s_1 (2^(k-2) + ... + s_(k-1))) for k bits and unit amplitude d, and
@@ -324,6 +343,8 @@ def _axis_stats(t, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
     bchase rows hold a decoder tie (an info LLR of exactly 0.0) that
     adding c^2 + 2cA first breaks by one ulp.
     """
+    t /= 2.0
+    np.tanh(t, out=t)
     d = axis.levels[0] / (axis.nlevels - 1)
     mean = -t[..., -1]
     second = np.ones_like(mean)
@@ -352,8 +373,7 @@ def soft_symbol_stats(llrs, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     Inputs are saturated first, so +-inf LLRs are safe and a fully saturated
     vector returns the labeled point with exactly zero variance.
     """
-    t = axis_parts(saturate(np.asarray(llrs, dtype=float))).copy()
-    t /= 2.0
-    np.tanh(t, out=t)
-    mean, var = _axis_stats(t, c.axis)
+    # saturate returns a fresh array in the layout of llrs (bit-major under
+    # layer_post_llrs), which _axis_stats may overwrite and which dies with it.
+    mean, var = _axis_stats(axis_parts(saturate(np.asarray(llrs, dtype=float))), c.axis)
     return mean[0] + 1j * mean[1], var[0] + var[1]

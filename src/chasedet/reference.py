@@ -15,7 +15,7 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, PamAxis, axis_parts, coset_min_sqdist
+from .constellation import Constellation, PamAxis, coset_sqdist_gap, label_order
 from .counters import DetectorStats
 
 MAX_EXHAUSTIVE = 1 << 20
@@ -139,9 +139,9 @@ def lmmse_llrs(
     z = shat / mu
     nu = np.maximum((1.0 - mu) / mu, LMMSE_NOISE_FLOOR)
 
-    llrs = np.empty(z.shape + (c.bits_per_symbol,))
-    d0, d1 = coset_min_sqdist(np.stack((z.real, z.imag)), c.axis)
-    np.divide(d0 - d1, nu[..., None], out=axis_parts(llrs))
+    gap = coset_sqdist_gap(z, c.axis)
+    gap /= nu
+    llrs = label_order(gap)
 
     if stats is not None:
         streams = z.size

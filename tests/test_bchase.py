@@ -369,3 +369,29 @@ def test_layer_post_llrs_match_per_axis_minima(order):
     r_ll, layer_var = rng.uniform(0.2, 3.0, (40, 1)), rng.uniform(0.5, 20.0, (40, order))
     want = _post_llrs_per_axis(z, r_ll, layer_var, c)
     assert np.array_equal(layer_post_llrs(z, r_ll, layer_var, c), want)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_feedback_chain_matches_c_ordered_chain(order):
+    # layer_post_llrs, plus the layer's a priori LLRs in place, then
+    # soft_symbol_stats: bit-major memory all the way, and bit for bit the
+    # chain on C-ordered (..., q) LLRs gives. Cauchy priors, some at
+    # +-LLR_CLIP.
+    c = build_constellation(order)
+    rng = np.random.default_rng(order + 29)
+    rows = 30
+    z = iid_complex_gaussian(rng, (rows, order)) * 2.0
+    r_ll, layer_var = rng.uniform(0.2, 3.0, (rows, 1)), rng.uniform(0.5, 20.0, (rows, order))
+    la = np.clip(3.0 * rng.standard_cauchy((rows, c.bits_per_symbol)), -LLR_CLIP, LLR_CLIP)
+    clipped = rng.random(la.shape) < 0.2
+    la[clipped] = np.copysign(LLR_CLIP, la[clipped])
+    want_post = la[:, None, :] + _post_llrs_per_axis(z, r_ll, layer_var, c)
+    assert want_post.flags.c_contiguous
+    post = layer_post_llrs(z, r_ll, layer_var, c)
+    post += la[:, None, :]
+    assert all(post[..., k].flags.c_contiguous for k in range(c.bits_per_symbol))
+    assert np.array_equal(post, want_post)
+    mean, var = soft_symbol_stats(post, c)
+    want_mean, want_var = soft_symbol_stats(want_post, c)
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(var, want_var)

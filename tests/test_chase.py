@@ -48,6 +48,69 @@ def test_detection_peak_stays_under_slice_cap(detector, order, n_streams):
     assert peak <= chase.SLICE_VALUES * 8 + out.nbytes
 
 
+@pytest.mark.parametrize("n_streams", (3, 4, 6))
+@pytest.mark.parametrize("order", (16, 64, 256))
+def test_bchase_charge_bounds_its_slice_peak(order, n_streams, monkeypatch):
+    # What a full bchase slice holds at its peak, counted from the start of
+    # its inner layers (so the block detect_all_uses frees before its first
+    # slice does not count) and less the call's output, stays under the
+    # slice's charge and above half of it: the charge neither undercounts
+    # the working set nor drifts far above it as the code changes.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n_streams])
+    charge = bchase.context_values(c, n_streams)
+    per_slice = chase.SLICE_VALUES // charge
+    uses = 2 * per_slice // n_streams + 1
+    h = iid_complex_gaussian(rng, (uses, n_streams, n_streams))
+    y = iid_complex_gaussian(rng, (uses, n_streams))
+    la = np.clip(rng.standard_cauchy((uses, n_streams, c.bits_per_symbol)), -LLR_CLIP, LLR_CLIP)
+    contexts = bchase.prepare_all_uses(WhitenedModel(y=y, h=h))
+    inner_layers, peaks = bchase._inner_layers, []
+
+    def measured(ctx, *args):
+        tracemalloc.reset_peak()
+        inner_layers(ctx, *args)
+        peaks.append((len(ctx), tracemalloc.get_traced_memory()[1]))
+
+    monkeypatch.setattr(bchase, "_inner_layers", measured)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = bchase.detect_all_uses(contexts, c, la)
+    finally:
+        tracemalloc.stop()
+    full = [peak for rows, peak in peaks if rows == per_slice]
+    assert len(full) >= 2
+    held = (max(full) - base - out.nbytes) / 8
+    assert charge * per_slice / 2 <= held <= charge * per_slice
+
+
+@pytest.mark.parametrize("n_streams", (3, 4))
+@pytest.mark.parametrize("order", (16, 64))
+@pytest.mark.parametrize("detector", (lchase, bchase), ids=("lchase", "bchase"))
+def test_slicing_does_not_change_llrs(detector, order, n_streams, monkeypatch):
+    # One context per slice, a few per slice and the whole stack in one
+    # slice give the same LLRs bit for bit. Cauchy priors, some at
+    # +-LLR_CLIP.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n_streams, detector is bchase])
+    uses = 5
+    h = iid_complex_gaussian(rng, (uses, n_streams, n_streams))
+    y = iid_complex_gaussian(rng, (uses, n_streams))
+    la = 3.0 * rng.standard_cauchy((uses, n_streams, c.bits_per_symbol))
+    la = np.clip(la, -LLR_CLIP, LLR_CLIP)
+    clipped = rng.random(la.shape) < 0.2
+    la[clipped] = np.copysign(LLR_CLIP, la[clipped])
+    contexts = detector.prepare_all_uses(WhitenedModel(y=y, h=h))
+    charge = _charge(detector, c, n_streams)
+    llrs = []
+    for per_slice in (1, 3, uses * n_streams):
+        monkeypatch.setattr(chase, "SLICE_VALUES", per_slice * charge)
+        llrs.append(detector.detect_all_uses(contexts, c, la))
+    assert np.array_equal(llrs[0], llrs[2])
+    assert np.array_equal(llrs[1], llrs[2])
+
+
 def _per_stream_lchase(h, y, stream):
     """One target stream of lchase, factored as a per-stream pass did."""
     n_uses, _, n = h.shape

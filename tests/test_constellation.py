@@ -525,3 +525,26 @@ def test_soft_symbol_stats_within_ulps_of_long_double(order, candidates):
     assert np.abs(mean.real - ref_re).max() <= 4 * eps * peak
     assert np.abs(mean.imag - ref_im).max() <= 4 * eps * peak
     assert np.abs(var - ref_var).max() <= 4 * eps * peak**2
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_soft_symbol_stats_ignore_memory_layout(order):
+    # The same LLR values held C-ordered (..., q) and bit-major (a moveaxis
+    # view of a (q, ...) array, as bchase's feedback chain holds them) give
+    # the same means and variances bit for bit. Cauchy LLRs, a tenth of
+    # them infinite and a tenth at +-LLR_CLIP.
+    c = build_constellation(order)
+    rng = np.random.default_rng(order + 3)
+    bit_major = rng.standard_cauchy((c.bits_per_symbol, 9, c.order)) * 4.0
+    edge = rng.random(bit_major.shape)
+    bit_major[edge < 0.1] = np.copysign(np.inf, bit_major[edge < 0.1])
+    bit_major[edge > 0.9] = np.copysign(LLR_CLIP, bit_major[edge > 0.9])
+    before = bit_major.copy()
+    strided = np.moveaxis(bit_major, 0, -1)
+    contiguous = np.ascontiguousarray(strided)
+    assert not strided.flags.c_contiguous
+    mean, var = soft_symbol_stats(strided, c)
+    want_mean, want_var = soft_symbol_stats(contiguous, c)
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(var, want_var)
+    assert np.array_equal(bit_major, before, equal_nan=True)  # inputs are not overwritten

@@ -1,7 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its slice table holds."""
 
 import re
 from pathlib import Path
+
+from chasedet import bchase, chase, lchase
+from chasedet.constellation import SUPPORTED_ORDERS, build_constellation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +16,23 @@ def test_readme_python_example_runs():
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["llrs"].shape == namespace["la"].shape
     assert namespace["result"].iter_bit_errors.shape == (1, 3)
+
+
+def test_readme_contexts_per_slice_table_matches_charges():
+    # Every cell of the contexts-per-slice table is SLICE_VALUES over the
+    # detector's charge per context at that order.
+    text = README.read_text()
+    header = re.search(r"^ *\| Detector \|(.*)\|$", text, re.MULTILINE)
+    names = header[1].split("|")
+    orders = [4 if name.strip() == "QPSK" else int(name.split("-")[0]) for name in names]
+    rows = re.findall(r"^ *\| (lchase|bchase, (\d+) streams) \|(.*)\|$", text, re.MULTILINE)
+    assert orders == list(SUPPORTED_ORDERS) and len(rows) == 4
+    for label, n_streams, cells in rows:
+        for order, cell in zip(orders, cells.split("|"), strict=True):
+            c = build_constellation(order)
+            if label == "lchase":
+                charge = lchase.context_values(c)
+            else:
+                charge = bchase.context_values(c, int(n_streams))
+            want = chase.SLICE_VALUES // charge
+            assert int(cell.strip().replace(",", "")) == want, (label, order)
