@@ -195,7 +195,8 @@ def _best_level_metric(z, axis: PamAxis, apriori, noise_var) -> np.ndarray:
 def _layer_metric(z, r_ll, layer_var, la_layer, axis: PamAxis, bottom: bool) -> np.ndarray:
     """Best metric of one inner layer under each candidate, both axes
     stacked (2, rows, M); z and layer_var are (rows, M), r_ll (rows,) and
-    la_layer (rows, q). Its effective variance is layer_var / r_ll^2.
+    la_layer (rows, q). Its effective variance is layer_var / r_ll^2. Its
+    temporaries die on return, before the layer's soft feedback peaks.
 
     The bottom inner layer has no feedback, so its effective variance (hence
     its boundary set) is the same for every candidate and the slicer serves
