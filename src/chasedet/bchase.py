@@ -13,10 +13,10 @@ under the per-candidate effective variance.
 The bottom-most inner layer sees no feedback (unit effective variance), so
 one boundary set per context slices it for every candidate. Layers above it
 evaluate the metric of each axis's sqrt(M) levels directly and take their
-maximum, the metric of the level a per-candidate boundary set would pick;
-DetectorStats still charges those per-candidate boundaries, the paper's cost
-model. The top layer computes no post-detection LLRs since nothing consumes
-them.
+maximum, the metric of the level a per-candidate boundary set would pick.
+The paper's cost model still charges those per-candidate boundaries; this
+module counts nothing. The top layer computes no post-detection LLRs since
+nothing consumes them.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .constellation import (
     slice_pam,
     soft_symbol_stats,
 )
-from .counters import DetectorStats
 from .errors import SingularMatrixError
 from .linalg import qr
 
@@ -202,8 +201,8 @@ def _layer_metric(z, r_ll, layer_var, la_layer, axis: PamAxis, bottom: bool) -> 
     its boundary set) is the same for every candidate and the slicer serves
     all M candidates. Above it the variance differs per candidate, and the
     maximum of the sqrt(M) level metrics is the sliced level's metric for
-    less work than a boundary set per candidate; the count still charges the
-    paper's per-candidate boundary sets.
+    less work than a boundary set per candidate; the cost model still
+    charges the paper's per-candidate boundary sets.
     """
     eff_var = layer_var / r_ll[:, None] ** 2
     la_axes = axis_parts(la_layer).copy()[:, :, None, :]
@@ -220,7 +219,6 @@ def _inner_layers(
     la: np.ndarray,
     use_idx: np.ndarray,
     total: np.ndarray,
-    stats: DetectorStats | None,
 ) -> None:
     """Add every inner layer's best metric to the (rows, M) totals in place,
     walking the feedback chain bottom-up under each candidate."""
@@ -246,8 +244,6 @@ def _inner_layers(
         )
         bottom = l == n - 2
         chase.add_axis_metrics(total, _layer_metric(z, r_ll, layer_var, la_layer, axis, bottom))
-        if stats is not None:
-            stats.boundary_evals += batch * (1 if bottom else m) * 2 * axis.npairs
 
         if l == 0:
             break  # nothing below consumes this layer's estimate
@@ -256,22 +252,13 @@ def _inner_layers(
         post += la_layer[:, None, :]
         shat[:, l, :], svar[:, l, :] = soft_symbol_stats(post, c)
         del post  # not live under the next layer's coset minima
-        if stats is not None:
-            stats.soft_stat_evals += batch * m
 
 
-def detect_all_uses(
-    contexts: BchaseStreamContext,
-    c: Constellation,
-    la: np.ndarray,
-    stats: DetectorStats | None = None,
-) -> np.ndarray:
+def detect_all_uses(contexts: BchaseStreamContext, c: Constellation, la: np.ndarray) -> np.ndarray:
     """Detect every stream of every use, in slices under chase.SLICE_VALUES.
 
     contexts is the (streams, uses) stack from prepare_all_uses and la is
     (uses, n_streams, q); returns LLRs of the same shape as la.
     """
     n_streams = contexts.layers.shape[-1]
-    return chase.detect_all_uses(
-        _inner_layers, context_values(c, n_streams), contexts, c, la, stats
-    )
+    return chase.detect_all_uses(_inner_layers, context_values(c, n_streams), contexts, c, la)

@@ -27,7 +27,6 @@ from dataclasses import fields
 import numpy as np
 
 from .constellation import Constellation
-from .counters import DetectorStats
 
 # Cap on the float64 values one detection slice keeps live at once (3.1 MB).
 # A slice takes as many contexts as fit under it at the detector's charge.
@@ -73,13 +72,12 @@ def detect_all_uses(
     contexts,
     c: Constellation,
     la: np.ndarray,
-    stats: DetectorStats | None,
 ) -> np.ndarray:
     """Max-log LLRs of every stream of every use: (uses, streams, q).
 
     contexts is a detector's (streams, uses) stack and la the
     a priori LLRs (uses, streams, q). inner_layers(ctx_rows, c, la, use_idx,
-    total, stats) adds the inner layers' best metrics to total, the (rows, M)
+    total) adds the inner layers' best metrics to total, the (rows, M)
     candidate metrics, in place; use_idx maps each row to its la row.
     context_values is the detector's charge in float64 values per context,
     which sizes the slices under SLICE_VALUES.
@@ -98,10 +96,7 @@ def detect_all_uses(
         use_idx = np.arange(start, start + len(ctx)) % n_uses
         total = candidate_priors(la[use_idx, ctx.stream, :], c)
         total -= np.abs(ctx.y_last[:, None] - ctx.pivot[:, None] * c.symbols) ** 2
-        if stats is not None:
-            stats.metric_evals += len(ctx) * c.order
-            stats.streams += len(ctx)
-        inner_layers(ctx, c, la, use_idx, total, stats)
+        inner_layers(ctx, c, la, use_idx, total)
         out[start : start + len(ctx)] = coset_llrs(total, c)
     return out.reshape(n_streams, n_uses, -1).transpose(1, 0, 2)
 

@@ -16,7 +16,7 @@ it alone. All four detectors sit behind one (prepare, detect) table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,18 +25,18 @@ from . import bchase, lchase
 from .channel import WhitenedModel
 from .codec import CodeConfig, Interleaver, bcjr_decode, depuncture, make_interleaver
 from .constellation import Constellation
-from .counters import DetectorStats
+from .counters import pass_stats
 from .errors import ConfigError
 from .llr import saturate
 from .reference import exact_maxlog_llrs, lmmse_llrs
 
-# Detector name -> (prepare(uses), detect(prepared, c, la, stats) -> LLRs shaped
-# like la), over a stack of uses. The lambdas look functions up at call time.
+# Detector name -> (prepare(uses), detect(prepared, c, la) -> LLRs shaped like
+# la), over a stack of uses. The lambdas look functions up at call time.
 _DETECT = {
     "lchase": (lambda uses: lchase.prepare_all_uses(uses), lambda *a: lchase.detect_all_uses(*a)),
     "bchase": (lambda uses: bchase.prepare_all_uses(uses), lambda *a: bchase.detect_all_uses(*a)),
     "maxlog": (lambda uses: uses, lambda *a: exact_maxlog_llrs(*a)),
-    "lmmse": (lambda uses: uses, lambda uses, c, la, stats: lmmse_llrs(uses, c, stats)),
+    "lmmse": (lambda uses: uses, lambda uses, c, la: lmmse_llrs(uses, c)),
 }
 DETECTORS = tuple(_DETECT)
 
@@ -63,13 +63,14 @@ class IddConfig:
 
 @dataclass
 class IddResult:
-    """Per-iteration outcomes of a chunk of B blocks; iter_stats sum over blocks."""
+    """Per-iteration outcomes of a chunk of B blocks; iter_stats are each
+    iteration's detector counts over the chunk, from counters.pass_stats."""
 
     info_llrs: np.ndarray  # (B, iterations, K) decoder info-bit LLRs
     decoded: np.ndarray  # (B, K) hard bits from the final iteration
     iter_block_error: np.ndarray  # (B, iterations) bool, any info bit wrong
     iter_bit_errors: np.ndarray  # (B, iterations) int
-    iter_stats: list = field(default_factory=list)  # DetectorStats per iteration
+    iter_stats: list  # DetectorStats per iteration
 
 
 def uses_for_block(code: CodeConfig, c: Constellation, n_streams: int) -> int:
@@ -90,19 +91,13 @@ def slot_bits(tx_bits: np.ndarray, c: Constellation, n_streams: int) -> np.ndarr
     return slots.reshape(lead + (uses, n_streams, c.bits_per_symbol))
 
 
-def run_idd(
-    model: WhitenedModel,
-    info_bits: np.ndarray,
-    cfg: IddConfig,
-    stats: DetectorStats | None = None,
-) -> IddResult:
+def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddResult:
     """Run the detect/decode loop over a chunk and score every iteration.
 
     model holds the chunk's whitened observations, y (B, U, n_rx) and h
     (B, U, n_rx, n); info_bits (B, K) are the true payloads, used only for
     error counting. The detector's entry in the table prepares all B*U uses
-    once, and its detect call takes all of them once per pass. stats, if
-    given, accumulates every iteration's counters.
+    once, and its detect call takes all of them once per pass.
     """
     c, code = cfg.constellation, cfg.code
     info_bits = np.asarray(info_bits)
@@ -129,12 +124,12 @@ def run_idd(
         decoded=np.zeros((n_blocks, code.info_len), dtype=np.int8),
         iter_block_error=np.zeros((n_blocks, cfg.iterations), dtype=bool),
         iter_bit_errors=np.zeros((n_blocks, cfg.iterations), dtype=np.int64),
+        iter_stats=[pass_stats(cfg.detector, n_streams, c, n_blocks * n_uses)] * cfg.iterations,
     )
 
     la = np.zeros((n_blocks * n_uses, n_streams, q))
     for it in range(passes):
-        iter_stats = DetectorStats()
-        det = detect(prepared, c, la, iter_stats)
+        det = detect(prepared, c, la)
         fwd_slots = saturate((det - la).reshape(n_blocks, n_slots))
         ch_llrs = depuncture(fwd_slots[:, :n_tx][:, il.inv], code)
         dec_ext, info_total, hard = bcjr_decode(ch_llrs, None, code)
@@ -146,10 +141,6 @@ def run_idd(
         result.iter_bit_errors[:, span] = errs[:, None]
         result.iter_block_error[:, span] = errs[:, None] > 0
         result.decoded = hard
-        for _ in range(repeats):
-            result.iter_stats.append(iter_stats)
-            if stats is not None:
-                stats.add(iter_stats)
 
         if it + 1 < passes:
             la_slots = np.zeros((n_blocks, n_slots))

@@ -23,7 +23,6 @@ import numpy as np
 from . import chase
 from .channel import WhitenedModel, require_finite
 from .constellation import Constellation, axis_parts, pam_boundaries, pam_metric, slice_pam
-from .counters import DetectorStats
 from .linalg import back_substitute, qr, swap_permutation
 
 
@@ -101,7 +100,6 @@ def _inner_layers(
     la: np.ndarray,
     use_idx: np.ndarray,
     total: np.ndarray,
-    stats: DetectorStats | None,
 ) -> None:
     """Add every inner layer's sliced best metric to the (rows, M) totals in place.
 
@@ -117,19 +115,12 @@ def _inner_layers(
         z = np.stack((z.real, z.imag))
         idx = slice_pam(z, axis, pam_boundaries(axis, la_axes, var))
         chase.add_axis_metrics(total, pam_metric(axis, idx, z, la_axes, var))
-        if stats is not None:
-            stats.boundary_evals += len(ctx) * 2 * axis.npairs
 
 
-def detect_all_uses(
-    contexts: LchaseStreamContext,
-    c: Constellation,
-    la: np.ndarray,
-    stats: DetectorStats | None = None,
-) -> np.ndarray:
+def detect_all_uses(contexts: LchaseStreamContext, c: Constellation, la: np.ndarray) -> np.ndarray:
     """Detect every stream of every use, in slices under chase.SLICE_VALUES.
 
     contexts is the (streams, uses) stack from prepare_all_uses and la is
     (uses, n_streams, q); returns LLRs of the same shape as la.
     """
-    return chase.detect_all_uses(_inner_layers, context_values(c), contexts, c, la, stats)
+    return chase.detect_all_uses(_inner_layers, context_values(c), contexts, c, la)

@@ -16,7 +16,6 @@ import numpy as np
 from . import chase
 from .channel import WhitenedModel, require_finite
 from .constellation import Constellation, PamAxis, coset_sqdist_gap, label_order
-from .counters import DetectorStats
 
 MAX_EXHAUSTIVE = 1 << 20
 # Floor on the LMMSE effective noise variance, for numerical safety.
@@ -41,7 +40,6 @@ def exact_maxlog_llrs(
     model: WhitenedModel,
     c: Constellation,
     apriori: np.ndarray | None = None,
-    stats: DetectorStats | None = None,
 ) -> np.ndarray:
     """Max-log bit LLRs (..., n, q) from a full search over all M**n transmit vectors.
 
@@ -88,10 +86,6 @@ def exact_maxlog_llrs(
         for i in range(n):
             other = tuple(j + 1 for j in range(n) if j != i)
             llrs[uses, i] = chase.coset_llrs(table.max(axis=other), c)
-
-    if stats is not None:
-        stats.metric_evals += len(y) * total
-        stats.streams += len(y) * n
     return llrs.reshape(lead + (n, q))
 
 
@@ -113,11 +107,7 @@ def brute_pam_argmax(
     return metric.argmax(axis=-1)
 
 
-def lmmse_llrs(
-    model: WhitenedModel,
-    c: Constellation,
-    stats: DetectorStats | None = None,
-) -> np.ndarray:
+def lmmse_llrs(model: WhitenedModel, c: Constellation) -> np.ndarray:
     """Per-stream LMMSE estimate and scalar max-log demap, zero a priori.
 
     With whitened h, the filter is (h^H h + I)^-1 h^H; the biased estimate
@@ -141,10 +131,4 @@ def lmmse_llrs(
 
     gap = coset_sqdist_gap(z, c.axis)
     gap /= nu
-    llrs = label_order(gap)
-
-    if stats is not None:
-        streams = z.size
-        stats.metric_evals += streams * 2 * c.axis.nlevels
-        stats.streams += streams
-    return llrs
+    return label_order(gap)

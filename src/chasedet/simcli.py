@@ -15,9 +15,9 @@ The grid blocks run in chunks, each a range lo..hi-1, so a chunk may hold
 the tail of one point and the head of the next: every stage, from channel
 draw to decoder, handles a chunk's blocks as stacked arrays in one call,
 each block at its own point's SNR. The sweep keeps (grid blocks,
-iterations) flags and bit errors and one DetectorStats per iteration.
-Chunk size follows from the configuration and a fixed working-set cap, and
-results do not depend on it.
+iterations) flags and bit errors; the detector counts come from the cost
+model (counters.pass_stats), once per run. Chunk size follows from the
+configuration and a fixed working-set cap, and results do not depend on it.
 
 SNR is per-receive-antenna Es/N0 in dB: noise variance is
 n_streams * 10**(-snr/10) with unit-energy streams and unit-variance
@@ -48,7 +48,7 @@ from .channel import (
 )
 from .codec import SUPPORTED_RATES, CodeConfig, encode, puncture
 from .constellation import SUPPORTED_ORDERS, build_constellation, modulate
-from .counters import DetectorStats
+from .counters import pass_stats
 from .errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
 from .idd import DETECTORS, IddConfig, run_idd, slot_bits, uses_for_block
 from .reference import MAX_EXHAUSTIVE
@@ -58,14 +58,13 @@ MAX_SNR_POINTS = 10_000
 # Most blocks a run may simulate over its whole SNR grid: the sweep keeps
 # every block's flags and bit errors until the run ends.
 MAX_GRID_BLOCKS = 10**7
-# Working-set cap of one chunk, in float64 values. A block is charged
-# uses * streams * M (its candidate metrics) plus 64 per trellis step for
-# the decoder, which holds its path metrics (8), its LLR copy, edge LLRs
-# and outputs, and two branch-term buffers of fixed size: 27 to 45 values
-# per step at the simulated lengths. The charge stays above that at 64 so
-# the chunk cuts do not move; see chunk_blocks. tests/test_codec.py holds a
-# decode of a chunk under it.
+# Working-set cap of one chunk, in float64 values; block_values charges
+# each block, and a config one block of which exceeds the cap is rejected.
 CHUNK_VALUES = 1 << 20
+# Decoder charge per trellis step: its path metrics, LLRs and two fixed
+# branch-term buffers take 27 to 45 values per step at the simulated
+# lengths. tests/test_codec.py holds a decode of a chunk under it.
+STEP_VALUES = 64
 
 
 @dataclass
@@ -186,7 +185,10 @@ def _apply_key(values: dict, key: str, raw, where: str) -> None:
 def load_config_file(path: str) -> list:
     """Parse a 'key = value' file into (lineno, key, raw_value) entries."""
     entries = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -220,6 +222,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError("SNR values must be finite")
     if cfg.blocks < 1 or cfg.iterations < 1 or cfg.info_bits < 1:
         raise ConfigError("blocks, iters, and info_bits must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("seed must not be negative")
     grid_blocks = len(cfg.snr_db) * cfg.blocks
     if grid_blocks > MAX_GRID_BLOCKS:
         raise ConfigError(
@@ -236,6 +240,14 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             f"maxlog needs mod**streams <= {MAX_EXHAUSTIVE}, "
             f"got {cfg.mod}**{cfg.n_streams}"
         )
+    # A block's uses come from its puncturing mask, which takes memory in
+    # the code's length: a code too long for a chunk is rejected without it.
+    n_uses = 0
+    if STEP_VALUES * (cfg.info_bits + 2) <= CHUNK_VALUES:
+        code = CodeConfig(cfg.info_bits, cfg.rate)
+        n_uses = uses_for_block(code, build_constellation(cfg.mod), cfg.n_streams)
+    if block_values(cfg, n_uses) > CHUNK_VALUES:
+        raise ConfigError(f"one block exceeds the chunk cap of {CHUNK_VALUES} float64 values")
     return cfg
 
 
@@ -279,11 +291,19 @@ def _build_bundle(cfg: SimConfig) -> _Bundle:
     )
 
 
+def block_values(cfg: SimConfig, n_uses: int) -> int:
+    """Float64 values a block of n_uses channel uses is charged in a chunk:
+    per use its candidate metrics and its normals, channel, observation and
+    noise arrays; per block its complex noise covariance, noise factor,
+    whitener and their Cholesky temporaries (16 * rx**2), and its decoder.
+    tests/test_simcli.py holds a chunk's channel stage under it."""
+    per_use = cfg.n_streams * cfg.mod + 6 * cfg.n_rx * (cfg.n_tx + cfg.n_streams + 2)
+    return n_uses * per_use + 16 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
+
+
 def chunk_blocks(bundle: _Bundle) -> int:
     """Blocks per chunk under the CHUNK_VALUES working-set cap, at least one."""
-    cfg = bundle.cfg
-    per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.idd_cfg.code.steps
-    return max(1, CHUNK_VALUES // per_block)
+    return max(1, CHUNK_VALUES // block_values(bundle.cfg, bundle.n_uses))
 
 
 def _draws(bundle: _Bundle, lo: int, hi: int) -> tuple:
@@ -333,9 +353,9 @@ def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> tuple:
     """Grid blocks lo..hi-1, run as one stack.
 
     Returns their (blocks, iterations) flags (any info bit wrong) and bit
-    errors, one DetectorStats per iteration summed over them, and the
-    chunk's elapsed seconds. A singular channel anywhere in the chunk
-    re-raises its error, naming each SNR point of the chunk and its blocks.
+    errors, and the chunk's elapsed seconds. A singular channel anywhere in
+    the chunk re-raises its error, naming each SNR point of the chunk and
+    its blocks.
     """
     started = time.perf_counter()
     info, normals = _draws(bundle, lo, hi)
@@ -349,7 +369,7 @@ def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> tuple:
         )
         raise type(exc)(f"{exc} in the chunk of {where}") from exc
     elapsed = time.perf_counter() - started
-    return result.iter_block_error, result.iter_bit_errors, result.iter_stats, elapsed
+    return result.iter_block_error, result.iter_bit_errors, elapsed
 
 
 _WORKER_BUNDLE = None
@@ -390,10 +410,9 @@ def simulate_sweep(bundle: _Bundle, pool=None) -> tuple:
     is a range of grid blocks, so it may span points; each is cut only when
     it is about to run. A pool gets at least as many chunks as workers and
     runs them with no barrier between points, two per worker in flight.
-    Returns the (grid blocks, iterations) flags and bit errors, one
-    DetectorStats per iteration summed over the grid, and each point's
-    seconds: every chunk's elapsed time charged to its blocks' points by
-    their share of its blocks.
+    Returns the (grid blocks, iterations) flags and bit errors, and each
+    point's seconds: every chunk's elapsed time charged to its blocks'
+    points by their share of its blocks.
     """
     cfg = bundle.cfg
     n_blocks = len(cfg.snr_db) * cfg.blocks
@@ -407,16 +426,13 @@ def simulate_sweep(bundle: _Bundle, pool=None) -> tuple:
         done = _pooled(pool, chunks, 2 * cfg.workers)
     flags = np.zeros((n_blocks, cfg.iterations), dtype=bool)
     bit_errors = np.zeros((n_blocks, cfg.iterations), dtype=np.int64)
-    stats = [DetectorStats() for _ in range(cfg.iterations)]
     seconds = np.zeros(len(cfg.snr_db))
-    for lo, (chunk_flags, chunk_bit_errors, chunk_stats, elapsed) in done:
+    for lo, (chunk_flags, chunk_bit_errors, elapsed) in done:
         hi = lo + len(chunk_flags)
         flags[lo:hi] = chunk_flags
         bit_errors[lo:hi] = chunk_bit_errors
-        for total, part in zip(stats, chunk_stats):
-            total.add(part)
         np.add.at(seconds, np.arange(lo, hi) // cfg.blocks, elapsed / (hi - lo))
-    return flags, bit_errors, stats, seconds
+    return flags, bit_errors, seconds
 
 
 def monte_carlo(cfg: SimConfig) -> list:
@@ -426,7 +442,9 @@ def monte_carlo(cfg: SimConfig) -> list:
     if cfg.workers > 1:
         pool = ProcessPoolExecutor(cfg.workers, initializer=_init_worker, initargs=(cfg,))
     with pool or nullcontext():
-        flags, bit_errors, stats, seconds = simulate_sweep(bundle, pool)
+        flags, bit_errors, seconds = simulate_sweep(bundle, pool)
+    c = bundle.idd_cfg.constellation  # every pass costs the same per stream
+    metric_count = pass_stats(cfg.detector, cfg.n_streams, c, bundle.n_uses).metrics_per_stream
 
     shape = (len(cfg.snr_db), cfg.blocks, cfg.iterations)
     block_errors = flags.reshape(shape).sum(axis=1).tolist()
@@ -439,7 +457,7 @@ def monte_carlo(cfg: SimConfig) -> list:
                 SimRecord(
                     snr_db, t + 1, cfg.detector, cfg.blocks, errors, bits,
                     errors / cfg.blocks, bits / (cfg.blocks * cfg.info_bits),
-                    stats[t].metrics_per_stream, wall_time,
+                    metric_count, wall_time,
                 )
             )
     return records
@@ -483,6 +501,9 @@ def main(argv=None) -> int:
     config_path = args.pop("config")
     try:
         cfg = build_config(config_path, args)
+        out = Path(cfg.out)
+        if out.is_dir() or not out.parent.is_dir():
+            raise ConfigError(f"cannot write {cfg.out}: not a file in an existing directory")
         records = monte_carlo(cfg)
         write_csv(records, cfg.out, header_comments=config_lines(cfg))
     except ConfigError as exc:

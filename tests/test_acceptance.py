@@ -21,7 +21,7 @@ from chasedet.constellation import (
     pam_metric,
     slice_pam,
 )
-from chasedet.counters import DetectorStats
+from chasedet.counters import pass_stats
 from chasedet.reference import brute_pam_argmax, exact_maxlog_llrs
 from chasedet.simcli import (
     SimConfig,
@@ -144,23 +144,16 @@ def test_layer_metric_max_is_exact():
 
 
 def test_list_detector_count_identity():
-    # Instrumented metric-plus-boundary count per detected stream equals
+    # The cost model's metric-plus-boundary count per detected stream equals
     # n*M - (n-1)*sqrt(M) exactly for n in 1..4 and M in {4, 16, 64}.
-    rng = np.random.default_rng(105)
     ok = True
     seen = {}
     for n in range(1, 5):
         for order in (4, 16, 64):
-            c = build_constellation(order)
-            model = WhitenedModel(
-                y=iid_complex_gaussian(rng, n)[None], h=iid_complex_gaussian(rng, (n, n))[None]
-            )
-            stats = DetectorStats()
-            contexts = lchase.prepare_all_uses(model)
-            lchase.detect_all_uses(contexts, c, np.zeros((1, n, c.bits_per_symbol)), stats)
+            per_stream = pass_stats("lchase", n, build_constellation(order), 1).metrics_per_stream
             expected = n * order - (n - 1) * math.isqrt(order)
-            seen[(n, order)] = stats.metrics_per_stream
-            ok = ok and stats.metrics_per_stream == expected
+            seen[(n, order)] = per_stream
+            ok = ok and per_stream == expected
     ok = ok and seen[(4, 64)] == 232.0
     _report("metric-count-identity", ok)
 

@@ -1,9 +1,9 @@
-"""Decision-feedback detector: ordering, feedback chain, counters."""
+"""Decision-feedback detector: ordering, feedback chain, counted walk."""
 
 import numpy as np
 import pytest
 
-from chasedet import bchase, lchase
+from chasedet import bchase, chase, lchase
 from chasedet.bchase import detect_all_uses, layer_post_llrs, prepare_all_uses
 from chasedet.channel import CorrelationModel, WhitenedModel, generate_channel
 from chasedet.constellation import (
@@ -17,7 +17,7 @@ from chasedet.constellation import (
     slice_pam,
     soft_symbol_stats,
 )
-from chasedet.counters import DetectorStats
+from chasedet.counters import DetectorStats, pass_stats
 from chasedet.llr import LLR_CLIP
 from chasedet.reference import brute_pam_argmax, exact_maxlog_llrs
 
@@ -35,10 +35,10 @@ def _stack(*models):
     return WhitenedModel(y=np.stack([m.y for m in models]), h=np.stack([m.h for m in models]))
 
 
-def _detect(model, c, la, stats=None, det=bchase):
+def _detect(model, c, la, det=bchase):
     """LLRs (n, q) of every stream of one channel use."""
     la = np.asarray(la, dtype=float)[None]
-    return det.detect_all_uses(det.prepare_all_uses(_stack(model)), c, la, stats)[0]
+    return det.detect_all_uses(det.prepare_all_uses(_stack(model)), c, la)[0]
 
 
 def _zero_post_llrs(z, r_ll, layer_var, c):
@@ -163,32 +163,36 @@ def test_high_snr_detection_is_correct():
 
 
 @pytest.mark.parametrize("order,n", [(4, 2), (16, 2), (16, 3), (64, 4)])
-def test_complexity_counters(order, n):
+def test_complexity_counters(order, n, walk):
+    # The cost model charges what a detection pass walks: the M candidate
+    # metrics of each context, whose coset maxima give its LLRs; one
+    # prior-only boundary set per context on the bottom inner layer, which
+    # the slicer uses; a set per candidate on every layer that sees
+    # feedback, where the best level metric stands for the sliced one; and
+    # M soft symbol statistics per context on every layer that feeds back.
     c = build_constellation(order)
     rng = np.random.default_rng(8)
-    model = _random_model(rng, n, n)
-    stats = DetectorStats()
-    _detect(model, c, np.zeros((n, c.bits_per_symbol)), stats)
-    root = int(np.sqrt(order))
-    assert stats.metric_evals == n * order
-    # One prior-only boundary set on the bottom inner layer, per-candidate
-    # sets on every layer that sees feedback.
-    per_stream = (order - root) * (1 + (n - 2) * order)
-    assert stats.boundary_evals == n * per_stream
-    assert stats.soft_stat_evals == n * (n - 2) * order
-    assert stats.streams == n
+    uses = 3
+    models = _stack(*(_random_model(rng, n, n) for _ in range(uses)))
+    walk.tally(chase, "coset_llrs", "contexts", lambda total, c: len(total))
+    walk.tally(bchase, "pam_boundaries", "boundary_sets", lambda axis, la, var: la.shape[1])
+    walk.tally(bchase, "_best_level_metric", "boundary_sets", lambda z, *_: z[0].size)
+    walk.tally(bchase, "soft_symbol_stats", "soft_stats", lambda post, c: post[..., 0].size)
+    detect_all_uses(prepare_all_uses(models), c, np.zeros((uses, n, c.bits_per_symbol)))
+    assert pass_stats("bchase", n, c, uses) == DetectorStats(
+        metric_evals=walk["contexts"] * order,
+        boundary_evals=walk["boundary_sets"] * 2 * c.axis.npairs,
+        soft_stat_evals=walk["soft_stats"],
+        streams=walk["contexts"],
+    )
 
 
 def test_two_stream_count_matches_list_detector():
+    # With two streams no layer feeds back, so both detectors cost the same.
     c = build_constellation(64)
-    rng = np.random.default_rng(9)
-    model = _random_model(rng, 2, 2)
-    s_b, s_l = DetectorStats(), DetectorStats()
-    _detect(model, c, np.zeros((2, 6)), s_b)
-    _detect(model, c, np.zeros((2, 6)), s_l, det=lchase)
-    assert s_b.metric_evals == s_l.metric_evals
-    assert s_b.boundary_evals == s_l.boundary_evals
-    assert s_b.metrics_per_stream == s_l.metrics_per_stream == 120.0
+    bchase_stats = pass_stats("bchase", 2, c, 5)
+    assert bchase_stats == pass_stats("lchase", 2, c, 5)
+    assert bchase_stats.metrics_per_stream == 120.0
 
 
 def test_batched_paths_agree_with_single_use():
@@ -303,7 +307,7 @@ def _post_llrs_per_axis(z, r_ll, layer_var, c):
     return out
 
 
-def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
+def _inner_layers_per_axis(ctx, c, la, use_idx, total):
     """bchase._inner_layers as it walked the real axis, then the imaginary one."""
     batch, n, m = len(ctx), ctx.layers.shape[1], c.order
     r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
@@ -328,12 +332,10 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
                 total += pam_metric(axis, idx, zz, la_axis, eff_var)
             else:
                 total += bchase._best_level_metric(zz, axis, la_axis, eff_var)
-            stats.boundary_evals += batch * (1 if bottom else m) * axis.npairs
         if l == 0:
             break
         post = _post_llrs_per_axis(z, r_ll[:, None], layer_var, c)
         shat[:, l, :], svar[:, l, :] = soft_symbol_stats(la_layer[:, None, :] + post, c)
-        stats.soft_stat_evals += batch * m
 
 
 @pytest.mark.parametrize("priors", ("zero", "cauchy"))
@@ -342,7 +344,7 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
 def test_inner_layers_match_per_axis_walk(order, n, priors):
     # Both axes in one walk, on the sliced bottom layer and on the feedback
     # layers, add to the candidate totals bit for bit what the per-axis walk
-    # added, real axis first, with the same counts.
+    # added, real axis first.
     c = build_constellation(order)
     rng = np.random.default_rng([order, n])
     uses = 4 if order < 256 else 2
@@ -354,11 +356,9 @@ def test_inner_layers_match_per_axis_walk(order, n, priors):
     use_idx = np.arange(len(ctx)) % uses
     start = rng.normal(scale=10.0, size=(len(ctx), order))
     got, want = start.copy(), start.copy()
-    got_stats, want_stats = DetectorStats(), DetectorStats()
-    bchase._inner_layers(ctx, c, la, use_idx, got, got_stats)
-    _inner_layers_per_axis(ctx, c, la, use_idx, want, want_stats)
+    bchase._inner_layers(ctx, c, la, use_idx, got)
+    _inner_layers_per_axis(ctx, c, la, use_idx, want)
     assert np.array_equal(got, want)
-    assert got_stats == want_stats
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)

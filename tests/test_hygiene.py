@@ -119,17 +119,29 @@ def test_public_surface_is_what_callers_use():
     assert sorted(exported) == sorted(used)
 
 
-@pytest.mark.parametrize("module", ("chase", "lchase", "bchase"))
-def test_detection_path_imports_no_oracle(module):
-    # The oracle gates compare the detectors with chasedet.reference; a
-    # detector that used the oracle would be compared with itself.
+def _import_names(module: str) -> list:
+    """Every module and name an import statement of the module mentions."""
     names = []
     for node in ast.walk(_tree(module)):
         if isinstance(node, ast.ImportFrom):
             names += [node.module or ""] + [a.name for a in node.names]
         elif isinstance(node, ast.Import):
             names += [a.name for a in node.names]
-    assert [name for name in names if "reference" in name.split(".")] == []
+    return names
+
+
+@pytest.mark.parametrize("module", ("chase", "lchase", "bchase"))
+def test_detection_path_imports_no_oracle(module):
+    # The oracle gates compare the detectors with chasedet.reference; a
+    # detector that used the oracle would be compared with itself.
+    assert [name for name in _import_names(module) if "reference" in name.split(".")] == []
+
+
+@pytest.mark.parametrize("module", ("chase", "lchase", "bchase", "reference"))
+def test_detection_path_imports_no_cost_model(module):
+    # The cost model lives in chasedet.counters alone; a detector that
+    # counted its own work would be a second model to keep in step with it.
+    assert [name for name in _import_names(module) if "counters" in name.split(".")] == []
 
 
 @pytest.mark.parametrize("detector", ("lchase", "bchase"))

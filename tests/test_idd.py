@@ -7,7 +7,7 @@ from chasedet import bchase, idd, lchase
 from chasedet.channel import WhitenedModel
 from chasedet.codec import CodeConfig, bcjr_decode, depuncture, encode, make_interleaver, puncture
 from chasedet.constellation import build_constellation, modulate
-from chasedet.counters import DetectorStats
+from chasedet.counters import pass_stats
 from chasedet.errors import ConfigError
 from chasedet.idd import IddConfig, run_idd, slot_bits, uses_for_block
 from chasedet.llr import saturate
@@ -118,12 +118,10 @@ def test_lmmse_iterations_are_identical(monkeypatch):
     info, model = _make_block(rng, cfg, 4, 4, sigma=1.0)
     calls = []
     _record(monkeypatch, idd, "lmmse_llrs", calls)
-    stats = DetectorStats()
-    res = run_idd(model, info, cfg, stats=stats)
+    res = run_idd(model, info, cfg)
     # lmmse ignores priors: one detect/decode pass stands for all three.
     assert len(calls) == 1
-    assert stats.streams == 3 * 9 * 4
-    assert len(res.iter_stats) == 3
+    assert res.iter_stats == [pass_stats("lmmse", 4, c, 9)] * 3
     np.testing.assert_array_equal(res.info_llrs[:, 0], res.info_llrs[:, 1])
     np.testing.assert_array_equal(res.info_llrs[:, 0], res.info_llrs[:, 2])
     np.testing.assert_array_equal(res.iter_bit_errors[:, 0], res.iter_bit_errors[:, 2])
@@ -189,16 +187,20 @@ def test_bchase_path_decodes():
 
 
 def test_detector_stats_accumulate():
+    # Each iteration's counts are one detection pass over every use of the
+    # chunk, two blocks of 9 uses with 4 streams each.
     c = build_constellation(16)
     cfg = IddConfig(constellation=c, code=CodeConfig(64, 0.5), iterations=3)
     rng = np.random.default_rng(6)
-    info, model = _make_block(rng, cfg, 4, 4, sigma=1.0)
-    stats = DetectorStats()
-    res = run_idd(model, info, cfg, stats=stats)
-    assert stats.streams == 3 * 9 * 4
-    assert stats.metric_evals == 3 * 9 * 4 * 16
-    assert stats.metric_evals == sum(s.metric_evals for s in res.iter_stats)
-    assert stats.boundary_evals == sum(s.boundary_evals for s in res.iter_stats)
+    blocks = [_make_block(rng, cfg, 4, 4, sigma=1.0) for _ in range(2)]
+    info = np.concatenate([info for info, _ in blocks])
+    model = WhitenedModel(
+        y=np.concatenate([m.y for _, m in blocks]), h=np.concatenate([m.h for _, m in blocks])
+    )
+    res = run_idd(model, info, cfg)
+    assert res.iter_stats == [pass_stats("lchase", 4, c, 2 * 9)] * 3
+    assert res.iter_stats[0].streams == 2 * 9 * 4
+    assert res.iter_stats[0].metric_evals == 2 * 9 * 4 * 16
 
 
 def test_interleaver_is_built_once_from_the_seed():

@@ -1,9 +1,9 @@
-"""List-type detector: factorization invariants, exactness, counters."""
+"""List-type detector: factorization invariants, exactness, counted walk."""
 
 import numpy as np
 import pytest
 
-from chasedet import lchase
+from chasedet import chase, lchase
 from chasedet.channel import WhitenedModel
 from chasedet.constellation import (
     SUPPORTED_ORDERS,
@@ -13,7 +13,7 @@ from chasedet.constellation import (
     pam_metric,
     slice_pam,
 )
-from chasedet.counters import DetectorStats
+from chasedet.counters import DetectorStats, pass_stats
 from chasedet.lchase import detect_all_uses, prepare_all_uses
 from chasedet.llr import LLR_CLIP
 from chasedet.reference import exact_maxlog_llrs
@@ -37,10 +37,10 @@ def _contexts(model):
     return prepare_all_uses(_stack(model))[:, 0]
 
 
-def _detect(model, c, la, stats=None):
+def _detect(model, c, la):
     """LLRs (n, q) of every stream of one channel use."""
     la = np.asarray(la, dtype=float)[None]
-    return detect_all_uses(prepare_all_uses(_stack(model)), c, la, stats)[0]
+    return detect_all_uses(prepare_all_uses(_stack(model)), c, la)[0]
 
 
 def test_context_layer_bookkeeping():
@@ -177,18 +177,25 @@ def test_noiseless_detection_is_correct():
 @pytest.mark.parametrize(
     "order,n", [(4, 1), (4, 3), (16, 2), (64, 4), (256, 2)]
 )
-def test_complexity_counter_identity(order, n):
+def test_complexity_counter_identity(order, n, walk):
+    # The cost model charges what a detection pass walks: the M candidate
+    # metrics of each context, whose coset maxima give its LLRs, and one
+    # boundary set, a boundary per pair of levels on both axes, per context
+    # on each inner layer. Per detected stream that is n*M - (n-1)*sqrt(M).
     c = build_constellation(order)
     rng = np.random.default_rng(7)
-    model = _random_model(rng, n, n)
-    stats = DetectorStats()
-    _detect(model, c, np.zeros((n, c.bits_per_symbol)), stats)
-    root = int(np.sqrt(order))
-    assert stats.streams == n
-    assert stats.metric_evals == n * order
-    assert stats.boundary_evals == n * (n - 1) * (order - root)
-    expected = n * order - (n - 1) * root
-    assert stats.metrics_per_stream == pytest.approx(expected)
+    uses = 3
+    models = _stack(*(_random_model(rng, n, n) for _ in range(uses)))
+    walk.tally(chase, "coset_llrs", "contexts", lambda total, c: len(total))
+    walk.tally(lchase, "pam_boundaries", "boundary_sets", lambda axis, la, var: la.shape[1])
+    detect_all_uses(prepare_all_uses(models), c, np.zeros((uses, n, c.bits_per_symbol)))
+    stats = pass_stats("lchase", n, c, uses)
+    assert stats == DetectorStats(
+        metric_evals=walk["contexts"] * order,
+        boundary_evals=walk["boundary_sets"] * 2 * c.axis.npairs,
+        streams=walk["contexts"],
+    )
+    assert stats.metrics_per_stream == n * order - (n - 1) * int(np.sqrt(order))
 
 
 def test_batched_paths_agree_with_single_use():
@@ -227,9 +234,8 @@ def test_non_finite_model_is_rejected(field):
         _detect(model, c, np.zeros((2, 2)))
 
 
-def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
+def _inner_layers_per_axis(ctx, c, la, use_idx, total):
     """lchase._inner_layers as it walked the real axis, then the imaginary one."""
-    batch = len(ctx)
     for l in range(ctx.layers.shape[1] - 1):
         la_layer = la[use_idx, ctx.layers[:, l], :]
         var = ctx.noise_vars[:, l]
@@ -240,7 +246,6 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
             bset = pam_boundaries(axis, la_axis, var[:, None])
             idx = slice_pam(zz, axis, bset)
             total += pam_metric(axis, idx, zz, la_axis, var[:, None])
-            stats.boundary_evals += batch * axis.npairs
 
 
 @pytest.mark.parametrize("priors", ("zero", "cauchy"))
@@ -248,7 +253,7 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total, stats):
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
 def test_inner_layers_match_per_axis_walk(order, n, priors):
     # Both axes in one walk add to the candidate totals bit for bit what
-    # the per-axis walk added, real axis first, and count the same pairs.
+    # the per-axis walk added, real axis first.
     c = build_constellation(order)
     rng = np.random.default_rng([order, n])
     uses = 4
@@ -260,8 +265,6 @@ def test_inner_layers_match_per_axis_walk(order, n, priors):
     use_idx = np.arange(len(ctx)) % uses
     start = rng.normal(scale=10.0, size=(len(ctx), order))
     got, want = start.copy(), start.copy()
-    got_stats, want_stats = DetectorStats(), DetectorStats()
-    lchase._inner_layers(ctx, c, la, use_idx, got, got_stats)
-    _inner_layers_per_axis(ctx, c, la, use_idx, want, want_stats)
+    lchase._inner_layers(ctx, c, la, use_idx, got)
+    _inner_layers_per_axis(ctx, c, la, use_idx, want)
     assert np.array_equal(got, want)
-    assert got_stats == want_stats

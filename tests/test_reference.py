@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chasedet import chase
+from chasedet import chase, reference
 from chasedet.channel import WhitenedModel
 from chasedet.constellation import build_constellation
-from chasedet.counters import DetectorStats
+from chasedet.counters import pass_stats
 from chasedet.reference import (
     MAX_EXHAUSTIVE,
     brute_pam_argmax,
@@ -110,8 +110,8 @@ _STACK_CASES = [
 @pytest.mark.parametrize("priors", ("zero", "random"))
 @pytest.mark.parametrize("order,n", _STACK_CASES)
 def test_maxlog_stack_equals_per_use_calls(order, n, priors, per_slice, monkeypatch):
-    # One call over a stack of uses gives bit for bit the LLRs and counters
-    # of one call per use, with slices of one use, of two or of the stack.
+    # One call over a stack of uses gives bit for bit the LLRs of one call
+    # per use, with slices of one use, of two or of the stack.
     c = build_constellation(order)
     rng = np.random.default_rng([order, n])
     uses = 3 if order**n > 4096 else 7
@@ -122,16 +122,11 @@ def test_maxlog_stack_equals_per_use_calls(order, n, priors, per_slice, monkeypa
     per_use = hypothesis_values(n, n) * order**n
     slice_uses = {"one": 1, "few": 2, "all": uses}[per_slice]
     monkeypatch.setattr(chase, "SLICE_VALUES", slice_uses * per_use)
-    stacked_stats, single_stats = DetectorStats(), DetectorStats()
-    stacked = exact_maxlog_llrs(model, c, la, stats=stacked_stats)
+    stacked = exact_maxlog_llrs(model, c, la)
     singles = [
-        exact_maxlog_llrs(WhitenedModel(model.y[u], model.h[u]), c, la[u], stats=single_stats)
-        for u in range(uses)
+        exact_maxlog_llrs(WhitenedModel(model.y[u], model.h[u]), c, la[u]) for u in range(uses)
     ]
     np.testing.assert_array_equal(stacked, np.stack(singles))
-    assert stacked_stats == single_stats
-    assert stacked_stats.metric_evals == uses * order**n
-    assert stacked_stats.streams == uses * n
 
 
 def test_maxlog_stack_keeps_its_leading_axes():
@@ -214,15 +209,18 @@ def test_maxlog_rejects_oversized_search():
         exact_maxlog_llrs(model, c)
 
 
-def test_maxlog_counts_hypotheses():
+def test_maxlog_counts_hypotheses(walk, monkeypatch):
+    # The cost model charges a metric per hypothesis the oracle enumerates,
+    # here walked in chunks of 50 for each of three uses.
     c = build_constellation(16)
-    model = WhitenedModel(
-        y=np.zeros(2, dtype=complex), h=np.eye(2, dtype=complex)
-    )
-    stats = DetectorStats()
-    exact_maxlog_llrs(model, c, stats=stats)
-    assert stats.metric_evals == 256
-    assert stats.streams == 2
+    uses = 3
+    model = _use_stack(np.random.default_rng(22), 2, uses)
+    monkeypatch.setattr(chase, "SLICE_VALUES", 50 * hypothesis_values(2, 2))
+    walk.tally(reference, "_hypotheses", "hypotheses", lambda c, n, lo, hi: hi - lo)
+    exact_maxlog_llrs(model, c)
+    stats = pass_stats("maxlog", 2, c, uses)
+    assert stats.metric_evals == walk["hypotheses"] == uses * 256
+    assert stats.streams == uses * 2
 
 
 def test_brute_pam_argmax_breaks_ties_low():
@@ -270,12 +268,15 @@ def test_lmmse_high_snr_recovers_bits():
         np.testing.assert_array_equal(hard, c.bit_labels[idx])
 
 
-def test_lmmse_counts_demap_levels():
+def test_lmmse_counts_demap_levels(walk):
+    # The cost model charges a metric per level of both axes that each
+    # stream's scalar demap measures its distance to.
     c = build_constellation(64)
     model = WhitenedModel(y=np.zeros(3, dtype=complex), h=np.eye(3, dtype=complex))
-    stats = DetectorStats()
-    lmmse_llrs(model, c, stats=stats)
-    assert stats.metric_evals == 3 * 16
+    walk.tally(reference, "coset_sqdist_gap", "levels", lambda z, axis: 2 * z.size * axis.nlevels)
+    lmmse_llrs(model, c)
+    stats = pass_stats("lmmse", 3, c, 1)
+    assert stats.metric_evals == walk["levels"] == 3 * 16
     assert stats.streams == 3
 
 

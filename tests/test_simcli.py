@@ -1,5 +1,6 @@
 """Simulator configuration, reproducibility, chunking, and CSV output."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasedet import bchase, chase, idd, lchase, reference, simcli
-from chasedet.counters import DetectorStats
 from chasedet.errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
 from chasedet.idd import run_idd
 from chasedet.simcli import (
@@ -83,6 +83,96 @@ def test_grid_block_cap_is_inclusive(monkeypatch, tmp_path, capsys):
     assert main(["--snr", "4,6", "--blocks", str(cap // 2 + 1), "--out", str(out)]) == 2
     assert f"make {cap + 2} blocks, more than {cap}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "link", (dict(n_rx=1024, n_tx=1, n_streams=1), dict(info_bits=10**6), dict(info_bits=10**15))
+)
+def test_blocks_over_the_chunk_cap_are_rejected(link):
+    # One block of these would not fit a chunk: 1024 receive antennas need a
+    # 1024 x 1024 noise covariance per block, a million info bits a decoder
+    # of 64 million values. validate_config rejects them; 10**15 info bits
+    # is rejected without building the block's puncturing mask.
+    with pytest.raises(ConfigError, match="chunk cap"):
+        validate_config(SimConfig(**link))
+
+
+def test_benchmark_legs_fit_one_chunk(monkeypatch):
+    # perfbench's legs each run their whole grid as one chunk.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for leg in workload.legs:
+            cfg = validate_config(SimConfig(blocks=workload.blocks, **leg))
+            assert len(cfg.snr_db) * cfg.blocks <= simcli.chunk_blocks(_build_bundle(cfg))
+
+
+@pytest.mark.parametrize(
+    "link",
+    (
+        dict(mod=16, n_streams=4, n_rx=4, n_tx=4),
+        dict(mod=64, n_streams=4, n_rx=4, n_tx=4, corr_tx=0.9, corr_rx=0.9, rate=0.83),
+        dict(mod=4, n_streams=2, n_rx=2, n_tx=2, info_bits=512, rate=0.83),
+        dict(mod=4, n_streams=1, n_rx=64, n_tx=1),
+        dict(mod=256, n_streams=1, n_rx=128, n_tx=1, info_bits=16),
+        dict(mod=4, n_streams=1, n_rx=2, n_tx=8, info_bits=512),
+        dict(mod=4, n_streams=8, n_rx=32, n_tx=32, corr_tx=0.5, corr_rx=0.5),
+    ),
+    ids=("gate-16qam", "corr-64qam", "long-2x2", "rx64", "rx128", "tx8", "32x32"),
+)
+def test_channel_stage_stays_under_block_charge(link):
+    # Drawing and whitening a chunk holds between half and all of what
+    # block_values charges its blocks beyond their candidate metrics and
+    # decoder: the normals, the channel arrays and, with few uses on many
+    # receive antennas (rx128), mostly the noise covariances.
+    cfg = validate_config(SimConfig(snr_db=(10.0,), blocks=16, **link))
+    bundle = _build_bundle(cfg)
+    blocks = min(simcli.chunk_blocks(bundle), 16)
+    n_uses = bundle.n_uses
+    charge = (
+        simcli.block_values(cfg, n_uses)
+        - n_uses * cfg.n_streams * cfg.mod
+        - simcli.STEP_VALUES * (cfg.info_bits + 2)
+    )
+    _chunk_model(bundle, 0, *_draws(bundle, 0, 1))  # first-call caches
+    tracemalloc.start()
+    try:
+        info, normals = _draws(bundle, 0, blocks)
+        _chunk_model(bundle, 0, info, normals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert charge / 2 <= peak / (8 * blocks) <= charge
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed"):
+        validate_config(SimConfig(seed=-1))
+    out = tmp_path / "x.csv"
+    assert main(["--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_missing_config_file_is_reported(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["--config", str(missing), "--out", str(tmp_path / "x.csv")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(missing) in line
+
+
+@pytest.mark.parametrize("where", ("missing-dir", "dir"))
+def test_unwritable_out_is_reported_before_the_run(where, tmp_path, monkeypatch, capsys):
+    # An --out in a missing directory, or naming a directory, fails before
+    # any block runs.
+    monkeypatch.setattr(simcli, "monte_carlo", None)
+    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    assert main(["--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
 
 
 def _run_python(*args):
@@ -261,7 +351,6 @@ def test_sweep_cuts_chunks_as_it_runs_them(monkeypatch):
         return (
             np.zeros((hi - lo, 1), dtype=bool),
             np.zeros((hi - lo, 1), dtype=np.int64),
-            [DetectorStats(1, 0, 0, 1)],
             0.0,
         )
 
@@ -302,13 +391,12 @@ def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
             future.result = collect
             return future
 
-    flags, bit_errors, stats, _ = simcli.simulate_sweep(bundle, Pool())
+    flags, bit_errors, _ = simcli.simulate_sweep(bundle, Pool())
     assert max(most) == 2 * cfg.workers
     assert len(most) == 15 and not pending
-    want_flags, want_bit_errors, want_stats, _ = simcli.simulate_sweep(bundle)
+    want_flags, want_bit_errors, _ = simcli.simulate_sweep(bundle)
     np.testing.assert_array_equal(flags, want_flags)
     np.testing.assert_array_equal(bit_errors, want_bit_errors)
-    assert stats == want_stats
 
 
 def test_timing_column():
@@ -323,8 +411,7 @@ def test_timing_charges_each_chunk_to_points_by_block_share(monkeypatch):
     # ran in of its share of their blocks; without --timing it is 0.
     cfg = _tiny_config(snr_db=(0.0, 4.0, 8.0), blocks=4)
     bundle = _build_bundle(cfg)
-    per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.idd_cfg.code.steps
-    monkeypatch.setattr(simcli, "CHUNK_VALUES", 3 * per_block)
+    monkeypatch.setattr(simcli, "CHUNK_VALUES", 3 * simcli.block_values(cfg, bundle.n_uses))
 
     def fake_clock():
         readings = iter(range(100))
@@ -510,7 +597,7 @@ def _run_recording_llrs(model, info, idd_cfg):
 def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     # One chunk of B blocks, with detection slices of one context, of a
     # few contexts or of the whole chunk, gives bit for bit the flags, bit
-    # errors, counters and detector LLRs of B one-block runs.
+    # errors and detector LLRs of B one-block runs.
     cfg = _tiny_config(
         seed=seed, snr_db=(snr,), blocks=blocks, info_bits=16, **_CHUNK_LINKS[link]
     )
@@ -519,18 +606,13 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     cap = per_slice * _context_values(cfg, bundle.idd_cfg.constellation)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chase, "SLICE_VALUES", cap)
-        flags, bit_errors, stats, _ = simulate_chunk(bundle, 0, blocks)
+        flags, bit_errors, _ = simulate_chunk(bundle, 0, blocks)
         chunk, chunk_llrs = _run_recording_llrs(
             _chunk_model(bundle, 0, info, normals), info, bundle.idd_cfg
         )
     singles = [simulate_chunk(bundle, b, b + 1) for b in range(blocks)]
     np.testing.assert_array_equal(flags, np.concatenate([t[0] for t in singles]))
     np.testing.assert_array_equal(bit_errors, np.concatenate([t[1] for t in singles]))
-    summed = [DetectorStats() for _ in stats]
-    for _, _, single_stats, _ in singles:
-        for total, part in zip(summed, single_stats):
-            total.add(part)
-    assert stats == summed
     for b in range(blocks):
         one = slice(b, b + 1)
         alone, alone_llrs = _run_recording_llrs(
@@ -614,11 +696,10 @@ def test_chunks_straddling_points_match_point_aligned_chunks(link, monkeypatch):
     # Three points of four blocks in 3-block chunks: every chunk after the
     # first holds the tail of one point and the head of the next. The
     # records, metric_count_mean included, equal those of a sweep in which
-    # each point is one chunk of its own, and so do the per-block outcomes
-    # and the summed counters.
+    # each point is one chunk of its own, and so do the per-block outcomes.
     cfg = _tiny_config(snr_db=(0.0, 4.0, 8.0), blocks=4, **_CHUNK_LINKS[link])
     bundle = _build_bundle(cfg)
-    per_block = bundle.n_uses * cfg.n_streams * cfg.mod + 64 * bundle.idd_cfg.code.steps
+    per_block = simcli.block_values(cfg, bundle.n_uses)
     real_run_idd = simcli.run_idd
     calls = []
 
@@ -637,8 +718,7 @@ def test_chunks_straddling_points_match_point_aligned_chunks(link, monkeypatch):
         records[size] = monte_carlo(cfg)
     assert records[3] == records[4]
     assert len(records[3]) == 3 * cfg.iterations
-    flags, bit_errors, stats, _ = sweeps[3]
-    want_flags, want_bit_errors, want_stats, _ = sweeps[4]
+    flags, bit_errors, _ = sweeps[3]
+    want_flags, want_bit_errors, _ = sweeps[4]
     np.testing.assert_array_equal(flags, want_flags)
     np.testing.assert_array_equal(bit_errors, want_bit_errors)
-    assert stats == want_stats
