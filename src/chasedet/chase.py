@@ -80,8 +80,11 @@ def detect_all_uses(
     total) adds the inner layers' best metrics to total, the (rows, M)
     candidate metrics, in place; use_idx maps each row to its la row.
     context_values is the detector's charge in float64 values per context,
-    which sizes the slices under SLICE_VALUES.
+    which sizes the slices under SLICE_VALUES. A non-finite la raises
+    ValueError.
     """
+    if not np.isfinite(la).all():
+        raise ValueError("a priori LLRs must be finite")
     n_streams, n_uses = np.shape(contexts.stream)
     flat = contexts.reshape(-1)
     rows = n_streams * n_uses

@@ -55,9 +55,9 @@ from .reference import MAX_EXHAUSTIVE
 
 # Largest SNR grid a 'start:step:stop' range may expand to.
 MAX_SNR_POINTS = 10_000
-# Most blocks a run may simulate over its whole SNR grid: the sweep keeps
-# every block's flags and bit errors until the run ends.
-MAX_GRID_BLOCKS = 10**7
+# Most (block, iteration) flags and bit error counts the sweep may keep over
+# its whole SNR grid until the run ends: 10**7 blocks at 3 iterations fit.
+MAX_GRID_TALLIES = 3 * 10**7
 # Working-set cap of one chunk, in float64 values; block_values charges
 # each block, and a config one block of which exceeds the cap is rejected.
 CHUNK_VALUES = 1 << 20
@@ -224,11 +224,11 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError("blocks, iters, and info_bits must be positive")
     if cfg.seed < 0:
         raise ConfigError("seed must not be negative")
-    grid_blocks = len(cfg.snr_db) * cfg.blocks
-    if grid_blocks > MAX_GRID_BLOCKS:
+    tallies = len(cfg.snr_db) * cfg.blocks * cfg.iterations
+    if tallies > MAX_GRID_TALLIES:
         raise ConfigError(
-            f"{len(cfg.snr_db)} SNR points x {cfg.blocks} blocks make {grid_blocks} "
-            f"blocks, more than {MAX_GRID_BLOCKS}"
+            f"{len(cfg.snr_db)} SNR points x {cfg.blocks} blocks x {cfg.iterations} "
+            f"iterations make {tallies} tallies, more than {MAX_GRID_TALLIES}"
         )
     if cfg.workers < 1:
         raise ConfigError("workers must be positive")
@@ -295,10 +295,12 @@ def block_values(cfg: SimConfig, n_uses: int) -> int:
     """Float64 values a block of n_uses channel uses is charged in a chunk:
     per use its candidate metrics and its normals, channel, observation and
     noise arrays; per block its complex noise covariance, noise factor,
-    whitener and their Cholesky temporaries (16 * rx**2), and its decoder.
-    tests/test_simcli.py holds a chunk's channel stage under it."""
+    whitener and their Cholesky temporaries (16 * rx**2), its decoder and
+    its info-bit LLRs of every iteration. tests/test_simcli.py holds a
+    chunk's channel stage under it."""
     per_use = cfg.n_streams * cfg.mod + 6 * cfg.n_rx * (cfg.n_tx + cfg.n_streams + 2)
-    return n_uses * per_use + 16 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
+    per_block = 16 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
+    return n_uses * per_use + per_block + cfg.iterations * cfg.info_bits
 
 
 def chunk_blocks(bundle: _Bundle) -> int:

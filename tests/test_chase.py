@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from chasedet import bchase, chase, lchase
+from chasedet import bchase, chase, lchase, reference
 from chasedet.channel import WhitenedModel
 from chasedet.constellation import SUPPORTED_ORDERS, build_constellation
 from chasedet.linalg import back_substitute, qr, swap_permutation
@@ -109,6 +109,28 @@ def test_slicing_does_not_change_llrs(detector, order, n_streams, monkeypatch):
         llrs.append(detector.detect_all_uses(contexts, c, la))
     assert np.array_equal(llrs[0], llrs[2])
     assert np.array_equal(llrs[1], llrs[2])
+
+
+_SOFT_INPUT = {
+    "lchase": lambda model, c, la: lchase.detect_all_uses(lchase.prepare_all_uses(model), c, la),
+    "bchase": lambda model, c, la: bchase.detect_all_uses(bchase.prepare_all_uses(model), c, la),
+    "maxlog": reference.exact_maxlog_llrs,
+}
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf), ids=("nan", "+inf", "-inf"))
+@pytest.mark.parametrize("detector", sorted(_SOFT_INPUT))
+def test_non_finite_apriori_is_rejected(detector, bad):
+    # One non-finite a priori LLR in the last use fails the whole call,
+    # where it would otherwise turn every LLR of its use into NaN.
+    c = build_constellation(16)
+    rng = np.random.default_rng(31)
+    y, h = iid_complex_gaussian(rng, (3, 3)), iid_complex_gaussian(rng, (3, 3, 3))
+    model = WhitenedModel(y=y, h=h)
+    la = rng.normal(size=(3, 3, c.bits_per_symbol))
+    la[-1, -1, -1] = bad
+    with pytest.raises(ValueError, match="a priori LLRs must be finite"):
+        _SOFT_INPUT[detector](model, c, la)
 
 
 def _per_stream_lchase(h, y, stream):

@@ -1,9 +1,9 @@
-"""The README's library example runs as written, and its slice table holds."""
+"""The README's library example runs as written, and its slice figures hold."""
 
 import re
 from pathlib import Path
 
-from chasedet import bchase, chase, lchase
+from chasedet import bchase, chase, lchase, reference
 from chasedet.constellation import SUPPORTED_ORDERS, build_constellation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -36,3 +36,10 @@ def test_readme_contexts_per_slice_table_matches_charges():
                 charge = bchase.context_values(c, int(n_streams))
             want = chase.SLICE_VALUES // charge
             assert int(cell.strip().replace(",", "")) == want, (label, order)
+
+
+def test_readme_maxlog_uses_per_slice_matches_charge():
+    # The maxlog uses-per-slice figure is SLICE_VALUES over its charge per use.
+    found = re.search(r"holds\s+([\d,]+)\s+uses\s+at\s+2x2\s+QPSK", README.read_text())
+    want = chase.SLICE_VALUES // reference.use_values(build_constellation(4), 2, 2)
+    assert int(found[1].replace(",", "")) == want

@@ -14,8 +14,8 @@ from chasedet.reference import (
     MAX_EXHAUSTIVE,
     brute_pam_argmax,
     exact_maxlog_llrs,
-    hypothesis_values,
     lmmse_llrs,
+    use_values,
 )
 
 from draws import iid_complex_gaussian
@@ -82,10 +82,10 @@ def test_maxlog_none_apriori_is_zero_apriori():
     np.testing.assert_array_equal(a, b)
 
 
-def test_maxlog_chunked_enumeration_consistent():
-    # 4 streams of 16-QAM is 65536 hypotheses, crossing the chunk size;
-    # check one stream against a manual marginalization on a small case
-    # and the big case for shape and finiteness only.
+def test_maxlog_4x4_16qam_llrs_are_finite():
+    # 4 streams of 16-QAM is 65536 hypotheses, the paper's link; the direct
+    # form and the plain enumeration check values on smaller cases, this
+    # one checks shape and finiteness only.
     c = build_constellation(16)
     rng = np.random.default_rng(5)
     h = iid_complex_gaussian(rng, (4, 4)) * 2.0
@@ -119,7 +119,7 @@ def test_maxlog_stack_equals_per_use_calls(order, n, priors, per_slice, monkeypa
     la = np.zeros((uses, n, c.bits_per_symbol))
     if priors == "random":
         la = rng.normal(scale=3.0, size=la.shape)
-    per_use = hypothesis_values(n, n) * order**n
+    per_use = use_values(c, n, n)
     slice_uses = {"one": 1, "few": 2, "all": uses}[per_slice]
     monkeypatch.setattr(chase, "SLICE_VALUES", slice_uses * per_use)
     stacked = exact_maxlog_llrs(model, c, la)
@@ -160,7 +160,7 @@ def test_maxlog_stack_peak_stays_under_slice_cap():
     # float64 values live besides its output; nothing grows with the stack.
     c = build_constellation(4)
     rng = np.random.default_rng(22)
-    per_slice = chase.SLICE_VALUES // (hypothesis_values(2, 2) * 4**2)
+    per_slice = chase.SLICE_VALUES // use_values(c, 2, 2)
     uses = 4 * per_slice + 1
     model = _use_stack(rng, 2, uses)
     la = rng.normal(scale=3.0, size=(uses, 2, 2))
@@ -168,19 +168,20 @@ def test_maxlog_stack_peak_stays_under_slice_cap():
     assert peak <= chase.SLICE_VALUES * 8 + out.nbytes
 
 
-def test_maxlog_use_over_the_cap_walks_its_table_in_chunks(monkeypatch):
-    # One 16-QAM use with four streams charges more than the cap: its
-    # 16**4 hypotheses go in chunks, so the call holds its one metric table
-    # and at most SLICE_VALUES values more, and its LLRs equal those of an
-    # unchunked walk.
+def test_maxlog_use_over_the_cap_runs_alone(monkeypatch):
+    # Under a cap one value short of the charge of a 16-QAM use with four
+    # streams, the use runs in a slice of its own: the call holds its one
+    # metric table of 16**4 hypotheses and at most SLICE_VALUES values
+    # more, and its LLRs equal those under a cap the use fits.
     c = build_constellation(16)
-    assert hypothesis_values(4, 4) * 16**4 > chase.SLICE_VALUES
+    monkeypatch.setattr(chase, "SLICE_VALUES", use_values(c, 4, 4) - 1)
+    assert use_values(c, 4, 4) > chase.SLICE_VALUES
     rng = np.random.default_rng(23)
     model = _use_stack(rng, 4, 1)
     la = rng.normal(scale=3.0, size=(1, 4, 4))
     out, peak = _traced_peak(exact_maxlog_llrs, model, c, la)
     assert peak <= (chase.SLICE_VALUES + 16**4) * 8 + out.nbytes
-    monkeypatch.setattr(chase, "SLICE_VALUES", hypothesis_values(4, 4) * 16**4)
+    monkeypatch.setattr(chase, "SLICE_VALUES", use_values(c, 4, 4))
     np.testing.assert_array_equal(out, exact_maxlog_llrs(model, c, la))
 
 
@@ -190,9 +191,8 @@ _CHUNK_CASES = [(order, n) for order in (4, 16, 64) for n in (2, 3, 4) if order*
 @pytest.mark.parametrize("cap", (1, 50))
 @pytest.mark.parametrize("order,n", _CHUNK_CASES)
 def test_maxlog_llrs_do_not_depend_on_the_chunk_size(order, n, cap, monkeypatch):
-    # A cap of 1 walks one hypothesis per chunk, and 50 one or two (two
-    # with two streams at QPSK); the LLRs equal those of a walk over the
-    # whole table at once, bit for bit. Larger tables take seconds a use.
+    # Caps of 1 and 50 put each use in a slice of its own; the LLRs equal
+    # those of one slice over both uses, bit for bit.
     c = build_constellation(order)
     rng = np.random.default_rng([order, n, cap])
     model = _use_stack(rng, n, 2)
@@ -210,17 +210,82 @@ def test_maxlog_rejects_oversized_search():
 
 
 def test_maxlog_counts_hypotheses(walk, monkeypatch):
-    # The cost model charges a metric per hypothesis the oracle enumerates,
-    # here walked in chunks of 50 for each of three uses.
+    # The cost model charges a metric per hypothesis the oracle scores,
+    # here in slices of one use for each of three uses.
     c = build_constellation(16)
     uses = 3
     model = _use_stack(np.random.default_rng(22), 2, uses)
-    monkeypatch.setattr(chase, "SLICE_VALUES", 50 * hypothesis_values(2, 2))
-    walk.tally(reference, "_hypotheses", "hypotheses", lambda c, n, lo, hi: hi - lo)
+    monkeypatch.setattr(chase, "SLICE_VALUES", use_values(c, 2, 2))
+    walk.tally(
+        reference, "_metric_table", "hypotheses",
+        lambda z, r, prior_tab, c: len(prior_tab) * c.order ** prior_tab.shape[1],
+    )
     exact_maxlog_llrs(model, c)
     stats = pass_stats("maxlog", 2, c, uses)
     assert stats.metric_evals == walk["hypotheses"] == uses * 256
     assert stats.streams == uses * 2
+
+
+def _direct_maxlog(model, c, la):
+    """Max-log LLRs (uses, n, q) by direct enumeration, one use at a time:
+    every hypothesis's symbols s, its priors and |y - h s|^2 over all
+    receive antennas, with no factorization."""
+    n = model.h.shape[-1]
+    digits = np.arange(c.order**n)[:, None] // c.order ** np.arange(n - 1, -1, -1) % c.order
+    s = c.symbols[digits]  # (M**n, n), stream 0 the slowest digit
+    out = []
+    for y, h, la_use in zip(model.y, model.h, la):
+        prior = (la_use @ c.bit_labels_f.T)[np.arange(n), digits].sum(axis=1)
+        metric = prior - np.sum(np.abs(y - s @ h.T) ** 2, axis=1)
+        table = metric.reshape((c.order,) * n)
+        out.append(
+            [
+                chase.coset_llrs(table.max(axis=tuple(j for j in range(n) if j != i))[None], c)[0]
+                for i in range(n)
+            ]
+        )
+    return np.array(out)
+
+
+_DIRECT_LINKS = [(4, 1, 1), (4, 2, 4), (4, 4, 2), (16, 2, 2), (16, 3, 5), (16, 3, 2), (64, 2, 3)]
+_CHANNELS = ("iid", "near-singular", "zero-column", "equal-columns", "zero")
+
+
+@pytest.mark.parametrize("priors", ("zero", "normal", "cauchy"))
+@pytest.mark.parametrize("channel", _CHANNELS)
+@pytest.mark.parametrize("order,n,n_rx", _DIRECT_LINKS)
+def test_maxlog_tree_matches_direct_enumeration(order, n, n_rx, channel, priors):
+    # The QR tree scores the same metrics as the direct form, rounded
+    # differently: each use's LLRs agree within 16 ulp of a bound on its
+    # metrics' magnitude, 1 + sum |La| + (|y| + |h|_F max |s|)^2, on
+    # rank-deficient channels too, where no factor is inverted.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n, n_rx, _CHANNELS.index(channel)])
+    uses = 4
+    h = iid_complex_gaussian(rng, (uses, n_rx, n)) * 2.0
+    if channel == "near-singular" and n > 1:
+        h[..., 1] = h[..., 0] * (1 + 1e-9)
+    elif channel == "zero-column":
+        h[..., 0] = 0.0
+    elif channel == "equal-columns" and n > 1:
+        h[..., -1] = h[..., 0]
+    elif channel == "zero":
+        h[...] = 0.0
+    s = c.symbols[rng.integers(0, order, size=(uses, n))]
+    y = np.einsum("urn,un->ur", h, s) + iid_complex_gaussian(rng, (uses, n_rx))
+    shape = (uses, n, c.bits_per_symbol)
+    la = {
+        "zero": np.zeros(shape),
+        "normal": rng.normal(scale=3.0, size=shape),
+        "cauchy": rng.standard_cauchy(size=shape),
+    }[priors]
+    model = WhitenedModel(y=y, h=h)
+    got = exact_maxlog_llrs(model, c, la)
+    want = _direct_maxlog(model, c, la)
+    reach = np.linalg.norm(y, axis=1) + np.linalg.norm(h, axis=(1, 2)) * np.abs(c.symbols).max()
+    scale = 1.0 + np.abs(la).sum(axis=(1, 2)) + reach**2
+    bound = 16 * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - want) <= bound[:, None, None])
 
 
 def test_brute_pam_argmax_breaks_ties_low():

@@ -72,17 +72,37 @@ def test_snr_grid_cap_is_inclusive():
 
 
 def test_grid_block_cap_is_inclusive(monkeypatch, tmp_path, capsys):
-    # The cap is checked before any block runs.
+    # The cap counts (block, iteration) tallies and is checked before any
+    # block runs; 10**7 blocks at the default 3 iterations fit it.
     monkeypatch.setattr(simcli, "simulate_sweep", None)
-    cap = simcli.MAX_GRID_BLOCKS
-    at_cap = SimConfig(snr_db=(4.0, 6.0), blocks=cap // 2)
+    cap = simcli.MAX_GRID_TALLIES
+    at_cap = SimConfig(snr_db=(4.0, 6.0), blocks=10**7 // 2)
+    assert len(at_cap.snr_db) * at_cap.blocks * at_cap.iterations == cap
     assert validate_config(at_cap) is at_cap
-    with pytest.raises(ConfigError, match=f"make {cap + 1} blocks, more than {cap}$"):
-        validate_config(SimConfig(snr_db=(4.0,), blocks=cap + 1))
+    with pytest.raises(ConfigError, match=f"make {cap + 1} tallies, more than {cap}$"):
+        validate_config(SimConfig(snr_db=(4.0,), blocks=cap + 1, iterations=1))
     out = tmp_path / "x.csv"
-    assert main(["--snr", "4,6", "--blocks", str(cap // 2 + 1), "--out", str(out)]) == 2
-    assert f"make {cap + 2} blocks, more than {cap}" in capsys.readouterr().err
+    assert main(["--snr", "4,6", "--blocks", str(10**7 // 2 + 1), "--out", str(out)]) == 2
+    assert f"make {cap + 6} tallies, more than {cap}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "link,match",
+    (
+        (dict(iterations=10**9), "tallies, more than"),
+        (dict(snr_db=(4.0,), blocks=10**7, iterations=10**6), "tallies, more than"),
+        (dict(snr_db=(4.0,), blocks=1, iterations=10**5), "chunk cap"),
+    ),
+    ids=("1e9-iterations", "1e7-blocks-1e6-iterations", "one-block-1e5-iterations"),
+)
+def test_iteration_counts_that_exhaust_memory_are_rejected(link, match):
+    # The sweep keeps a flag and a bit error count per (block, iteration),
+    # and a chunk the info-bit LLRs of every iteration: 10**9 iterations or
+    # 10**13 tallies pass no cap, and one block of 10**5 iterations at 64
+    # info bits would not fit a chunk.
+    with pytest.raises(ConfigError, match=match):
+        validate_config(SimConfig(**link))
 
 
 @pytest.mark.parametrize(
@@ -125,9 +145,10 @@ def test_benchmark_legs_fit_one_chunk(monkeypatch):
 )
 def test_channel_stage_stays_under_block_charge(link):
     # Drawing and whitening a chunk holds between half and all of what
-    # block_values charges its blocks beyond their candidate metrics and
-    # decoder: the normals, the channel arrays and, with few uses on many
-    # receive antennas (rx128), mostly the noise covariances.
+    # block_values charges its blocks beyond their candidate metrics,
+    # decoder and info-bit LLRs: the normals, the channel arrays and, with
+    # few uses on many receive antennas (rx128), mostly the noise
+    # covariances.
     cfg = validate_config(SimConfig(snr_db=(10.0,), blocks=16, **link))
     bundle = _build_bundle(cfg)
     blocks = min(simcli.chunk_blocks(bundle), 16)
@@ -136,6 +157,7 @@ def test_channel_stage_stays_under_block_charge(link):
         simcli.block_values(cfg, n_uses)
         - n_uses * cfg.n_streams * cfg.mod
         - simcli.STEP_VALUES * (cfg.info_bits + 2)
+        - cfg.iterations * cfg.info_bits
     )
     _chunk_model(bundle, 0, *_draws(bundle, 0, 1))  # first-call caches
     tracemalloc.start()
@@ -550,14 +572,14 @@ _CHUNK_LINKS = {
 
 def _context_values(cfg, c):
     """The charge per context a detector slices by: a (stream, use) for the
-    Chase detectors and a use, all its hypotheses, for maxlog; lmmse does
-    not slice, so any cap serves it."""
+    Chase detectors and a use for maxlog; lmmse does not slice, so any cap
+    serves it."""
     if cfg.detector == "lchase":
         return lchase.context_values(c)
     if cfg.detector == "bchase":
         return bchase.context_values(c, cfg.n_streams)
     if cfg.detector == "maxlog":
-        return reference.hypothesis_values(cfg.n_streams, cfg.n_rx) * c.order**cfg.n_streams
+        return reference.use_values(c, cfg.n_streams, cfg.n_rx)
     return 1
 
 
