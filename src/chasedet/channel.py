@@ -2,9 +2,9 @@
 
 The observation model is y = Hbar W s + n with Hbar = Rr^(1/2) Hw Rt^(1/2),
 Hw i.i.d. CN(0,1) and n ~ CN(0, C_nn). Detection happens on the whitened
-model y_tilde = sqrt(B) y, H_tilde = sqrt(B) Hbar W with B = C_nn^-1, where
-sqrt(B) = L^H from the Cholesky factorization B = L L^H; the whitened noise
-is CN(0, I).
+model y_tilde = L^-1 y, H_tilde = L^-1 Hbar W, where C_nn = L L^H is the
+Cholesky factorization: the whitener L^-1 has L^-H L^-1 = C_nn^-1, and the
+whitened noise L^-1 n is CN(0, I).
 """
 
 from __future__ import annotations
@@ -122,13 +122,12 @@ class ChannelRealization:
 
         self.h = hbar @ w
         self.c_nn = c_nn
-        # B = C_nn^-1 assembled from the noise factor by substitution, then
-        # held through its own Cholesky factor; the whitener is L^H.
+        # The whitener is L^-1 for the noise factor L, the adjoint of the
+        # L^-H that back substitution on L^H gives.
         self._noise_factor = cholesky(c_nn)
-        y_inv = back_substitute(_adjoint(self._noise_factor), np.eye(n_r, dtype=complex))
-        b = y_inv @ _adjoint(y_inv)
-        b = (b + _adjoint(b)) / 2.0
-        self.whitener = _adjoint(cholesky(b))
+        self.whitener = _adjoint(
+            back_substitute(_adjoint(self._noise_factor), np.eye(n_r, dtype=complex))
+        )
 
     @property
     def n_streams(self) -> int:

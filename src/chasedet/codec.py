@@ -85,7 +85,12 @@ class CodeConfig:
 
     @property
     def transmitted_len(self) -> int:
-        return int(self.keep_mask().sum())
+        """Bits sent per block, keep_mask().sum() without building the mask:
+        whole periods of PUNCTURE_KEEP, then the leftover steps."""
+        if self.rate == 0.5:
+            return self.coded_len
+        periods, rest = divmod(self.steps, len(PUNCTURE_KEEP))
+        return periods * int(PUNCTURE_KEEP.sum()) + int(PUNCTURE_KEEP[:rest].sum())
 
 
 def encode(info_bits, cfg: CodeConfig) -> np.ndarray:

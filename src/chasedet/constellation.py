@@ -24,62 +24,35 @@ from .llr import saturate
 SUPPORTED_ORDERS = (4, 16, 64, 256)
 
 
-def _gray_sub_labels(nbits: int) -> np.ndarray:
-    """Binary-reflected Gray sub-labels, one row per level, MSB first."""
-    count = 1 << nbits
-    idx = np.arange(count)
-    gray = idx ^ (idx >> 1)
-    shifts = np.arange(nbits - 1, -1, -1)
-    return ((gray[:, None] >> shifts) & 1).astype(np.int8)
-
-
 class PamAxis:
-    """One PAM coordinate: descending levels plus their Gray sub-labels.
+    """One PAM coordinate of nbits bits: 2**nbits evenly spaced levels in
+    descending order, symmetric about zero with a spacing of 2 / norm, and
+    their binary-reflected Gray sub-labels, level m carrying the bits of
+    m ^ (m >> 1), MSB first.
 
     Precomputes the per-pair tables used to modulate decision boundaries so
     that boundary values are one matrix product regardless of how many
     (batched) LLR vectors are involved.
     """
 
-    def __init__(self, levels: np.ndarray, sub_labels: np.ndarray):
-        levels = np.asarray(levels, dtype=float)
-        sub_labels = np.asarray(sub_labels)
-        if levels.ndim != 1 or len(levels) < 2:
-            raise ValueError("axis needs at least two levels")
-        if sub_labels.shape != (len(levels), int(math.log2(len(levels)))):
-            raise ValueError("sub_labels must be (n_levels, log2(n_levels))")
-        if not np.all(np.diff(levels) < 0):
-            raise ValueError("levels must be strictly descending")
-        if not np.allclose(levels, -levels[::-1], atol=1e-9):
-            raise ValueError("levels must be symmetric about zero")
-        spacing = np.diff(levels)
-        if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("levels must be uniformly spaced")
-        if len({tuple(row) for row in sub_labels.tolist()}) != len(levels):
-            raise ValueError("sub-labels must be distinct")
-        flips = np.abs(np.diff(sub_labels.astype(int), axis=0)).sum(axis=1)
-        if not np.all(flips == 1):
-            raise ValueError("adjacent levels must differ in exactly one bit (Gray)")
-
-        self.levels = levels
-        self.sub_labels = sub_labels.astype(np.int8)
-        self.nlevels = len(levels)
-        self.nbits = self.sub_labels.shape[1]
+    def __init__(self, nbits: int, norm: float):
+        count = 1 << nbits
+        m = np.arange(count)
+        self.levels = np.arange(count - 1, -count, -2, dtype=float) / norm
+        shifts = np.arange(nbits - 1, -1, -1)
+        self.sub_labels = (((m ^ (m >> 1))[:, None] >> shifts) & 1).astype(np.int8)
+        self.nlevels = count
+        self.nbits = nbits
         self._labels_f = self.sub_labels.astype(float)
 
         # Unordered level pairs (m, u) with m < u, i.e. x_m > x_u.
-        first, second = np.triu_indices(self.nlevels, 1)
+        first, second = np.triu_indices(count, 1)
         self.pair_first = first
         self.pair_second = second
-        self.pair_mid = (levels[first] + levels[second]) / 2.0
-        gap = 2.0 * (levels[first] - levels[second])
+        self.pair_mid = (self.levels[first] + self.levels[second]) / 2.0
+        gap = 2.0 * (self.levels[first] - self.levels[second])
         self.pair_coef = (self._labels_f[first] - self._labels_f[second]) / gap[:, None]
         self.npairs = len(first)
-
-        # Every bit's 0 and 1 cosets must be populated.
-        for n, column in enumerate(self.sub_labels.T):
-            if not ((column == 0).any() and (column == 1).any()):
-                raise ValueError(f"axis bit {n} has an empty coset")
 
     def level_priors(self, apriori: np.ndarray) -> np.ndarray:
         """Per-level a priori term sum_n b_mn * La(n): (..., nbits) -> (..., L).
@@ -260,38 +233,27 @@ class Constellation:
         q = self.bits_per_symbol
         side = 1 << (q // 2)
 
-        norm = math.sqrt(2.0 * (order - 1) / 3.0)
-        amplitudes = np.arange(side - 1, -side, -2, dtype=float)
-        levels = amplitudes / norm
-        sub_labels = _gray_sub_labels(q // 2)
         # Square QAM: both coordinates are the same PAM axis.
-        self.axis = PamAxis(levels, sub_labels)
+        self.axis = PamAxis(q // 2, math.sqrt(2.0 * (order - 1) / 3.0))
 
         shifts = np.arange(q - 1, -1, -1)
         ks = np.arange(order)
         self.bit_labels = ((ks[:, None] >> shifts) & 1).astype(np.int8)
         self.bit_labels_f = self.bit_labels.astype(float)
 
-        sub_weights = 1 << np.arange(q // 2 - 1, -1, -1)
-        gray_to_level = np.empty(side, dtype=int)
-        gray_ints = (sub_labels * sub_weights).sum(axis=1)
-        gray_to_level[gray_ints] = np.arange(side)
-
-        sub_ints = axis_parts(self.bit_labels) @ sub_weights
-        real_levels, imag_levels = levels[gray_to_level[sub_ints]]
+        # A sub-label read as an integer is the Gray code of its level's
+        # index; argsort inverts that permutation.
+        index = np.arange(side)
+        gray_to_level = np.argsort(index ^ (index >> 1))
+        sub_ints = axis_parts(self.bit_labels) @ (1 << np.arange(q // 2 - 1, -1, -1))
+        real_levels, imag_levels = self.axis.levels[gray_to_level[sub_ints]]
         self.symbols = real_levels + 1j * imag_levels
 
-        energy = np.mean(np.abs(self.symbols) ** 2)
-        if abs(energy - 1.0) > 1e-12:
-            raise AssertionError(f"constellation energy {energy} != 1")
-
-        # Symbol-index cosets per full-label bit; both sides always populated.
-        self.bit_coset_idx: list[tuple[np.ndarray, np.ndarray]] = []
-        for k in range(q):
-            zeros = np.nonzero(self.bit_labels[:, k] == 0)[0]
-            ones = np.nonzero(self.bit_labels[:, k] == 1)[0]
-            assert len(zeros) == order // 2 and len(ones) == order // 2
-            self.bit_coset_idx.append((zeros, ones))
+        # Symbol-index cosets per full-label bit.
+        self.bit_coset_idx = [
+            (np.nonzero(column == 0)[0], np.nonzero(column == 1)[0])
+            for column in self.bit_labels.T
+        ]
 
         self._weights = 1 << shifts
 

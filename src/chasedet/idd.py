@@ -67,7 +67,6 @@ class IddResult:
     iteration's detector counts over the chunk, from counters.pass_stats."""
 
     info_llrs: np.ndarray  # (B, iterations, K) decoder info-bit LLRs
-    decoded: np.ndarray  # (B, K) hard bits from the final iteration
     iter_block_error: np.ndarray  # (B, iterations) bool, any info bit wrong
     iter_bit_errors: np.ndarray  # (B, iterations) int
     iter_stats: list  # DetectorStats per iteration
@@ -121,7 +120,6 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
 
     result = IddResult(
         info_llrs=np.zeros((n_blocks, cfg.iterations, code.info_len)),
-        decoded=np.zeros((n_blocks, code.info_len), dtype=np.int8),
         iter_block_error=np.zeros((n_blocks, cfg.iterations), dtype=bool),
         iter_bit_errors=np.zeros((n_blocks, cfg.iterations), dtype=np.int64),
         iter_stats=[pass_stats(cfg.detector, n_streams, c, n_blocks * n_uses)] * cfg.iterations,
@@ -140,7 +138,6 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
         result.info_llrs[:, span] = info_total[:, None]
         result.iter_bit_errors[:, span] = errs[:, None]
         result.iter_block_error[:, span] = errs[:, None] > 0
-        result.decoded = hard
 
         if it + 1 < passes:
             la_slots = np.zeros((n_blocks, n_slots))

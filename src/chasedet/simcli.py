@@ -55,6 +55,10 @@ from .reference import MAX_EXHAUSTIVE
 
 # Largest SNR grid a 'start:step:stop' range may expand to.
 MAX_SNR_POINTS = 10_000
+# Largest SNR magnitude in dB. Every detector runs cleanly up to it; far
+# beyond it the noise variance overflows, or a noise covariance's Cholesky
+# factor or a channel's QR breaks down mid-run.
+MAX_SNR_DB = 300.0
 # Most (block, iteration) flags and bit error counts the sweep may keep over
 # its whole SNR grid until the run ends: 10**7 blocks at 3 iterations fit.
 MAX_GRID_TALLIES = 3 * 10**7
@@ -218,8 +222,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError(f"rate must be one of {SUPPORTED_RATES}")
     if not cfg.snr_db:
         raise ConfigError("SNR grid is empty")
-    if not np.isfinite(cfg.snr_db).all():
-        raise ConfigError("SNR values must be finite")
+    if not (np.abs(cfg.snr_db) <= MAX_SNR_DB).all():
+        raise ConfigError(f"SNR values must be finite and within +-{MAX_SNR_DB:g} dB")
     if cfg.blocks < 1 or cfg.iterations < 1 or cfg.info_bits < 1:
         raise ConfigError("blocks, iters, and info_bits must be positive")
     if cfg.seed < 0:
@@ -240,12 +244,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             f"maxlog needs mod**streams <= {MAX_EXHAUSTIVE}, "
             f"got {cfg.mod}**{cfg.n_streams}"
         )
-    # A block's uses come from its puncturing mask, which takes memory in
-    # the code's length: a code too long for a chunk is rejected without it.
-    n_uses = 0
-    if STEP_VALUES * (cfg.info_bits + 2) <= CHUNK_VALUES:
-        code = CodeConfig(cfg.info_bits, cfg.rate)
-        n_uses = uses_for_block(code, build_constellation(cfg.mod), cfg.n_streams)
+    code = CodeConfig(cfg.info_bits, cfg.rate)
+    n_uses = uses_for_block(code, build_constellation(cfg.mod), cfg.n_streams)
     if block_values(cfg, n_uses) > CHUNK_VALUES:
         raise ConfigError(f"one block exceeds the chunk cap of {CHUNK_VALUES} float64 values")
     return cfg
@@ -294,10 +294,11 @@ def _build_bundle(cfg: SimConfig) -> _Bundle:
 def block_values(cfg: SimConfig, n_uses: int) -> int:
     """Float64 values a block of n_uses channel uses is charged in a chunk:
     per use its candidate metrics and its normals, channel, observation and
-    noise arrays; per block its complex noise covariance, noise factor,
-    whitener and their Cholesky temporaries (16 * rx**2), its decoder and
-    its info-bit LLRs of every iteration. tests/test_simcli.py holds a
-    chunk's channel stage under it."""
+    noise arrays; per block its complex noise covariance, noise factor and
+    whitener with the temporaries of factoring and inverting it (16 *
+    rx**2, which the measured peak of about 10 * rx**2 stays under), its
+    decoder and its info-bit LLRs of every iteration. tests/test_simcli.py
+    holds a chunk's channel stage under it."""
     per_use = cfg.n_streams * cfg.mod + 6 * cfg.n_rx * (cfg.n_tx + cfg.n_streams + 2)
     per_block = 16 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
     return n_uses * per_use + per_block + cfg.iterations * cfg.info_bits

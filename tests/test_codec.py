@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from chasedet import simcli
-from chasedet.codec import CodeConfig, bcjr_decode, depuncture, encode, make_interleaver, puncture
+from chasedet.codec import (
+    SUPPORTED_RATES,
+    CodeConfig,
+    bcjr_decode,
+    depuncture,
+    encode,
+    make_interleaver,
+    puncture,
+)
 from chasedet.errors import ConfigError
 from chasedet.llr import LLR_CLIP
 
@@ -52,6 +60,13 @@ def test_code_config_sizes():
         CodeConfig(0, 0.5)
     with pytest.raises(ConfigError):
         CodeConfig(64, 0.75)
+
+
+@pytest.mark.parametrize("rate", SUPPORTED_RATES)
+def test_transmitted_len_counts_the_keep_mask(rate):
+    for info_len in range(1, 2001):
+        cfg = CodeConfig(info_len, rate)
+        assert cfg.transmitted_len == cfg.keep_mask().sum()
 
 
 def test_puncture_pattern():

@@ -9,7 +9,6 @@ import pytest
 from chasedet.constellation import (
     SUPPORTED_ORDERS,
     Constellation,
-    PamAxis,
     axis_parts,
     build_constellation,
     coset_min_sqdist,
@@ -58,6 +57,22 @@ def test_16qam_axis_frozen():
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_axis_is_built_reflected_gray_and_evenly_spaced(order):
+    ax = build_constellation(order).axis
+    m = np.arange(ax.nlevels)
+    assert ax.nlevels == 1 << ax.nbits == math.isqrt(order)
+    # Level m carries the bits of its reflected Gray code m ^ (m >> 1), MSB
+    # first, so neighbouring levels differ in exactly one bit.
+    gray = (ax.sub_labels * (1 << np.arange(ax.nbits - 1, -1, -1))).sum(axis=1)
+    assert gray.tolist() == (m ^ (m >> 1)).tolist()
+    assert np.all(np.abs(np.diff(ax.sub_labels.astype(int), axis=0)).sum(axis=1) == 1)
+    # Descending, symmetric about zero and evenly spaced.
+    assert np.all(np.diff(ax.levels) < 0.0)
+    assert np.array_equal(ax.levels, -ax.levels[::-1])
+    np.testing.assert_allclose(np.diff(ax.levels), ax.levels[-1] - ax.levels[-2], rtol=1e-13)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
 def test_modulate_matches_symbol_table(order):
     c = build_constellation(order)
     np.testing.assert_array_equal(modulate(c.bit_labels, c), c.symbols)
@@ -81,24 +96,6 @@ def test_even_bits_drive_real_axis():
         assert np.all(s.real != c.symbols.real)
 
 
-def test_axis_validation():
-    good_levels = np.array([1.0, -1.0]) / RT2
-    with pytest.raises(ValueError):
-        PamAxis(good_levels[::-1], np.array([[0], [1]]))  # ascending
-    with pytest.raises(ValueError):
-        PamAxis(np.array([1.0, 0.5]), np.array([[0], [1]]))  # not symmetric
-    with pytest.raises(ValueError):
-        PamAxis(
-            np.array([3.0, 1.0, -1.0, -3.0]),
-            np.array([[0, 0], [0, 1], [1, 0], [1, 1]]),  # not Gray
-        )
-    with pytest.raises(ValueError):
-        PamAxis(
-            np.array([3.0, 0.5, -0.5, -3.0]),  # not uniform
-            np.array([[0, 0], [0, 1], [1, 1], [1, 0]]),
-        )
-
-
 def test_boundaries_zero_prior_are_midpoints():
     c = build_constellation(16)
     ax = c.axis
@@ -112,15 +109,15 @@ def test_boundaries_zero_prior_are_midpoints():
 
 
 def test_boundary_prior_shift_closed_form():
-    # 2-PAM with the bit-1 label on the positive level: the lone boundary is
-    # D = -v * La / (2 sqrt(2)) for levels +-1/sqrt(2).
-    ax = PamAxis(np.array([1.0, -1.0]) / RT2, np.array([[1], [0]]))
+    # QPSK's axis, 2-PAM with the bit-0 label on the positive level: the lone
+    # boundary is D = +v * La / (2 sqrt(2)) for levels +-1/sqrt(2).
+    ax = build_constellation(4).axis
     la, v = 2.0, 0.5
     bset = pam_boundaries(ax, np.array([la]), v)
-    np.testing.assert_allclose(bset.values, [-v * la / (2.0 * RT2)], atol=1e-15)
-    # Positive La favors the bit-1 (positive) level, so the boundary drops.
-    assert bset.values[0] < 0.0
-    assert slice_pam(np.array(0.0), ax, bset) == 0
+    np.testing.assert_allclose(bset.values, [v * la / (2.0 * RT2)], atol=1e-15)
+    # Positive La favors the bit-1 (negative) level, so the boundary rises.
+    assert bset.values[0] > 0.0
+    assert slice_pam(np.array(0.0), ax, bset) == 1
 
 
 def test_boundaries_reject_bad_variance():

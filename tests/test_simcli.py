@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chasedet import bchase, chase, idd, lchase, reference, simcli
 from chasedet.errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
-from chasedet.idd import run_idd
+from chasedet.idd import DETECTORS, run_idd
 from chasedet.simcli import (
     CSV_HEADER,
     SimConfig,
@@ -63,6 +63,30 @@ def test_bad_snr_grids_are_config_errors(text, monkeypatch, tmp_path, capsys):
     assert main([f"--snr={text}", "--blocks", "1", "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("snr", ("301", "-301", "1e308", "-3100", "3080"))
+def test_snrs_beyond_the_range_are_config_errors(snr, tmp_path, capsys):
+    # Past MAX_SNR_DB in magnitude the noise variance overflows, or a noise
+    # covariance's Cholesky factor or a channel's QR breaks down mid-run;
+    # such an SNR fails at the config boundary, before any block runs.
+    with pytest.raises(ConfigError, match="within"):
+        validate_config(SimConfig(snr_db=(4.0, float(snr))))
+    out = tmp_path / "x.csv"
+    assert main([f"--snr={snr}", "--blocks", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_every_detector_runs_at_the_snr_range_limits(detector):
+    limit = simcli.MAX_SNR_DB
+    cfg = _tiny_config(
+        detector=detector, mod=16, n_streams=3, n_rx=3, n_tx=3, corr_tx=0.9, corr_rx=0.9,
+        snr_db=(-limit, limit), iterations=3,
+    )
+    final = [r for r in monte_carlo(cfg) if r.iteration == 3]
+    assert final[0].bit_errors > 0 and final[1].bit_errors == 0
 
 
 def test_snr_grid_cap_is_inclusive():
