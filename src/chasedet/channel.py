@@ -1,10 +1,11 @@
 """Spatially correlated flat Rayleigh MIMO channel with noise whitening.
 
-The observation model is y = Hbar W s + n with Hbar = Rr^(1/2) Hw Rt^(1/2),
-Hw i.i.d. CN(0,1) and n ~ CN(0, C_nn). Detection happens on the whitened
-model y_tilde = L^-1 y, H_tilde = L^-1 Hbar W, where C_nn = L L^H is the
-Cholesky factorization: the whitener L^-1 has L^-H L^-1 = C_nn^-1, and the
-whitened noise L^-1 n is CN(0, I).
+The observation model is y = H s + n, where H holds the columns of
+Hbar = Rr^(1/2) Hw Rt^(1/2) that carry the streams, Hw is i.i.d. CN(0,1) and
+n ~ CN(0, C_nn). Detection happens on the whitened model y_tilde = L^-1 y,
+H_tilde = L^-1 H, where C_nn = L L^H is the Cholesky factorization: the
+whitener L^-1 has L^-H L^-1 = C_nn^-1, and the whitened noise L^-1 n is
+CN(0, I).
 """
 
 from __future__ import annotations
@@ -97,31 +98,20 @@ def require_finite(model: WhitenedModel) -> None:
 class ChannelRealization:
     """One channel draw plus everything needed to transmit and whiten on it.
 
-    hbar may be a stack (..., n_r, n_t) of draws, and c_nn one (n_r, n_r)
-    noise covariance or a stack whose leading axes broadcast against hbar's,
-    such as (B, 1, n_r, n_r) for B blocks of uses: each covariance's noise
-    factor and whitener are factored once, for every draw it applies to.
+    h is the (..., n_r, n_streams) channel the streams see, one matrix or a
+    stack of draws, and c_nn one (n_r, n_r) noise covariance or a stack whose
+    leading axes broadcast against h's, such as (B, 1, n_r, n_r) for B blocks
+    of uses: each covariance's noise factor and whitener are factored once,
+    for every draw it applies to, and the covariance itself is not kept.
     """
 
-    def __init__(self, hbar: np.ndarray, c_nn: np.ndarray, w: np.ndarray | None = None):
-        hbar = np.asarray(hbar, dtype=complex)
-        n_r, n_t = hbar.shape[-2:]
-        if w is None:
-            w = np.eye(n_t, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        if w.shape[0] != n_t:
-            raise ConfigError("precoder row count must match transmit antennas")
-        n_l = w.shape[1]
-        if n_l > n_t or n_l > n_r:
-            raise ConfigError(
-                f"{n_l} streams exceed antenna budget ({n_t} tx, {n_r} rx)"
-            )
+    def __init__(self, h: np.ndarray, c_nn: np.ndarray):
+        self.h = np.asarray(h, dtype=complex)
+        n_r = self.h.shape[-2]
         c_nn = np.asarray(c_nn, dtype=complex)
         if c_nn.shape[-2:] != (n_r, n_r):
             raise ConfigError("noise covariance must be N_r x N_r")
 
-        self.h = hbar @ w
-        self.c_nn = c_nn
         # The whitener is L^-1 for the noise factor L, the adjoint of the
         # L^-H that back substitution on L^H gives.
         self._noise_factor = cholesky(c_nn)
@@ -144,7 +134,7 @@ def transmit(ch: ChannelRealization, s: np.ndarray, normals: np.ndarray) -> np.n
     s = np.asarray(s, dtype=complex)
     if s.shape[-1:] != (ch.n_streams,):
         raise ValueError(f"expected {ch.n_streams} stream symbols")
-    n_r = ch.c_nn.shape[-1]
+    n_r = ch.h.shape[-2]
     if normals.shape[-2:] != (2, n_r):
         raise ValueError(f"expected normals shaped (..., 2, {n_r})")
     w = _complex_normal(normals, -2)

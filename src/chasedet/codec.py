@@ -145,9 +145,6 @@ class Interleaver:
     perm: np.ndarray
     inv: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.perm)
-
 
 def make_interleaver(length: int, seed: int) -> Interleaver:
     """Seeded pseudo-random bit permutation (a bijection by construction)."""

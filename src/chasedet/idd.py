@@ -67,7 +67,6 @@ class IddResult:
     iteration's detector counts over the chunk, from counters.pass_stats."""
 
     info_llrs: np.ndarray  # (B, iterations, K) decoder info-bit LLRs
-    iter_block_error: np.ndarray  # (B, iterations) bool, any info bit wrong
     iter_bit_errors: np.ndarray  # (B, iterations) int
     iter_stats: list  # DetectorStats per iteration
 
@@ -120,7 +119,6 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
 
     result = IddResult(
         info_llrs=np.zeros((n_blocks, cfg.iterations, code.info_len)),
-        iter_block_error=np.zeros((n_blocks, cfg.iterations), dtype=bool),
         iter_bit_errors=np.zeros((n_blocks, cfg.iterations), dtype=np.int64),
         iter_stats=[pass_stats(cfg.detector, n_streams, c, n_blocks * n_uses)] * cfg.iterations,
     )
@@ -134,10 +132,8 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
         # The last pass also stands for every iteration left after it.
         repeats = 1 if it + 1 < passes else cfg.iterations - it
         span = slice(it, it + repeats)
-        errs = np.sum(hard != info_bits, axis=1)
         result.info_llrs[:, span] = info_total[:, None]
-        result.iter_bit_errors[:, span] = errs[:, None]
-        result.iter_block_error[:, span] = errs[:, None] > 0
+        result.iter_bit_errors[:, span] = np.sum(hard != info_bits, axis=1)[:, None]
 
         if it + 1 < passes:
             la_slots = np.zeros((n_blocks, n_slots))

@@ -15,9 +15,10 @@ The grid blocks run in chunks, each a range lo..hi-1, so a chunk may hold
 the tail of one point and the head of the next: every stage, from channel
 draw to decoder, handles a chunk's blocks as stacked arrays in one call,
 each block at its own point's SNR. The sweep keeps (grid blocks,
-iterations) flags and bit errors; the detector counts come from the cost
-model (counters.pass_stats), once per run. Chunk size follows from the
-configuration and a fixed working-set cap, and results do not depend on it.
+iterations) bit errors, and a block errs where its count is nonzero; the
+detector counts come from the cost model (counters.pass_stats), once per
+run. Chunk size follows from the configuration and a fixed working-set cap,
+and results do not depend on it.
 
 SNR is per-receive-antenna Es/N0 in dB: noise variance is
 n_streams * 10**(-snr/10) with unit-energy streams and unit-variance
@@ -59,8 +60,8 @@ MAX_SNR_POINTS = 10_000
 # beyond it the noise variance overflows, or a noise covariance's Cholesky
 # factor or a channel's QR breaks down mid-run.
 MAX_SNR_DB = 300.0
-# Most (block, iteration) flags and bit error counts the sweep may keep over
-# its whole SNR grid until the run ends: 10**7 blocks at 3 iterations fit.
+# Most (block, iteration) bit error counts the sweep may keep over its whole
+# SNR grid until the run ends: 10**7 blocks at 3 iterations fit.
 MAX_GRID_TALLIES = 3 * 10**7
 # Working-set cap of one chunk, in float64 values; block_values charges
 # each block, and a config one block of which exceeds the cap is rejected.
@@ -208,18 +209,12 @@ def load_config_file(path: str) -> list:
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:
-    if cfg.detector not in DETECTORS:
-        raise ConfigError(f"unknown detector {cfg.detector!r}")
-    if cfg.mod not in SUPPORTED_ORDERS:
-        raise ConfigError(f"mod must be one of {SUPPORTED_ORDERS}")
+    """Return cfg, or raise ConfigError naming what is wrong with it. The
+    types the run builds check the detector, mod, correlations and rate."""
     if cfg.n_streams < 1:
         raise ConfigError("streams must be positive")
     if cfg.n_tx < cfg.n_streams or cfg.n_rx < cfg.n_streams:
         raise ConfigError("need tx >= streams and rx >= streams")
-    if not (0.0 <= cfg.corr_tx < 1.0 and 0.0 <= cfg.corr_rx < 1.0):
-        raise ConfigError("correlation must lie in [0, 1)")
-    if cfg.rate not in SUPPORTED_RATES:
-        raise ConfigError(f"rate must be one of {SUPPORTED_RATES}")
     if not cfg.snr_db:
         raise ConfigError("SNR grid is empty")
     if not (np.abs(cfg.snr_db) <= MAX_SNR_DB).all():
@@ -239,15 +234,13 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     cpus = os.cpu_count() or 1
     if cfg.workers > cpus:
         raise ConfigError(f"workers must not exceed the {cpus} CPUs of this machine")
+    if block_values(cfg, _build_bundle(cfg).n_uses) > CHUNK_VALUES:
+        raise ConfigError(f"one block exceeds the chunk cap of {CHUNK_VALUES} float64 values")
     if cfg.detector == "maxlog" and cfg.mod**cfg.n_streams > MAX_EXHAUSTIVE:
         raise ConfigError(
             f"maxlog needs mod**streams <= {MAX_EXHAUSTIVE}, "
             f"got {cfg.mod}**{cfg.n_streams}"
         )
-    code = CodeConfig(cfg.info_bits, cfg.rate)
-    n_uses = uses_for_block(code, build_constellation(cfg.mod), cfg.n_streams)
-    if block_values(cfg, n_uses) > CHUNK_VALUES:
-        raise ConfigError(f"one block exceeds the chunk cap of {CHUNK_VALUES} float64 values")
     return cfg
 
 
@@ -268,7 +261,6 @@ class _Bundle:
     cfg: SimConfig
     idd_cfg: IddConfig
     corr: CorrelationModel
-    w: np.ndarray
     n_uses: int
     sigma2: np.ndarray  # (points,) noise variance of each SNR point
 
@@ -285,7 +277,6 @@ def _build_bundle(cfg: SimConfig) -> _Bundle:
         cfg=cfg,
         idd_cfg=idd_cfg,
         corr=CorrelationModel(rho_tx=cfg.corr_tx, rho_rx=cfg.corr_rx),
-        w=np.eye(cfg.n_tx, cfg.n_streams, dtype=complex),
         n_uses=uses_for_block(idd_cfg.code, idd_cfg.constellation, cfg.n_streams),
         sigma2=np.array([cfg.n_streams * 10.0 ** (-snr_db / 10.0) for snr_db in cfg.snr_db]),
     )
@@ -295,12 +286,11 @@ def block_values(cfg: SimConfig, n_uses: int) -> int:
     """Float64 values a block of n_uses channel uses is charged in a chunk:
     per use its candidate metrics and its normals, channel, observation and
     noise arrays; per block its complex noise covariance, noise factor and
-    whitener with the temporaries of factoring and inverting it (16 *
-    rx**2, which the measured peak of about 10 * rx**2 stays under), its
-    decoder and its info-bit LLRs of every iteration. tests/test_simcli.py
-    holds a chunk's channel stage under it."""
+    whitener with the temporaries of factoring and inverting it (10 *
+    rx**2), its decoder and its info-bit LLRs of every iteration.
+    tests/test_simcli.py holds a chunk's channel stage under it."""
     per_use = cfg.n_streams * cfg.mod + 6 * cfg.n_rx * (cfg.n_tx + cfg.n_streams + 2)
-    per_block = 16 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
+    per_block = 10 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
     return n_uses * per_use + per_block + cfg.iterations * cfg.info_bits
 
 
@@ -340,7 +330,10 @@ def _chunk_model(
         n_rx, cfg.n_tx, bundle.corr,
         per_use[..., :split].reshape(n_blocks, n_uses, 2, n_rx, cfg.n_tx),
     )
-    ch = ChannelRealization(hbar, sigma2[:, None, None, None] * np.eye(n_rx), bundle.w)
+    # The streams go out on the first n_streams transmit antennas.
+    ch = ChannelRealization(
+        hbar[..., : cfg.n_streams], sigma2[:, None, None, None] * np.eye(n_rx)
+    )
     y = transmit(ch, symbols, per_use[..., split:].reshape(n_blocks, n_uses, 2, n_rx))
     model = whiten(y, ch)
     finite = np.isfinite(model.y).all(axis=(1, 2)) & np.isfinite(model.h).all(axis=(1, 2, 3))
@@ -355,10 +348,9 @@ def _chunk_model(
 def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> tuple:
     """Grid blocks lo..hi-1, run as one stack.
 
-    Returns their (blocks, iterations) flags (any info bit wrong) and bit
-    errors, and the chunk's elapsed seconds. A singular channel anywhere in
-    the chunk re-raises its error, naming each SNR point of the chunk and
-    its blocks.
+    Returns their (blocks, iterations) bit errors and the chunk's elapsed
+    seconds. A singular channel anywhere in the chunk re-raises its error,
+    naming each SNR point of the chunk and its blocks.
     """
     started = time.perf_counter()
     info, normals = _draws(bundle, lo, hi)
@@ -372,7 +364,7 @@ def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> tuple:
         )
         raise type(exc)(f"{exc} in the chunk of {where}") from exc
     elapsed = time.perf_counter() - started
-    return result.iter_block_error, result.iter_bit_errors, elapsed
+    return result.iter_bit_errors, elapsed
 
 
 _WORKER_BUNDLE = None
@@ -413,9 +405,9 @@ def simulate_sweep(bundle: _Bundle, pool=None) -> tuple:
     is a range of grid blocks, so it may span points; each is cut only when
     it is about to run. A pool gets at least as many chunks as workers and
     runs them with no barrier between points, two per worker in flight.
-    Returns the (grid blocks, iterations) flags and bit errors, and each
-    point's seconds: every chunk's elapsed time charged to its blocks'
-    points by their share of its blocks.
+    Returns the (grid blocks, iterations) bit errors and each point's
+    seconds: every chunk's elapsed time charged to its blocks' points by
+    their share of its blocks.
     """
     cfg = bundle.cfg
     n_blocks = len(cfg.snr_db) * cfg.blocks
@@ -427,15 +419,13 @@ def simulate_sweep(bundle: _Bundle, pool=None) -> tuple:
         done = ((lo, simulate_chunk(bundle, lo, hi)) for lo, hi in chunks)
     else:
         done = _pooled(pool, chunks, 2 * cfg.workers)
-    flags = np.zeros((n_blocks, cfg.iterations), dtype=bool)
     bit_errors = np.zeros((n_blocks, cfg.iterations), dtype=np.int64)
     seconds = np.zeros(len(cfg.snr_db))
-    for lo, (chunk_flags, chunk_bit_errors, elapsed) in done:
-        hi = lo + len(chunk_flags)
-        flags[lo:hi] = chunk_flags
+    for lo, (chunk_bit_errors, elapsed) in done:
+        hi = lo + len(chunk_bit_errors)
         bit_errors[lo:hi] = chunk_bit_errors
         np.add.at(seconds, np.arange(lo, hi) // cfg.blocks, elapsed / (hi - lo))
-    return flags, bit_errors, seconds
+    return bit_errors, seconds
 
 
 def monte_carlo(cfg: SimConfig) -> list:
@@ -445,12 +435,12 @@ def monte_carlo(cfg: SimConfig) -> list:
     if cfg.workers > 1:
         pool = ProcessPoolExecutor(cfg.workers, initializer=_init_worker, initargs=(cfg,))
     with pool or nullcontext():
-        flags, bit_errors, seconds = simulate_sweep(bundle, pool)
+        bit_errors, seconds = simulate_sweep(bundle, pool)
     c = bundle.idd_cfg.constellation  # every pass costs the same per stream
     metric_count = pass_stats(cfg.detector, cfg.n_streams, c, bundle.n_uses).metrics_per_stream
 
     shape = (len(cfg.snr_db), cfg.blocks, cfg.iterations)
-    block_errors = flags.reshape(shape).sum(axis=1).tolist()
+    block_errors = (bit_errors > 0).reshape(shape).sum(axis=1).tolist()
     bit_errors = bit_errors.reshape(shape).sum(axis=1).tolist()
     records = []
     for p, snr_db in enumerate(cfg.snr_db):

@@ -209,7 +209,7 @@ def test_codec_noiseless_and_extrinsic_decomposition():
 
 
 def _per_block_flags(detector, corr, grid, seed):
-    """iter_block_error flags of shape (points, blocks, iterations)."""
+    """Block error flags (any info bit wrong), shaped (points, blocks, iterations)."""
     cfg = validate_config(
         SimConfig(
             detector=detector,
@@ -226,8 +226,8 @@ def _per_block_flags(detector, corr, grid, seed):
             seed=seed,
         )
     )
-    flags, *_ = simulate_sweep(_build_bundle(cfg))
-    return flags.reshape(len(grid), MC_BLOCKS, -1)
+    bit_errors, _ = simulate_sweep(_build_bundle(cfg))
+    return (bit_errors > 0).reshape(len(grid), MC_BLOCKS, -1)
 
 
 def test_iteration_gain_uncorrelated_channel():

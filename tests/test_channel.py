@@ -59,8 +59,6 @@ def test_realization_validates_dimensions():
     hbar = np.eye(2, dtype=complex)
     with pytest.raises(ConfigError):
         ChannelRealization(hbar, np.eye(3))
-    with pytest.raises(ConfigError):
-        ChannelRealization(hbar, np.eye(2), w=np.ones((3, 1)))
 
 
 def test_white_noise_shortcut():
@@ -117,14 +115,13 @@ def test_stacked_noise_covariances_match_per_block_realizations(n_r, colored):
     if colored:
         a = rng.normal(size=(blocks, 1, n_r, n_r)) + 1j * rng.normal(size=(blocks, 1, n_r, n_r))
         c_nn = c_nn + a @ np.swapaxes(a, -2, -1).conj()
-    w = np.eye(n_t, n_r, dtype=complex)
     s = rng.normal(size=(blocks, uses, n_r)) + 1j * rng.normal(size=(blocks, uses, n_r))
     normals = rng.standard_normal((blocks, uses, 2, n_r))
-    stacked = ChannelRealization(hbar, c_nn, w)
+    stacked = ChannelRealization(hbar[..., :n_r], c_nn)
     y = transmit(stacked, s, normals)
     model = whiten(y, stacked)
     for b in range(blocks):
-        alone = ChannelRealization(hbar[b], c_nn[b, 0], w)
+        alone = ChannelRealization(hbar[b, ..., :n_r], c_nn[b, 0])
         y_alone = transmit(alone, s[b], normals[b])
         assert np.array_equal(y[b], y_alone)
         model_alone = whiten(y_alone, alone)
@@ -145,9 +142,3 @@ def test_whitener_inverts_the_noise_factor(n_r):
     identity = np.broadcast_to(np.eye(n_r), product.shape)
     np.testing.assert_allclose(product, identity, rtol=0, atol=8 * np.finfo(float).eps)
 
-
-def test_precoder_selects_streams():
-    hbar = np.arange(6, dtype=float).reshape(2, 3) + 0j
-    w = np.eye(3, 2, dtype=complex)
-    ch = ChannelRealization(hbar, np.eye(2), w=w)
-    np.testing.assert_array_equal(ch.h, hbar[:, :2])

@@ -72,7 +72,6 @@ def test_noiseless_block_decodes_first_iteration():
     res = run_idd(model, info, cfg)
     assert (res.iter_bit_errors[:, -1] == 0).all()
     np.testing.assert_array_equal(res.iter_bit_errors, [[0, 0, 0]])
-    assert not res.iter_block_error.any()
     assert res.info_llrs.shape == (1, 3, 64)
 
 

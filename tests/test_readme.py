@@ -1,10 +1,11 @@
-"""The README's library example runs as written, and its slice figures hold."""
+"""The README's library example runs as written, and its slice and chunk figures hold."""
 
 import re
 from pathlib import Path
 
-from chasedet import bchase, chase, lchase, reference
+from chasedet import bchase, chase, lchase, reference, simcli
 from chasedet.constellation import SUPPORTED_ORDERS, build_constellation
+from chasedet.simcli import SimConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +44,13 @@ def test_readme_maxlog_uses_per_slice_matches_charge():
     found = re.search(r"holds\s+([\d,]+)\s+uses\s+at\s+2x2\s+QPSK", README.read_text())
     want = chase.SLICE_VALUES // reference.use_values(build_constellation(4), 2, 2)
     assert int(found[1].replace(",", "")) == want
+
+
+def test_readme_block_charge_matches_block_values():
+    # The chunk-charge bullet's per-block `K * rx^2` is the coefficient
+    # block_values charges: its difference between two receive antenna
+    # counts at zero uses, over the difference of their squares.
+    found = re.search(r"per block, `(\d+) \* rx\^2`", README.read_text())
+    small, large = SimConfig(n_rx=4), SimConfig(n_rx=64)
+    growth = simcli.block_values(large, 0) - simcli.block_values(small, 0)
+    assert int(found[1]) * (64**2 - 4**2) == growth

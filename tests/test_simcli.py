@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasedet import bchase, chase, idd, lchase, reference, simcli
+from chasedet.channel import generate_channel
 from chasedet.errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
 from chasedet.idd import DETECTORS, run_idd
 from chasedet.simcli import (
@@ -121,10 +122,10 @@ def test_grid_block_cap_is_inclusive(monkeypatch, tmp_path, capsys):
     ids=("1e9-iterations", "1e7-blocks-1e6-iterations", "one-block-1e5-iterations"),
 )
 def test_iteration_counts_that_exhaust_memory_are_rejected(link, match):
-    # The sweep keeps a flag and a bit error count per (block, iteration),
-    # and a chunk the info-bit LLRs of every iteration: 10**9 iterations or
-    # 10**13 tallies pass no cap, and one block of 10**5 iterations at 64
-    # info bits would not fit a chunk.
+    # The sweep keeps a bit error count per (block, iteration), and a chunk
+    # the info-bit LLRs of every iteration: 10**9 iterations or 10**13
+    # tallies pass no cap, and one block of 10**5 iterations at 64 info bits
+    # would not fit a chunk.
     with pytest.raises(ConfigError, match=match):
         validate_config(SimConfig(**link))
 
@@ -385,31 +386,27 @@ def test_worker_pool_matches_serial():
 
 def test_sweep_cuts_chunks_as_it_runs_them(monkeypatch):
     # At one block per chunk, the sweep holds neither a list of chunks nor
-    # anything per chunk: its peak is within twice the per-block flags and
-    # bit errors it returns (9 bytes a block here), where a chunk list built
-    # up front alone took over 200 bytes a block.
+    # anything per chunk: its peak is within twice the per-block bit errors
+    # it returns (8 bytes a block here), where a chunk list built up front
+    # alone took over 200 bytes a block.
     cfg = SimConfig(snr_db=(0.0, 1.0, 2.0, 3.0), blocks=5000, iterations=1)
     bundle = _build_bundle(cfg)
     monkeypatch.setattr(simcli, "CHUNK_VALUES", 1)
     assert simcli.chunk_blocks(bundle) == 1
 
     def no_blocks_run(bundle, lo, hi):
-        return (
-            np.zeros((hi - lo, 1), dtype=bool),
-            np.zeros((hi - lo, 1), dtype=np.int64),
-            0.0,
-        )
+        return np.zeros((hi - lo, 1), dtype=np.int64), 0.0
 
     monkeypatch.setattr(simcli, "simulate_chunk", no_blocks_run)
     monkeypatch.setattr(simcli, "run_idd", None)
     tracemalloc.start()
     try:
-        flags, bit_errors, *_ = simcli.simulate_sweep(bundle)
+        bit_errors, _ = simcli.simulate_sweep(bundle)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert flags.shape == bit_errors.shape == (4 * 5000, 1)
-    assert peak <= 2 * (flags.nbytes + bit_errors.nbytes)
+    assert bit_errors.shape == (4 * 5000, 1)
+    assert peak <= 2 * bit_errors.nbytes
 
 
 def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
@@ -437,11 +434,10 @@ def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
             future.result = collect
             return future
 
-    flags, bit_errors, _ = simcli.simulate_sweep(bundle, Pool())
+    bit_errors, _ = simcli.simulate_sweep(bundle, Pool())
     assert max(most) == 2 * cfg.workers
     assert len(most) == 15 and not pending
-    want_flags, want_bit_errors, _ = simcli.simulate_sweep(bundle)
-    np.testing.assert_array_equal(flags, want_flags)
+    want_bit_errors, _ = simcli.simulate_sweep(bundle)
     np.testing.assert_array_equal(bit_errors, want_bit_errors)
 
 
@@ -509,7 +505,16 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,text", (("--mod", "5"), ("--detector", "foo"), ("--blocks", "many")))
+@pytest.mark.parametrize(
+    "flag,text",
+    (
+        ("--mod", "5"),
+        ("--detector", "foo"),
+        ("--blocks", "many"),
+        ("--rate", "0.7"),
+        ("--corr", "1.0"),
+    ),
+)
 def test_main_rejects_bad_flag_values(flag, text, tmp_path, capsys):
     # Flags go through the config converters and validate_config, so a bad
     # value is an error line naming the key and exit code 2.
@@ -642,8 +647,8 @@ def _run_recording_llrs(model, info, idd_cfg):
 )
 def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     # One chunk of B blocks, with detection slices of one context, of a
-    # few contexts or of the whole chunk, gives bit for bit the flags, bit
-    # errors and detector LLRs of B one-block runs.
+    # few contexts or of the whole chunk, gives bit for bit the bit errors
+    # and detector LLRs of B one-block runs.
     cfg = _tiny_config(
         seed=seed, snr_db=(snr,), blocks=blocks, info_bits=16, **_CHUNK_LINKS[link]
     )
@@ -652,13 +657,12 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     cap = per_slice * _context_values(cfg, bundle.idd_cfg.constellation)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chase, "SLICE_VALUES", cap)
-        flags, bit_errors, _ = simulate_chunk(bundle, 0, blocks)
+        bit_errors, _ = simulate_chunk(bundle, 0, blocks)
         chunk, chunk_llrs = _run_recording_llrs(
             _chunk_model(bundle, 0, info, normals), info, bundle.idd_cfg
         )
     singles = [simulate_chunk(bundle, b, b + 1) for b in range(blocks)]
-    np.testing.assert_array_equal(flags, np.concatenate([t[0] for t in singles]))
-    np.testing.assert_array_equal(bit_errors, np.concatenate([t[1] for t in singles]))
+    np.testing.assert_array_equal(bit_errors, np.concatenate([t[0] for t in singles]))
     for b in range(blocks):
         one = slice(b, b + 1)
         alone, alone_llrs = _run_recording_llrs(
@@ -666,6 +670,25 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
         )
         np.testing.assert_array_equal(chunk_llrs[:, b], alone_llrs[:, 0])
         np.testing.assert_array_equal(chunk.info_llrs[b], alone.info_llrs[0])
+
+
+def test_streams_go_out_on_the_first_transmit_antennas():
+    # With more transmit antennas than streams, the whitened channel of each
+    # use is the drawn channel's first n_streams columns over sigma.
+    cfg = _tiny_config(
+        mod=4, n_streams=1, n_rx=2, n_tx=8, corr_tx=0.5, snr_db=(3.0, 9.0), blocks=2
+    )
+    bundle = _build_bundle(cfg)
+    info, normals = _draws(bundle, 0, 4)
+    model = _chunk_model(bundle, 0, info, normals)
+    split = 2 * cfg.n_rx * cfg.n_tx
+    per_use = normals.reshape(4, bundle.n_uses, -1)[..., :split]
+    hbar = generate_channel(
+        cfg.n_rx, cfg.n_tx, bundle.corr, per_use.reshape(4, bundle.n_uses, 2, cfg.n_rx, cfg.n_tx)
+    )
+    sigma = np.sqrt(np.repeat(bundle.sigma2, cfg.blocks))[:, None, None, None]
+    assert model.h.shape == (4, bundle.n_uses, cfg.n_rx, 1)
+    np.testing.assert_allclose(model.h, hbar[..., :1] / sigma, rtol=1e-14, atol=0)
 
 
 def test_non_finite_whitened_model_names_point_and_block(monkeypatch):
@@ -764,7 +787,6 @@ def test_chunks_straddling_points_match_point_aligned_chunks(link, monkeypatch):
         records[size] = monte_carlo(cfg)
     assert records[3] == records[4]
     assert len(records[3]) == 3 * cfg.iterations
-    flags, bit_errors, _ = sweeps[3]
-    want_flags, want_bit_errors, _ = sweeps[4]
-    np.testing.assert_array_equal(flags, want_flags)
+    bit_errors, _ = sweeps[3]
+    want_bit_errors, _ = sweeps[4]
     np.testing.assert_array_equal(bit_errors, want_bit_errors)
