@@ -28,14 +28,14 @@ from .constellation import Constellation
 from .counters import pass_stats
 from .errors import ConfigError
 from .llr import saturate
-from .reference import exact_maxlog_llrs, lmmse_llrs
+from .reference import lmmse_llrs, maxlog_factors, maxlog_llrs
 
 # Detector name -> (prepare(uses), detect(prepared, c, la) -> LLRs shaped like
 # la), over a stack of uses. The lambdas look functions up at call time.
 _DETECT = {
     "lchase": (lambda uses: lchase.prepare_all_uses(uses), lambda *a: lchase.detect_all_uses(*a)),
     "bchase": (lambda uses: bchase.prepare_all_uses(uses), lambda *a: bchase.detect_all_uses(*a)),
-    "maxlog": (lambda uses: uses, lambda *a: exact_maxlog_llrs(*a)),
+    "maxlog": (lambda uses: maxlog_factors(uses), lambda *a: maxlog_llrs(*a)),
     "lmmse": (lambda uses: uses, lambda uses, c, la: lmmse_llrs(uses, c)),
 }
 DETECTORS = tuple(_DETECT)

@@ -54,8 +54,8 @@ def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
 
     models is one WhitenedModel stacked over uses; ctx[i][u] is stream i of
     use u. Stream i's swap permutation is laid over every use, stream-major,
-    so one QR, one rotation and one set of back substitutions serve all
-    (stream, use) pairs. A non-finite model raises ValueError.
+    so one QR, one rotation and one back substitution serve all (stream,
+    use) pairs. A non-finite model raises ValueError.
     """
     require_finite(models)
     n_uses, _, n = models.h.shape
@@ -63,20 +63,16 @@ def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
     h_perm = np.take_along_axis(np.tile(models.h, (n, 1, 1)), layers[:, None, :], axis=2)
     factors = qr(h_perm)
     y_rot = np.einsum("uji,uj->ui", factors.q.conj(), np.tile(models.y, (n, 1)))
-    r = factors.r
-    r_inner = r[:, : n - 1, : n - 1]
-    coupling = back_substitute(r_inner, r[:, : n - 1, n - 1])
-    inv_inner = back_substitute(r_inner, np.eye(n - 1, dtype=complex)[None])
-    noise_vars = (np.abs(inv_inner) ** 2).sum(axis=-1)
-    ybar = np.concatenate(
-        [back_substitute(r_inner, y_rot[:, : n - 1]), y_rot[:, n - 1 :]], axis=-1
-    )
+    r, m = factors.r, n - 1
+    # Right-hand sides: coupling column, rotated observation, identity (R_inner^-1).
+    eye = np.broadcast_to(np.eye(m, dtype=complex), (len(r), m, m))
+    x = back_substitute(r[:, :m, :m], np.concatenate([r[:, :m, m:], y_rot[:, :m, None], eye], -1))
     return LchaseStreamContext(
         layers=layers,
-        ybar=ybar,
-        coupling=coupling,
-        pivot=r[:, n - 1, n - 1].real,
-        noise_vars=noise_vars,
+        ybar=np.concatenate([x[..., 1], y_rot[:, m:]], axis=-1),
+        coupling=x[..., 0].copy(),  # a view would keep all of x alive
+        pivot=r[:, m, m].real,
+        noise_vars=(np.abs(x[..., 2:]) ** 2).sum(axis=-1),
     ).reshape(n, n_uses)
 
 

@@ -3,11 +3,11 @@
 The exhaustive detector scores every transmit vector and is the ground
 truth the list detectors are measured against; it is feasible only while
 M**n_streams stays small (capped at 2**20 hypotheses). It factors each use
-as h = QR and builds the metric table of all M**n hypotheses as a tree of
-broadcast sums, one row of R at a time. A stack of uses runs in slices
-under chase.SLICE_VALUES, at least one use a slice. The LMMSE detector is
-the cheap non-iterative baseline: a per-stream linear estimate followed by
-a scalar max-log demap, ignoring any a priori input.
+as h = QR once and builds the metric table of all M**n hypotheses as a tree
+of broadcast sums, one row of R at a time, on every pass. A stack of uses
+runs in slices under chase.SLICE_VALUES, one use at least. The LMMSE
+detector is the cheap non-iterative baseline: a per-stream linear estimate
+followed by a scalar max-log demap, ignoring any a priori input.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ MAX_EXHAUSTIVE = 1 << 20
 LMMSE_NOISE_FLOOR = 1e-12
 
 
-def use_values(c: Constellation, n_streams: int, n_rx: int) -> int:
+def use_values(c: Constellation, n_streams: int) -> int:
     """Float64 values the max-log oracle charges one use at its peak: per
     hypothesis the table, the top row's residual and the partial sum before
-    it (2.06 to 2.4 measured); per use the copies QR makes of [h y] and each
-    stream's level priors and symbol products (about 4 values per entry of
-    [h y] and 3 per stream and level measured, charged 6)."""
-    return 3 * c.order**n_streams + 6 * ((n_streams + 1) * n_rx + n_streams * c.order)
+    it (2.06 to 2.4 measured); per use its [R z] factors (2 values per
+    entry) and each stream's level priors and symbol products (3 per stream
+    and level measured), charged 6 values per entry, stream and level."""
+    return 3 * c.order**n_streams + 6 * n_streams * (n_streams + 1 + c.order)
 
 
 def _metric_table(
@@ -56,21 +56,28 @@ def _metric_table(
     return table
 
 
-def exact_maxlog_llrs(
-    model: WhitenedModel,
+def maxlog_factors(model: WhitenedModel) -> np.ndarray:
+    """[R z] (..., min(rx, n), n + 1), h = QR and z = Q^H y, of one use, y (rx,)
+    and h (rx, n), or a stack of uses with leading axes on both, from one
+    R-only QR of [h y] per use. Non-finite input raises ValueError."""
+    require_finite(model)
+    hy = np.concatenate([model.h, model.y[..., None]], axis=-1)
+    return np.linalg.qr(hy, mode="r")[..., : model.n_streams, :]
+
+
+def maxlog_llrs(
+    factors: np.ndarray,
     c: Constellation,
     apriori: np.ndarray | None = None,
 ) -> np.ndarray:
     """Max-log bit LLRs (..., n, q) from a full search over all M**n transmit vectors.
 
-    model is one use, y (rx,) and h (rx, n), or a stack of uses with leading
-    axes on both, which apriori (..., n, q) shares. A candidate's metric is
-    its a priori term (label * LLR) minus its squared whitened residual,
-    scored over each use's h = QR, which needs no inverse; each bit's LLR is
-    the difference of coset maxima. Non-finite input raises ValueError.
+    factors is [R z] from maxlog_factors, whose leading axes apriori
+    (..., n, q) shares. A candidate's metric is its a priori term (label *
+    LLR) minus its squared whitened residual; each bit's LLR is the
+    difference of coset maxima. Non-finite a priori LLRs raise ValueError.
     """
-    require_finite(model)
-    lead, (n_rx, n) = model.h.shape[:-2], model.h.shape[-2:]
+    lead, rows, n = factors.shape[:-2], factors.shape[-2], factors.shape[-1] - 1
     q, total = c.bits_per_symbol, c.order**n
     if total > MAX_EXHAUSTIVE:
         raise ValueError(
@@ -82,20 +89,23 @@ def exact_maxlog_llrs(
     if not np.isfinite(apriori).all():
         raise ValueError("a priori LLRs must be finite")
 
-    y, h = model.y.reshape(-1, n_rx, 1), model.h.reshape(-1, n_rx, n)
-    step = max(1, chase.SLICE_VALUES // use_values(c, n, n_rx))
-    llrs = np.empty((len(y), n, q))
-    for start in range(0, len(y), step):
+    rz = factors.reshape(-1, rows, n + 1)
+    step = max(1, chase.SLICE_VALUES // use_values(c, n))
+    llrs = np.empty((len(rz), n, q))
+    for start in range(0, len(rz), step):
         uses = slice(start, start + step)
-        # [h y] = Q [R z]: one QR gives R and z = Q^H y without forming Q.
-        r = np.linalg.qr(np.concatenate([h[uses], y[uses]], axis=2), mode="r")[:, :n]
         prior_tab = apriori.reshape(-1, n, q)[uses] @ c.bit_labels_f.T  # (uses, n, M)
-        table = _metric_table(r[..., n], r[..., :n], prior_tab, c)
+        table = _metric_table(rz[uses, :, n], rz[uses, :, :n], prior_tab, c)
         for i in range(n):
             other = tuple(j + 1 for j in range(n) if j != i)
             llrs[uses, i] = chase.coset_llrs(table.max(axis=other), c)
         del table  # before the next slice builds its own
     return llrs.reshape(lead + (n, q))
+
+
+def exact_maxlog_llrs(model: WhitenedModel, c: Constellation, apriori=None) -> np.ndarray:
+    """maxlog_llrs of one use or a stack of uses, factored here."""
+    return maxlog_llrs(maxlog_factors(model), c, apriori)
 
 
 def brute_pam_argmax(

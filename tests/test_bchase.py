@@ -1,5 +1,7 @@
 """Decision-feedback detector: ordering, feedback chain, counted walk."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -75,18 +77,40 @@ def test_blast_order_is_permutation():
 
 def test_blast_order_matches_direct_search():
     # Direct reimplementation: repeatedly give the next-lowest position the
-    # remaining column with the smallest ZF noise amplification.
+    # remaining column with the smallest ZF noise amplification, from a
+    # fresh inverse of the remaining columns' Gram matrix at every step.
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        h = iid_complex_gaussian(rng, (5, 4))
-        for stream in range(4):
-            remaining = [k for k in range(4) if k != stream]
-            expected = [stream]
-            while remaining:
-                sub = h[:, remaining]
-                diag = np.diagonal(np.linalg.inv(sub.conj().T @ sub)).real
-                expected.insert(0, remaining.pop(int(np.argmin(diag))))
-            np.testing.assert_array_equal(blast_order(h, stream), expected)
+    for n, extra_rx, rho in itertools.product(range(2, 9), (0, 2), (0.0, 0.9, 0.99)):
+        n_rx = n + extra_rx
+        corr = CorrelationModel(rho, rho)
+        hs = generate_channel(n_rx, n, corr, rng.standard_normal((6, 2, n_rx, n)))
+        orders = bchase._blast_orders(hs)
+        for u, h in enumerate(hs):
+            for stream in range(n):
+                remaining = [k for k in range(n) if k != stream]
+                expected = [stream]
+                while remaining:
+                    sub = h[:, remaining]
+                    diag = np.diagonal(np.linalg.inv(sub.conj().T @ sub)).real
+                    expected.insert(0, remaining.pop(int(np.argmin(diag))))
+                np.testing.assert_array_equal(orders[stream * len(hs) + u], expected)
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_prepare_inverts_one_gram_per_use(n, monkeypatch):
+    # One bchase prepare over a stack of uses makes one np.linalg.inv call,
+    # of every use's Gram matrix at once: no inverse per ordering step.
+    calls = []
+
+    def counted(a, _inv=np.linalg.inv):
+        calls.append(np.shape(a))
+        return _inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    rng = np.random.default_rng(n)
+    h = iid_complex_gaussian(rng, (5, n, n))
+    prepare_all_uses(WhitenedModel(y=iid_complex_gaussian(rng, (5, n)), h=h))
+    assert calls == [(5, n, n)]
 
 
 def test_two_streams_equals_list_detector():

@@ -134,7 +134,7 @@ def test_exhaustive_detector_path(monkeypatch):
     rng = np.random.default_rng(4)
     info, model = _make_block(rng, cfg, 2, 2, sigma=0.0, gain=3.0)
     calls = []
-    _record(monkeypatch, idd, "exact_maxlog_llrs", calls)
+    _record(monkeypatch, idd, "maxlog_llrs", calls)
     res = run_idd(model, info, cfg)
     assert (res.iter_bit_errors[:, -1] == 0).all()
     # One call per pass, over all 33 uses of the block.
@@ -142,11 +142,29 @@ def test_exhaustive_detector_path(monkeypatch):
     assert all(llrs.shape == (33, 2, 2) for _, llrs in calls)
 
 
+def test_maxlog_factors_each_use_once_per_run(monkeypatch):
+    # maxlog's prepare step keeps R and z = Q^H y of every use, so a run
+    # makes as many QR calls over as many matrices with 3 iterations as
+    # with 1.
+    c = build_constellation(4)
+    rng = np.random.default_rng(9)
+    factored = {}
+    for iterations in (1, 3):
+        cfg = IddConfig(c, CodeConfig(64, 0.5), detector="maxlog", iterations=iterations)
+        info, model = _make_block(rng, cfg, 2, 2, sigma=0.5)
+        calls = []
+        _record(monkeypatch, np.linalg, "qr", calls)
+        run_idd(model, info, cfg)
+        monkeypatch.undo()
+        factored[iterations] = [args[0].shape for args, _ in calls]
+    assert factored[3] == factored[1] == [(33, 2, 3)]
+
+
 # The detect entry of each detector, as run_idd looks it up at call time.
 _DETECT_ENTRIES = {
     "lchase": (lchase, "detect_all_uses"),
     "bchase": (bchase, "detect_all_uses"),
-    "maxlog": (idd, "exact_maxlog_llrs"),
+    "maxlog": (idd, "maxlog_llrs"),
     "lmmse": (idd, "lmmse_llrs"),
 }
 

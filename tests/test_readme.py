@@ -42,7 +42,7 @@ def test_readme_contexts_per_slice_table_matches_charges():
 def test_readme_maxlog_uses_per_slice_matches_charge():
     # The maxlog uses-per-slice figure is SLICE_VALUES over its charge per use.
     found = re.search(r"holds\s+([\d,]+)\s+uses\s+at\s+2x2\s+QPSK", README.read_text())
-    want = chase.SLICE_VALUES // reference.use_values(build_constellation(4), 2, 2)
+    want = chase.SLICE_VALUES // reference.use_values(build_constellation(4), 2)
     assert int(found[1].replace(",", "")) == want
 
 

@@ -15,6 +15,8 @@ from chasedet.reference import (
     brute_pam_argmax,
     exact_maxlog_llrs,
     lmmse_llrs,
+    maxlog_factors,
+    maxlog_llrs,
     use_values,
 )
 
@@ -119,7 +121,7 @@ def test_maxlog_stack_equals_per_use_calls(order, n, priors, per_slice, monkeypa
     la = np.zeros((uses, n, c.bits_per_symbol))
     if priors == "random":
         la = rng.normal(scale=3.0, size=la.shape)
-    per_use = use_values(c, n, n)
+    per_use = use_values(c, n)
     slice_uses = {"one": 1, "few": 2, "all": uses}[per_slice]
     monkeypatch.setattr(chase, "SLICE_VALUES", slice_uses * per_use)
     stacked = exact_maxlog_llrs(model, c, la)
@@ -156,15 +158,16 @@ def _traced_peak(fn, *args):
 
 
 def test_maxlog_stack_peak_stays_under_slice_cap():
-    # A QPSK stack of more than four slices keeps no more than SLICE_VALUES
-    # float64 values live besides its output; nothing grows with the stack.
+    # Detecting a QPSK stack of more than four slices from its factors keeps
+    # no more than SLICE_VALUES float64 values live besides its output;
+    # nothing grows with the stack.
     c = build_constellation(4)
     rng = np.random.default_rng(22)
-    per_slice = chase.SLICE_VALUES // use_values(c, 2, 2)
+    per_slice = chase.SLICE_VALUES // use_values(c, 2)
     uses = 4 * per_slice + 1
-    model = _use_stack(rng, 2, uses)
+    factors = maxlog_factors(_use_stack(rng, 2, uses))
     la = rng.normal(scale=3.0, size=(uses, 2, 2))
-    out, peak = _traced_peak(exact_maxlog_llrs, model, c, la)
+    out, peak = _traced_peak(maxlog_llrs, factors, c, la)
     assert peak <= chase.SLICE_VALUES * 8 + out.nbytes
 
 
@@ -174,14 +177,14 @@ def test_maxlog_use_over_the_cap_runs_alone(monkeypatch):
     # metric table of 16**4 hypotheses and at most SLICE_VALUES values
     # more, and its LLRs equal those under a cap the use fits.
     c = build_constellation(16)
-    monkeypatch.setattr(chase, "SLICE_VALUES", use_values(c, 4, 4) - 1)
-    assert use_values(c, 4, 4) > chase.SLICE_VALUES
+    monkeypatch.setattr(chase, "SLICE_VALUES", use_values(c, 4) - 1)
+    assert use_values(c, 4) > chase.SLICE_VALUES
     rng = np.random.default_rng(23)
     model = _use_stack(rng, 4, 1)
     la = rng.normal(scale=3.0, size=(1, 4, 4))
     out, peak = _traced_peak(exact_maxlog_llrs, model, c, la)
     assert peak <= (chase.SLICE_VALUES + 16**4) * 8 + out.nbytes
-    monkeypatch.setattr(chase, "SLICE_VALUES", use_values(c, 4, 4))
+    monkeypatch.setattr(chase, "SLICE_VALUES", use_values(c, 4))
     np.testing.assert_array_equal(out, exact_maxlog_llrs(model, c, la))
 
 
@@ -215,7 +218,7 @@ def test_maxlog_counts_hypotheses(walk, monkeypatch):
     c = build_constellation(16)
     uses = 3
     model = _use_stack(np.random.default_rng(22), 2, uses)
-    monkeypatch.setattr(chase, "SLICE_VALUES", use_values(c, 2, 2))
+    monkeypatch.setattr(chase, "SLICE_VALUES", use_values(c, 2))
     walk.tally(
         reference, "_metric_table", "hypotheses",
         lambda z, r, prior_tab, c: len(prior_tab) * c.order ** prior_tab.shape[1],

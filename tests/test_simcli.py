@@ -608,7 +608,7 @@ def _context_values(cfg, c):
     if cfg.detector == "bchase":
         return bchase.context_values(c, cfg.n_streams)
     if cfg.detector == "maxlog":
-        return reference.use_values(c, cfg.n_streams, cfg.n_rx)
+        return reference.use_values(c, cfg.n_streams)
     return 1
 
 
@@ -617,7 +617,7 @@ _DETECT_ENTRIES = (
     (lchase, "detect_all_uses"),
     (bchase, "detect_all_uses"),
     (idd, "lmmse_llrs"),
-    (idd, "exact_maxlog_llrs"),
+    (idd, "maxlog_llrs"),
 )
 
 
