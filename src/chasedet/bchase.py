@@ -31,6 +31,7 @@ from .constellation import (
     Constellation,
     PamAxis,
     axis_parts,
+    best_level_metric,
     coset_sqdist_gap,
     label_order,
     pam_boundaries,
@@ -140,10 +141,9 @@ def context_values(c: Constellation, n_streams: int) -> int:
     stream; the layer's z and variance, 3; and then either z's stacked
     axes, both axes' q-wide coset minima and one level's distances, or the
     LLRs, their tanh and three moment arrays one bit wide. The charge,
-    4*q + 3*n_streams + 16 per candidate, leaves about the headroom
-    lchase's leaves: at 64-QAM a full slice of either detector holds about
-    1.8 MB at its peak, so bchase's slices do not raise the process's peak
-    RSS. A charge of 2*q + 3*n_streams + 12, just above the peak, filled
+    4*q + 3*n_streams + 16 per candidate, leaves a full 64-QAM slice
+    holding about 1.8 MB at its peak; a full lchase slice holds about
+    1.1 MB. A charge of 2*q + 3*n_streams + 12, just above the peak, filled
     bchase's slices to 2.6 MB and raised peak RSS by 0.5 MB for no
     measurable speed.
 
@@ -163,39 +163,16 @@ def context_values(c: Constellation, n_streams: int) -> int:
     return c.order * per_candidate + 16 * q
 
 
-def _best_level_metric(z, axis: PamAxis, apriori, noise_var) -> np.ndarray:
-    """Maximum over the axis levels of pam_metric, one level at a time.
-
-    Each level's metric rounds exactly as pam_metric's does, so this is
-    pam_metric at the metric argmax; z is (2, rows, M), noise_var (rows, M).
-    The levels are walked in two buffers of the result's shape.
-    """
-    prior = axis.level_priors(apriori)
-    best = np.empty(np.broadcast_shapes(np.shape(z), prior.shape[:-1], np.shape(noise_var)))
-    metric = np.empty_like(best)
-    for m, level in enumerate(axis.levels):
-        out = metric if m else best
-        np.subtract(z, level, out=out)
-        np.square(out, out=out)
-        np.divide(out, noise_var, out=out)
-        np.subtract(prior[..., m], out, out=out)
-        if m:
-            np.maximum(best, metric, out=best)
-    return best
-
-
 def _layer_metric(z, r_ll, layer_var, la_layer, axis: PamAxis, bottom: bool) -> np.ndarray:
     """Best metric of one inner layer under each candidate, both axes
     stacked (2, rows, M); z and layer_var are (rows, M), r_ll (rows,) and
     la_layer (rows, q). Its effective variance is layer_var / r_ll^2. Its
     temporaries die on return, before the layer's soft feedback peaks.
 
-    The bottom inner layer has no feedback, so its effective variance (hence
-    its boundary set) is the same for every candidate and the slicer serves
-    all M candidates. Above it the variance differs per candidate, and the
-    maximum of the sqrt(M) level metrics is the sliced level's metric for
-    less work than a boundary set per candidate; the cost model still
-    charges the paper's per-candidate boundary sets.
+    The bottom inner layer has no feedback, so one boundary set per context
+    slices it for all M candidates, which keeps the paper's slicer in the
+    detection path. Above it, as on every lchase layer, the maximum of the
+    sqrt(M) level metrics stands for a boundary set per candidate.
     """
     eff_var = layer_var / r_ll[:, None] ** 2
     la_axes = axis_parts(la_layer).copy()[:, :, None, :]
@@ -203,7 +180,7 @@ def _layer_metric(z, r_ll, layer_var, la_layer, axis: PamAxis, bottom: bool) -> 
     if bottom:
         idx = slice_pam(z_axes, axis, pam_boundaries(axis, la_axes, eff_var[:, :1]))
         return pam_metric(axis, idx, z_axes, la_axes, eff_var)
-    return _best_level_metric(z_axes, axis, la_axes, eff_var)
+    return best_level_metric(z_axes, axis, la_axes, eff_var)
 
 
 def _inner_layers(

@@ -182,6 +182,27 @@ def pam_metric(axis: PamAxis, level, z, apriori: np.ndarray, noise_var) -> np.nd
     return prior - dist / np.asarray(noise_var, dtype=float)
 
 
+def best_level_metric(z, axis: PamAxis, apriori, noise_var) -> np.ndarray:
+    """Maximum over the axis levels of pam_metric, one level at a time.
+
+    Each level's metric rounds exactly as pam_metric's does, so this is
+    pam_metric at the level slice_pam picks; z is (2, rows, M), noise_var
+    (rows, M) or (rows, 1). The levels are walked in two result-shaped buffers.
+    """
+    prior = axis.level_priors(apriori)
+    best = np.empty(np.broadcast_shapes(np.shape(z), prior.shape[:-1], np.shape(noise_var)))
+    metric = np.empty_like(best)
+    for m, level in enumerate(axis.levels):
+        out = metric if m else best
+        np.subtract(z, level, out=out)
+        np.square(out, out=out)
+        np.divide(out, noise_var, out=out)
+        np.subtract(prior[..., m], out, out=out)
+        if m:
+            np.maximum(best, metric, out=best)
+    return best
+
+
 def coset_min_sqdist(z, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
     """Per-bit minimum squared distance to the bit-0 / bit-1 level cosets.
 

@@ -1,17 +1,17 @@
-"""List-type Chase detector: exhaustive over one stream, sliced elsewhere.
+"""List-type Chase detector: exhaustive over one stream, linear nulling elsewhere.
 
 For a target stream i the channel columns are swapped so stream i sits last,
 a QR factorization triangularizes the system, and the upper block is scaled
 by Rtilde^-1 so every remaining layer sees stream i through a direct coupling
 coefficient. Each of the M candidate values of stream i then contributes its
 own last-row metric plus, per inner layer, the exact prior-aware maximum over
-that layer's alphabet obtained by boundary slicing. Residual noise
-correlation between the scaled rows is deliberately ignored; the per-row
-noise variances are the squared row norms of Rtilde^-1 (exactly 1 for the
-unscaled last row).
+that layer's alphabet. Residual noise correlation between the scaled rows is
+deliberately ignored; the per-row noise variances are the squared row norms
+of Rtilde^-1 (exactly 1 for the unscaled last row).
 
-Slicing boundaries depend on the layer's a priori LLRs and noise variance
-but not on the candidate, so they are computed once per (stream, layer).
+The paper slices each layer against prior-shifted boundaries; the maximum of
+each axis's sqrt(M) level metrics, as on bchase's feedback layers, is the
+sliced level's metric bit for bit. The cost model still charges the slicer.
 """
 
 from __future__ import annotations
@@ -22,8 +22,12 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, axis_parts, pam_boundaries, pam_metric, slice_pam
+from .constellation import Constellation, axis_parts, best_level_metric
+from .constellation import pam_boundaries, pam_metric, slice_pam
 from .linalg import back_substitute, qr, swap_permutation
+
+# Uncalled wrap targets of perfbench's tracer until ROADMAP item 2 moves stage timing inside.
+_TRACED = (pam_boundaries, slice_pam, pam_metric)
 
 
 @dataclass(frozen=True)
@@ -79,13 +83,13 @@ def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
 def context_values(c: Constellation) -> int:
     """Float64 values one context is charged: 21*M + 16*q.
 
-    The peak falls in pam_metric on an inner layer. Per candidate it holds
-    the running total, the layer's z stacked as (real, imag) and both axes'
-    sliced levels, 5 values, and pam_metric's gathered priors and distance
-    temporaries for both axes, 8 more; per context, the a priori and output
-    LLRs and the boundary sets take under 8*q more. tests/test_chase.py
-    holds a measured peak (13.1 to 14.3 per candidate) to this; charging
-    that peak itself raised peak RSS.
+    The peak falls in best_level_metric on an inner layer. Per candidate it
+    holds the running total, the layer's z stacked as (real, imag) and the
+    walk's two buffers for both axes, 7 values; per context, the a priori
+    and output LLRs and the level priors take under 8*q more. Measured: 7.6
+    to 9.4 per candidate (tests/test_chase.py holds it under the slice cap).
+    Charging 13*M + 16*q, 1.6 times that peak, slowed corr-64qam's lchase
+    leg by 2% and raised its peak RSS by 0.2 MB.
     """
     return 21 * c.order + 16 * c.bits_per_symbol
 
@@ -97,11 +101,10 @@ def _inner_layers(
     use_idx: np.ndarray,
     total: np.ndarray,
 ) -> None:
-    """Add every inner layer's sliced best metric to the (rows, M) totals in place.
+    """Add every inner layer's best metric to the (rows, M) totals in place.
 
-    Boundaries depend on the layer's priors and noise variance only, so one
-    set per context serves all M candidates. Both PAM axes are sliced in
-    one walk over (2, rows, M) stacks.
+    Both PAM axes are walked at once over (2, rows, M) stacks, each layer's
+    priors and noise variance broadcast over the M candidates.
     """
     axis = c.axis
     for l in range(ctx.layers.shape[1] - 1):
@@ -109,8 +112,7 @@ def _inner_layers(
         var = ctx.noise_vars[:, l : l + 1]
         z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols
         z = np.stack((z.real, z.imag))
-        idx = slice_pam(z, axis, pam_boundaries(axis, la_axes, var))
-        chase.add_axis_metrics(total, pam_metric(axis, idx, z, la_axes, var))
+        chase.add_axis_metrics(total, best_level_metric(z, axis, la_axes, var))
 
 
 def detect_all_uses(contexts: LchaseStreamContext, c: Constellation, la: np.ndarray) -> np.ndarray:

@@ -32,8 +32,6 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -431,11 +429,12 @@ def simulate_sweep(bundle: _Bundle, pool=None) -> tuple:
 def monte_carlo(cfg: SimConfig) -> list:
     """Sweep the SNR grid; returns SimRecords, grid-major, iteration-minor."""
     bundle = _build_bundle(cfg)
-    pool = None
     if cfg.workers > 1:
-        pool = ProcessPoolExecutor(cfg.workers, initializer=_init_worker, initargs=(cfg,))
-    with pool or nullcontext():
-        bit_errors, seconds = simulate_sweep(bundle, pool)
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+        with ProcessPoolExecutor(cfg.workers, initializer=_init_worker, initargs=(cfg,)) as pool:
+            bit_errors, seconds = simulate_sweep(bundle, pool)
+    else:
+        bit_errors, seconds = simulate_sweep(bundle)
     c = bundle.idd_cfg.constellation  # every pass costs the same per stream
     metric_count = pass_stats(cfg.detector, cfg.n_streams, c, bundle.n_uses).metrics_per_stream
 

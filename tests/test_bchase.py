@@ -12,6 +12,7 @@ from chasedet.constellation import (
     SUPPORTED_ORDERS,
     Constellation,
     axis_parts,
+    best_level_metric,
     build_constellation,
     coset_min_sqdist,
     pam_boundaries,
@@ -200,7 +201,7 @@ def test_complexity_counters(order, n, walk):
     models = _stack(*(_random_model(rng, n, n) for _ in range(uses)))
     walk.tally(chase, "coset_llrs", "contexts", lambda total, c: len(total))
     walk.tally(bchase, "pam_boundaries", "boundary_sets", lambda axis, la, var: la.shape[1])
-    walk.tally(bchase, "_best_level_metric", "boundary_sets", lambda z, *_: z[0].size)
+    walk.tally(bchase, "best_level_metric", "boundary_sets", lambda z, *_: z[0].size)
     walk.tally(bchase, "soft_symbol_stats", "soft_stats", lambda post, c: post[..., 0].size)
     detect_all_uses(prepare_all_uses(models), c, np.zeros((uses, n, c.bits_per_symbol)))
     assert pass_stats("bchase", n, c, uses) == DetectorStats(
@@ -267,7 +268,7 @@ def test_feedback_layer_metric_is_metric_at_brute_argmax(order):
     var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, m))
     idx = brute_pam_argmax(z, axis, la, var)
     want = pam_metric(axis, idx, z, la, var)
-    assert np.array_equal(bchase._best_level_metric(z, axis, la, var), want)
+    assert np.array_equal(best_level_metric(z, axis, la, var), want)
     # The stacked shapes _inner_layers passes: both axes' z as (2, rows, M),
     # their priors as (2, rows, 1, nbits) with some at +-LLR_CLIP, and one
     # (rows, M) variance.
@@ -277,7 +278,7 @@ def test_feedback_layer_metric_is_metric_at_brute_argmax(order):
     la[clipped] = np.copysign(LLR_CLIP, la[clipped])
     idx = brute_pam_argmax(z, axis, la, var)
     want = pam_metric(axis, idx, z, la, var)
-    assert np.array_equal(bchase._best_level_metric(z, axis, la, var), want)
+    assert np.array_equal(best_level_metric(z, axis, la, var), want)
 
 
 def _soft_stats_prod_form(llrs, c: Constellation):
@@ -355,7 +356,7 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total):
                 idx = slice_pam(zz, axis, pam_boundaries(axis, la_axis, eff_var[:, :1]))
                 total += pam_metric(axis, idx, zz, la_axis, eff_var)
             else:
-                total += bchase._best_level_metric(zz, axis, la_axis, eff_var)
+                total += best_level_metric(zz, axis, la_axis, eff_var)
         if l == 0:
             break
         post = _post_llrs_per_axis(z, r_ll[:, None], layer_var, c)

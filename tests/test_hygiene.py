@@ -2,7 +2,10 @@
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -213,3 +216,21 @@ def test_every_definition_is_read_outside_tests():
         if name not in read
     ]
     assert sorted(unread) == sorted(_READ_BY_TESTS_ONLY)
+
+
+def test_single_process_run_loads_no_multiprocessing():
+    # Only a pooled run needs the process-pool machinery, so importing the
+    # package and validating a config leave multiprocessing unloaded.
+    code = (
+        "import sys, chasedet\n"
+        "from chasedet.simcli import SimConfig, validate_config\n"
+        "validate_config(SimConfig())\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -181,13 +181,14 @@ def test_complexity_counter_identity(order, n, walk):
     # The cost model charges what a detection pass walks: the M candidate
     # metrics of each context, whose coset maxima give its LLRs, and one
     # boundary set, a boundary per pair of levels on both axes, per context
-    # on each inner layer. Per detected stream that is n*M - (n-1)*sqrt(M).
+    # on each inner layer, whose sliced level the level walk stands for.
+    # Per detected stream that is n*M - (n-1)*sqrt(M).
     c = build_constellation(order)
     rng = np.random.default_rng(7)
     uses = 3
     models = _stack(*(_random_model(rng, n, n) for _ in range(uses)))
     walk.tally(chase, "coset_llrs", "contexts", lambda total, c: len(total))
-    walk.tally(lchase, "pam_boundaries", "boundary_sets", lambda axis, la, var: la.shape[1])
+    walk.tally(lchase, "best_level_metric", "boundary_sets", lambda z, axis, la, var: z.shape[1])
     detect_all_uses(prepare_all_uses(models), c, np.zeros((uses, n, c.bits_per_symbol)))
     stats = pass_stats("lchase", n, c, uses)
     assert stats == DetectorStats(
@@ -268,3 +269,51 @@ def test_inner_layers_match_per_axis_walk(order, n, priors):
     lchase._inner_layers(ctx, c, la, use_idx, got)
     _inner_layers_per_axis(ctx, c, la, use_idx, want)
     assert np.array_equal(got, want)
+
+
+def _sliced_inner_layers(ctx, c, la, use_idx, total):
+    """lchase._inner_layers as it took each layer's best metric from the
+    slicer: one boundary set per context, slice_pam, then pam_metric."""
+    axis = c.axis
+    for l in range(ctx.layers.shape[1] - 1):
+        la_axes = axis_parts(la[use_idx, ctx.layers[:, l], :]).copy()[:, :, None, :]
+        var = ctx.noise_vars[:, l : l + 1]
+        z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols
+        z = np.stack((z.real, z.imag))
+        idx = slice_pam(z, axis, pam_boundaries(axis, la_axes, var))
+        chase.add_axis_metrics(total, pam_metric(axis, idx, z, la_axes, var))
+
+
+@pytest.mark.parametrize("observed", ("noisy", "noiseless"))
+@pytest.mark.parametrize("priors", ("clipped", "rounded"))
+@pytest.mark.parametrize("n", (2, 4, 8))
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_level_walk_equals_slicer(order, n, priors, observed):
+    # Each inner layer's walked maximum is the metric at the level the
+    # slicer picks, so the candidate totals and the LLRs equal the sliced
+    # path's bit for bit, signs of zero included. Priors sit at 0 and
+    # +-LLR_CLIP, or are rounded to integers, which ties levels exactly; a
+    # noiseless observation puts every layer's true candidate on a level.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n, priors == "rounded", observed == "noiseless"])
+    uses, q = 6, c.bits_per_symbol
+    if priors == "clipped":
+        la = LLR_CLIP * rng.choice((-1.0, 0.0, 1.0), (uses, n, q))
+    else:
+        la = np.round(rng.normal(scale=3.0, size=(uses, n, q)))
+    h = iid_complex_gaussian(rng, (uses, n, n))
+    if observed == "noiseless":
+        y = np.einsum("urs,us->ur", h, c.symbols[rng.integers(0, order, (uses, n))])
+    else:
+        y = iid_complex_gaussian(rng, (uses, n))
+    contexts = prepare_all_uses(WhitenedModel(y=y, h=h))
+    ctx = contexts.reshape(-1)
+    use_idx = np.arange(len(ctx)) % uses
+    walked, sliced = np.zeros((2, len(ctx), order))
+    lchase._inner_layers(ctx, c, la, use_idx, walked)
+    _sliced_inner_layers(ctx, c, la, use_idx, sliced)
+    llrs = detect_all_uses(contexts, c, la)
+    want = chase.detect_all_uses(_sliced_inner_layers, lchase.context_values(c), contexts, c, la)
+    for got, ref in ((walked, sliced), (llrs, want)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
