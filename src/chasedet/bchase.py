@@ -10,12 +10,12 @@ into a soft symbol mean and variance, and folded into the next layer's
 effective noise. Layer metrics themselves are exact prior-aware maxima
 under the per-candidate effective variance.
 
-The bottom-most inner layer sees no feedback (unit effective variance), so
-one boundary set per context slices it for every candidate. Layers above it
-evaluate the metric of each axis's sqrt(M) levels directly and take their
-maximum, the metric of the level a per-candidate boundary set would pick.
-The paper's cost model still charges those per-candidate boundaries; this
-module counts nothing. The top layer computes no post-detection LLRs since
+Every inner layer takes the largest of each axis's sqrt(M) level metrics
+(chase.add_layer_metric), bit for bit the metric of the level the paper's
+slicer picks. The paper's cost model charges that slicer's boundaries: one
+set per context on the bottom-most inner layer, which sees no feedback
+(unit effective variance), and one per candidate above it; this module
+counts nothing. The top layer computes no post-detection LLRs since
 nothing consumes them.
 """
 
@@ -27,20 +27,13 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import (
-    Constellation,
-    PamAxis,
-    axis_parts,
-    best_level_metric,
-    coset_sqdist_gap,
-    label_order,
-    pam_boundaries,
-    pam_metric,
-    slice_pam,
-    soft_symbol_stats,
-)
+from .constellation import Constellation, coset_sqdist_gap, label_order, soft_symbol_stats
+from .constellation import pam_boundaries, pam_metric, slice_pam
 from .errors import SingularMatrixError
 from .linalg import qr
+
+# Uncalled wrap targets of perfbench's tracer until ROADMAP item 2 moves stage timing inside.
+_TRACED = (pam_boundaries, slice_pam, pam_metric)
 
 
 @dataclass(frozen=True)
@@ -143,17 +136,17 @@ def context_values(c: Constellation, n_streams: int) -> int:
     LLRs, their tanh and three moment arrays one bit wide. The charge,
     4*q + 3*n_streams + 16 per candidate, leaves a full 64-QAM slice
     holding about 1.8 MB at its peak; a full lchase slice holds about
-    1.1 MB. A charge of 2*q + 3*n_streams + 12, just above the peak, filled
+    1.4 MB. A charge of 2*q + 3*n_streams + 12, just above the peak, filled
     bchase's slices to 2.6 MB and raised peak RSS by 0.5 MB for no
     measurable speed.
 
     With one or two streams no layer feeds back, and the peak falls in
-    pam_metric on the bottom layer: the running total, z and its stacked
-    axes, the soft means and variances, both variances and the sliced
-    levels take 12 values per candidate, pam_metric's temporaries 8 more;
-    the charge is 24.
+    best_level_metric on the bottom layer: the running total, z and its
+    stacked axes, the soft means and variances, both variances and the
+    walk's two buffers for both axes take 14 values per candidate. Measured
+    with the per-context terms: 14.8 to 17.0; the charge is 24.
 
-    Per context, the a priori and output LLRs and the boundary sets take
+    Per context, the a priori and output LLRs and the level priors take
     under 16*q more. tests/test_chase.py holds a measured peak to this.
     """
     q = c.bits_per_symbol
@@ -161,26 +154,6 @@ def context_values(c: Constellation, n_streams: int) -> int:
         return 24 * c.order + 16 * q
     per_candidate = 4 * q + 3 * n_streams + 16
     return c.order * per_candidate + 16 * q
-
-
-def _layer_metric(z, r_ll, layer_var, la_layer, axis: PamAxis, bottom: bool) -> np.ndarray:
-    """Best metric of one inner layer under each candidate, both axes
-    stacked (2, rows, M); z and layer_var are (rows, M), r_ll (rows,) and
-    la_layer (rows, q). Its effective variance is layer_var / r_ll^2. Its
-    temporaries die on return, before the layer's soft feedback peaks.
-
-    The bottom inner layer has no feedback, so one boundary set per context
-    slices it for all M candidates, which keeps the paper's slicer in the
-    detection path. Above it, as on every lchase layer, the maximum of the
-    sqrt(M) level metrics stands for a boundary set per candidate.
-    """
-    eff_var = layer_var / r_ll[:, None] ** 2
-    la_axes = axis_parts(la_layer).copy()[:, :, None, :]
-    z_axes = np.stack((z.real, z.imag))
-    if bottom:
-        idx = slice_pam(z_axes, axis, pam_boundaries(axis, la_axes, eff_var[:, :1]))
-        return pam_metric(axis, idx, z_axes, la_axes, eff_var)
-    return best_level_metric(z_axes, axis, la_axes, eff_var)
 
 
 def _inner_layers(
@@ -197,7 +170,6 @@ def _inner_layers(
     m = c.order
     r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
     cand = c.symbols
-    axis = c.axis
 
     shat = np.zeros((batch, max(n - 1, 1), m), dtype=complex)
     svar = np.zeros((batch, max(n - 1, 1), m))
@@ -212,8 +184,7 @@ def _inner_layers(
         layer_var = 1.0 + np.einsum(
             "uf,ufm->um", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[:, l + 1 : n - 1]
         )
-        bottom = l == n - 2
-        chase.add_axis_metrics(total, _layer_metric(z, r_ll, layer_var, la_layer, axis, bottom))
+        chase.add_layer_metric(total, z, layer_var / r_ll[:, None] ** 2, la_layer, c)
 
         if l == 0:
             break  # nothing below consumes this layer's estimate

@@ -11,13 +11,15 @@ where the target stream sits alone.
 
 Detection searches the target stream exhaustively: each of its M candidate
 values gets its a priori term and last-row metric, the detector's
-inner_layers adds the best metric of every other layer under that candidate
-(linear nulling with slicing for lchase, ordered soft feedback for bchase),
-and bit LLRs are coset maxima over the candidates. The flattened contexts
-are walked in slices. Each detector charges a context a bound on the float64
-values it keeps live (lchase.context_values, bchase.context_values), and a
-slice holds as many contexts as fit SLICE_VALUES, which bounds the working
-set however many uses are stacked.
+inner_layers adds the best metric of every other layer under that candidate,
+and bit LLRs are coset maxima over the candidates. The detectors differ only
+in each inner layer's observation and variance (linear nulling for lchase,
+ordered soft feedback for bchase); add_layer_metric takes the layer's
+prior-aware maximum for both. The flattened contexts are walked in slices.
+Each detector charges a context a bound on the float64 values it keeps live
+(lchase.context_values, bchase.context_values), and a slice holds as many
+contexts as fit SLICE_VALUES, which bounds the working set however many
+uses are stacked.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, axis_parts, best_level_metric
 
 # Cap on the float64 values one detection slice keeps live at once (3.1 MB).
 # A slice takes as many contexts as fit under it at the detector's charge.
@@ -116,9 +118,17 @@ def candidate_priors(la_rows: np.ndarray, c: Constellation) -> np.ndarray:
     return la_rows @ c.bit_labels_f.T
 
 
-def add_axis_metrics(total: np.ndarray, best: np.ndarray) -> None:
-    """Add a (2, rows, M) stack of per-axis layer metrics to total in place,
-    the real axis first, so the sum rounds as two per-axis passes did."""
+def add_layer_metric(total, z, noise_var, la_layer, c: Constellation) -> None:
+    """Add one inner layer's best metric under each candidate to total in place.
+
+    z is the layer's observation under each candidate and noise_var its
+    variance, (rows, M) or (rows, 1); la_layer holds the layer's a priori
+    LLRs (rows, q). Both PAM axes are walked at once over (2, rows, M)
+    stacks, and the real axis's metric is added first, so the sum rounds as
+    two per-axis passes did.
+    """
+    la_axes = axis_parts(la_layer).copy()[:, :, None, :]
+    best = best_level_metric(np.stack((z.real, z.imag)), c.axis, la_axes, noise_var)
     total += best[0]
     total += best[1]
 

@@ -1,9 +1,11 @@
 """Gray-mapped square QAM alphabets and their one-dimensional PAM machinery.
 
 A square M-QAM symbol is two independent sqrt(M)-PAM coordinates. Every
-per-symbol operation the detectors need (a-priori-aware slicing, per-level
-metrics, soft symbol statistics) therefore reduces to one-dimensional work on
-a PamAxis, which is where almost all of this module lives.
+per-symbol operation the detectors need (best per-level metrics, coset
+distances, soft symbol statistics) therefore reduces to one-dimensional work
+on a PamAxis, which is where almost all of this module lives. The paper's
+a-priori-aware slicer (BoundarySet, slice_pam, pam_metric) is kept as the
+reference the tests hold the level walk to.
 
 Labeling convention (fixed, asserted by tests): bits are indexed 0..q-1 with
 bit 0 the MSB of the symbol index; even positions (0, 2, ...) form the real

@@ -3,11 +3,12 @@
 The Chase counting convention: `metric_evals` are full candidate metric
 evaluations (the per-candidate last-layer terms, or exhaustive enumeration),
 `boundary_evals` are slicing boundary values, one per pair of PAM levels:
-the paper's pairwise cost model, kept although the slicer folds them into
-L-1 thresholds per axis and bchase's feedback layers take the best level
-metric instead. Slicer comparisons and metric lookups at already-sliced
-points are free by convention. No count depends on the data, so the
-detectors count nothing: pass_stats gives a detection pass's counts.
+the paper's pairwise cost model, kept although every inner layer of both
+detectors takes the best level metric instead (chase.add_layer_metric),
+which is the sliced level's metric bit for bit. Slicer comparisons and
+metric lookups at already-sliced points are free by convention. No count
+depends on the data, so the detectors count nothing: pass_stats gives a
+detection pass's counts.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ deliberately ignored; the per-row noise variances are the squared row norms
 of Rtilde^-1 (exactly 1 for the unscaled last row).
 
 The paper slices each layer against prior-shifted boundaries; the maximum of
-each axis's sqrt(M) level metrics, as on bchase's feedback layers, is the
-sliced level's metric bit for bit. The cost model still charges the slicer.
+each axis's sqrt(M) level metrics (chase.add_layer_metric, as on every
+bchase layer) is the sliced level's metric bit for bit. The cost model
+still charges the slicer.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, axis_parts, best_level_metric
-from .constellation import pam_boundaries, pam_metric, slice_pam
+from .constellation import Constellation, pam_boundaries, pam_metric, slice_pam
 from .linalg import back_substitute, qr, swap_permutation
 
 # Uncalled wrap targets of perfbench's tracer until ROADMAP item 2 moves stage timing inside.
@@ -84,12 +84,12 @@ def context_values(c: Constellation) -> int:
     """Float64 values one context is charged: 21*M + 16*q.
 
     The peak falls in best_level_metric on an inner layer. Per candidate it
-    holds the running total, the layer's z stacked as (real, imag) and the
-    walk's two buffers for both axes, 7 values; per context, the a priori
-    and output LLRs and the level priors take under 8*q more. Measured: 7.6
-    to 9.4 per candidate (tests/test_chase.py holds it under the slice cap).
-    Charging 13*M + 16*q, 1.6 times that peak, slowed corr-64qam's lchase
-    leg by 2% and raised its peak RSS by 0.2 MB.
+    holds the running total, the layer's z, complex and stacked as (real,
+    imag), and the walk's two buffers for both axes, 9 values; per context,
+    the a priori and output LLRs and the level priors take under 8*q more.
+    Measured: 9.7 to 11.9 per candidate (tests/test_chase.py holds it under
+    the slice cap). A charge of 13*M + 16*q slowed corr-64qam's lchase leg
+    by 2% and raised its peak RSS by 0.2 MB.
     """
     return 21 * c.order + 16 * c.bits_per_symbol
 
@@ -101,18 +101,12 @@ def _inner_layers(
     use_idx: np.ndarray,
     total: np.ndarray,
 ) -> None:
-    """Add every inner layer's best metric to the (rows, M) totals in place.
-
-    Both PAM axes are walked at once over (2, rows, M) stacks, each layer's
-    priors and noise variance broadcast over the M candidates.
-    """
-    axis = c.axis
+    """Add every inner layer's best metric to the (rows, M) totals in place,
+    each layer's noise variance broadcast over the M candidates."""
     for l in range(ctx.layers.shape[1] - 1):
-        la_axes = axis_parts(la[use_idx, ctx.layers[:, l], :]).copy()[:, :, None, :]
-        var = ctx.noise_vars[:, l : l + 1]
         z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols
-        z = np.stack((z.real, z.imag))
-        chase.add_axis_metrics(total, best_level_metric(z, axis, la_axes, var))
+        var = ctx.noise_vars[:, l : l + 1]
+        chase.add_layer_metric(total, z, var, la[use_idx, ctx.layers[:, l], :], c)
 
 
 def detect_all_uses(contexts: LchaseStreamContext, c: Constellation, la: np.ndarray) -> np.ndarray:

@@ -190,18 +190,23 @@ def test_high_snr_detection_is_correct():
 @pytest.mark.parametrize("order,n", [(4, 2), (16, 2), (16, 3), (64, 4)])
 def test_complexity_counters(order, n, walk):
     # The cost model charges what a detection pass walks: the M candidate
-    # metrics of each context, whose coset maxima give its LLRs; one
-    # prior-only boundary set per context on the bottom inner layer, which
-    # the slicer uses; a set per candidate on every layer that sees
-    # feedback, where the best level metric stands for the sliced one; and
-    # M soft symbol statistics per context on every layer that feeds back.
+    # metrics of each context, whose coset maxima give its LLRs; a boundary
+    # set for each walk of an inner layer's levels, whose best level metric
+    # stands for the sliced one: one per context on the bottom layer, whose
+    # variance is the same for every candidate, and one per candidate on
+    # every layer that sees feedback; and M soft symbol statistics per
+    # context on every layer that feeds back.
     c = build_constellation(order)
     rng = np.random.default_rng(8)
     uses = 3
     models = _stack(*(_random_model(rng, n, n) for _ in range(uses)))
+
+    def boundary_sets(z, axis, la, var):
+        shared = (var == var[:, :1]).all(axis=1)
+        return np.where(shared, 1, var.shape[1]).sum()
+
     walk.tally(chase, "coset_llrs", "contexts", lambda total, c: len(total))
-    walk.tally(bchase, "pam_boundaries", "boundary_sets", lambda axis, la, var: la.shape[1])
-    walk.tally(bchase, "best_level_metric", "boundary_sets", lambda z, *_: z[0].size)
+    walk.tally(chase, "best_level_metric", "boundary_sets", boundary_sets)
     walk.tally(bchase, "soft_symbol_stats", "soft_stats", lambda post, c: post[..., 0].size)
     detect_all_uses(prepare_all_uses(models), c, np.zeros((uses, n, c.bits_per_symbol)))
     assert pass_stats("bchase", n, c, uses) == DetectorStats(
@@ -363,20 +368,40 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total):
         shat[:, l, :], svar[:, l, :] = soft_symbol_stats(la_layer[:, None, :] + post, c)
 
 
-@pytest.mark.parametrize("priors", ("zero", "cauchy"))
+_PRIOR_CASES = [
+    pytest.param(priors, observed, id=priors if observed == "noisy" else f"{priors}-{observed}")
+    for priors in ("zero", "cauchy", "clipped", "rounded")
+    for observed in ("noisy", "noiseless")
+]
+
+
+@pytest.mark.parametrize("priors,observed", _PRIOR_CASES)
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 6))
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
-def test_inner_layers_match_per_axis_walk(order, n, priors):
-    # Both axes in one walk, on the sliced bottom layer and on the feedback
-    # layers, add to the candidate totals bit for bit what the per-axis walk
-    # added, real axis first.
+def test_inner_layers_match_per_axis_walk(order, n, priors, observed):
+    # Both axes in one walk, on the bottom layer and on the feedback layers,
+    # add to the candidate totals bit for bit, signs of zero included, what
+    # the per-axis walk added, real axis first, with the bottom layer
+    # sliced. Priors at 0 and +-LLR_CLIP, or rounded to integers, tie levels
+    # exactly; a noiseless observation puts the true candidate's bottom
+    # layer on a level, to rounding. At n = 2 the bottom layer is the only
+    # inner layer.
     c = build_constellation(order)
     rng = np.random.default_rng([order, n])
     uses = 4 if order < 256 else 2
     la = np.zeros((uses, n, c.bits_per_symbol))
     if priors == "cauchy":
         la = np.clip(3.0 * rng.standard_cauchy(la.shape), -LLR_CLIP, LLR_CLIP)
-    models = [_random_model(rng, n, n) for _ in range(uses)]
+    elif priors == "clipped":
+        la = LLR_CLIP * rng.choice((-1.0, 0.0, 1.0), la.shape)
+    elif priors == "rounded":
+        la = np.round(rng.normal(scale=3.0, size=la.shape))
+    if observed == "noisy":
+        models = [_random_model(rng, n, n) for _ in range(uses)]
+    else:
+        h = iid_complex_gaussian(rng, (uses, n, n))
+        s = c.symbols[rng.integers(0, order, (uses, n))]
+        models = [WhitenedModel(y=hu @ su, h=hu) for hu, su in zip(h, s)]
     ctx = prepare_all_uses(_stack(*models)).reshape(-1)
     use_idx = np.arange(len(ctx)) % uses
     start = rng.normal(scale=10.0, size=(len(ctx), order))
@@ -384,6 +409,7 @@ def test_inner_layers_match_per_axis_walk(order, n, priors):
     bchase._inner_layers(ctx, c, la, use_idx, got)
     _inner_layers_per_axis(ctx, c, la, use_idx, want)
     assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)

@@ -85,6 +85,21 @@ def test_traced_names_are_module_globals():
     assert missing == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_traced_tuple_holds_only_wrap_targets(module):
+    # A module's _TRACED tuple keeps names the tracer wraps there but the
+    # module no longer calls; a name it does not wrap there would be a dead
+    # import that the tuple hides from test_no_unused_imports.
+    held = [
+        elt.id
+        for node in _tree(module).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_TRACED"
+        for elt in node.value.elts
+    ]
+    wrapped = {attr for mod, attr, *_ in _tracing_wraps() if mod == module}
+    assert sorted(set(held) - wrapped) == []
+
+
 def _package_names_read(source: str) -> set:
     """Names a source takes from the chasedet package itself, not a submodule."""
     names = set()

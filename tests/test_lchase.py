@@ -188,7 +188,7 @@ def test_complexity_counter_identity(order, n, walk):
     uses = 3
     models = _stack(*(_random_model(rng, n, n) for _ in range(uses)))
     walk.tally(chase, "coset_llrs", "contexts", lambda total, c: len(total))
-    walk.tally(lchase, "best_level_metric", "boundary_sets", lambda z, axis, la, var: z.shape[1])
+    walk.tally(chase, "best_level_metric", "boundary_sets", lambda z, axis, la, var: z.shape[1])
     detect_all_uses(prepare_all_uses(models), c, np.zeros((uses, n, c.bits_per_symbol)))
     stats = pass_stats("lchase", n, c, uses)
     assert stats == DetectorStats(
@@ -281,7 +281,9 @@ def _sliced_inner_layers(ctx, c, la, use_idx, total):
         z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols
         z = np.stack((z.real, z.imag))
         idx = slice_pam(z, axis, pam_boundaries(axis, la_axes, var))
-        chase.add_axis_metrics(total, pam_metric(axis, idx, z, la_axes, var))
+        best = pam_metric(axis, idx, z, la_axes, var)
+        total += best[0]
+        total += best[1]
 
 
 @pytest.mark.parametrize("observed", ("noisy", "noiseless"))
