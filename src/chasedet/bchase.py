@@ -28,7 +28,7 @@ import numpy as np
 from . import chase
 from .channel import WhitenedModel, require_finite
 from .constellation import Constellation, coset_sqdist_gap, label_order, soft_symbol_stats
-from .constellation import pam_boundaries, pam_metric, slice_pam
+from .constellation import pam_boundaries, pam_metric, slice_pam, stack_axes
 from .errors import SingularMatrixError
 from .linalg import qr
 
@@ -107,19 +107,20 @@ def prepare_all_uses(models: WhitenedModel) -> BchaseStreamContext:
     return BchaseStreamContext(layers=orders, r=factors.r, y_rot=y_rot).reshape(n, n_uses)
 
 
-def layer_post_llrs(z, r_ll, layer_var, c: Constellation) -> np.ndarray:
+def layer_post_llrs(parts, r_ll, layer_var, c: Constellation) -> np.ndarray:
     """Post-detection LLRs of a layer given its normalized observation z.
 
     z is the feedback-cancelled, r_ll-normalized layer observation (so the
-    residual distance to a symbol s is |r_ll|^2 |z - s|^2), and layer_var the
-    layer's effective noise variance. Distance-only (prior-free) coset minima
-    are taken for both axes at once. Shapes broadcast; the result gains a
-    trailing q axis, a view over bit-major memory (see label_order) that
-    callers may update in place.
+    residual distance to a symbol s is |r_ll|^2 |z - s|^2), given as its
+    stacked parts (2,) + z.shape (constellation.stack_axes), and layer_var
+    the layer's effective noise variance. Distance-only (prior-free) coset
+    minima are taken for both axes at once. z's shape and the others
+    broadcast; the result gains a trailing q axis, a view over bit-major
+    memory (see label_order) that callers may update in place.
     """
-    z = np.asarray(z)
     scale = np.asarray(r_ll, dtype=float) ** 2 / np.asarray(layer_var, dtype=float)
-    gap = coset_sqdist_gap(np.broadcast_to(z, np.broadcast_shapes(z.shape, scale.shape)), c.axis)
+    shape = (2,) + np.broadcast_shapes(np.shape(parts)[1:], scale.shape)
+    gap = coset_sqdist_gap(np.broadcast_to(parts, shape), c.axis)
     gap *= scale
     return label_order(gap)
 
@@ -131,20 +132,20 @@ def context_values(c: Constellation, n_streams: int) -> int:
     layer_post_llrs or soft_symbol_stats, at under 2*q + 3*n_streams + 8
     values per candidate under tracemalloc. Per candidate it holds the
     running total; the inner layers' soft means and variances, 3 per
-    stream; the layer's z and variance, 3; and then either z's stacked
-    axes, both axes' q-wide coset minima and one level's distances, or the
-    LLRs, their tanh and three moment arrays one bit wide. The charge,
-    4*q + 3*n_streams + 16 per candidate, leaves a full 64-QAM slice
-    holding about 1.8 MB at its peak; a full lchase slice holds about
-    1.4 MB. A charge of 2*q + 3*n_streams + 12, just above the peak, filled
-    bchase's slices to 2.6 MB and raised peak RSS by 0.5 MB for no
-    measurable speed.
+    stream; the layer's z, stacked once as (real, imag), and its variance,
+    3; and then either both axes' q-wide coset minima and one level's
+    distances, or the LLRs, their tanh and three moment arrays one bit
+    wide. The charge, 4*q + 3*n_streams + 16 per candidate, leaves a full
+    64-QAM slice holding about 1.8 MB at its peak; a full lchase slice
+    holds about 1.1 MB. A charge of 2*q + 3*n_streams + 12, just above the
+    peak, filled bchase's slices to 2.6 MB and raised peak RSS by 0.5 MB
+    for no measurable speed.
 
     With one or two streams no layer feeds back, and the peak falls in
-    best_level_metric on the bottom layer: the running total, z and its
-    stacked axes, the soft means and variances, both variances and the
-    walk's two buffers for both axes take 14 values per candidate. Measured
-    with the per-context terms: 14.8 to 17.0; the charge is 24.
+    best_level_metric on the bottom layer: the running total, z's stacked
+    axes, the soft means and variances, both variances and the walk's two
+    buffers for both axes take 12 values per candidate. Measured with the
+    per-context terms: 12.8 to 15.0; the charge is 24.
 
     Per context, the a priori and output LLRs and the level priors take
     under 16*q more. tests/test_chase.py holds a measured peak to this.
@@ -181,25 +182,30 @@ def _inner_layers(
         z = y_rot[:, l : l + 1] - r_row[:, n - 1 : n] * cand
         z -= np.einsum("uf,ufm->um", r_row[:, l + 1 : n - 1], shat[:, l + 1 : n - 1])
         z /= r_ll[:, None]
+        parts = stack_axes(z)  # one stack for the walk and the coset minima
+        del z
         layer_var = 1.0 + np.einsum(
             "uf,ufm->um", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[:, l + 1 : n - 1]
         )
-        chase.add_layer_metric(total, z, layer_var / r_ll[:, None] ** 2, la_layer, c)
+        chase.add_layer_metric(total, parts, layer_var / r_ll[:, None] ** 2, la_layer, c)
 
         if l == 0:
             break  # nothing below consumes this layer's estimate
 
-        post = layer_post_llrs(z, r_ll[:, None], layer_var, c)
+        post = layer_post_llrs(parts, r_ll[:, None], layer_var, c)
         post += la_layer[:, None, :]
         shat[:, l, :], svar[:, l, :] = soft_symbol_stats(post, c)
         del post  # not live under the next layer's coset minima
 
 
-def detect_all_uses(contexts: BchaseStreamContext, c: Constellation, la: np.ndarray) -> np.ndarray:
-    """Detect every stream of every use, in slices under chase.SLICE_VALUES.
+def detect_all_uses(
+    contexts: BchaseStreamContext, c: Constellation, la: np.ndarray, live=None
+) -> np.ndarray:
+    """Detect every live stream of every use, in slices under chase.SLICE_VALUES.
 
     contexts is the (streams, uses) stack from prepare_all_uses and la is
-    (uses, n_streams, q); returns LLRs of the same shape as la.
+    (uses, n_streams, q); returns LLRs of the same shape as la, 0.0 past
+    each stream's live uses (see chase.detect_all_uses).
     """
     n_streams = contexts.layers.shape[-1]
-    return chase.detect_all_uses(_inner_layers, context_values(c, n_streams), contexts, c, la)
+    return chase.detect_all_uses(_inner_layers, context_values(c, n_streams), contexts, c, la, live)

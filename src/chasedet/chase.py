@@ -20,6 +20,11 @@ Each detector charges a context a bound on the float64 values it keeps live
 (lchase.context_values, bchase.context_values), and a slice holds as many
 contexts as fit SLICE_VALUES, which bounds the working set however many
 uses are stacked.
+
+Detection takes each stream's count of live leading uses; the targets after
+them carry only padding, are never detected, and get LLRs of exactly 0.0.
+Slices are views of consecutive live rows, which run on from stream to
+stream and end where a stream's dead tail starts, so no context is gathered.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ def detect_all_uses(
     contexts,
     c: Constellation,
     la: np.ndarray,
+    live=None,
 ) -> np.ndarray:
     """Max-log LLRs of every stream of every use: (uses, streams, q).
 
@@ -82,12 +88,15 @@ def detect_all_uses(
     total) adds the inner layers' best metrics to total, the (rows, M)
     candidate metrics, in place; use_idx maps each row to its la row.
     context_values is the detector's charge in float64 values per context,
-    which sizes the slices under SLICE_VALUES. A non-finite la raises
-    ValueError.
+    which sizes the slices under SLICE_VALUES. live holds each stream's
+    count of live leading uses (all of them if None): the targets after
+    them are dead, never detected, and their LLRs are 0.0. A non-finite la
+    raises ValueError.
     """
     if not np.isfinite(la).all():
         raise ValueError("a priori LLRs must be finite")
     n_streams, n_uses = np.shape(contexts.stream)
+    live = np.full(n_streams, n_uses) if live is None else live
     flat = contexts.reshape(-1)
     rows = n_streams * n_uses
     step = max(1, SLICE_VALUES // context_values)
@@ -95,14 +104,20 @@ def detect_all_uses(
     # and heap-trim thresholds above it (mallopt(3)), so slice temporaries
     # reuse heap pages instead of faulting them back in on every slice.
     np.empty(min(step, rows) * context_values)
-    out = np.empty((rows, c.bits_per_symbol))
-    for start in range(0, rows, step):
-        ctx = flat[start : start + step]
-        use_idx = np.arange(start, start + len(ctx)) % n_uses
-        total = candidate_priors(la[use_idx, ctx.stream, :], c)
-        total -= np.abs(ctx.y_last[:, None] - ctx.pivot[:, None] * c.symbols) ** 2
-        inner_layers(ctx, c, la, use_idx, total)
-        out[start : start + len(ctx)] = coset_llrs(total, c)
+    out = np.zeros((rows, c.bits_per_symbol))
+    runs, first = [], 0
+    for i, n_live in enumerate(live):
+        if n_live < n_uses or i + 1 == n_streams:
+            runs.append((first, i * n_uses + n_live))
+            first = (i + 1) * n_uses
+    for lo, end in runs:
+        for start in range(lo, end, step):
+            ctx = flat[start : min(start + step, end)]
+            use_idx = np.arange(start, start + len(ctx)) % n_uses
+            total = candidate_priors(la[use_idx, ctx.stream, :], c)
+            total -= np.abs(ctx.y_last[:, None] - ctx.pivot[:, None] * c.symbols) ** 2
+            inner_layers(ctx, c, la, use_idx, total)
+            out[start : start + len(ctx)] = coset_llrs(total, c)
     return out.reshape(n_streams, n_uses, -1).transpose(1, 0, 2)
 
 
@@ -118,17 +133,18 @@ def candidate_priors(la_rows: np.ndarray, c: Constellation) -> np.ndarray:
     return la_rows @ c.bit_labels_f.T
 
 
-def add_layer_metric(total, z, noise_var, la_layer, c: Constellation) -> None:
+def add_layer_metric(total, parts, noise_var, la_layer, c: Constellation) -> None:
     """Add one inner layer's best metric under each candidate to total in place.
 
-    z is the layer's observation under each candidate and noise_var its
-    variance, (rows, M) or (rows, 1); la_layer holds the layer's a priori
-    LLRs (rows, q). Both PAM axes are walked at once over (2, rows, M)
-    stacks, and the real axis's metric is added first, so the sum rounds as
-    two per-axis passes did.
+    parts is the layer's observation under each candidate as stacked real
+    and imaginary parts (2, rows, M) (constellation.stack_axes), noise_var
+    its variance, (rows, M) or (rows, 1); la_layer holds the layer's a
+    priori LLRs (rows, q). Both PAM axes are walked at once, and the real
+    axis's metric is added first, so the sum rounds as two per-axis passes
+    did.
     """
     la_axes = axis_parts(la_layer).copy()[:, :, None, :]
-    best = best_level_metric(np.stack((z.real, z.imag)), c.axis, la_axes, noise_var)
+    best = best_level_metric(parts, c.axis, la_axes, noise_var)
     total += best[0]
     total += best[1]
 

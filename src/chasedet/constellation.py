@@ -228,15 +228,16 @@ def coset_min_sqdist(z, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
     return np.moveaxis(d0, 0, -1), np.moveaxis(d1, 0, -1)
 
 
-def coset_sqdist_gap(z, axis: PamAxis) -> np.ndarray:
-    """d0 - d1 of coset_min_sqdist for both parts of a complex z, bit-major:
-    (axis.nbits, 2) + z.shape, the real part first along axis 1.
+def coset_sqdist_gap(parts, axis: PamAxis) -> np.ndarray:
+    """d0 - d1 of coset_min_sqdist for both parts of a complex z, stacked as
+    stack_axes gives them, (2,) + z.shape; bit-major: (axis.nbits, 2) +
+    z.shape, the real part first along axis 1.
 
     The difference is taken in place on coset_min_sqdist's bit-major
     buffers, so every per-bit slice is contiguous; label_order views the
     result per bit.
     """
-    d0, d1 = coset_min_sqdist(np.stack((z.real, z.imag)), axis)
+    d0, d1 = coset_min_sqdist(parts, axis)
     return np.moveaxis(np.subtract(d0, d1, out=d0), -1, 0)
 
 
@@ -303,6 +304,11 @@ def axis_parts(bits: np.ndarray) -> np.ndarray:
     """Per-bit values (..., q) as (2, ..., q/2): the real axis's bits (the even
     label positions), then the imaginary axis's. A view where reshape allows."""
     return np.moveaxis(bits.reshape(bits.shape[:-1] + (-1, 2)), -1, 0)
+
+
+def stack_axes(z: np.ndarray) -> np.ndarray:
+    """A complex z's real and imaginary parts, one per PAM axis: (2,) + z.shape."""
+    return np.stack((z.real, z.imag))
 
 
 def label_order(parts: np.ndarray) -> np.ndarray:

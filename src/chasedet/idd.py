@@ -3,7 +3,7 @@
 Each code block is spread over U channel uses of an n_l-stream whitened MIMO
 model: the transmitted (interleaved, punctured) codeword fills the bit slots
 use by use, stream 0 bits 0..q-1 first, then stream 1, and so on; leftover
-slots in the final uses are padded with zero bits. Each iteration runs the
+slots in the last use are padded with zero bits. Each iteration runs the
 soft-input detector on every use, feeds its extrinsic output through the
 deinterleaver and depuncturer into the decoder, and feeds the decoder's
 extrinsic output back as the next round of detector a priori LLRs.
@@ -11,7 +11,10 @@ extrinsic output back as the next round of detector a priori LLRs.
 A chunk of blocks runs through that loop as stacked arrays: every block's
 uses go through one detector call and every block's codeword through one
 decoder call per iteration, and each block's results equal those of running
-it alone. All four detectors sit behind one (prepare, detect) table.
+it alone. All four detectors sit behind one (prepare, detect) table. The
+chunk's uses are stacked use-major, row u*B + b for use u of block b, so
+each stream's padding-only targets (in a block's last use) are the tail of
+its rows: they are prepared but never detected, and their LLRs stay 0.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ from .errors import ConfigError
 from .llr import saturate
 from .reference import lmmse_llrs, maxlog_factors, maxlog_llrs
 
-# Detector name -> (prepare(uses), detect(prepared, c, la) -> LLRs shaped like
-# la), over a stack of uses. The lambdas look functions up at call time.
+# Detector name -> (prepare(uses), detect(prepared, c, la, live) -> LLRs shaped
+# like la), over a stack of uses; maxlog and lmmse detect every use, live or
+# not. The lambdas look functions up at call time.
 _DETECT = {
     "lchase": (lambda uses: lchase.prepare_all_uses(uses), lambda *a: lchase.detect_all_uses(*a)),
     "bchase": (lambda uses: bchase.prepare_all_uses(uses), lambda *a: bchase.detect_all_uses(*a)),
-    "maxlog": (lambda uses: maxlog_factors(uses), lambda *a: maxlog_llrs(*a)),
-    "lmmse": (lambda uses: uses, lambda uses, c, la: lmmse_llrs(uses, c)),
+    "maxlog": (lambda uses: maxlog_factors(uses), lambda f, c, la, live: maxlog_llrs(f, c, la)),
+    "lmmse": (lambda uses: uses, lambda uses, c, la, live: lmmse_llrs(uses, c)),
 }
 DETECTORS = tuple(_DETECT)
 
@@ -89,6 +93,13 @@ def slot_bits(tx_bits: np.ndarray, c: Constellation, n_streams: int) -> np.ndarr
     return slots.reshape(lead + (uses, n_streams, c.bits_per_symbol))
 
 
+def live_uses(n_bits: int, c: Constellation, n_streams: int) -> np.ndarray:
+    """Leading uses (n_streams,) of each stream that carry at least one of
+    n_bits transmitted bits in slot_bits' layout; the rest are padding."""
+    q = c.bits_per_symbol
+    return -(-(n_bits - q * np.arange(n_streams)) // (n_streams * q))
+
+
 def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddResult:
     """Run the detect/decode loop over a chunk and score every iteration.
 
@@ -110,7 +121,14 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
         raise ValueError(f"{n_uses} uses carry {n_slots} bits, codeword needs {n_tx}")
 
     il, keep = cfg.interleaver, code.keep_mask()
-    uses = WhitenedModel(model.y.reshape(-1, n_rx), model.h.reshape(-1, n_rx, n_streams))
+    # Use-major copies, each block-major array freed once it is copied: the
+    # chunk's observations are held once, and only one array at a time twice.
+    y, h = model.y, model.h
+    del model
+    h = h.swapaxes(0, 1).reshape(-1, n_rx, n_streams)
+    y = y.swapaxes(0, 1).reshape(-1, n_rx)
+    uses = WhitenedModel(y, h)
+    live = live_uses(n_tx, c, n_streams) * n_blocks
     prepare, detect = _DETECT[cfg.detector]
     prepared = prepare(uses)
     # The LMMSE baseline ignores a priori input, so one pass already gives
@@ -123,10 +141,11 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
         iter_stats=[pass_stats(cfg.detector, n_streams, c, n_blocks * n_uses)] * cfg.iterations,
     )
 
-    la = np.zeros((n_blocks * n_uses, n_streams, q))
+    la = np.zeros((n_uses * n_blocks, n_streams, q))
     for it in range(passes):
-        det = detect(prepared, c, la)
-        fwd_slots = saturate((det - la).reshape(n_blocks, n_slots))
+        det = detect(prepared, c, la, live)
+        fwd = (det - la).reshape(n_uses, n_blocks, -1).swapaxes(0, 1).reshape(n_blocks, n_slots)
+        fwd_slots = saturate(fwd)
         ch_llrs = depuncture(fwd_slots[:, :n_tx][:, il.inv], code)
         dec_ext, info_total, hard = bcjr_decode(ch_llrs, None, code)
         # The last pass also stands for every iteration left after it.
@@ -138,6 +157,6 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
         if it + 1 < passes:
             la_slots = np.zeros((n_blocks, n_slots))
             la_slots[:, :n_tx] = saturate(dec_ext[:, keep][:, il.perm])
-            la = la_slots.reshape(la.shape)
+            la = la_slots.reshape(n_blocks, n_uses, -1).swapaxes(0, 1).reshape(la.shape)
 
     return result

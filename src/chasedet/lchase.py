@@ -23,7 +23,7 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, pam_boundaries, pam_metric, slice_pam
+from .constellation import Constellation, pam_boundaries, pam_metric, slice_pam, stack_axes
 from .linalg import back_substitute, qr, swap_permutation
 
 # Uncalled wrap targets of perfbench's tracer until ROADMAP item 2 moves stage timing inside.
@@ -84,12 +84,13 @@ def context_values(c: Constellation) -> int:
     """Float64 values one context is charged: 21*M + 16*q.
 
     The peak falls in best_level_metric on an inner layer. Per candidate it
-    holds the running total, the layer's z, complex and stacked as (real,
-    imag), and the walk's two buffers for both axes, 9 values; per context,
-    the a priori and output LLRs and the level priors take under 8*q more.
-    Measured: 9.7 to 11.9 per candidate (tests/test_chase.py holds it under
-    the slice cap). A charge of 13*M + 16*q slowed corr-64qam's lchase leg
-    by 2% and raised its peak RSS by 0.2 MB.
+    holds the running total, the layer's z stacked as (real, imag) (its
+    complex form is a temporary, freed once stacked) and the walk's two
+    buffers for both axes, 7 values; per context, the a priori and output
+    LLRs and the level priors take under 8*q more. Measured: 7.7 to 9.9
+    per candidate (tests/test_chase.py holds it under the slice cap), a
+    full 64-QAM slice about 1.1 MB. A charge of 13*M + 16*q slowed
+    corr-64qam's lchase leg by 2% and raised its peak RSS by 0.2 MB.
     """
     return 21 * c.order + 16 * c.bits_per_symbol
 
@@ -104,15 +105,18 @@ def _inner_layers(
     """Add every inner layer's best metric to the (rows, M) totals in place,
     each layer's noise variance broadcast over the M candidates."""
     for l in range(ctx.layers.shape[1] - 1):
-        z = ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols
+        parts = stack_axes(ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols)
         var = ctx.noise_vars[:, l : l + 1]
-        chase.add_layer_metric(total, z, var, la[use_idx, ctx.layers[:, l], :], c)
+        chase.add_layer_metric(total, parts, var, la[use_idx, ctx.layers[:, l], :], c)
 
 
-def detect_all_uses(contexts: LchaseStreamContext, c: Constellation, la: np.ndarray) -> np.ndarray:
-    """Detect every stream of every use, in slices under chase.SLICE_VALUES.
+def detect_all_uses(
+    contexts: LchaseStreamContext, c: Constellation, la: np.ndarray, live=None
+) -> np.ndarray:
+    """Detect every live stream of every use, in slices under chase.SLICE_VALUES.
 
     contexts is the (streams, uses) stack from prepare_all_uses and la is
-    (uses, n_streams, q); returns LLRs of the same shape as la.
+    (uses, n_streams, q); returns LLRs of the same shape as la, 0.0 past
+    each stream's live uses (see chase.detect_all_uses).
     """
-    return chase.detect_all_uses(_inner_layers, context_values(c), contexts, c, la)
+    return chase.detect_all_uses(_inner_layers, context_values(c), contexts, c, la, live)

@@ -19,6 +19,7 @@ from chasedet.constellation import (
     pam_metric,
     slice_pam,
     soft_symbol_stats,
+    stack_axes,
 )
 from chasedet.counters import DetectorStats, pass_stats
 from chasedet.llr import LLR_CLIP
@@ -44,8 +45,8 @@ def _detect(model, c, la, det=bchase):
     return det.detect_all_uses(det.prepare_all_uses(_stack(model)), c, la)[0]
 
 
-def _zero_post_llrs(z, r_ll, layer_var, c):
-    return np.zeros(np.shape(z) + (c.bits_per_symbol,))
+def _zero_post_llrs(parts, r_ll, layer_var, c):
+    return np.zeros(np.shape(parts)[1:] + (c.bits_per_symbol,))
 
 
 def blast_order(h, stream):
@@ -245,10 +246,10 @@ def test_layer_post_llrs_signs_and_shape():
     # An observation sitting exactly on a symbol produces LLRs whose signs
     # reproduce that symbol's bit label.
     for j in (0, 5, 10, 15):
-        out = layer_post_llrs(np.array(c.symbols[j]), 4.0, 1.0, c)
+        out = layer_post_llrs(stack_axes(np.array(c.symbols[j])), 4.0, 1.0, c)
         np.testing.assert_array_equal((out > 0).astype(np.int8), c.bit_labels[j])
     z = np.zeros((3, 7), dtype=complex)
-    assert layer_post_llrs(z, np.ones((3, 7)), np.ones((3, 7)), c).shape == (3, 7, 4)
+    assert layer_post_llrs(stack_axes(z), np.ones((3, 7)), np.ones((3, 7)), c).shape == (3, 7, 4)
 
 
 @pytest.mark.parametrize("field", ["y", "h"])
@@ -419,7 +420,7 @@ def test_layer_post_llrs_match_per_axis_minima(order):
     z = iid_complex_gaussian(rng, (40, order)) * 2.0
     r_ll, layer_var = rng.uniform(0.2, 3.0, (40, 1)), rng.uniform(0.5, 20.0, (40, order))
     want = _post_llrs_per_axis(z, r_ll, layer_var, c)
-    assert np.array_equal(layer_post_llrs(z, r_ll, layer_var, c), want)
+    assert np.array_equal(layer_post_llrs(stack_axes(z), r_ll, layer_var, c), want)
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
@@ -438,7 +439,7 @@ def test_feedback_chain_matches_c_ordered_chain(order):
     la[clipped] = np.copysign(LLR_CLIP, la[clipped])
     want_post = la[:, None, :] + _post_llrs_per_axis(z, r_ll, layer_var, c)
     assert want_post.flags.c_contiguous
-    post = layer_post_llrs(z, r_ll, layer_var, c)
+    post = layer_post_llrs(stack_axes(z), r_ll, layer_var, c)
     post += la[:, None, :]
     assert all(post[..., k].flags.c_contiguous for k in range(c.bits_per_symbol))
     assert np.array_equal(post, want_post)

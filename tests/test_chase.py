@@ -111,6 +111,42 @@ def test_slicing_does_not_change_llrs(detector, order, n_streams, monkeypatch):
     assert np.array_equal(llrs[1], llrs[2])
 
 
+@pytest.mark.parametrize("n_streams", range(1, 7))
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+@pytest.mark.parametrize("detector", (lchase, bchase), ids=("lchase", "bchase"))
+def test_dead_targets_are_skipped(detector, order, n_streams, monkeypatch):
+    # With each stream's live leading uses given, live targets get the LLRs
+    # of a call with every use live, bit for bit and signs of zero
+    # included, and dead ones exactly 0.0. The first streams are live
+    # throughout and run on as one run that a dead tail ends, the others
+    # have dead tails (the first stream too when it is alone), and from
+    # four streams the last is dead throughout. Slices of one context, of
+    # one short of the first run, of exactly the first run (a slice ends at
+    # the dead tail) and of the whole stack.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n_streams, detector is bchase, 7])
+    uses = 5
+    h = iid_complex_gaussian(rng, (uses, n_streams, n_streams))
+    y = iid_complex_gaussian(rng, (uses, n_streams))
+    la = 3.0 * rng.standard_cauchy((uses, n_streams, c.bits_per_symbol))
+    la = np.clip(la, -LLR_CLIP, LLR_CLIP)
+    contexts = detector.prepare_all_uses(WhitenedModel(y=y, h=h))
+    full_streams = n_streams // 2
+    live = np.where(np.arange(n_streams) < full_streams, uses, uses - 2)
+    if n_streams >= 4:
+        live[-1] = 0
+    dead = np.arange(uses)[:, None] >= live  # (uses, streams)
+    first_run = full_streams * uses + uses - 2
+    every = detector.detect_all_uses(contexts, c, la)
+    charge = _charge(detector, c, n_streams)
+    for per_slice in (1, first_run - 1, first_run, uses * n_streams):
+        monkeypatch.setattr(chase, "SLICE_VALUES", per_slice * charge)
+        got = detector.detect_all_uses(contexts, c, la, live)
+        assert np.array_equal(got[~dead], every[~dead])
+        assert np.array_equal(np.signbit(got), np.signbit(every) & ~dead[..., None])
+        assert not got[dead].any()
+
+
 _SOFT_INPUT = {
     "lchase": lambda model, c, la: lchase.detect_all_uses(lchase.prepare_all_uses(model), c, la),
     "bchase": lambda model, c, la: bchase.detect_all_uses(bchase.prepare_all_uses(model), c, la),

@@ -6,10 +6,10 @@ import pytest
 from chasedet import bchase, idd, lchase
 from chasedet.channel import WhitenedModel
 from chasedet.codec import CodeConfig, bcjr_decode, depuncture, encode, make_interleaver, puncture
-from chasedet.constellation import build_constellation, modulate
+from chasedet.constellation import SUPPORTED_ORDERS, build_constellation, modulate
 from chasedet.counters import pass_stats
 from chasedet.errors import ConfigError
-from chasedet.idd import IddConfig, run_idd, slot_bits, uses_for_block
+from chasedet.idd import IddConfig, live_uses, run_idd, slot_bits, uses_for_block
 from chasedet.llr import saturate
 
 from draws import iid_complex_gaussian
@@ -32,6 +32,37 @@ def test_slot_bits_layout_and_padding():
     np.testing.assert_array_equal(slots.reshape(-1)[10:], [0, 0])
     np.testing.assert_array_equal(slots[0, 0], bits[0:2])
     np.testing.assert_array_equal(slots[0, 1], bits[2:4])
+
+
+def test_padding_only_in_last_use_and_live_uses_mark_transmitted_targets():
+    # Over a grid of orders, stream counts, both rates and K values:
+    # slot_bits pads only a block's last use, and a (stream, use) target
+    # counts among its stream's live leading uses exactly when it carries a
+    # transmitted bit. The grid holds an exact fit with no padding and
+    # cases with 1, 2 and 3 dead streams.
+    dead_counts = set()
+    for order in SUPPORTED_ORDERS:
+        c = build_constellation(order)
+        for n_streams in range(1, 7):
+            for rate in (0.5, 0.83):
+                for k in (16, 64, 100, 256, 512):
+                    code = CodeConfig(k, rate)
+                    sent = slot_bits(np.ones(code.transmitted_len), c, n_streams) == 1
+                    n_uses = len(sent)
+                    assert n_uses == uses_for_block(code, c, n_streams)
+                    assert sent[:-1].all()
+                    live = live_uses(code.transmitted_len, c, n_streams)
+                    assert live.shape == (n_streams,)
+                    carries = sent.any(axis=-1)  # (uses, streams)
+                    where = f"{order}-QAM, {n_streams} streams, rate {rate}, K = {k}"
+                    np.testing.assert_array_equal(
+                        np.arange(n_uses)[:, None] < live, carries, err_msg=where
+                    )
+                    dead_counts.add(int(np.sum(live < n_uses)))
+    # 2x2 QPSK, K = 64, rate 0.5: 132 bits fill 33 uses exactly.
+    exact = slot_bits(np.ones(CodeConfig(64, 0.5).transmitted_len), build_constellation(4), 2)
+    assert exact.shape[0] == 33 and exact.all()
+    assert {0, 1, 2, 3} <= dead_counts
 
 
 def _make_block(rng, cfg, n_rx, n_streams, sigma=0.0, gain=1.0):
@@ -190,6 +221,32 @@ def test_one_detect_call_per_pass_over_every_use(detector, monkeypatch):
         name: passes if name == detector else 0 for name in _DETECT_ENTRIES
     }
     assert all(llrs.shape == (2 * 33, 2, 2) for _, llrs in calls[detector])
+
+
+@pytest.mark.parametrize("detector", ("lchase", "bchase"))
+def test_chunk_detects_only_live_targets(detector, monkeypatch):
+    # The 4x4 16-QAM gate link: each block's last use carries bits on
+    # stream 0 only. A chunk of two blocks, stacked use-major, hands the
+    # Chase detector each stream's live rows, 18 for stream 0 and 16 for
+    # the others; the dead rows' LLRs are exactly 0.0, and the live ones
+    # equal a detection of every row.
+    c = build_constellation(16)
+    cfg = IddConfig(constellation=c, code=CodeConfig(64, 0.5), detector=detector, iterations=2)
+    rng = np.random.default_rng(12)
+    (info0, m0), (info1, m1) = (_make_block(rng, cfg, 4, 4, sigma=0.5) for _ in range(2))
+    model = WhitenedModel(np.concatenate([m0.y, m1.y]), np.concatenate([m0.h, m1.h]))
+    module = lchase if detector == "lchase" else bchase
+    detect, calls = module.detect_all_uses, []
+    _record(monkeypatch, module, "detect_all_uses", calls)
+    run_idd(model, np.concatenate([info0, info1]), cfg)
+    assert len(calls) == 2
+    for (contexts, _, la, live), llrs in calls:
+        np.testing.assert_array_equal(live, [18, 16, 16, 16])
+        every = detect(contexts, c, la)
+        dead = np.arange(18)[:, None] >= live  # (rows, streams)
+        assert np.array_equal(llrs[~dead], every[~dead])
+        assert np.array_equal(np.signbit(llrs), np.signbit(every) & ~dead[..., None])
+        assert not llrs[dead].any()
 
 
 def test_bchase_path_decodes():

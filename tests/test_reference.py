@@ -341,7 +341,9 @@ def test_lmmse_counts_demap_levels(walk):
     # stream's scalar demap measures its distance to.
     c = build_constellation(64)
     model = WhitenedModel(y=np.zeros(3, dtype=complex), h=np.eye(3, dtype=complex))
-    walk.tally(reference, "coset_sqdist_gap", "levels", lambda z, axis: 2 * z.size * axis.nlevels)
+    walk.tally(
+        reference, "coset_sqdist_gap", "levels", lambda parts, axis: parts.size * axis.nlevels
+    )
     lmmse_llrs(model, c)
     stats = pass_stats("lmmse", 3, c, 1)
     assert stats.metric_evals == walk["levels"] == 3 * 16

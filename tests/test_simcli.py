@@ -622,7 +622,8 @@ _DETECT_ENTRIES = (
 
 
 def _run_recording_llrs(model, info, idd_cfg):
-    """run_idd's result and its detector LLRs, shaped (passes, B, U, n, q)."""
+    """run_idd's result and its detector LLRs, shaped (passes, B, U, n, q);
+    run_idd stacks a chunk's uses use-major, row u*B + b."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
         for module, name in _DETECT_ENTRIES:
@@ -634,7 +635,9 @@ def _run_recording_llrs(model, info, idd_cfg):
 
             mp.setattr(module, name, recorded)
         result = run_idd(model, info, idd_cfg)
-    return result, np.concatenate(out).reshape((-1,) + model.h.shape[:2] + out[0].shape[1:])
+    n_blocks, n_uses = model.h.shape[:2]
+    llrs = np.concatenate(out).reshape((-1, n_uses, n_blocks) + out[0].shape[1:])
+    return result, llrs.swapaxes(1, 2)
 
 
 @pytest.mark.parametrize("link", sorted(_CHUNK_LINKS))
