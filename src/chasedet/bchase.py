@@ -32,7 +32,7 @@ from .constellation import pam_boundaries, pam_metric, slice_pam, stack_axes
 from .errors import SingularMatrixError
 from .linalg import qr
 
-# Uncalled wrap targets of perfbench's tracer until ROADMAP item 2 moves stage timing inside.
+# Uncalled; held because perfbench/tracing.py wraps these names in this module.
 _TRACED = (pam_boundaries, slice_pam, pam_metric)
 
 

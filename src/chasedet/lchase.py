@@ -24,9 +24,9 @@ import numpy as np
 from . import chase
 from .channel import WhitenedModel, require_finite
 from .constellation import Constellation, pam_boundaries, pam_metric, slice_pam, stack_axes
-from .linalg import back_substitute, qr, swap_permutation
+from .linalg import back_substitute, qr
 
-# Uncalled wrap targets of perfbench's tracer until ROADMAP item 2 moves stage timing inside.
+# Uncalled; held because perfbench/tracing.py wraps these names in this module.
 _TRACED = (pam_boundaries, slice_pam, pam_metric)
 
 
@@ -63,7 +63,10 @@ def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
     """
     require_finite(models)
     n_uses, _, n = models.h.shape
-    layers = np.repeat(swap_permutation(n, np.arange(n)), n_uses, axis=0)
+    swaps = np.tile(np.arange(n), (n, 1))  # row i swaps columns i and n-1
+    swaps[:, -1] = np.arange(n)
+    swaps[np.arange(n), np.arange(n)] = n - 1
+    layers = np.repeat(swaps, n_uses, axis=0)
     h_perm = np.take_along_axis(np.tile(models.h, (n, 1, 1)), layers[:, None, :], axis=2)
     factors = qr(h_perm)
     y_rot = np.einsum("uji,uj->ui", factors.q.conj(), np.tile(models.y, (n, 1)))

@@ -52,11 +52,11 @@ def qr(a: np.ndarray) -> QrFactors:
 
 
 def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve R x = b for upper-triangular R by back substitution.
+    """Solve R X = B for upper-triangular R by back substitution.
 
-    b may be a vector (one fewer dimension than r) or a matrix of stacked
-    right-hand sides; passing the identity columnwise is the supported way to
-    materialize R^-1. Leading batch dimensions of r and b broadcast.
+    B holds the right-hand sides as columns; passing the identity is the
+    supported way to materialize R^-1. Leading batch dimensions of r and b
+    broadcast.
     """
     r = np.asarray(r)
     b = np.asarray(b)
@@ -66,11 +66,8 @@ def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     if np.any(np.abs(diag) == 0.0):
         raise SingularMatrixError("zero pivot in back substitution")
-    vector = b.ndim == r.ndim - 1
-    if vector:
-        b = b[..., None]
-    if b.shape[-2] != n:
-        raise ValueError("right-hand side length must match R")
+    if b.ndim < 2 or b.shape[-2] != n:
+        raise ValueError("right-hand sides must be columns as long as R")
     batch = np.broadcast_shapes(r.shape[:-2], b.shape[:-2])
     x = np.zeros(batch + b.shape[-2:], dtype=np.result_type(r, b, float))
     for i in range(n - 1, -1, -1):
@@ -78,7 +75,7 @@ def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
             "...j,...jk->...k", r[..., i, i + 1 :], x[..., i + 1 :, :]
         )
         x[..., i, :] = acc / diag[..., i, None]
-    return x[..., 0] if vector else x
+    return x
 
 
 def cholesky(b: np.ndarray) -> np.ndarray:
@@ -99,17 +96,3 @@ def cholesky(b: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky((b + b_h) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from None
-
-
-def swap_permutation(n: int, i) -> np.ndarray:
-    """Index map that swaps positions i and n-1 (an involution).
-
-    An array of indices i gives one map per entry, stacked along i's axes.
-    """
-    i = np.asarray(i)
-    if np.any((i < 0) | (i >= n)):
-        raise ValueError(f"stream index {i} out of range for {n}")
-    perm = np.tile(np.arange(n), i.shape + (1,))
-    perm[..., n - 1] = i
-    np.put_along_axis(perm, i[..., None], n - 1, axis=-1)
-    return perm

@@ -286,7 +286,10 @@ def block_values(cfg: SimConfig, n_uses: int) -> int:
     noise arrays; per block its complex noise covariance, noise factor and
     whitener with the temporaries of factoring and inverting it (10 *
     rx**2), its decoder and its info-bit LLRs of every iteration.
-    tests/test_simcli.py holds a chunk's channel stage under it."""
+    tests/test_simcli.py holds a chunk's channel stage under it. Nothing is
+    charged for the Chase detectors' prepare stage, whose peak over a full
+    chunk nears the chunk's whole charge at 4 streams and is 6 to 28 times
+    it at 16 to 64 streams (README, "Chunk size")."""
     per_use = cfg.n_streams * cfg.mod + 6 * cfg.n_rx * (cfg.n_tx + cfg.n_streams + 2)
     per_block = 10 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
     return n_uses * per_use + per_block + cfg.iterations * cfg.info_bits

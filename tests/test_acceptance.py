@@ -32,7 +32,7 @@ from chasedet.simcli import (
     write_csv,
 )
 
-from draws import iid_complex_gaussian
+from draws import iid_complex_gaussian, stack
 
 MC_BLOCKS = 2000
 GAIN_GRID = (8.0, 10.0, 12.0, 14.0, 16.0)
@@ -42,11 +42,6 @@ CORR_GRID = (12.0, 16.0, 20.0, 24.0, 28.0)
 def _report(name: str, ok: bool) -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, name
-
-
-def _stack(models) -> WhitenedModel:
-    """One WhitenedModel stacked over a list of channel uses."""
-    return WhitenedModel(y=np.stack([m.y for m in models]), h=np.stack([m.h for m in models]))
 
 
 def _binom_tail_le(k: int, n: int) -> float:
@@ -87,7 +82,7 @@ def test_single_stream_detectors_match_oracle():
             h = (0.3 + 1.7 * rng.random()) * iid_complex_gaussian(rng, (2, 1))
             models.append(WhitenedModel(y=iid_complex_gaussian(rng, 2), h=h))
         la = rng.normal(scale=3.0, size=(n, 1, c.bits_per_symbol))
-        uses = _stack(models)
+        uses = stack(models)
         l_out = lchase.detect_all_uses(lchase.prepare_all_uses(uses), c, la)
         b_out = bchase.detect_all_uses(bchase.prepare_all_uses(uses), c, la)
         for u, model in enumerate(models):
@@ -113,7 +108,7 @@ def test_two_stream_detectors_agree():
             h = iid_complex_gaussian(rng, (2, 2))
             models.append(WhitenedModel(y=iid_complex_gaussian(rng, 2), h=h))
         la = rng.normal(scale=3.0, size=(n, 2, c.bits_per_symbol))
-        uses = _stack(models)
+        uses = stack(models)
         l_out = lchase.detect_all_uses(lchase.prepare_all_uses(uses), c, la)
         b_out = bchase.detect_all_uses(bchase.prepare_all_uses(uses), c, la)
         worst = max(worst, float(np.abs(l_out - b_out).max()))

@@ -1,11 +1,11 @@
-"""Decision-feedback detector: ordering, feedback chain, counted walk."""
+"""Decision-feedback detector: BLAST order and the soft feedback chain."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from chasedet import bchase, chase, lchase
+from chasedet import bchase
 from chasedet.bchase import detect_all_uses, layer_post_llrs, prepare_all_uses
 from chasedet.channel import CorrelationModel, WhitenedModel, generate_channel
 from chasedet.constellation import (
@@ -21,28 +21,11 @@ from chasedet.constellation import (
     soft_symbol_stats,
     stack_axes,
 )
-from chasedet.counters import DetectorStats, pass_stats
+from chasedet.counters import pass_stats
 from chasedet.llr import LLR_CLIP
-from chasedet.reference import brute_pam_argmax, exact_maxlog_llrs
+from chasedet.reference import brute_pam_argmax
 
-from draws import iid_complex_gaussian
-
-
-def _random_model(rng, n_rx, n, scale=1.0):
-    h = scale * iid_complex_gaussian(rng, (n_rx, n))
-    y = iid_complex_gaussian(rng, n_rx)
-    return WhitenedModel(y=y, h=h)
-
-
-def _stack(*models):
-    """One WhitenedModel stacked over the given channel uses."""
-    return WhitenedModel(y=np.stack([m.y for m in models]), h=np.stack([m.h for m in models]))
-
-
-def _detect(model, c, la, det=bchase):
-    """LLRs (n, q) of every stream of one channel use."""
-    la = np.asarray(la, dtype=float)[None]
-    return det.detect_all_uses(det.prepare_all_uses(_stack(model)), c, la)[0]
+from draws import apriori, detect, iid_complex_gaussian, random_model, stack
 
 
 def _zero_post_llrs(parts, r_ll, layer_var, c):
@@ -115,40 +98,16 @@ def test_prepare_inverts_one_gram_per_use(n, monkeypatch):
     assert calls == [(5, n, n)]
 
 
-def test_two_streams_equals_list_detector():
-    # With two streams the feedback chain is empty, so both detectors
-    # evaluate the same metric and must agree to rounding.
-    c = build_constellation(16)
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        model = _random_model(rng, 2, 2)
-        la = rng.normal(scale=3.0, size=(2, 4))
-        got = _detect(model, c, la)
-        ref = _detect(model, c, la, det=lchase)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
-def test_single_stream_equals_exhaustive():
-    c = build_constellation(64)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        model = _random_model(rng, 2, 1)
-        la = rng.normal(scale=2.0, size=(1, 6))
-        got = _detect(model, c, la)
-        ref = exact_maxlog_llrs(model, c, la)
-        np.testing.assert_allclose(got, ref, atol=1e-12)
-
-
 def test_feedback_hooks_alter_deep_chains(monkeypatch):
     # Zeroing every post-detection LLR leaves the feedback chain priors
     # only, which must change the result once layers feed back.
     c = build_constellation(16)
     rng = np.random.default_rng(5)
-    model = _random_model(rng, 4, 4)
+    model = random_model(rng, 4, 4)
     la = np.zeros((4, 4))
-    base = _detect(model, c, la)[0]
+    base = detect(bchase, model, c, la)[0]
     monkeypatch.setattr(bchase, "layer_post_llrs", _zero_post_llrs)
-    zeroed = _detect(model, c, la)[0]
+    zeroed = detect(bchase, model, c, la)[0]
     assert not np.allclose(base, zeroed)
 
 
@@ -169,7 +128,7 @@ def test_noiseless_genie_feedback_is_correct(monkeypatch):
         idx = rng.integers(0, 16, size=4)
         s = c.symbols[idx]
         model = WhitenedModel(y=h @ s, h=h)
-        llrs = _detect(model, c, np.zeros((4, 4)))
+        llrs = detect(bchase, model, c, np.zeros((4, 4)))
         np.testing.assert_array_equal((llrs > 0).astype(np.int8), c.bit_labels[idx])
 
 
@@ -184,38 +143,8 @@ def test_high_snr_detection_is_correct():
         h = 8.0 * iid_complex_gaussian(rng, (4, 4))
         idx = rng.integers(0, 64, size=4)
         model = WhitenedModel(y=h @ c.symbols[idx], h=h)
-        llrs = _detect(model, c, np.zeros((4, 6)))
+        llrs = detect(bchase, model, c, np.zeros((4, 6)))
         np.testing.assert_array_equal((llrs > 0).astype(np.int8), c.bit_labels[idx])
-
-
-@pytest.mark.parametrize("order,n", [(4, 2), (16, 2), (16, 3), (64, 4)])
-def test_complexity_counters(order, n, walk):
-    # The cost model charges what a detection pass walks: the M candidate
-    # metrics of each context, whose coset maxima give its LLRs; a boundary
-    # set for each walk of an inner layer's levels, whose best level metric
-    # stands for the sliced one: one per context on the bottom layer, whose
-    # variance is the same for every candidate, and one per candidate on
-    # every layer that sees feedback; and M soft symbol statistics per
-    # context on every layer that feeds back.
-    c = build_constellation(order)
-    rng = np.random.default_rng(8)
-    uses = 3
-    models = _stack(*(_random_model(rng, n, n) for _ in range(uses)))
-
-    def boundary_sets(z, axis, la, var):
-        shared = (var == var[:, :1]).all(axis=1)
-        return np.where(shared, 1, var.shape[1]).sum()
-
-    walk.tally(chase, "coset_llrs", "contexts", lambda total, c: len(total))
-    walk.tally(chase, "best_level_metric", "boundary_sets", boundary_sets)
-    walk.tally(bchase, "soft_symbol_stats", "soft_stats", lambda post, c: post[..., 0].size)
-    detect_all_uses(prepare_all_uses(models), c, np.zeros((uses, n, c.bits_per_symbol)))
-    assert pass_stats("bchase", n, c, uses) == DetectorStats(
-        metric_evals=walk["contexts"] * order,
-        boundary_evals=walk["boundary_sets"] * 2 * c.axis.npairs,
-        soft_stat_evals=walk["soft_stats"],
-        streams=walk["contexts"],
-    )
 
 
 def test_two_stream_count_matches_list_detector():
@@ -224,21 +153,6 @@ def test_two_stream_count_matches_list_detector():
     bchase_stats = pass_stats("bchase", 2, c, 5)
     assert bchase_stats == pass_stats("lchase", 2, c, 5)
     assert bchase_stats.metrics_per_stream == 120.0
-
-
-def test_batched_paths_agree_with_single_use():
-    c = build_constellation(16)
-    rng = np.random.default_rng(10)
-    models = [_random_model(rng, 4, 4) for _ in range(5)]
-    la = rng.normal(scale=2.0, size=(5, 4, 4))
-    contexts = prepare_all_uses(_stack(*models))
-    fused = detect_all_uses(contexts, c, la)
-    for u, model in enumerate(models):
-        single = _detect(model, c, la[u])
-        np.testing.assert_allclose(fused[u], single, rtol=1e-12, atol=1e-12)
-        for i in range(4):
-            lone = detect_all_uses(contexts[i : i + 1, u : u + 1], c, la[u : u + 1])
-            np.testing.assert_allclose(single[i], lone[0, 0], rtol=1e-12, atol=1e-12)
 
 
 def test_layer_post_llrs_signs_and_shape():
@@ -250,16 +164,6 @@ def test_layer_post_llrs_signs_and_shape():
         np.testing.assert_array_equal((out > 0).astype(np.int8), c.bit_labels[j])
     z = np.zeros((3, 7), dtype=complex)
     assert layer_post_llrs(stack_axes(z), np.ones((3, 7)), np.ones((3, 7)), c).shape == (3, 7, 4)
-
-
-@pytest.mark.parametrize("field", ["y", "h"])
-def test_non_finite_model_is_rejected(field):
-    # A NaN in the whitened model fails at entry, not as NaN LLRs.
-    c = build_constellation(16)
-    model = _random_model(np.random.default_rng(10), 3, 3)
-    getattr(model, field).flat[2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        _detect(model, c, np.zeros((3, 4)))
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
@@ -390,20 +294,14 @@ def test_inner_layers_match_per_axis_walk(order, n, priors, observed):
     c = build_constellation(order)
     rng = np.random.default_rng([order, n])
     uses = 4 if order < 256 else 2
-    la = np.zeros((uses, n, c.bits_per_symbol))
-    if priors == "cauchy":
-        la = np.clip(3.0 * rng.standard_cauchy(la.shape), -LLR_CLIP, LLR_CLIP)
-    elif priors == "clipped":
-        la = LLR_CLIP * rng.choice((-1.0, 0.0, 1.0), la.shape)
-    elif priors == "rounded":
-        la = np.round(rng.normal(scale=3.0, size=la.shape))
+    la = apriori(rng, priors, (uses, n, c.bits_per_symbol))
     if observed == "noisy":
-        models = [_random_model(rng, n, n) for _ in range(uses)]
+        models = [random_model(rng, n, n) for _ in range(uses)]
     else:
         h = iid_complex_gaussian(rng, (uses, n, n))
         s = c.symbols[rng.integers(0, order, (uses, n))]
         models = [WhitenedModel(y=hu @ su, h=hu) for hu, su in zip(h, s)]
-    ctx = prepare_all_uses(_stack(*models)).reshape(-1)
+    ctx = prepare_all_uses(stack(models)).reshape(-1)
     use_idx = np.arange(len(ctx)) % uses
     start = rng.normal(scale=10.0, size=(len(ctx), order))
     got, want = start.copy(), start.copy()

@@ -1,4 +1,6 @@
-"""The shared Chase driver: detection slices and their working set."""
+"""Checks both Chase detectors share, each run on lchase and bchase: the
+exhaustive single-stream case, stacked calls, input checks, the cost model,
+detection slices and their working set, and stacked contexts."""
 
 import tracemalloc
 from dataclasses import fields
@@ -9,10 +11,13 @@ import pytest
 from chasedet import bchase, chase, lchase, reference
 from chasedet.channel import WhitenedModel
 from chasedet.constellation import SUPPORTED_ORDERS, build_constellation
-from chasedet.linalg import back_substitute, qr, swap_permutation
+from chasedet.counters import DetectorStats, pass_stats
+from chasedet.linalg import back_substitute, qr
 from chasedet.llr import LLR_CLIP
 
-from draws import iid_complex_gaussian
+from draws import detect, iid_complex_gaussian, random_model, stack
+
+DETECTORS = pytest.mark.parametrize("detector", (lchase, bchase), ids=("lchase", "bchase"))
 
 
 def _charge(detector, c, n_streams):
@@ -21,9 +26,97 @@ def _charge(detector, c, n_streams):
     return bchase.context_values(c, n_streams)
 
 
+@pytest.mark.parametrize("order", (4, 16, 64))
+@DETECTORS
+def test_single_stream_equals_exhaustive(detector, order):
+    # With one stream there is no inner layer, and the M candidate metrics
+    # are the exhaustive max-log search.
+    c = build_constellation(order)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        model = random_model(rng, 2, 1)
+        la = rng.normal(scale=3.0, size=(1, c.bits_per_symbol))
+        got = detect(detector, model, c, la)
+        ref = reference.exact_maxlog_llrs(model, c, la)
+        np.testing.assert_allclose(got, ref, atol=1e-12)
+
+
+def test_two_streams_equals_list_detector():
+    # With two streams the feedback chain is empty, so both detectors
+    # evaluate the same metric and must agree to rounding.
+    c = build_constellation(16)
+    rng = np.random.default_rng(2)
+    for _ in range(25):
+        model = random_model(rng, 2, 2)
+        la = rng.normal(scale=3.0, size=(2, 4))
+        got = detect(bchase, model, c, la)
+        ref = detect(lchase, model, c, la)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@DETECTORS
+def test_batched_paths_agree_with_single_use(detector):
+    # The fused (use, stream) detection batch must reproduce each use
+    # detected alone, and each (stream, use) context detected as a lone
+    # row; only last-ulp rounding from different batch compositions is
+    # tolerated.
+    c = build_constellation(16)
+    rng = np.random.default_rng(8)
+    models = [random_model(rng, 4, 4) for _ in range(5)]
+    la = rng.normal(scale=2.0, size=(5, 4, 4))
+    contexts = detector.prepare_all_uses(stack(models))
+    fused = detector.detect_all_uses(contexts, c, la)
+    assert fused.shape == la.shape
+    for u, model in enumerate(models):
+        single = detect(detector, model, c, la[u])
+        assert single.shape == la[u].shape
+        np.testing.assert_allclose(fused[u], single, rtol=1e-12, atol=1e-12)
+        for i in range(4):
+            lone = detector.detect_all_uses(contexts[i : i + 1, u : u + 1], c, la[u : u + 1])
+            np.testing.assert_allclose(single[i], lone[0, 0], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "order,n", [(4, 1), (4, 2), (4, 3), (16, 2), (16, 3), (64, 4), (256, 2)]
+)
+@DETECTORS
+def test_complexity_counters(detector, order, n, walk):
+    # The cost model charges what a detection pass walks: the M candidate
+    # metrics of each context, whose coset maxima give its LLRs; a boundary
+    # set for each walk of an inner layer's levels, whose best level metric
+    # stands for the sliced one: one per context where the layer's variance
+    # is the same for every candidate (every lchase layer and bchase's
+    # bottom layer), else one per candidate; and M soft symbol statistics
+    # per context on every bchase layer that feeds back. Per detected
+    # stream lchase's charge is n*M - (n-1)*sqrt(M).
+    c = build_constellation(order)
+    rng = np.random.default_rng(7)
+    uses = 3
+    models = stack([random_model(rng, n, n) for _ in range(uses)])
+
+    def boundary_sets(z, axis, la, var):
+        shared = (var == var[:, :1]).all(axis=1)
+        return np.where(shared, 1, var.shape[1]).sum()
+
+    walk.tally(chase, "coset_llrs", "contexts", lambda total, c: len(total))
+    walk.tally(chase, "best_level_metric", "boundary_sets", boundary_sets)
+    walk.tally(bchase, "soft_symbol_stats", "soft_stats", lambda post, c: post[..., 0].size)
+    contexts = detector.prepare_all_uses(models)
+    detector.detect_all_uses(contexts, c, np.zeros((uses, n, c.bits_per_symbol)))
+    stats = pass_stats(detector.__name__.rpartition(".")[2], n, c, uses)
+    assert stats == DetectorStats(
+        metric_evals=walk["contexts"] * order,
+        boundary_evals=walk["boundary_sets"] * 2 * c.axis.npairs,
+        soft_stat_evals=walk["soft_stats"],
+        streams=walk["contexts"],
+    )
+    if detector is lchase:
+        assert stats.metrics_per_stream == n * order - (n - 1) * int(np.sqrt(order))
+
+
 @pytest.mark.parametrize("n_streams", (2, 4, 6))
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
-@pytest.mark.parametrize("detector", (lchase, bchase), ids=("lchase", "bchase"))
+@DETECTORS
 def test_detection_peak_stays_under_slice_cap(detector, order, n_streams):
     # One detect_all_uses call over a chunk of at least four slices keeps
     # no more than SLICE_VALUES float64 values live besides its output: each
@@ -49,7 +142,7 @@ def test_detection_peak_stays_under_slice_cap(detector, order, n_streams):
 
 
 @pytest.mark.parametrize("n_streams", (3, 4, 6))
-@pytest.mark.parametrize("order", (16, 64, 256))
+@pytest.mark.parametrize("order", (4, 16, 64, 256))
 def test_bchase_charge_bounds_its_slice_peak(order, n_streams, monkeypatch):
     # What a full bchase slice holds at its peak, counted from the start of
     # its inner layers (so the block detect_all_uses frees before its first
@@ -87,7 +180,7 @@ def test_bchase_charge_bounds_its_slice_peak(order, n_streams, monkeypatch):
 
 @pytest.mark.parametrize("n_streams", (3, 4))
 @pytest.mark.parametrize("order", (16, 64))
-@pytest.mark.parametrize("detector", (lchase, bchase), ids=("lchase", "bchase"))
+@DETECTORS
 def test_slicing_does_not_change_llrs(detector, order, n_streams, monkeypatch):
     # One context per slice, a few per slice and the whole stack in one
     # slice give the same LLRs bit for bit. Cauchy priors, some at
@@ -113,7 +206,7 @@ def test_slicing_does_not_change_llrs(detector, order, n_streams, monkeypatch):
 
 @pytest.mark.parametrize("n_streams", range(1, 7))
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
-@pytest.mark.parametrize("detector", (lchase, bchase), ids=("lchase", "bchase"))
+@DETECTORS
 def test_dead_targets_are_skipped(detector, order, n_streams, monkeypatch):
     # With each stream's live leading uses given, live targets get the LLRs
     # of a call with every use live, bit for bit and signs of zero
@@ -169,18 +262,38 @@ def test_non_finite_apriori_is_rejected(detector, bad):
         _SOFT_INPUT[detector](model, c, la)
 
 
+_MODEL_INPUT = {**_SOFT_INPUT, "lmmse": lambda model, c, la: reference.lmmse_llrs(model, c)}
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf), ids=("nan", "inf"))
+@pytest.mark.parametrize("field", ("y", "h"))
+@pytest.mark.parametrize("detector", sorted(_MODEL_INPUT))
+def test_non_finite_model_is_rejected(detector, field, bad):
+    # One non-finite entry of the whitened model, in the last use of a
+    # stack, fails the whole call at entry, not as NaN LLRs.
+    c = build_constellation(16)
+    rng = np.random.default_rng(32)
+    y, h = iid_complex_gaussian(rng, (3, 3)), iid_complex_gaussian(rng, (3, 3, 3))
+    model = WhitenedModel(y=y, h=h)
+    getattr(model, field)[-1].flat[-1] = bad
+    la = np.zeros((3, 3, c.bits_per_symbol))
+    with pytest.raises(ValueError, match="channel and observation must be finite"):
+        _MODEL_INPUT[detector](model, c, la)
+
+
 def _per_stream_lchase(h, y, stream):
     """One target stream of lchase, factored as a per-stream pass did."""
     n_uses, _, n = h.shape
-    perm = swap_permutation(n, stream)
+    perm = np.arange(n)
+    perm[[stream, n - 1]] = n - 1, stream
     factors = qr(h[:, :, perm])
     y_rot = np.einsum("uji,uj->ui", factors.q.conj(), y)
     r = factors.r
     r_inner = r[:, : n - 1, : n - 1]
-    coupling = back_substitute(r_inner, r[:, : n - 1, n - 1])
+    coupling = back_substitute(r_inner, r[:, : n - 1, n - 1 :])[..., 0]
     inv_inner = back_substitute(r_inner, np.eye(n - 1, dtype=complex)[None])
     ybar = np.concatenate(
-        [back_substitute(r_inner, y_rot[:, : n - 1]), y_rot[:, n - 1 :]], axis=-1
+        [back_substitute(r_inner, y_rot[:, : n - 1, None])[..., 0], y_rot[:, n - 1 :]], axis=-1
     )
     return {
         "stream": np.full(n_uses, stream),
@@ -224,7 +337,7 @@ def _per_stream_bchase(h, y, stream):
 
 @pytest.mark.parametrize("extra_rx", (0, 1))
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 6))
-@pytest.mark.parametrize("detector", (lchase, bchase), ids=("lchase", "bchase"))
+@DETECTORS
 def test_contexts_match_per_stream_stack(detector, n, extra_rx):
     # Every (stream, use) context, field by field, equals what factoring one
     # target stream at a time over all uses and stacking the streams gives.

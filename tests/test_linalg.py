@@ -1,10 +1,10 @@
-"""QR conventions, triangular solves, and permutation helpers."""
+"""QR conventions, triangular solves, and Cholesky factors."""
 
 import numpy as np
 import pytest
 
 from chasedet.errors import NotPositiveDefiniteError, SingularMatrixError
-from chasedet.linalg import back_substitute, cholesky, qr, swap_permutation
+from chasedet.linalg import back_substitute, cholesky, qr
 
 
 def _random_complex(rng, shape):
@@ -52,8 +52,12 @@ def test_qr_rejects_bad_inputs():
 def test_back_substitute_vector_and_matrix():
     rng = np.random.default_rng(7)
     r = np.triu(_random_complex(rng, (5, 5))) + 2.0 * np.eye(5)
+    # A vector goes in as one column.
     b = _random_complex(rng, 5)
-    np.testing.assert_allclose(back_substitute(r, b), np.linalg.solve(r, b), atol=1e-12)
+    x = back_substitute(r, b[:, None])[:, 0]
+    np.testing.assert_allclose(x, np.linalg.solve(r, b), atol=1e-12)
+    with pytest.raises(ValueError):
+        back_substitute(r, b)
     bm = _random_complex(rng, (5, 3))
     np.testing.assert_allclose(back_substitute(r, bm), np.linalg.solve(r, bm), atol=1e-12)
     # R^-1 through the identity.
@@ -66,10 +70,10 @@ def test_back_substitute_batched():
     r = np.triu(_random_complex(rng, (4, 3, 3)))
     r += 2.0 * np.eye(3)
     b = _random_complex(rng, (4, 3))
-    x = back_substitute(r, b)
-    assert x.shape == (4, 3)
+    x = back_substitute(r, b[..., None])
+    assert x.shape == (4, 3, 1)
     for k in range(4):
-        np.testing.assert_allclose(x[k], np.linalg.solve(r[k], b[k]), atol=1e-12)
+        np.testing.assert_allclose(x[k, :, 0], np.linalg.solve(r[k], b[k]), atol=1e-12)
     # Broadcast one right-hand-side matrix over the whole stack.
     xm = back_substitute(r, np.eye(3, dtype=complex)[None])
     for k in range(4):
@@ -79,12 +83,12 @@ def test_back_substitute_batched():
 def test_back_substitute_zero_pivot():
     r = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(SingularMatrixError):
-        back_substitute(r, np.ones(2))
+        back_substitute(r, np.ones((2, 1)))
 
 
 def test_back_substitute_empty_system():
-    x = back_substitute(np.zeros((0, 0)), np.zeros(0))
-    assert x.shape == (0,)
+    x = back_substitute(np.zeros((0, 0)), np.zeros((0, 1)))
+    assert x.shape == (0, 1)
 
 
 def test_cholesky_matches_numpy_and_validates():
@@ -113,10 +117,3 @@ def test_cholesky_factors_a_stack_matrix_by_matrix():
     with pytest.raises(ValueError, match="not Hermitian"):
         cholesky(b)
 
-
-def test_permutation_helpers():
-    p = swap_permutation(4, 1)
-    assert p.tolist() == [0, 3, 2, 1]
-    np.testing.assert_array_equal(p[p], np.arange(4))  # involution
-    with pytest.raises(ValueError):
-        swap_permutation(3, 3)
