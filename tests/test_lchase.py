@@ -142,6 +142,13 @@ def test_noiseless_detection_is_correct():
         np.testing.assert_array_equal(hard, c.bit_labels[idx])
 
 
+def test_detect_all_uses_shape():
+    c = build_constellation(4)
+    rng = np.random.default_rng(9)
+    model = random_model(rng, 2, 2)
+    assert detect(lchase, model, c, np.zeros((2, 2))).shape == (2, 2)
+
+
 def _sliced_inner_layers(ctx, c, la, use_idx, total):
     """lchase._inner_layers as it took each layer's best metric from the
     slicer: one boundary set per context, slice_pam, then pam_metric."""
