@@ -6,10 +6,11 @@ optional regular puncturing pattern thins that to roughly rate 5/6 (~0.83).
 The decoder is a max-log BCJR returning per-coded-bit extrinsic LLRs
 (total - channel - a priori), per-info-bit LLRs, and hard decisions. Its
 forward and backward recursions run together in one loop over the trellis
-steps, stacked on a direction axis, so each step costs three array
-operations for every block of a chunk and both directions at once. Branch
-terms are formed a span of steps at a time in two fixed-size buffers, so
-they take the same memory whatever the code length.
+steps, stacked on a direction axis, so each step costs two array operations
+(three where either direction's c1 bit was sent) for every block of a chunk
+and both directions at once. Branch terms and edge totals are formed a span
+of steps at a time in two fixed-size buffers, so they take the same memory
+whatever the code length.
 """
 
 from __future__ import annotations
@@ -30,30 +31,18 @@ PUNCTURE_KEEP = np.array(
 
 # Trellis: state s = 2*d1 + d2 holds the last two inputs (d1 = b(t-1),
 # d2 = b(t-2)); input u emits c0 = u^d1^d2, c1 = u^d2 and moves to state
-# 2*u + d1. Branch bits indexed [d1, d2, u]:
-_D1, _D2, _U = np.indices((2, 2, 2))
-_C0_BITS = (_U ^ _D1 ^ _D2).astype(float)
-_C1_BITS = (_U ^ _D2).astype(float)
-# The forward recursion lays branches out as (u, d1, d2), the backward one
-# and the edge totals as (d2, d1, u); see bcjr_decode. Each coded bit's
-# branch bits are stacked over the (forward, backward) direction axis.
-_FWD = (2, 0, 1)
-_BWD = (1, 0, 2)
-_C0_DIRS, _C1_DIRS = (
-    np.stack([bits.transpose(_FWD), bits.transpose(_BWD)])[..., None]
-    for bits in (_C0_BITS, _C1_BITS)
-)
-# Edge totals are laid out (d2, d1, u). Flipping u flips every coded bit
-# and the info bit, so per (d2, d1) row the two edges split into one edge
-# of each coset; per bit and row, the reversal that puts the bit-0 edge
-# first.
-_EDGE_ORDERS = tuple(
-    tuple(slice(None, None, -1 if one else 1) for one in bits.transpose(_BWD)[..., 0].ravel())
-    for bits in (_C0_BITS, _C1_BITS, _U)
-)
-# Float64 values in each of bcjr_decode's two branch-term buffers (256 kB).
-# A trellis step takes 16 per block (2 directions x 8 edges); a buffer holds
-# as many steps as fit, at least one.
+# 2*u + d1. bcjr_decode indexes a step's branches by (z, a, b): z the state
+# bit the step maximises out, a the one it keeps, b the new one. Forward
+# that is (d2, d1, u), backward and in the edge totals (u, d1, d2); either
+# way c0 = z^a^b and c1 = z^b. Per branch, its coded bits as c0 + 2*c1:
+_Z, _A, _B = np.indices((2, 2, 2)).reshape(3, 8)
+_CODES = (_Z ^ _A ^ _B) + 2 * (_Z ^ _B)
+_C0_ONES, _C1_ONES = np.flatnonzero(_CODES % 2), np.flatnonzero(_CODES // 2)
+_BY_CODE = tuple(np.flatnonzero(_CODES == code) for code in range(4))
+# Float64 values in each of bcjr_decode's two buffers (256 kB). A trellis
+# step takes 16 per block of branch terms (2 directions x 8 edges) and 8 of
+# edge totals; a buffer holds the branch terms of as many steps as fit, at
+# least one and at most the code's, and the totals of twice that.
 _BRANCH_VALUES = 1 << 15
 
 
@@ -159,10 +148,11 @@ def bcjr_decode(
 
     channel_llrs and apriori_llrs are per mother-coded-bit (length
     2*(K+2)); pass None for a zero a priori. A 2-D (blocks, 2*(K+2)) input
-    decodes every row in one recursion; 1-D input is one block. Returns
-    (extrinsic per coded bit, total LLR per info bit, hard info bits), where
-    extrinsic is the total coded-bit LLR minus channel minus a priori; each
-    keeps the input's leading block axis. Non-finite input raises ValueError.
+    decodes every row in one recursion (an empty stack gives empty outputs);
+    1-D input is one block. Returns (extrinsic per coded bit, total LLR per
+    info bit, hard info bits), where extrinsic is the total coded-bit LLR
+    minus channel minus a priori; each keeps the input's leading block axis.
+    Non-finite input raises ValueError.
     """
     channel_llrs = np.asarray(channel_llrs, dtype=float)
     if channel_llrs.ndim not in (1, 2) or channel_llrs.shape[-1] != cfg.coded_len:
@@ -184,71 +174,80 @@ def bcjr_decode(
     n_blocks = lam.size // cfg.coded_len
     # Both recursions run in one loop over a direction axis: index 0 is the
     # forward pass at step t = j, index 1 the backward pass at t = steps-1-j.
-    # Branch terms per (j, direction, edge, block) take a path metric m as
-    # (m + c0*l0) + c1*l1, the scalar recursion's order. Path metrics are
-    # held as 2 x 2 arrays over the state bits: alphas as (d1, d2), betas as
-    # (d2, d1), so each step broadcasts the previous one over its branches
-    # and keeps the better of the two in either direction. Blocks are the
-    # innermost axis, so every array operation runs over them contiguously.
+    # Path metrics are held per step as (z, a, direction, block) over the
+    # state bits the next step maximises out and keeps: alphas as (d2, d1),
+    # betas as (d1, d2). A step's candidates (z, a, b, direction, block)
+    # take a path metric m as (m + c0*l0) + c1*l1, the scalar recursion's
+    # order, and the next path metrics are the larger of the two z halves.
+    # Path metrics are never -0.0, so m + (+-0.0) == m: a bit-0 branch term
+    # is +0.0 instead of 0*l, and a step skips its c0 or c1 add where that
+    # LLR is +-0.0 in every block and both directions (a punctured bit).
     # The tail steps need no forcing of input 0: beta at the last step is
     # finite at state 0 only, so beta is -inf at every state a tail input 1
     # leads to, every such branch and edge total is -inf, and
-    # max(x, -inf) == x.
-    # The LLR pairs are copied once as (j, direction, bit, block); branch
-    # terms are formed a span of steps at a time in two buffers reused
-    # across the spans, so their size does not grow with the code.
-    pairs = np.empty((steps, 2, 2, n_blocks))
-    pairs[:, 0] = lam.reshape(n_blocks, steps, 2).transpose(1, 2, 0)
-    pairs[:, 1] = pairs[::-1, 0]
-    span = min(max(1, _BRANCH_VALUES // (16 * n_blocks)), steps)
-    g0 = np.empty((span, 2, 2, 2, 2, n_blocks))
-    g1 = np.empty_like(g0)
+    # max(x, -inf) == x. The LLRs are copied once as (bit, step, block).
+    by_step = lam.reshape(n_blocks, steps, 2)
+    llrs = by_step.transpose(2, 1, 0).copy()
+    sent = by_step.any(axis=0)
+    unsent = (~(sent | sent[::-1])).tolist()
+    span = min(max(1, _BRANCH_VALUES // (16 * max(n_blocks, 1))), steps)
+    g0 = np.zeros((span, 8, 2, n_blocks))
+    g1 = np.zeros((span, 8, 2, n_blocks))
 
-    paths = np.full((steps + 1, 2, 2, 2, n_blocks), -np.inf)
-    paths[0, :, 0, 0] = 0.0
+    paths = np.empty((steps + 1, 2, 2, 2, n_blocks))
+    paths[0] = -np.inf
+    paths[0, 0, 0] = 0.0
     cand = np.empty((2, 2, 2, 2, n_blocks))
-    first, second = cand[:, :, :, 0], cand[:, :, :, 1]
+    first, second = cand
     for j in range(0, steps, span):
-        llrs = pairs[j : j + span, :, :, None, None, None]
-        n = len(llrs)
-        np.multiply(_C0_DIRS, llrs[:, :, 0], out=g0[:n])
-        np.multiply(_C1_DIRS, llrs[:, :, 1], out=g1[:n])
-        for prev, b0, b1, nxt in zip(
-            paths[j : j + n, :, None], g0[:n], g1[:n], paths[j + 1 : j + n + 1]
+        n = min(span, steps - j)
+        for g, bit, ones in ((g0, llrs[0], _C0_ONES), (g1, llrs[1], _C1_ONES)):
+            g[:n, ones, 0] = bit[j : j + n, None]
+            g[:n, ones, 1] = bit[::-1][j : j + n, None]
+        for prev, b0, b1, (zero0, zero1), nxt in zip(
+            paths[j : j + n, :, :, None],
+            g0[:n].reshape(n, 2, 2, 2, 2, n_blocks),
+            g1[:n].reshape(n, 2, 2, 2, 2, n_blocks),
+            unsent[j : j + n],
+            paths[j + 1 : j + n + 1],
         ):
-            np.add(prev, b0, out=cand)
-            np.add(cand, b1, out=cand)
+            np.add(prev, b1 if zero0 else b0, out=cand)
+            if not (zero0 or zero1):
+                np.add(cand, b1, out=cand)
             np.maximum(first, second, out=nxt)
 
-    # Edge totals (alpha(t, s) + gamma(t, s, u)) + beta(t+1, ns) as
-    # (step, d2, d1, u, block), built in place in backward-layout branch
-    # terms formed again in step order; with one layout the buffers hold
-    # twice the steps. Both coset maxima of a bit are one walk over the
-    # (d2, d1) rows, in the order max(axis=1) over each coset's edges would
-    # take them.
-    g0, g1 = (g.reshape((2 * span,) + g.shape[2:]) for g in (g0, g1))
+    # Edge totals ((c0*l0 + c1*l1) + alpha(t, s)) + beta(t+1, ns) as
+    # (u, d1, d2, step, block), twice a span of steps at a time in the same
+    # two buffers: the branch sums, then the maxima over d1, as (u, d2), and
+    # over the edges of equal d1^d2, as (u, d1^d2), since c1 = u^d2 and
+    # c0 = u^(d1^d2); the totals, then the coset maxima. Each coset maximum
+    # is over the same four edges in any order, and totals are never -0.0,
+    # so it is the same maximum.
     out_llrs = np.empty((3, steps, n_blocks))
-    best = np.empty((2 * span, 2, n_blocks))
     for t in range(0, steps, 2 * span):
-        llrs = pairs[t : t + 2 * span, 0, :, None, None, None]
-        n = len(llrs)
-        totals = np.multiply(_C0_DIRS[1], llrs[:, 0], out=g0[:n])
-        totals += np.multiply(_C1_DIRS[1], llrs[:, 1], out=g1[:n])
-        totals += paths[t : t + n, 0].transpose(0, 2, 1, 3)[:, :, :, None]
-        totals += paths[steps - t - n : steps - t, 1][::-1, None]
-        rows = totals.reshape(n, 4, 2, n_blocks)
-        top = best[:n]
-        for out, orders in zip(out_llrs[:, t : t + n], _EDGE_ORDERS):
-            np.maximum(rows[:, 0, orders[0]], rows[:, 1, orders[1]], out=top)
-            for row in (2, 3):
-                np.maximum(top, rows[:, row, orders[row]], out=top)
-            np.subtract(top[:, 1], top[:, 0], out=out)
-    llr_c0, llr_c1, llr_u = out_llrs.transpose(0, 2, 1)
+        n = min(2 * span, steps - t)
+        sums, totals = (g.reshape(-1)[: 8 * n * n_blocks].reshape(2, 2, 2, n, n_blocks) for g in (g0, g1))
+        l0, l1 = llrs[:, t : t + n]
+        flat = sums.reshape(8, n, n_blocks)
+        for edges, term in zip(_BY_CODE, (0.0, l0, l1, l0 + l1)):
+            flat[edges] = term
+        np.add(sums, paths[t : t + n, :, :, 0].transpose(2, 1, 0, 3), out=totals)
+        totals += paths[steps - t - n : steps - t, :, :, 1][::-1].transpose(1, 2, 0, 3)[:, :, None]
+        rows = totals.reshape(2, 4, n * n_blocks)
+        by_d2, by_parity = sums.reshape(2, 2, 2, n * n_blocks)
+        np.maximum(rows[:, 0:2], rows[:, 2:4], out=by_d2)
+        np.maximum(rows[:, 0:2], rows[:, 3:1:-1], out=by_parity)
+        for out, x, y, cosets in (
+            (out_llrs[0], by_parity[:, 0], by_parity[::-1, 1], rows[:, 0]),
+            (out_llrs[1], by_d2[:, 0], by_d2[::-1, 1], by_parity[:, 0]),
+            (out_llrs[2], by_d2[:, 0], by_d2[:, 1], by_parity[:, 0]),
+        ):
+            np.maximum(x, y, out=cosets)
+            np.subtract(cosets[1], cosets[0], out=out[t : t + n].reshape(-1))
 
-    coded_total = np.empty((n_blocks, cfg.coded_len))
-    coded_total[:, 0::2] = llr_c0
-    coded_total[:, 1::2] = llr_c1
-    extrinsic = coded_total.reshape(lam.shape) - lam
-    info_total = llr_u[:, :k].reshape(lam.shape[:-1] + (k,))
+    extrinsic = np.empty(lam.shape)
+    coded = extrinsic.reshape(n_blocks, steps, 2)
+    np.subtract(out_llrs[:2].transpose(2, 1, 0), by_step, out=coded)
+    info_total = out_llrs[2, :k].T.reshape(lam.shape[:-1] + (k,))
     hard = (info_total > 0).astype(np.int8)
     return extrinsic, info_total, hard

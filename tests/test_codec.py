@@ -228,8 +228,8 @@ def test_bcjr_block_axis_equals_single_rows():
             np.testing.assert_array_equal(got, want)
 
 
-# Trellis tables of the state-innermost reference below, built as codec
-# builds them: branch bits indexed [d1, d2, u].
+# Trellis tables of the state-innermost reference below: branch bits
+# indexed [d1, d2, u].
 _D1, _D2, _U = np.indices((2, 2, 2))
 _C0_BITS = (_U ^ _D1 ^ _D2).astype(float)
 _C1_BITS = (_U ^ _D2).astype(float)
@@ -274,24 +274,47 @@ def _bcjr_state_innermost(lam, cfg):
     return coded_total.reshape(lam.shape) - lam, info_total, (info_total > 0).astype(np.int8)
 
 
+def _draw_llrs(kind, rng, shape):
+    """Cauchy LLRs (some clipped), so near-ties and saturated metrics both
+    occur; small integers, so paths tie exactly; or signed zeros at about
+    half the positions and in all of the first row, so whole steps carry
+    only +-0.0."""
+    if kind == "cauchy":
+        return np.clip(rng.standard_cauchy(shape) * 3.0, -LLR_CLIP, LLR_CLIP)
+    if kind == "integer":
+        return rng.integers(-2, 3, shape).astype(float)
+    zeros = rng.choice([-0.0, 0.0], shape)
+    llrs = np.where(rng.random(shape) < 0.5, zeros, rng.normal(scale=3.0, size=shape))
+    llrs.reshape(-1, shape[-1])[0] = zeros.reshape(-1, shape[-1])[0]
+    return llrs
+
+
 @pytest.mark.parametrize("apriori", (False, True), ids=("no-apriori", "apriori"))
 @pytest.mark.parametrize("rate", (0.5, 0.83))
 @pytest.mark.parametrize("info_len", (1, 64, 512))
 def test_bcjr_bit_exact(info_len, rate, apriori):
-    # Bit for bit the state-innermost recursion, for a 1-D block and for
-    # stacks of 1, 2 and 17, with Cauchy LLRs (some clipped, punctured
-    # positions zero) so near-ties and saturated metrics both occur.
+    # Bit for bit the state-innermost recursion, signs of zero included, for
+    # a 1-D block and for stacks of 1, 2 and 17 (at K = 512 the 17 blocks'
+    # branch terms take several spans), with each kind of _draw_llrs at the
+    # transmitted positions and punctured positions zero.
     cfg = CodeConfig(info_len=info_len, rate=rate)
     rng = np.random.default_rng(info_len * 10 + int(apriori) + (2 if rate == 0.5 else 4))
-    for lead in ((), (1,), (2,), (17,)):
-        shape = lead + (cfg.transmitted_len,)
-        ch = depuncture(np.clip(rng.standard_cauchy(shape) * 3.0, -LLR_CLIP, LLR_CLIP), cfg)
-        ap = np.clip(rng.standard_cauchy(ch.shape), -LLR_CLIP, LLR_CLIP) if apriori else None
-        got = bcjr_decode(ch, ap, cfg)
-        want = _bcjr_state_innermost(ch if ap is None else ch + ap, cfg)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.dtype == w.dtype
-            assert np.array_equal(g, w)
+    for kind in ("cauchy", "integer", "zeros"):
+        for lead in ((), (1,), (2,), (17,)):
+            ch = depuncture(_draw_llrs(kind, rng, lead + (cfg.transmitted_len,)), cfg)
+            ap = _draw_llrs(kind, rng, ch.shape) if apriori else None
+            got = bcjr_decode(ch, ap, cfg)
+            want = _bcjr_state_innermost(ch if ap is None else ch + ap, cfg)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_bcjr_decodes_an_empty_stack():
+    cfg = CodeConfig(info_len=8, rate=0.83)
+    ext, info_total, hard = bcjr_decode(np.zeros((0, cfg.coded_len)), np.zeros((0, cfg.coded_len)), cfg)
+    assert ext.shape == (0, cfg.coded_len) and info_total.shape == hard.shape == (0, 8)
+    assert ext.dtype == info_total.dtype == float and hard.dtype == np.int8
 
 
 @pytest.mark.parametrize(
