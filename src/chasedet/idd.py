@@ -67,10 +67,10 @@ class IddConfig:
 
 @dataclass
 class IddResult:
-    """Per-iteration outcomes of a chunk of B blocks; iter_stats are each
-    iteration's detector counts over the chunk, from counters.pass_stats."""
+    """Per-iteration outcomes of a chunk of B blocks: each block's info-bit
+    errors, the only decoder output kept, and each iteration's detector
+    counts over the chunk, from counters.pass_stats."""
 
-    info_llrs: np.ndarray  # (B, iterations, K) decoder info-bit LLRs
     iter_bit_errors: np.ndarray  # (B, iterations) int
     iter_stats: list  # DetectorStats per iteration
 
@@ -136,7 +136,6 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
     passes = 1 if cfg.detector == "lmmse" else cfg.iterations
 
     result = IddResult(
-        info_llrs=np.zeros((n_blocks, cfg.iterations, code.info_len)),
         iter_bit_errors=np.zeros((n_blocks, cfg.iterations), dtype=np.int64),
         iter_stats=[pass_stats(cfg.detector, n_streams, c, n_blocks * n_uses)] * cfg.iterations,
     )
@@ -147,11 +146,10 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
         fwd = (det - la).reshape(n_uses, n_blocks, -1).swapaxes(0, 1).reshape(n_blocks, n_slots)
         fwd_slots = saturate(fwd)
         ch_llrs = depuncture(fwd_slots[:, :n_tx][:, il.inv], code)
-        dec_ext, info_total, hard = bcjr_decode(ch_llrs, None, code)
+        dec_ext, _, hard = bcjr_decode(ch_llrs, None, code)
         # The last pass also stands for every iteration left after it.
         repeats = 1 if it + 1 < passes else cfg.iterations - it
         span = slice(it, it + repeats)
-        result.info_llrs[:, span] = info_total[:, None]
         result.iter_bit_errors[:, span] = np.sum(hard != info_bits, axis=1)[:, None]
 
         if it + 1 < passes:

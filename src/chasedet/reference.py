@@ -103,11 +103,6 @@ def maxlog_llrs(
     return llrs.reshape(lead + (n, q))
 
 
-def exact_maxlog_llrs(model: WhitenedModel, c: Constellation, apriori=None) -> np.ndarray:
-    """maxlog_llrs of one use or a stack of uses, factored here."""
-    return maxlog_llrs(maxlog_factors(model), c, apriori)
-
-
 def brute_pam_argmax(
     z: np.ndarray,
     axis: PamAxis,

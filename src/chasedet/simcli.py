@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from collections import deque
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -87,7 +86,6 @@ class SimConfig:
     seed: int = 12345
     out: str = "chasedet_results.csv"
     workers: int = 1
-    timing: bool = False
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,6 @@ class SimRecord:
     bler: float
     ber: float
     metric_count_mean: float
-    wall_time_s: float
 
     def to_row(self) -> str:
         """The CSV row: floats as %.12g, ints and strings as str, in field order."""
@@ -138,15 +135,6 @@ def parse_snr_grid(text: str) -> tuple:
         raise ConfigError(f"cannot parse SNR grid {text!r}") from None
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
 # Config file keys, each also a flag (--key, '_' as '-'): the SimConfig
 # field it sets, the converter its text goes through and its --help line.
 # "corr" fans out to both correlation fields.
@@ -167,7 +155,6 @@ _KEY_FIELDS = {
     "seed": ("seed", int, "master seed"),
     "out": ("out", str, "output CSV path"),
     "workers": ("workers", int, "worker processes"),
-    "timing": ("timing", _parse_bool, "fill wall_time_s (that column is then machine dependent)"),
 }
 
 
@@ -285,14 +272,14 @@ def block_values(cfg: SimConfig, n_uses: int) -> int:
     per use its candidate metrics and its normals, channel, observation and
     noise arrays; per block its complex noise covariance, noise factor and
     whitener with the temporaries of factoring and inverting it (10 *
-    rx**2), its decoder and its info-bit LLRs of every iteration.
+    rx**2), its decoder and its bit error count of every iteration.
     tests/test_simcli.py holds a chunk's channel stage under it. Nothing is
     charged for the Chase detectors' prepare stage, whose peak over a full
-    chunk nears the chunk's whole charge at 4 streams and is 6 to 28 times
+    chunk is about the chunk's whole charge at 4 streams and 6 to 28 times
     it at 16 to 64 streams (README, "Chunk size")."""
     per_use = cfg.n_streams * cfg.mod + 6 * cfg.n_rx * (cfg.n_tx + cfg.n_streams + 2)
     per_block = 10 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
-    return n_uses * per_use + per_block + cfg.iterations * cfg.info_bits
+    return n_uses * per_use + per_block + cfg.iterations
 
 
 def chunk_blocks(bundle: _Bundle) -> int:
@@ -346,14 +333,13 @@ def _chunk_model(
     return model
 
 
-def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> tuple:
+def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> np.ndarray:
     """Grid blocks lo..hi-1, run as one stack.
 
-    Returns their (blocks, iterations) bit errors and the chunk's elapsed
-    seconds. A singular channel anywhere in the chunk re-raises its error,
-    naming each SNR point of the chunk and its blocks.
+    Returns their (blocks, iterations) bit errors. A singular channel
+    anywhere in the chunk re-raises its error, naming each SNR point of the
+    chunk and its blocks.
     """
-    started = time.perf_counter()
     info, normals = _draws(bundle, lo, hi)
     try:
         result = run_idd(_chunk_model(bundle, lo, info, normals), info, bundle.idd_cfg)
@@ -364,8 +350,7 @@ def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> tuple:
             for p in range(lo // per, (hi - 1) // per + 1)
         )
         raise type(exc)(f"{exc} in the chunk of {where}") from exc
-    elapsed = time.perf_counter() - started
-    return result.iter_bit_errors, elapsed
+    return result.iter_bit_errors
 
 
 _WORKER_BUNDLE = None
@@ -376,7 +361,7 @@ def _init_worker(cfg: SimConfig) -> None:
     _WORKER_BUNDLE = _build_bundle(cfg)
 
 
-def _pool_chunk(lo: int, hi: int) -> tuple:
+def _pool_chunk(lo: int, hi: int) -> np.ndarray:
     return simulate_chunk(_WORKER_BUNDLE, lo, hi)
 
 
@@ -399,16 +384,14 @@ def _pooled(pool, chunks, window: int):
             future.cancel()
 
 
-def simulate_sweep(bundle: _Bundle, pool=None) -> tuple:
+def simulate_sweep(bundle: _Bundle, pool=None) -> np.ndarray:
     """Every block of the SNR grid, chunk by chunk.
 
     Grid block g is block g % blocks of SNR point g // blocks, and a chunk
     is a range of grid blocks, so it may span points; each is cut only when
     it is about to run. A pool gets at least as many chunks as workers and
     runs them with no barrier between points, two per worker in flight.
-    Returns the (grid blocks, iterations) bit errors and each point's
-    seconds: every chunk's elapsed time charged to its blocks' points by
-    their share of its blocks.
+    Returns the (grid blocks, iterations) bit errors.
     """
     cfg = bundle.cfg
     n_blocks = len(cfg.snr_db) * cfg.blocks
@@ -421,12 +404,9 @@ def simulate_sweep(bundle: _Bundle, pool=None) -> tuple:
     else:
         done = _pooled(pool, chunks, 2 * cfg.workers)
     bit_errors = np.zeros((n_blocks, cfg.iterations), dtype=np.int64)
-    seconds = np.zeros(len(cfg.snr_db))
-    for lo, (chunk_bit_errors, elapsed) in done:
-        hi = lo + len(chunk_bit_errors)
-        bit_errors[lo:hi] = chunk_bit_errors
-        np.add.at(seconds, np.arange(lo, hi) // cfg.blocks, elapsed / (hi - lo))
-    return bit_errors, seconds
+    for lo, chunk_bit_errors in done:
+        bit_errors[lo : lo + len(chunk_bit_errors)] = chunk_bit_errors
+    return bit_errors
 
 
 def monte_carlo(cfg: SimConfig) -> list:
@@ -435,9 +415,9 @@ def monte_carlo(cfg: SimConfig) -> list:
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(cfg.workers, initializer=_init_worker, initargs=(cfg,)) as pool:
-            bit_errors, seconds = simulate_sweep(bundle, pool)
+            bit_errors = simulate_sweep(bundle, pool)
     else:
-        bit_errors, seconds = simulate_sweep(bundle)
+        bit_errors = simulate_sweep(bundle)
     c = bundle.idd_cfg.constellation  # every pass costs the same per stream
     metric_count = pass_stats(cfg.detector, cfg.n_streams, c, bundle.n_uses).metrics_per_stream
 
@@ -446,25 +426,27 @@ def monte_carlo(cfg: SimConfig) -> list:
     bit_errors = bit_errors.reshape(shape).sum(axis=1).tolist()
     records = []
     for p, snr_db in enumerate(cfg.snr_db):
-        wall_time = float(seconds[p]) if cfg.timing else 0.0
         for t, (errors, bits) in enumerate(zip(block_errors[p], bit_errors[p])):
             records.append(
                 SimRecord(
                     snr_db, t + 1, cfg.detector, cfg.blocks, errors, bits,
                     errors / cfg.blocks, bits / (cfg.blocks * cfg.info_bits),
-                    metric_count, wall_time,
+                    metric_count,
                 )
             )
     return records
 
 
 def config_lines(cfg: SimConfig) -> list:
+    """'key = value' lines that, as a --config file, rebuild cfg up to its
+    out path: one per key that sets one field, SNRs written exactly."""
     lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "snr_db":
-            value = ",".join(f"{v:.12g}" for v in value)
-        lines.append(f"{f.name} = {value}")
+    for key, (dest, _, _) in _KEY_FIELDS.items():
+        if isinstance(dest, str) and key != "out":
+            value = getattr(cfg, dest)
+            if key == "snr":
+                value = ",".join(map(str, value))
+            lines.append(f"{key} = {value}")
     return lines
 
 
@@ -483,11 +465,7 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key = value config file")
     for key, (_, _, text) in _KEY_FIELDS.items():
-        flag = "--" + key.replace("_", "-")
-        if key == "timing":
-            parser.add_argument(flag, dest=key, action="store_true", default=None, help=text)
-        else:
-            parser.add_argument(flag, dest=key, help=text)
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
     return parser
 
 

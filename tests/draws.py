@@ -4,6 +4,7 @@ import numpy as np
 
 from chasedet.channel import WhitenedModel
 from chasedet.llr import LLR_CLIP
+from chasedet.reference import maxlog_factors, maxlog_llrs
 
 
 def iid_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -35,6 +36,11 @@ def random_model(rng, n_rx, n, scale=1.0) -> WhitenedModel:
 def stack(models) -> WhitenedModel:
     """One WhitenedModel stacked over a sequence of channel uses."""
     return WhitenedModel(y=np.stack([m.y for m in models]), h=np.stack([m.h for m in models]))
+
+
+def exact_maxlog_llrs(model, c, apriori=None) -> np.ndarray:
+    """Exhaustive max-log LLRs of one use or a stack of uses, factored here."""
+    return maxlog_llrs(maxlog_factors(model), c, apriori)
 
 
 def detect(detector, model, c, la) -> np.ndarray:

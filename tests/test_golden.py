@@ -27,7 +27,7 @@ _LINKS = {
 
 GOLDEN = {
     f"sim_{detector}_{link}": validate_config(
-        SimConfig(detector=detector, seed=2024, timing=False, **params)
+        SimConfig(detector=detector, seed=2024, **params)
     )
     for detector in ("lchase", "bchase", "lmmse", "maxlog")
     for link, params in _LINKS.items()

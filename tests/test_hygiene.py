@@ -214,7 +214,7 @@ def _names_read(tree: ast.AST) -> set:
 
 
 # Oracles kept for the tests to compare the package against.
-_READ_BY_TESTS_ONLY = {"reference.brute_pam_argmax", "reference.exact_maxlog_llrs"}
+_READ_BY_TESTS_ONLY = {"reference.brute_pam_argmax"}
 
 
 def test_every_definition_is_read_outside_tests():

@@ -95,15 +95,17 @@ def _record(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, recorded)
 
 
-def test_noiseless_block_decodes_first_iteration():
+def test_noiseless_block_decodes_first_iteration(monkeypatch):
     c = build_constellation(16)
     cfg = IddConfig(constellation=c, code=CodeConfig(64, 0.5), iterations=3)
     rng = np.random.default_rng(0)
     info, model = _make_block(rng, cfg, 4, 4, sigma=0.0, gain=3.0)
+    decodes = []
+    _record(monkeypatch, idd, "bcjr_decode", decodes)
     res = run_idd(model, info, cfg)
     assert (res.iter_bit_errors[:, -1] == 0).all()
     np.testing.assert_array_equal(res.iter_bit_errors, [[0, 0, 0]])
-    assert res.info_llrs.shape == (1, 3, 64)
+    assert [out[1].shape for _, out in decodes] == [(1, 64)] * 3
 
 
 def test_feedback_plumbing_reconstructs(monkeypatch):
@@ -130,9 +132,9 @@ def test_feedback_plumbing_reconstructs(monkeypatch):
     for t in range(3):
         det = detects[t][1].reshape(1, -1)
         fwd = saturate(det - las[t])
-        (ch, _, _), (ext, info_total, _) = decodes[t]
+        (ch, _, _), (ext, _, hard) = decodes[t]
         np.testing.assert_array_equal(ch, depuncture(fwd[:, :n_tx][:, il.inv], code))
-        np.testing.assert_array_equal(info_total, res.info_llrs[:, t])
+        np.testing.assert_array_equal(res.iter_bit_errors[:, t], np.sum(hard != info, axis=1))
         if t + 1 < 3:
             nxt = las[t + 1]
             np.testing.assert_array_equal(nxt[:, :n_tx], saturate(ext[:, keep][:, il.perm]))
@@ -146,15 +148,15 @@ def test_lmmse_iterations_are_identical(monkeypatch):
     )
     rng = np.random.default_rng(3)
     info, model = _make_block(rng, cfg, 4, 4, sigma=1.0)
-    calls = []
+    calls, decodes = [], []
     _record(monkeypatch, idd, "lmmse_llrs", calls)
+    _record(monkeypatch, idd, "bcjr_decode", decodes)
     res = run_idd(model, info, cfg)
     # lmmse ignores priors: one detect/decode pass stands for all three.
-    assert len(calls) == 1
+    assert len(calls) == len(decodes) == 1
     assert res.iter_stats == [pass_stats("lmmse", 4, c, 9)] * 3
-    np.testing.assert_array_equal(res.info_llrs[:, 0], res.info_llrs[:, 1])
-    np.testing.assert_array_equal(res.info_llrs[:, 0], res.info_llrs[:, 2])
-    np.testing.assert_array_equal(res.iter_bit_errors[:, 0], res.iter_bit_errors[:, 2])
+    _, (_, _, hard) = decodes[0]
+    np.testing.assert_array_equal(res.iter_bit_errors, [[np.sum(hard != info)] * 3])
 
 
 def test_exhaustive_detector_path(monkeypatch):

@@ -13,14 +13,13 @@ from chasedet.counters import pass_stats
 from chasedet.reference import (
     MAX_EXHAUSTIVE,
     brute_pam_argmax,
-    exact_maxlog_llrs,
     lmmse_llrs,
     maxlog_factors,
     maxlog_llrs,
     use_values,
 )
 
-from draws import iid_complex_gaussian
+from draws import exact_maxlog_llrs, iid_complex_gaussian
 
 _GOLDEN_PATH = Path(__file__).parent / "golden" / "maxlog_2x2_qpsk.txt"
 

@@ -8,7 +8,6 @@ import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from chasedet.simcli import (
     _chunk_model,
     _draws,
     build_config,
-    config_lines,
     main,
     monte_carlo,
     parse_snr_grid,
@@ -117,15 +115,14 @@ def test_grid_block_cap_is_inclusive(monkeypatch, tmp_path, capsys):
     (
         (dict(iterations=10**9), "tallies, more than"),
         (dict(snr_db=(4.0,), blocks=10**7, iterations=10**6), "tallies, more than"),
-        (dict(snr_db=(4.0,), blocks=1, iterations=10**5), "chunk cap"),
+        (dict(snr_db=(4.0,), blocks=1, iterations=10**7), "chunk cap"),
     ),
-    ids=("1e9-iterations", "1e7-blocks-1e6-iterations", "one-block-1e5-iterations"),
+    ids=("1e9-iterations", "1e7-blocks-1e6-iterations", "one-block-1e7-iterations"),
 )
 def test_iteration_counts_that_exhaust_memory_are_rejected(link, match):
-    # The sweep keeps a bit error count per (block, iteration), and a chunk
-    # the info-bit LLRs of every iteration: 10**9 iterations or 10**13
-    # tallies pass no cap, and one block of 10**5 iterations at 64 info bits
-    # would not fit a chunk.
+    # The sweep and each chunk keep a bit error count per (block,
+    # iteration): 10**9 iterations or 10**13 tallies pass no cap, and one
+    # block of 10**7 iterations, under the tally cap, would not fit a chunk.
     with pytest.raises(ConfigError, match=match):
         validate_config(SimConfig(**link))
 
@@ -171,7 +168,7 @@ def test_benchmark_legs_fit_one_chunk(monkeypatch):
 def test_channel_stage_stays_under_block_charge(link):
     # Drawing and whitening a chunk holds between half and all of what
     # block_values charges its blocks beyond their candidate metrics,
-    # decoder and info-bit LLRs: the normals, the channel arrays and, with
+    # decoder and bit error counts: the normals, the channel arrays and, with
     # few uses on many receive antennas (rx128), mostly the noise
     # covariances.
     cfg = validate_config(SimConfig(snr_db=(10.0,), blocks=16, **link))
@@ -182,7 +179,7 @@ def test_channel_stage_stays_under_block_charge(link):
         simcli.block_values(cfg, n_uses)
         - n_uses * cfg.n_streams * cfg.mod
         - simcli.STEP_VALUES * (cfg.info_bits + 2)
-        - cfg.iterations * cfg.info_bits
+        - cfg.iterations
     )
     _chunk_model(bundle, 0, *_draws(bundle, 0, 1))  # first-call caches
     tracemalloc.start()
@@ -322,7 +319,6 @@ def test_csv_format(tmp_path):
         bler=1 / 3,
         ber=5 / (3 * 64),
         metric_count_mean=30.0,
-        wall_time_s=0.0,
     )
     path = tmp_path / "out.csv"
     write_csv([rec], path, header_comments=("detector = lchase",))
@@ -331,9 +327,9 @@ def test_csv_format(tmp_path):
     assert lines[1] == CSV_HEADER
     assert lines[1] == (
         "snr_db,iteration,detector,blocks,block_errors,bit_errors,"
-        "bler,ber,metric_count_mean,wall_time_s"
+        "bler,ber,metric_count_mean"
     )
-    assert lines[2] == "6,2,lchase,3,1,5,0.333333333333,0.0260416666667,30,0"
+    assert lines[2] == "6,2,lchase,3,1,5,0.333333333333,0.0260416666667,30"
 
 
 def _tiny_config(**kwargs):
@@ -348,7 +344,6 @@ def _tiny_config(**kwargs):
         iterations=2,
         info_bits=16,
         seed=99,
-        timing=False,
     )
     base.update(kwargs)
     return validate_config(SimConfig(**base))
@@ -373,7 +368,6 @@ def test_record_consistency():
         assert r.blocks == 4
         assert r.bler == r.block_errors / 4
         assert r.ber == r.bit_errors / (4 * 16)
-        assert r.wall_time_s == 0.0
         # 2 streams of 4-QAM: 2*4 - 2 evaluations per detected stream.
         assert r.metric_count_mean == 6.0
 
@@ -395,13 +389,13 @@ def test_sweep_cuts_chunks_as_it_runs_them(monkeypatch):
     assert simcli.chunk_blocks(bundle) == 1
 
     def no_blocks_run(bundle, lo, hi):
-        return np.zeros((hi - lo, 1), dtype=np.int64), 0.0
+        return np.zeros((hi - lo, 1), dtype=np.int64)
 
     monkeypatch.setattr(simcli, "simulate_chunk", no_blocks_run)
     monkeypatch.setattr(simcli, "run_idd", None)
     tracemalloc.start()
     try:
-        bit_errors, _ = simcli.simulate_sweep(bundle)
+        bit_errors = simcli.simulate_sweep(bundle)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -434,49 +428,31 @@ def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
             future.result = collect
             return future
 
-    bit_errors, _ = simcli.simulate_sweep(bundle, Pool())
+    bit_errors = simcli.simulate_sweep(bundle, Pool())
     assert max(most) == 2 * cfg.workers
     assert len(most) == 15 and not pending
-    want_bit_errors, _ = simcli.simulate_sweep(bundle)
+    want_bit_errors = simcli.simulate_sweep(bundle)
     np.testing.assert_array_equal(bit_errors, want_bit_errors)
 
 
-def test_timing_column():
-    records = monte_carlo(_tiny_config(timing=True, blocks=2, iterations=1))
-    assert records[0].wall_time_s > 0.0
-
-
-def test_timing_charges_each_chunk_to_points_by_block_share(monkeypatch):
-    # Three points of four blocks in 3-block chunks, on a clock whose k-th
-    # reading is k**2: chunk i runs from reading 2i to 2i+1, so it takes
-    # 4i+1 seconds. Each point's wall_time_s is the sum over the chunks it
-    # ran in of its share of their blocks; without --timing it is 0.
-    cfg = _tiny_config(snr_db=(0.0, 4.0, 8.0), blocks=4)
-    bundle = _build_bundle(cfg)
-    monkeypatch.setattr(simcli, "CHUNK_VALUES", 3 * simcli.block_values(cfg, bundle.n_uses))
-
-    def fake_clock():
-        readings = iter(range(100))
-        return SimpleNamespace(perf_counter=lambda: float(next(readings) ** 2))
-
-    elapsed = [4.0 * i + 1.0 for i in range(4)]
-    # Blocks of each point in each chunk: 0-2 | 3, 4-5 | 6-7, 8 | 9-11.
-    shares = [(3, 1, 0, 0), (0, 2, 2, 0), (0, 0, 1, 3)]
-    want = [sum(e * n / 3 for e, n in zip(elapsed, share)) for share in shares]
-    monkeypatch.setattr(simcli, "time", fake_clock())
-    timed = monte_carlo(replace(cfg, timing=True))
-    assert [r.wall_time_s for r in timed] == pytest.approx(
-        [w for w in want for _ in range(cfg.iterations)]
-    )
-    monkeypatch.setattr(simcli, "time", fake_clock())
-    assert [r.wall_time_s for r in monte_carlo(cfg)] == [0.0] * 6
-
-
-def test_config_lines_roundtrip_keys():
-    lines = config_lines(_tiny_config())
-    assert "detector = lchase" in lines
-    assert "snr_db = 2" in lines
-    assert any(line.startswith("seed = 99") for line in lines)
+def test_config_lines_roundtrip_keys(tmp_path):
+    # A CSV's header comments, '# ' removed, are a config file that builds
+    # the run's config but for its out path, SNRs exact, and a rerun from
+    # it writes the same CSV byte for byte.
+    argv = [
+        "--mod", "4", "--streams", "2", "--rx", "3", "--corr-rx", "0.25", "--rate", "0.83",
+        "--snr", "0:0.1:0.3", "--blocks", "2", "--iters", "2", "--info-bits", "16",
+    ]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main([*argv, "--out", str(first)]) == 0
+    header = [line[2:] for line in first.read_text().splitlines() if line.startswith("# ")]
+    assert "streams = 2" in header and "snr = 0.0,0.1,0.2,0.30000000000000004" in header
+    config = tmp_path / "run.cfg"
+    config.write_text("\n".join(header) + "\n")
+    args = vars(simcli._make_parser().parse_args([*argv, "--out", str(second)]))
+    assert build_config(str(config), {"out": str(second)}) == build_config(args.pop("config"), args)
+    assert main(["--config", str(config), "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_main_smoke(tmp_path, capsys):
@@ -544,7 +520,6 @@ _KEY_SAMPLES = {
     "seed": "5",
     "out": "other.csv",
     "workers": "2",
-    "timing": "true",
 }
 
 
@@ -555,7 +530,7 @@ def test_flag_and_config_line_build_the_same_config(key, tmp_path, monkeypatch):
     path = tmp_path / "run.cfg"
     path.write_text(f"{key} = {text}\n")
     flag = "--" + key.replace("_", "-")
-    args = vars(simcli._make_parser().parse_args([flag] if key == "timing" else [flag, text]))
+    args = vars(simcli._make_parser().parse_args([flag, text]))
     assert args.pop("config") is None
     from_flag = build_config(None, args)
     assert from_flag == build_config(str(path), {})
@@ -567,7 +542,7 @@ def test_parser_flags_are_the_key_table():
     flags = {s for action in parser._actions for s in action.option_strings}
     keys = {"--" + key.replace("_", "-") for key in simcli._KEY_FIELDS}
     assert flags == keys | {"-h", "--help", "--config"}
-    assert len(keys) == 17
+    assert len(keys) == 16
     help_text = parser.format_help()
     for _, _, text in simcli._KEY_FIELDS.values():
         assert " ".join(text.split()) in " ".join(help_text.split())
@@ -622,9 +597,10 @@ _DETECT_ENTRIES = (
 
 
 def _run_recording_llrs(model, info, idd_cfg):
-    """run_idd's result and its detector LLRs, shaped (passes, B, U, n, q);
-    run_idd stacks a chunk's uses use-major, row u*B + b."""
-    out = []
+    """Detector LLRs shaped (passes, B, U, n, q) and decoder info-bit LLRs
+    shaped (passes, B, K) of a run_idd call; run_idd stacks a chunk's uses
+    use-major, row u*B + b."""
+    out, info_llrs = [], []
     with pytest.MonkeyPatch.context() as mp:
         for module, name in _DETECT_ENTRIES:
 
@@ -634,10 +610,17 @@ def _run_recording_llrs(model, info, idd_cfg):
                 return llrs
 
             mp.setattr(module, name, recorded)
-        result = run_idd(model, info, idd_cfg)
+
+        def decoded(*args, _real=idd.bcjr_decode):
+            outputs = _real(*args)
+            info_llrs.append(outputs[1])
+            return outputs
+
+        mp.setattr(idd, "bcjr_decode", decoded)
+        run_idd(model, info, idd_cfg)
     n_blocks, n_uses = model.h.shape[:2]
     llrs = np.concatenate(out).reshape((-1, n_uses, n_blocks) + out[0].shape[1:])
-    return result, llrs.swapaxes(1, 2)
+    return llrs.swapaxes(1, 2), np.stack(info_llrs)
 
 
 @pytest.mark.parametrize("link", sorted(_CHUNK_LINKS))
@@ -650,8 +633,8 @@ def _run_recording_llrs(model, info, idd_cfg):
 )
 def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     # One chunk of B blocks, with detection slices of one context, of a
-    # few contexts or of the whole chunk, gives bit for bit the bit errors
-    # and detector LLRs of B one-block runs.
+    # few contexts or of the whole chunk, gives bit for bit the bit errors,
+    # detector LLRs and decoder info-bit LLRs of B one-block runs.
     cfg = _tiny_config(
         seed=seed, snr_db=(snr,), blocks=blocks, info_bits=16, **_CHUNK_LINKS[link]
     )
@@ -660,19 +643,19 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
     cap = per_slice * _context_values(cfg, bundle.idd_cfg.constellation)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chase, "SLICE_VALUES", cap)
-        bit_errors, _ = simulate_chunk(bundle, 0, blocks)
-        chunk, chunk_llrs = _run_recording_llrs(
+        bit_errors = simulate_chunk(bundle, 0, blocks)
+        chunk_llrs, chunk_info_llrs = _run_recording_llrs(
             _chunk_model(bundle, 0, info, normals), info, bundle.idd_cfg
         )
     singles = [simulate_chunk(bundle, b, b + 1) for b in range(blocks)]
-    np.testing.assert_array_equal(bit_errors, np.concatenate([t[0] for t in singles]))
+    np.testing.assert_array_equal(bit_errors, np.concatenate(singles))
     for b in range(blocks):
         one = slice(b, b + 1)
-        alone, alone_llrs = _run_recording_llrs(
+        alone_llrs, alone_info_llrs = _run_recording_llrs(
             _chunk_model(bundle, b, info[one], normals[one]), info[one], bundle.idd_cfg
         )
         np.testing.assert_array_equal(chunk_llrs[:, b], alone_llrs[:, 0])
-        np.testing.assert_array_equal(chunk.info_llrs[b], alone.info_llrs[0])
+        np.testing.assert_array_equal(chunk_info_llrs[:, b], alone_info_llrs[:, 0])
 
 
 def test_streams_go_out_on_the_first_transmit_antennas():
@@ -790,6 +773,4 @@ def test_chunks_straddling_points_match_point_aligned_chunks(link, monkeypatch):
         records[size] = monte_carlo(cfg)
     assert records[3] == records[4]
     assert len(records[3]) == 3 * cfg.iterations
-    bit_errors, _ = sweeps[3]
-    want_bit_errors, _ = sweeps[4]
-    np.testing.assert_array_equal(bit_errors, want_bit_errors)
+    np.testing.assert_array_equal(sweeps[3], sweeps[4])

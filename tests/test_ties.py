@@ -13,6 +13,7 @@ recorded bit errors may move with it.
 import numpy as np
 import pytest
 
+from chasedet import idd
 from chasedet.idd import run_idd
 from chasedet.simcli import SimConfig, _build_bundle, _chunk_model, _draws, chunk_blocks
 
@@ -26,18 +27,29 @@ _CORR64 = dict(
     "detector,iteration,bit_errors,block",
     (("lchase", 3, 604, 15), ("bchase", 2, 448, 13)),
 )
-def test_tie_bound_rows_hold_rounding_size_info_llrs(detector, iteration, bit_errors, block):
+def test_tie_bound_rows_hold_rounding_size_info_llrs(
+    detector, iteration, bit_errors, block, monkeypatch
+):
     # The 32 dB point's chunks, cut as the sweep cuts them, give the row's
-    # bit errors, and the named block holds info LLRs within 1e-12 of its
-    # largest |LLR|: a tie that rounding decides.
+    # bit errors, and the named block's decoder holds info LLRs within
+    # 1e-12 of its largest |LLR| at that iteration: a tie that rounding
+    # decides.
     bundle = _build_bundle(SimConfig(detector=detector, **_CORR64))
     per_point, size = bundle.cfg.blocks, chunk_blocks(bundle)
-    info_llrs, errors = [], []
+    decoded, info_llrs, errors = [], [], []
+
+    def recorded(*args, _real=idd.bcjr_decode):
+        outputs = _real(*args)
+        decoded.append(outputs[1])
+        return outputs
+
+    monkeypatch.setattr(idd, "bcjr_decode", recorded)
     for lo in range(0, per_point, size):
         hi = min(lo + size, len(bundle.cfg.snr_db) * per_point)
         info, normals = _draws(bundle, lo, hi)
+        decoded.clear()
         result = run_idd(_chunk_model(bundle, lo, info, normals), info, bundle.idd_cfg)
-        info_llrs.append(result.info_llrs[:, iteration - 1])
+        info_llrs.append(decoded[iteration - 1])
         errors.append(result.iter_bit_errors[:, iteration - 1])
     llrs = np.concatenate(info_llrs)[:per_point]
     assert np.concatenate(errors)[:per_point].sum() == bit_errors
