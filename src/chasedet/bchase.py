@@ -27,8 +27,8 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, coset_sqdist_gap, label_order, soft_symbol_stats
-from .constellation import pam_boundaries, pam_metric, slice_pam, stack_axes
+from .constellation import Constellation, axis_parts, coset_sqdist_gap, label_order
+from .constellation import pam_boundaries, pam_metric, slice_pam, soft_symbol_stats, stack_axes
 from .errors import SingularMatrixError
 from .linalg import qr
 
@@ -107,21 +107,26 @@ def prepare_all_uses(models: WhitenedModel) -> BchaseStreamContext:
     return BchaseStreamContext(layers=orders, r=factors.r, y_rot=y_rot).reshape(n, n_uses)
 
 
-def layer_post_llrs(parts, r_ll, layer_var, c: Constellation) -> np.ndarray:
-    """Post-detection LLRs of a layer given its normalized observation z.
+def layer_post_llrs(parts, r_ll, layer_var, la_layer, c: Constellation) -> np.ndarray:
+    """A posteriori LLRs of a layer: its post-detection LLRs given its
+    normalized observation z, plus its a priori LLRs.
 
     z is the feedback-cancelled, r_ll-normalized layer observation (so the
     residual distance to a symbol s is |r_ll|^2 |z - s|^2), given as its
     stacked parts (2,) + z.shape (constellation.stack_axes), and layer_var
     the layer's effective noise variance. Distance-only (prior-free) coset
-    minima are taken for both axes at once. z's shape and the others
-    broadcast; the result gains a trailing q axis, a view over bit-major
-    memory (see label_order) that callers may update in place.
+    minima are taken for both axes at once, and la_layer is added to them
+    bit-major, where each bit's values are contiguous. z's shape and the
+    others broadcast; the result gains a trailing q axis, against which
+    la_layer (..., q) broadcasts, and is a view over bit-major memory (see
+    label_order).
     """
     scale = np.asarray(r_ll, dtype=float) ** 2 / np.asarray(layer_var, dtype=float)
     shape = (2,) + np.broadcast_shapes(np.shape(parts)[1:], scale.shape)
     gap = coset_sqdist_gap(np.broadcast_to(parts, shape), c.axis)
     gap *= scale
+    la_bits = axis_parts(np.broadcast_to(la_layer, shape[1:] + (c.bits_per_symbol,)))
+    gap += np.moveaxis(la_bits, -1, 0)
     return label_order(gap)
 
 
@@ -145,7 +150,7 @@ def context_values(c: Constellation, n_streams: int) -> int:
     best_level_metric on the bottom layer: the running total, z's stacked
     axes, the soft means and variances, both variances and the walk's two
     buffers for both axes take 12 values per candidate. Measured with the
-    per-context terms: 12.8 to 15.0; the charge is 24.
+    per-context terms: 12.7 to 14.4; the charge is 24.
 
     Per context, the a priori and output LLRs and the level priors take
     under 16*q more. tests/test_chase.py holds a measured peak to this.
@@ -164,37 +169,41 @@ def _inner_layers(
     use_idx: np.ndarray,
     total: np.ndarray,
 ) -> None:
-    """Add every inner layer's best metric to the (rows, M) totals in place,
-    walking the feedback chain bottom-up under each candidate."""
-    batch = len(ctx)
-    n = ctx.layers.shape[1]
-    m = c.order
-    r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
-    cand = c.symbols
+    """Add every inner layer's best metric to the (M, rows) totals in place,
+    walking the feedback chain bottom-up under each candidate.
 
-    shat = np.zeros((batch, max(n - 1, 1), m), dtype=complex)
-    svar = np.zeros((batch, max(n - 1, 1), m))
+    The soft feedback of the layers already walked is kept as (layers, M,
+    rows). A layer's observation is divided by its r_ll as a multiply of
+    its stacked parts by 1/r_ll: numpy divides a complex by a real as
+    (re + im*0) * (1/r_ll), so only the signs of zeros differ, and neither
+    the level walk nor the coset minima read them.
+    """
+    n = ctx.layers.shape[1]
+    r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
+    cand = c.symbols[:, None]
+
+    shat = np.zeros((max(n - 1, 1), c.order, len(ctx)), dtype=complex)
+    svar = np.zeros(shat.shape)
 
     for l in range(n - 2, -1, -1):
         la_layer = la[use_idx, perms[:, l], :]
         r_row = r[:, l, :]
         r_ll = r_row[:, l].real
-        z = y_rot[:, l : l + 1] - r_row[:, n - 1 : n] * cand
-        z -= np.einsum("uf,ufm->um", r_row[:, l + 1 : n - 1], shat[:, l + 1 : n - 1])
-        z /= r_ll[:, None]
+        z = y_rot[:, l] - r_row[:, n - 1] * cand
+        z -= np.einsum("uf,fmu->mu", r_row[:, l + 1 : n - 1], shat[l + 1 : n - 1])
         parts = stack_axes(z)  # one stack for the walk and the coset minima
         del z
+        parts *= 1.0 / r_ll
         layer_var = 1.0 + np.einsum(
-            "uf,ufm->um", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[:, l + 1 : n - 1]
+            "uf,fmu->mu", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[l + 1 : n - 1]
         )
-        chase.add_layer_metric(total, parts, layer_var / r_ll[:, None] ** 2, la_layer, c)
+        chase.add_layer_metric(total, parts, layer_var / r_ll**2, la_layer, c)
 
         if l == 0:
             break  # nothing below consumes this layer's estimate
 
-        post = layer_post_llrs(parts, r_ll[:, None], layer_var, c)
-        post += la_layer[:, None, :]
-        shat[:, l, :], svar[:, l, :] = soft_symbol_stats(post, c)
+        post = layer_post_llrs(parts, r_ll, layer_var, la_layer, c)
+        shat[l], svar[l] = soft_symbol_stats(post, c)
         del post  # not live under the next layer's coset minima
 
 

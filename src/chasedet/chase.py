@@ -12,7 +12,10 @@ where the target stream sits alone.
 Detection searches the target stream exhaustively: each of its M candidate
 values gets its a priori term and last-row metric, the detector's
 inner_layers adds the best metric of every other layer under that candidate,
-and bit LLRs are coset maxima over the candidates. The detectors differ only
+and bit LLRs are coset maxima over the candidates. The working set is
+candidate-major: a slice's totals are (M, rows), so every pass that
+broadcasts a per-row value (a variance, a coupling, level priors) runs over
+contiguous rows rather than over the M candidates. The detectors differ only
 in each inner layer's observation and variance (linear nulling for lchase,
 ordered soft feedback for bchase); add_layer_metric takes the layer's
 prior-aware maximum for both. The flattened contexts are walked in slices.
@@ -85,7 +88,7 @@ def detect_all_uses(
 
     contexts is a detector's (streams, uses) stack and la the
     a priori LLRs (uses, streams, q). inner_layers(ctx_rows, c, la, use_idx,
-    total) adds the inner layers' best metrics to total, the (rows, M)
+    total) adds the inner layers' best metrics to total, the (M, rows)
     candidate metrics, in place; use_idx maps each row to its la row.
     context_values is the detector's charge in float64 values per context,
     which sizes the slices under SLICE_VALUES. live holds each stream's
@@ -115,43 +118,46 @@ def detect_all_uses(
             ctx = flat[start : min(start + step, end)]
             use_idx = np.arange(start, start + len(ctx)) % n_uses
             total = candidate_priors(la[use_idx, ctx.stream, :], c)
-            total -= np.abs(ctx.y_last[:, None] - ctx.pivot[:, None] * c.symbols) ** 2
+            total -= np.abs(ctx.y_last - ctx.pivot * c.symbols[:, None]) ** 2
             inner_layers(ctx, c, la, use_idx, total)
             out[start : start + len(ctx)] = coset_llrs(total, c)
     return out.reshape(n_streams, n_uses, -1).transpose(1, 0, 2)
 
 
 def candidate_priors(la_rows: np.ndarray, c: Constellation) -> np.ndarray:
-    """A priori term sum_k label_k * La_k of every candidate: (rows, q) -> (rows, M).
+    """A priori term sum_k label_k * La_k of every candidate: (rows, q) -> (M, rows).
 
-    One matrix product. numpy hands a one-row product to gemv, which rounds
-    differently from gemm, so a lone row is padded to two: results must not
-    depend on how the rows are sliced.
+    One matrix product, rows by labels, copied candidate-major: gemm rounds
+    the product of labels by rows differently. numpy hands a one-row
+    product to gemv, which rounds differently from gemm, so a lone row is
+    padded to two: results must not depend on how the rows are sliced.
     """
     if len(la_rows) == 1:
-        return (np.concatenate([la_rows, la_rows]) @ c.bit_labels_f.T)[:1]
-    return la_rows @ c.bit_labels_f.T
+        prior = (np.concatenate([la_rows, la_rows]) @ c.bit_labels_f.T)[:1]
+    else:
+        prior = la_rows @ c.bit_labels_f.T
+    return np.ascontiguousarray(prior.T)
 
 
 def add_layer_metric(total, parts, noise_var, la_layer, c: Constellation) -> None:
     """Add one inner layer's best metric under each candidate to total in place.
 
     parts is the layer's observation under each candidate as stacked real
-    and imaginary parts (2, rows, M) (constellation.stack_axes), noise_var
-    its variance, (rows, M) or (rows, 1); la_layer holds the layer's a
-    priori LLRs (rows, q). Both PAM axes are walked at once, and the real
-    axis's metric is added first, so the sum rounds as two per-axis passes
-    did.
+    and imaginary parts (2, M, rows) (constellation.stack_axes), noise_var
+    its variance, (M, rows) or (rows,); la_layer holds the layer's a
+    priori LLRs (rows, q), whose level priors are formed once, level-major.
+    Both PAM axes are walked at once, and the real axis's metric is added
+    first, so the sum rounds as two per-axis passes did.
     """
-    la_axes = axis_parts(la_layer).copy()[:, :, None, :]
-    best = best_level_metric(parts, c.axis, la_axes, noise_var)
+    prior = c.axis.level_priors(axis_parts(la_layer))[:, :, None, :]
+    best = best_level_metric(parts, c.axis, prior, noise_var)
     total += best[0]
     total += best[1]
 
 
 def coset_llrs(total: np.ndarray, c: Constellation) -> np.ndarray:
-    """Max-log bit LLRs from per-candidate metrics (rows, M)."""
-    llrs = np.empty((len(total), c.bits_per_symbol))
+    """Max-log bit LLRs (rows, q) from per-candidate metrics (M, rows)."""
+    llrs = np.empty((total.shape[1], c.bits_per_symbol))
     for k, (zeros, ones) in enumerate(c.bit_coset_idx):
-        llrs[:, k] = total[:, ones].max(axis=1) - total[:, zeros].max(axis=1)
+        llrs[:, k] = total[ones].max(axis=0) - total[zeros].max(axis=0)
     return llrs

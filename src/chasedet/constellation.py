@@ -57,18 +57,19 @@ class PamAxis:
         self.npairs = len(first)
 
     def level_priors(self, apriori: np.ndarray) -> np.ndarray:
-        """Per-level a priori term sum_n b_mn * La(n): (..., nbits) -> (..., L).
+        """Per-level a priori term sum_n b_mn * La(n), level-major:
+        (..., nbits) -> (L, ...), so each level's terms are contiguous.
 
         Bit terms are added left to right onto +0.0, as a sum over the bit
         axis adds them, so a -0.0 term comes out +0.0 there too. The matmul
         form rounds differently at 256-QAM, so every metric takes its priors
         from here and they agree to the last bit.
         """
-        apriori = np.asarray(apriori, dtype=float)
-        labels = self._labels_f
-        prior = 0.0 + apriori[..., :1] * labels[:, 0]
+        bits = np.moveaxis(np.asarray(apriori, dtype=float), -1, 0).copy()  # contiguous bits
+        labels = self._labels_f.T.reshape(self.nbits, -1, *(1,) * (bits.ndim - 1))
+        prior = 0.0 + bits[0] * labels[0]
         for k in range(1, self.nbits):
-            prior += apriori[..., k : k + 1] * labels[:, k]
+            prior += bits[k] * labels[k]
         return prior
 
 
@@ -162,7 +163,7 @@ def slice_pam(z, axis: PamAxis, boundaries: BoundarySet) -> np.ndarray:
     if boundaries.gapped or not np.isfinite(z).all():
         upper = np.broadcast_to(boundaries.upper, shape + (axis.nlevels,))
         covered = z < np.take_along_axis(upper, idx[..., None], axis=-1)[..., 0]
-        metric = axis.level_priors(boundaries._apriori) - (
+        metric = np.moveaxis(axis.level_priors(boundaries._apriori), 0, -1) - (
             (z[..., None] - axis.levels) ** 2
         ) / boundaries._var[..., None]
         idx = np.where(covered, idx, metric.argmax(axis=-1))
@@ -173,33 +174,35 @@ def pam_metric(axis: PamAxis, level, z, apriori: np.ndarray, noise_var) -> np.nd
     """Per-level metric sum_n b_mn*La(n) - (z - x_m)^2 / noise_var.
 
     The prior term is formed once per level by PamAxis.level_priors, shaped
-    (..., L) like apriori's batch axes, and gathered at `level` by flat
+    (L, ...) with apriori's batch axes, and gathered at `level` by flat
     index; those batch axes broadcast against level's.
     """
     level = np.asarray(level)
     prior = axis.level_priors(apriori)
-    start = np.arange(0, prior.size, axis.nlevels).reshape(prior.shape[:-1])
-    prior = prior.take(start + level)
+    batch = prior[0].size
+    prior = prior.take(level * batch + np.arange(batch).reshape(prior.shape[1:]))
     dist = (np.asarray(z, dtype=float) - axis.levels[level]) ** 2
     return prior - dist / np.asarray(noise_var, dtype=float)
 
 
-def best_level_metric(z, axis: PamAxis, apriori, noise_var) -> np.ndarray:
+def best_level_metric(z, axis: PamAxis, prior, noise_var) -> np.ndarray:
     """Maximum over the axis levels of pam_metric, one level at a time.
 
-    Each level's metric rounds exactly as pam_metric's does, so this is
-    pam_metric at the level slice_pam picks; z is (2, rows, M), noise_var
-    (rows, M) or (rows, 1). The levels are walked in two result-shaped buffers.
+    prior holds the level priors level-major, (L, ...), as
+    PamAxis.level_priors gives them. Each level's metric rounds exactly as
+    pam_metric's does, so this is pam_metric at the level slice_pam picks;
+    z is (2, M, rows), prior (L, 2, 1, rows) and noise_var (rows,) or
+    (M, rows), so every pass runs over contiguous rows. The levels are
+    walked in two result-shaped buffers.
     """
-    prior = axis.level_priors(apriori)
-    best = np.empty(np.broadcast_shapes(np.shape(z), prior.shape[:-1], np.shape(noise_var)))
+    best = np.empty(np.broadcast_shapes(np.shape(z), np.shape(prior)[1:], np.shape(noise_var)))
     metric = np.empty_like(best)
     for m, level in enumerate(axis.levels):
         out = metric if m else best
         np.subtract(z, level, out=out)
         np.square(out, out=out)
         np.divide(out, noise_var, out=out)
-        np.subtract(prior[..., m], out, out=out)
+        np.subtract(prior[m], out, out=out)
         if m:
             np.maximum(best, metric, out=best)
     return best
@@ -365,6 +368,7 @@ def soft_symbol_stats(llrs, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     vector returns the labeled point with exactly zero variance.
     """
     # saturate returns a fresh array in the layout of llrs (bit-major under
-    # layer_post_llrs), which _axis_stats may overwrite and which dies with it.
+    # layer_post_llrs, each bit's (2, M, rows) values contiguous), which
+    # _axis_stats may overwrite and which dies with it.
     mean, var = _axis_stats(axis_parts(saturate(np.asarray(llrs, dtype=float))), c.axis)
     return mean[0] + 1j * mean[1], var[0] + var[1]

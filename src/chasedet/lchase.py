@@ -62,12 +62,12 @@ def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
     use) pairs. A non-finite model raises ValueError.
     """
     require_finite(models)
-    n_uses, _, n = models.h.shape
+    n_uses, n_rx, n = models.h.shape
     swaps = np.tile(np.arange(n), (n, 1))  # row i swaps columns i and n-1
     swaps[:, -1] = np.arange(n)
     swaps[np.arange(n), np.arange(n)] = n - 1
     layers = np.repeat(swaps, n_uses, axis=0)
-    h_perm = np.take_along_axis(np.tile(models.h, (n, 1, 1)), layers[:, None, :], axis=2)
+    h_perm = np.moveaxis(models.h[:, :, swaps], 2, 0).reshape(n * n_uses, n_rx, n)
     factors = qr(h_perm)
     y_rot = np.einsum("uji,uj->ui", factors.q.conj(), np.tile(models.y, (n, 1)))
     r, m = factors.r, n - 1
@@ -90,7 +90,7 @@ def context_values(c: Constellation) -> int:
     holds the running total, the layer's z stacked as (real, imag) (its
     complex form is a temporary, freed once stacked) and the walk's two
     buffers for both axes, 7 values; per context, the a priori and output
-    LLRs and the level priors take under 8*q more. Measured: 7.7 to 9.9
+    LLRs and the level priors take under 8*q more. Measured: 7.6 to 9.6
     per candidate (tests/test_chase.py holds it under the slice cap), a
     full 64-QAM slice about 1.1 MB. A charge of 13*M + 16*q slowed
     corr-64qam's lchase leg by 2% and raised its peak RSS by 0.2 MB.
@@ -105,11 +105,11 @@ def _inner_layers(
     use_idx: np.ndarray,
     total: np.ndarray,
 ) -> None:
-    """Add every inner layer's best metric to the (rows, M) totals in place,
-    each layer's noise variance broadcast over the M candidates."""
+    """Add every inner layer's best metric to the (M, rows) totals in place,
+    each layer's (rows,) noise variance broadcast over the M candidates."""
     for l in range(ctx.layers.shape[1] - 1):
-        parts = stack_axes(ctx.ybar[:, l : l + 1] - ctx.coupling[:, l : l + 1] * c.symbols)
-        var = ctx.noise_vars[:, l : l + 1]
+        parts = stack_axes(ctx.ybar[:, l] - ctx.coupling[:, l] * c.symbols[:, None])
+        var = ctx.noise_vars[:, l].copy()  # contiguous for the walk's divides
         chase.add_layer_metric(total, parts, var, la[use_idx, ctx.layers[:, l], :], c)
 
 

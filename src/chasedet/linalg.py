@@ -46,7 +46,8 @@ def qr(a: np.ndarray) -> QrFactors:
     r = phase.conj()[..., :, None] * r
     # Scrub rounding residue so the advertised structure holds exactly.
     n = r.shape[-1]
-    r = np.triu(r)
+    below = np.tril_indices(n, -1)
+    r[..., below[0], below[1]] = 0.0
     r[..., np.arange(n), np.arange(n)] = np.abs(diag)
     return QrFactors(q, r)
 

@@ -98,7 +98,7 @@ def maxlog_llrs(
         table = _metric_table(rz[uses, :, n], rz[uses, :, :n], prior_tab, c)
         for i in range(n):
             other = tuple(j + 1 for j in range(n) if j != i)
-            llrs[uses, i] = chase.coset_llrs(table.max(axis=other), c)
+            llrs[uses, i] = chase.coset_llrs(table.max(axis=other).T, c)
         del table  # before the next slice builds its own
     return llrs.reshape(lead + (n, q))
 
@@ -115,7 +115,7 @@ def brute_pam_argmax(
     distance over the noise variance, ties to the smaller index.
     """
     z = np.asarray(z, dtype=float)
-    prior = axis.level_priors(np.asarray(apriori, dtype=float))
+    prior = np.moveaxis(axis.level_priors(np.asarray(apriori, dtype=float)), 0, -1)
     var = np.asarray(noise_var, dtype=float)
     metric = prior - ((z[..., None] - axis.levels) ** 2) / var[..., None]
     return metric.argmax(axis=-1)

@@ -439,10 +439,12 @@ def monte_carlo(cfg: SimConfig) -> list:
 
 def config_lines(cfg: SimConfig) -> list:
     """'key = value' lines that, as a --config file, rebuild cfg up to its
-    out path: one per key that sets one field, SNRs written exactly."""
+    out path and worker count: one per key that sets one field, SNRs written
+    exactly. Neither of those two changes a result, and the worker count
+    depends on the machine, so the lines are the same wherever the run was."""
     lines = []
     for key, (dest, _, _) in _KEY_FIELDS.items():
-        if isinstance(dest, str) and key != "out":
+        if isinstance(dest, str) and key not in ("out", "workers"):
             value = getattr(cfg, dest)
             if key == "snr":
                 value = ",".join(map(str, value))

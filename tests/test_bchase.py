@@ -28,8 +28,8 @@ from chasedet.reference import brute_pam_argmax
 from draws import apriori, detect, iid_complex_gaussian, random_model, stack
 
 
-def _zero_post_llrs(parts, r_ll, layer_var, c):
-    return np.zeros(np.shape(parts)[1:] + (c.bits_per_symbol,))
+def _zero_post_llrs(parts, r_ll, layer_var, la_layer, c):
+    return np.zeros(np.shape(parts)[1:] + (c.bits_per_symbol,)) + la_layer
 
 
 def blast_order(h, stream):
@@ -117,8 +117,8 @@ def test_noiseless_genie_feedback_is_correct(monkeypatch):
     # with zero variance, as a genie would.
     real_layer_post_llrs = bchase.layer_post_llrs
 
-    def genie(z, r_ll, layer_var, c):
-        return LLR_CLIP * np.sign(real_layer_post_llrs(z, r_ll, layer_var, c))
+    def genie(z, r_ll, layer_var, la_layer, c):
+        return LLR_CLIP * np.sign(real_layer_post_llrs(z, r_ll, layer_var, la_layer, c))
 
     monkeypatch.setattr(bchase, "layer_post_llrs", genie)
     c = build_constellation(16)
@@ -159,11 +159,12 @@ def test_layer_post_llrs_signs_and_shape():
     c = build_constellation(16)
     # An observation sitting exactly on a symbol produces LLRs whose signs
     # reproduce that symbol's bit label.
+    no_prior = np.zeros(c.bits_per_symbol)
     for j in (0, 5, 10, 15):
-        out = layer_post_llrs(stack_axes(np.array(c.symbols[j])), 4.0, 1.0, c)
+        out = layer_post_llrs(stack_axes(np.array(c.symbols[j])), 4.0, 1.0, no_prior, c)
         np.testing.assert_array_equal((out > 0).astype(np.int8), c.bit_labels[j])
-    z = np.zeros((3, 7), dtype=complex)
-    assert layer_post_llrs(stack_axes(z), np.ones((3, 7)), np.ones((3, 7)), c).shape == (3, 7, 4)
+    z, ones = np.zeros((3, 7), dtype=complex), np.ones((3, 7))
+    assert layer_post_llrs(stack_axes(z), ones, ones, no_prior, c).shape == (3, 7, 4)
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
@@ -178,17 +179,18 @@ def test_feedback_layer_metric_is_metric_at_brute_argmax(order):
     var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, m))
     idx = brute_pam_argmax(z, axis, la, var)
     want = pam_metric(axis, idx, z, la, var)
-    assert np.array_equal(best_level_metric(z, axis, la, var), want)
-    # The stacked shapes _inner_layers passes: both axes' z as (2, rows, M),
-    # their priors as (2, rows, 1, nbits) with some at +-LLR_CLIP, and one
-    # (rows, M) variance.
-    z = rng.uniform(-2.0, 2.0, (2, rows, m))
-    la = rng.uniform(-LLR_CLIP, LLR_CLIP, (2, rows, 1, axis.nbits))
+    assert np.array_equal(best_level_metric(z, axis, axis.level_priors(la), var), want)
+    # The stacked shapes _inner_layers passes: both axes' z as (2, M, rows),
+    # their priors from (2, 1, rows, nbits) LLRs, some at +-LLR_CLIP, as
+    # (L, 2, 1, rows), and one (M, rows) variance.
+    z = rng.uniform(-2.0, 2.0, (2, m, rows))
+    la = rng.uniform(-LLR_CLIP, LLR_CLIP, (2, 1, rows, axis.nbits))
     clipped = rng.random(la.shape) < 0.2
     la[clipped] = np.copysign(LLR_CLIP, la[clipped])
+    var = var.T.copy()
     idx = brute_pam_argmax(z, axis, la, var)
     want = pam_metric(axis, idx, z, la, var)
-    assert np.array_equal(best_level_metric(z, axis, la, var), want)
+    assert np.array_equal(best_level_metric(z, axis, axis.level_priors(la), var), want)
 
 
 def _soft_stats_prod_form(llrs, c: Constellation):
@@ -243,8 +245,10 @@ def _post_llrs_per_axis(z, r_ll, layer_var, c):
 
 
 def _inner_layers_per_axis(ctx, c, la, use_idx, total):
-    """bchase._inner_layers as it walked the real axis, then the imaginary one."""
-    batch, n, m = len(ctx), ctx.layers.shape[1], c.order
+    """bchase._inner_layers as it walked the real axis, then the imaginary
+    one, on the (rows, M) layout it had, through a transposed view of the
+    (M, rows) totals."""
+    batch, n, m, total = len(ctx), ctx.layers.shape[1], c.order, total.T
     r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
     shat = np.zeros((batch, max(n - 1, 1), m), dtype=complex)
     svar = np.zeros((batch, max(n - 1, 1), m))
@@ -266,7 +270,7 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total):
                 idx = slice_pam(zz, axis, pam_boundaries(axis, la_axis, eff_var[:, :1]))
                 total += pam_metric(axis, idx, zz, la_axis, eff_var)
             else:
-                total += best_level_metric(zz, axis, la_axis, eff_var)
+                total += best_level_metric(zz, axis, axis.level_priors(la_axis), eff_var)
         if l == 0:
             break
         post = _post_llrs_per_axis(z, r_ll[:, None], layer_var, c)
@@ -303,7 +307,7 @@ def test_inner_layers_match_per_axis_walk(order, n, priors, observed):
         models = [WhitenedModel(y=hu @ su, h=hu) for hu, su in zip(h, s)]
     ctx = prepare_all_uses(stack(models)).reshape(-1)
     use_idx = np.arange(len(ctx)) % uses
-    start = rng.normal(scale=10.0, size=(len(ctx), order))
+    start = rng.normal(scale=10.0, size=(order, len(ctx)))
     got, want = start.copy(), start.copy()
     bchase._inner_layers(ctx, c, la, use_idx, got)
     _inner_layers_per_axis(ctx, c, la, use_idx, want)
@@ -318,12 +322,13 @@ def test_layer_post_llrs_match_per_axis_minima(order):
     z = iid_complex_gaussian(rng, (40, order)) * 2.0
     r_ll, layer_var = rng.uniform(0.2, 3.0, (40, 1)), rng.uniform(0.5, 20.0, (40, order))
     want = _post_llrs_per_axis(z, r_ll, layer_var, c)
-    assert np.array_equal(layer_post_llrs(stack_axes(z), r_ll, layer_var, c), want)
+    got = layer_post_llrs(stack_axes(z), r_ll, layer_var, np.zeros(c.bits_per_symbol), c)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
 def test_feedback_chain_matches_c_ordered_chain(order):
-    # layer_post_llrs, plus the layer's a priori LLRs in place, then
+    # layer_post_llrs, adding the layer's a priori LLRs bit-major, then
     # soft_symbol_stats: bit-major memory all the way, and bit for bit the
     # chain on C-ordered (..., q) LLRs gives. Cauchy priors, some at
     # +-LLR_CLIP.
@@ -337,8 +342,7 @@ def test_feedback_chain_matches_c_ordered_chain(order):
     la[clipped] = np.copysign(LLR_CLIP, la[clipped])
     want_post = la[:, None, :] + _post_llrs_per_axis(z, r_ll, layer_var, c)
     assert want_post.flags.c_contiguous
-    post = layer_post_llrs(stack_axes(z), r_ll, layer_var, c)
-    post += la[:, None, :]
+    post = layer_post_llrs(stack_axes(z), r_ll, layer_var, la[:, None, :], c)
     assert all(post[..., k].flags.c_contiguous for k in range(c.bits_per_symbol))
     assert np.array_equal(post, want_post)
     mean, var = soft_symbol_stats(post, c)

@@ -94,11 +94,12 @@ def test_complexity_counters(detector, order, n, walk):
     uses = 3
     models = stack([random_model(rng, n, n) for _ in range(uses)])
 
-    def boundary_sets(z, axis, la, var):
-        shared = (var == var[:, :1]).all(axis=1)
-        return np.where(shared, 1, var.shape[1]).sum()
+    def boundary_sets(z, axis, prior, var):
+        var = np.atleast_2d(var)  # (M, rows), or (1, rows) where shared
+        shared = (var == var[:1]).all(axis=0)
+        return np.where(shared, 1, len(var)).sum()
 
-    walk.tally(chase, "coset_llrs", "contexts", lambda total, c: len(total))
+    walk.tally(chase, "coset_llrs", "contexts", lambda total, c: total.shape[1])
     walk.tally(chase, "best_level_metric", "boundary_sets", boundary_sets)
     walk.tally(bchase, "soft_symbol_stats", "soft_stats", lambda post, c: post[..., 0].size)
     contexts = detector.prepare_all_uses(models)
@@ -238,6 +239,39 @@ def test_dead_targets_are_skipped(detector, order, n_streams, monkeypatch):
         assert np.array_equal(got[~dead], every[~dead])
         assert np.array_equal(np.signbit(got), np.signbit(every) & ~dead[..., None])
         assert not got[dead].any()
+
+
+@pytest.mark.parametrize("n_streams", range(1, 7))
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+@DETECTORS
+def test_use_order_does_not_change_llrs(detector, order, n_streams, monkeypatch):
+    # Each use's LLRs depend on that use alone: reversing or shuffling the
+    # uses of a stack permutes its LLRs the same way, bit for bit, signs of
+    # zero included, whether slices of three contexts cut the stack mid-way
+    # or one slice holds it all. Cauchy priors, some at 0 and +-LLR_CLIP.
+    c = build_constellation(order)
+    rng = np.random.default_rng([order, n_streams, detector is bchase, 11])
+    uses = 5
+    h = iid_complex_gaussian(rng, (uses, n_streams, n_streams))
+    y = iid_complex_gaussian(rng, (uses, n_streams))
+    la = 3.0 * rng.standard_cauchy((uses, n_streams, c.bits_per_symbol))
+    la = np.clip(la, -LLR_CLIP, LLR_CLIP)
+    la[rng.random(la.shape) < 0.2] = 0.0
+    clipped = rng.random(la.shape) < 0.2
+    la[clipped] = np.copysign(LLR_CLIP, la[clipped])
+    charge = _charge(detector, c, n_streams)
+
+    def llrs(order_):
+        model = WhitenedModel(y=y[order_], h=h[order_])
+        return detector.detect_all_uses(detector.prepare_all_uses(model), c, la[order_])
+
+    for per_slice in (3, uses * n_streams):
+        monkeypatch.setattr(chase, "SLICE_VALUES", per_slice * charge)
+        want = llrs(np.arange(uses))
+        for order_ in (np.arange(uses)[::-1], rng.permutation(uses)):
+            got = llrs(order_)
+            assert np.array_equal(got, want[order_])
+            assert np.array_equal(np.signbit(got), np.signbit(want[order_]))
 
 
 _SOFT_INPUT = {

@@ -175,7 +175,7 @@ def _three_way_ties(axis, rng, n):
     t = ((mid_ij - mid_jk) / var - (g * la).sum(axis=1)) / (g * g).sum(axis=1)
     la = la + t[:, None] * g
     z = mid_ij - var * (c_ij * la).sum(axis=1)
-    metric = axis.level_priors(la) - (z[:, None] - levels) ** 2 / var[:, None]
+    metric = axis.level_priors(la).T - (z[:, None] - levels) ** 2 / var[:, None]
     top3 = np.sort(np.argsort(-metric, axis=1)[:, :3], axis=1)
     keep = (np.abs(la).max(axis=1) <= LLR_CLIP) & (top3 == np.stack([i, j, k], 1)).all(axis=1)
     return z[keep], la[keep], var[keep]
@@ -201,7 +201,7 @@ def test_slicer_at_three_way_near_ties(order):
     bset = pam_boundaries(axis, la, var)
     idx = slice_pam(z, axis, bset)
     got = pam_metric(axis, idx, z, la, var)
-    brute = axis.level_priors(la) - (z[:, None] - axis.levels) ** 2 / var[:, None]
+    brute = axis.level_priors(la).T - (z[:, None] - axis.levels) ** 2 / var[:, None]
     top2 = np.sort(brute, axis=1)[:, -2:]
     tol = 1e-9 * np.maximum(1.0, np.abs(top2[:, 1]))
     assert np.all(np.abs(got - top2[:, 1]) <= tol)
@@ -219,7 +219,8 @@ def _slice_by_masks(z, axis, bset):
     inside = (ze >= bset.lower) & (ze < bset.upper)
     idx = inside.argmax(axis=-1)
     covered = inside.any(axis=-1)
-    metric = axis.level_priors(bset._apriori) - (ze - axis.levels) ** 2 / bset._var[..., None]
+    prior = np.moveaxis(axis.level_priors(bset._apriori), 0, -1)
+    metric = prior - (ze - axis.levels) ** 2 / bset._var[..., None]
     return np.where(covered, idx, metric.argmax(axis=-1))
 
 
@@ -327,9 +328,11 @@ def test_zero_prior_thresholds_are_adjacent_midpoints(order):
 
 
 def _level_priors_by_sum(axis, apriori):
-    """Per-level priors as a sum over the bit axis of an (..., L, nbits)
-    product, the form PamAxis.level_priors took before its walk over bits."""
-    return (np.asarray(apriori, dtype=float)[..., None, :] * axis._labels_f).sum(axis=-1)
+    """Per-level priors (L, ...) as a sum over the bit axis of an (..., L,
+    nbits) product, the form PamAxis.level_priors took before its walk over
+    bits, moved level-major."""
+    prior = (np.asarray(apriori, dtype=float)[..., None, :] * axis._labels_f).sum(axis=-1)
+    return np.moveaxis(prior, -1, 0)
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)

@@ -151,8 +151,10 @@ def test_detect_all_uses_shape():
 
 def _sliced_inner_layers(ctx, c, la, use_idx, total):
     """lchase._inner_layers as it took each layer's best metric from the
-    slicer: one boundary set per context, slice_pam, then pam_metric."""
-    axis = c.axis
+    slicer: one boundary set per context, slice_pam, then pam_metric, on
+    the (rows, M) layout it had, through a transposed view of the (M, rows)
+    totals."""
+    axis, total = c.axis, total.T
     for l in range(ctx.layers.shape[1] - 1):
         la_axes = axis_parts(la[use_idx, ctx.layers[:, l], :]).copy()[:, :, None, :]
         var = ctx.noise_vars[:, l : l + 1]
@@ -196,7 +198,7 @@ def test_level_walk_equals_slicer(order, n, priors, observed):
     contexts = prepare_all_uses(WhitenedModel(y=y, h=h))
     ctx = contexts.reshape(-1)
     use_idx = np.arange(len(ctx)) % uses
-    start = rng.normal(scale=10.0, size=(len(ctx), order))
+    start = rng.normal(scale=10.0, size=(order, len(ctx)))
     walked, sliced = start.copy(), start.copy()
     lchase._inner_layers(ctx, c, la, use_idx, walked)
     _sliced_inner_layers(ctx, c, la, use_idx, sliced)

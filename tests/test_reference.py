@@ -242,7 +242,7 @@ def _direct_maxlog(model, c, la):
         table = metric.reshape((c.order,) * n)
         out.append(
             [
-                chase.coset_llrs(table.max(axis=tuple(j for j in range(n) if j != i))[None], c)[0]
+                chase.coset_llrs(table.max(axis=tuple(j for j in range(n) if j != i))[:, None], c)[0]
                 for i in range(n)
             ]
         )

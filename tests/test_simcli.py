@@ -455,6 +455,21 @@ def test_config_lines_roundtrip_keys(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+def test_config_lines_leave_out_workers(tmp_path, monkeypatch):
+    # The worker count changes no result and depends on the machine: configs
+    # that differ only in it write equal header lines, and the lines of a
+    # two-worker run rebuild it, on one worker, on a one-CPU machine.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = validate_config(_tiny_config(workers=2))
+    lines = simcli.config_lines(cfg)
+    assert lines == simcli.config_lines(replace(cfg, workers=1))
+    assert not any(line.startswith("workers") for line in lines)
+    config = tmp_path / "run.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert build_config(str(config), {"out": cfg.out}) == replace(cfg, workers=1)
+
+
 def test_main_smoke(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = main(
