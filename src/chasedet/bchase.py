@@ -60,15 +60,15 @@ class BchaseStreamContext(chase.StackedContext):
 
 
 def _blast_orders(h: np.ndarray) -> np.ndarray:
-    """Column orders (n*U, n) of every target stream of every use, stream-major.
+    """Column orders (n, U, n) of every target stream of every use.
 
-    h is (U, n_rx, n); row i*U + u has stream i last and the rest of use u's
+    h is (U, n_rx, n); order [i, u] has stream i last and the rest of use u's
     columns V-BLAST sorted. Working from the bottom-most inner position
     upward (earliest detected first), each step assigns the remaining column
     with the smallest zero-forcing noise amplification, the diagonal of the
     remaining columns' inverse Gram P; ties go to the smaller column index.
     Each use's Gram is inverted once, the detection path's only inverse, and
-    a row drops its stream, then each column it assigns, from its copy by a
+    each pair drops its stream, then each column it assigns, from its copy by a
     Schur downdate P -= P[:, p] P[p, :] / P[p, p] (Hassibi, ICASSP 2000;
     Benesty, Huang & Chen, IEEE SPL 2003): O(n^4) per use.
     """
@@ -87,24 +87,20 @@ def _blast_orders(h: np.ndarray) -> np.ndarray:
         p -= col[:, :, None] * (p[rows, pick, :] / col[rows, pick, None])[:, None, :]
         amplification = np.where(done, np.inf, np.diagonal(p, axis1=1, axis2=2).real)
         order[:, pos] = pick = amplification.argmin(axis=1)
-    return order
+    return order.reshape(n, n_uses, n)
 
 
 def prepare_all_uses(models: WhitenedModel) -> BchaseStreamContext:
     """Order and factor every stream of every use into one (streams, uses) context.
 
     models is one WhitenedModel stacked over uses; ctx[i][u] is stream i of
-    use u. One inverse Gram per use BLAST-orders all (stream, use) pairs,
-    stream-major, and one QR and one rotation factor them. A non-finite
-    model raises ValueError.
+    use u. One inverse Gram per use BLAST-orders all (stream, use) pairs and
+    one QR factors them. A non-finite model raises ValueError.
     """
     require_finite(models)
-    n_uses, _, n = models.h.shape
     orders = _blast_orders(models.h)
-    h_perm = np.take_along_axis(np.tile(models.h, (n, 1, 1)), orders[:, None, :], axis=2)
-    factors = qr(h_perm)
-    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), np.tile(models.y, (n, 1)))
-    return BchaseStreamContext(layers=orders, r=factors.r, y_rot=y_rot).reshape(n, n_uses)
+    r, y_rot = qr(np.take_along_axis(models.h[None], orders[:, :, None, :], -1), models.y)
+    return BchaseStreamContext(layers=orders, r=r, y_rot=y_rot)
 
 
 def layer_post_llrs(parts, r_ll, layer_var, la_layer, c: Constellation) -> np.ndarray:

@@ -1,13 +1,13 @@
 """The Chase detector both list detectors run: one skeleton, two inner resolvers.
 
 A detector prepares one context per (target stream, channel use). Each
-detector's prepare_all_uses lays the column orders of all its (stream, use)
-pairs stream-major along one row axis, factors them in one pass and reshapes
-the result to leading axes (streams, uses): a struct-of-arrays whose fields
-share those axes. Indexing a context indexes every field, so ctx[i][u] is
-the context of stream i on use u and ctx[i][u][None] a one-row stack. Every
-context exposes y_last and pivot, the last row of its triangularized system,
-where the target stream sits alone.
+detector's prepare_all_uses stacks the column orders of all its (stream,
+use) pairs on leading axes (streams, uses) and factors them in one pass: a
+struct-of-arrays whose fields share those axes. Indexing a context indexes
+every field, so ctx[i][u] is the context of stream i on use u and
+ctx[i][u][None] a one-row stack. Every context exposes y_last and pivot,
+the last row of its triangularized system, where the target stream sits
+alone.
 
 Detection searches the target stream exhaustively: each of its M candidate
 values gets its a priori term and last-row metric, the detector's
@@ -47,9 +47,9 @@ class StackedContext:
     """Mixin for frozen dataclasses whose `layers` field, each context's
     column order (..., n), fixes the batch axes.
 
-    A detector's prepare_all_uses builds its context with one stream-major
-    row axis and returns it reshaped to (streams, uses); detection folds it
-    back into rows.
+    A detector's prepare_all_uses builds its context on leading axes
+    (streams, uses), every field contiguous, so detection folds them into
+    one row axis without a copy.
     """
 
     @property
@@ -65,8 +65,8 @@ class StackedContext:
 
     def reshape(self, *batch):
         """The same contexts with their batch axes reshaped to `batch`, as
-        np.reshape takes a shape: reshape(-1) folds them into one row axis and
-        reshape(n_streams, n_uses) unfolds stream-major rows."""
+        np.reshape takes a shape: reshape(-1) folds (streams, uses) into one
+        stream-major row axis."""
         lead = np.ndim(self.stream)
         batch = np.reshape(self.stream, batch).shape  # -1 resolved on `stream`
         shaped = {}

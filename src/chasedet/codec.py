@@ -21,13 +21,14 @@ import numpy as np
 
 from .errors import ConfigError
 
-SUPPORTED_RATES = (0.5, 0.83)
-
-# Period-5 keep pattern (c0, c1) per trellis step for the ~0.83 selector:
-# both bits on step 0, first bit only elsewhere -> 6 of 10 kept.
-PUNCTURE_KEEP = np.array(
-    [[1, 1], [1, 0], [1, 0], [1, 0], [1, 0]], dtype=bool
-)
+# Keep pattern (c0, c1) per trellis step of each rate selector, repeated
+# over the steps: rate 1/2 sends both bits of every step; ~0.83 has period 5,
+# both bits on step 0 and the first bit only elsewhere -> 6 of 10 kept.
+KEEP_PATTERNS = {
+    0.5: np.array([[1, 1]], dtype=bool),
+    0.83: np.array([[1, 1], [1, 0], [1, 0], [1, 0], [1, 0]], dtype=bool),
+}
+SUPPORTED_RATES = tuple(KEEP_PATTERNS)
 
 # Trellis: state s = 2*d1 + d2 holds the last two inputs (d1 = b(t-1),
 # d2 = b(t-2)); input u emits c0 = u^d1^d2, c1 = u^d2 and moves to state
@@ -67,19 +68,17 @@ class CodeConfig:
 
     def keep_mask(self) -> np.ndarray:
         """Boolean mask over the mother codeword of bits actually sent."""
-        if self.rate == 0.5:
-            return np.ones(self.coded_len, dtype=bool)
-        reps = -(-self.steps // len(PUNCTURE_KEEP))
-        return np.tile(PUNCTURE_KEEP, (reps, 1))[: self.steps].reshape(-1)
+        pattern = KEEP_PATTERNS[self.rate]
+        reps = -(-self.steps // len(pattern))
+        return np.tile(pattern, (reps, 1))[: self.steps].reshape(-1)
 
     @property
     def transmitted_len(self) -> int:
         """Bits sent per block, keep_mask().sum() without building the mask:
-        whole periods of PUNCTURE_KEEP, then the leftover steps."""
-        if self.rate == 0.5:
-            return self.coded_len
-        periods, rest = divmod(self.steps, len(PUNCTURE_KEEP))
-        return periods * int(PUNCTURE_KEEP.sum()) + int(PUNCTURE_KEEP[:rest].sum())
+        whole periods of the rate's keep pattern, then the leftover steps."""
+        pattern = KEEP_PATTERNS[self.rate]
+        periods, rest = divmod(self.steps, len(pattern))
+        return periods * int(pattern.sum()) + int(pattern[:rest].sum())
 
 
 def encode(info_bits, cfg: CodeConfig) -> np.ndarray:
@@ -121,11 +120,10 @@ def depuncture(llrs: np.ndarray, cfg: CodeConfig) -> np.ndarray:
     Leading axes of a stack (..., transmitted_len) are kept.
     """
     llrs = np.asarray(llrs, dtype=float)
-    mask = cfg.keep_mask()
-    if llrs.shape[-1:] != (int(mask.sum()),):
-        raise ValueError(f"expected {int(mask.sum())} values")
+    if llrs.shape[-1:] != (cfg.transmitted_len,):
+        raise ValueError(f"expected {cfg.transmitted_len} values")
     full = np.zeros(llrs.shape[:-1] + (cfg.coded_len,))
-    full[..., mask] = llrs
+    full[..., cfg.keep_mask()] = llrs
     return full
 
 

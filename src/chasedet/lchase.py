@@ -57,30 +57,28 @@ def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
     """Factor every stream of every use into one (streams, uses) context.
 
     models is one WhitenedModel stacked over uses; ctx[i][u] is stream i of
-    use u. Stream i's swap permutation is laid over every use, stream-major,
-    so one QR, one rotation and one back substitution serve all (stream,
-    use) pairs. A non-finite model raises ValueError.
+    use u. Stream i's swap permutation is laid over every use, so one QR
+    and one back substitution serve all (stream, use) pairs. A non-finite
+    model raises ValueError.
     """
     require_finite(models)
-    n_uses, n_rx, n = models.h.shape
+    n_uses, _, n = models.h.shape
     swaps = np.tile(np.arange(n), (n, 1))  # row i swaps columns i and n-1
     swaps[:, -1] = np.arange(n)
     swaps[np.arange(n), np.arange(n)] = n - 1
-    layers = np.repeat(swaps, n_uses, axis=0)
-    h_perm = np.moveaxis(models.h[:, :, swaps], 2, 0).reshape(n * n_uses, n_rx, n)
-    factors = qr(h_perm)
-    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), np.tile(models.y, (n, 1)))
-    r, m = factors.r, n - 1
+    r, y_rot = qr(np.moveaxis(models.h[:, :, swaps], 2, 0), models.y)
+    m = n - 1
     # Right-hand sides: coupling column, rotated observation, identity (R_inner^-1).
-    eye = np.broadcast_to(np.eye(m, dtype=complex), (len(r), m, m))
-    x = back_substitute(r[:, :m, :m], np.concatenate([r[:, :m, m:], y_rot[:, :m, None], eye], -1))
+    eye = np.broadcast_to(np.eye(m, dtype=complex), r.shape[:2] + (m, m))
+    rhs = np.concatenate([r[..., :m, m:], y_rot[..., :m, None], eye], -1)
+    x = back_substitute(r[..., :m, :m], rhs)
     return LchaseStreamContext(
-        layers=layers,
-        ybar=np.concatenate([x[..., 1], y_rot[:, m:]], axis=-1),
-        coupling=x[..., 0].copy(),  # a view would keep all of x alive
-        pivot=r[:, m, m].real,
+        layers=np.repeat(swaps[:, None], n_uses, axis=1),
+        ybar=np.concatenate([x[..., 1], y_rot[..., m:]], axis=-1),
+        coupling=x[..., 0].copy(),  # views would keep all of x and r alive
+        pivot=r[..., m, m].real.copy(),
         noise_vars=(np.abs(x[..., 2:]) ** 2).sum(axis=-1),
-    ).reshape(n, n_uses)
+    )
 
 
 def context_values(c: Constellation) -> int:

@@ -1,14 +1,13 @@
 """Small dense linear algebra with the exact conventions the detectors need.
 
-QR factors are thin, with the diagonal of R normalized to be real and
-positive, which makes the factorization unique and reproducible. Triangular
+QR returns the thin factor R, with its diagonal normalized to be real and
+positive, which makes the factorization unique and reproducible, and the
+observation rotated by the matching Q; Q itself is never returned. Triangular
 systems are solved by substitution; no routine here ever forms a matrix
 inverse.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,18 +16,14 @@ from .errors import NotPositiveDefiniteError, SingularMatrixError
 RANK_RTOL = 1e-12
 
 
-class QrFactors(NamedTuple):
-    q: np.ndarray
-    r: np.ndarray
-
-
-def qr(a: np.ndarray) -> QrFactors:
-    """Thin QR with positive real diagonal of R.
+def qr(a: np.ndarray, y: np.ndarray) -> tuple:
+    """R and z = Q^H y of a thin QR A = QR with positive real diagonal of R.
 
     Requires rows >= cols and numerical full column rank: any |R_kk| below
     1e-12 * ||A||_F raises SingularMatrixError. Leading batch dimensions are
     factored together in one call (and a batch fails as a whole if any member
-    is rank deficient).
+    is rank deficient); y (..., rows) broadcasts over them, so one observation
+    serves every column order of its channel. Q never leaves this function.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
@@ -49,7 +44,7 @@ def qr(a: np.ndarray) -> QrFactors:
     below = np.tril_indices(n, -1)
     r[..., below[0], below[1]] = 0.0
     r[..., np.arange(n), np.arange(n)] = np.abs(diag)
-    return QrFactors(q, r)
+    return r, np.einsum("...ji,...j->...i", q.conj(), y)
 
 
 def back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:

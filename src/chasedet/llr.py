@@ -13,6 +13,6 @@ import numpy as np
 LLR_CLIP = 60.0
 
 
-def saturate(llrs: np.ndarray, limit: float = LLR_CLIP) -> np.ndarray:
-    """Clip LLRs to [-limit, +limit]. Handles +-inf from degenerate inputs."""
-    return np.clip(llrs, -limit, limit)
+def saturate(llrs: np.ndarray) -> np.ndarray:
+    """Clip LLRs to [-LLR_CLIP, +LLR_CLIP]. Handles +-inf from degenerate inputs."""
+    return np.clip(llrs, -LLR_CLIP, LLR_CLIP)

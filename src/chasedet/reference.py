@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, PamAxis, coset_sqdist_gap, label_order, stack_axes
+from .constellation import Constellation, coset_sqdist_gap, label_order, stack_axes
 
 MAX_EXHAUSTIVE = 1 << 20
 # Floor on the LMMSE effective noise variance, for numerical safety.
@@ -65,11 +65,7 @@ def maxlog_factors(model: WhitenedModel) -> np.ndarray:
     return np.linalg.qr(hy, mode="r")[..., : model.n_streams, :]
 
 
-def maxlog_llrs(
-    factors: np.ndarray,
-    c: Constellation,
-    apriori: np.ndarray | None = None,
-) -> np.ndarray:
+def maxlog_llrs(factors: np.ndarray, c: Constellation, apriori: np.ndarray) -> np.ndarray:
     """Max-log bit LLRs (..., n, q) from a full search over all M**n transmit vectors.
 
     factors is [R z] from maxlog_factors, whose leading axes apriori
@@ -83,7 +79,7 @@ def maxlog_llrs(
         raise ValueError(
             f"{c.order}-QAM with {n} streams needs {total} hypotheses, cap is {MAX_EXHAUSTIVE}"
         )
-    apriori = np.zeros(lead + (n, q)) if apriori is None else np.asarray(apriori, dtype=float)
+    apriori = np.asarray(apriori, dtype=float)
     if apriori.shape != lead + (n, q):
         raise ValueError(f"expected a priori shape {lead + (n, q)}")
     if not np.isfinite(apriori).all():
@@ -101,24 +97,6 @@ def maxlog_llrs(
             llrs[uses, i] = chase.coset_llrs(table.max(axis=other).T, c)
         del table  # before the next slice builds its own
     return llrs.reshape(lead + (n, q))
-
-
-def brute_pam_argmax(
-    z: np.ndarray,
-    axis: PamAxis,
-    apriori: np.ndarray,
-    noise_var: np.ndarray,
-) -> np.ndarray:
-    """Index of the metric-maximizing level by direct evaluation.
-
-    Same metric as the threshold slicer: per-level prior minus squared
-    distance over the noise variance, ties to the smaller index.
-    """
-    z = np.asarray(z, dtype=float)
-    prior = np.moveaxis(axis.level_priors(np.asarray(apriori, dtype=float)), 0, -1)
-    var = np.asarray(noise_var, dtype=float)
-    metric = prior - ((z[..., None] - axis.levels) ** 2) / var[..., None]
-    return metric.argmax(axis=-1)
 
 
 def lmmse_llrs(model: WhitenedModel, c: Constellation) -> np.ndarray:

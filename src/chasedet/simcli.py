@@ -126,9 +126,7 @@ def parse_snr_grid(text: str) -> tuple:
                     f"SNR grid {text!r} has {count:.3g} points, more than {MAX_SNR_POINTS}"
                 )
             return tuple(start + step * i for i in range(int(count)))
-        if "," in text:
-            return tuple(float(p) for p in text.split(","))
-        return (float(text),)
+        return tuple(float(p) for p in text.split(","))
     except ConfigError:
         raise
     except ValueError:
@@ -275,8 +273,8 @@ def block_values(cfg: SimConfig, n_uses: int) -> int:
     rx**2), its decoder and its bit error count of every iteration.
     tests/test_simcli.py holds a chunk's channel stage under it. Nothing is
     charged for the Chase detectors' prepare stage, whose peak over a full
-    chunk is about the chunk's whole charge at 4 streams and 6 to 28 times
-    it at 16 to 64 streams (README, "Chunk size")."""
+    chunk is about 0.8 of the chunk's whole charge at 4 streams and 6 to
+    22 times it at 16 to 64 streams (README, "Chunk size")."""
     per_use = cfg.n_streams * cfg.mod + 6 * cfg.n_rx * (cfg.n_tx + cfg.n_streams + 2)
     per_block = 10 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
     return n_uses * per_use + per_block + cfg.iterations

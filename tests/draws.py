@@ -39,7 +39,10 @@ def stack(models) -> WhitenedModel:
 
 
 def exact_maxlog_llrs(model, c, apriori=None) -> np.ndarray:
-    """Exhaustive max-log LLRs of one use or a stack of uses, factored here."""
+    """Exhaustive max-log LLRs of one use or a stack of uses, factored here;
+    a priori LLRs default to zeros."""
+    if apriori is None:
+        apriori = np.zeros(model.y.shape[:-1] + (model.n_streams, c.bits_per_symbol))
     return maxlog_llrs(maxlog_factors(model), c, apriori)
 
 
@@ -47,3 +50,16 @@ def detect(detector, model, c, la) -> np.ndarray:
     """LLRs (n, q) of every stream of one channel use, by lchase or bchase."""
     la = np.asarray(la, dtype=float)[None]
     return detector.detect_all_uses(detector.prepare_all_uses(stack([model])), c, la)[0]
+
+
+def brute_pam_argmax(z, axis, apriori, noise_var) -> np.ndarray:
+    """Index of the metric-maximizing level of a PamAxis by direct evaluation.
+
+    Same metric as the threshold slicer: per-level prior minus squared
+    distance over the noise variance, ties to the smaller index.
+    """
+    z = np.asarray(z, dtype=float)
+    prior = np.moveaxis(axis.level_priors(np.asarray(apriori, dtype=float)), 0, -1)
+    var = np.asarray(noise_var, dtype=float)
+    metric = prior - ((z[..., None] - axis.levels) ** 2) / var[..., None]
+    return metric.argmax(axis=-1)

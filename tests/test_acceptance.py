@@ -22,7 +22,6 @@ from chasedet.constellation import (
     slice_pam,
 )
 from chasedet.counters import pass_stats
-from chasedet.reference import brute_pam_argmax
 from chasedet.simcli import (
     SimConfig,
     _build_bundle,
@@ -32,7 +31,7 @@ from chasedet.simcli import (
     write_csv,
 )
 
-from draws import exact_maxlog_llrs, iid_complex_gaussian, stack
+from draws import brute_pam_argmax, exact_maxlog_llrs, iid_complex_gaussian, stack
 
 MC_BLOCKS = 2000
 GAIN_GRID = (8.0, 10.0, 12.0, 14.0, 16.0)

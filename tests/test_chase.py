@@ -320,9 +320,7 @@ def _per_stream_lchase(h, y, stream):
     n_uses, _, n = h.shape
     perm = np.arange(n)
     perm[[stream, n - 1]] = n - 1, stream
-    factors = qr(h[:, :, perm])
-    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), y)
-    r = factors.r
+    r, y_rot = qr(h[:, :, perm], y)
     r_inner = r[:, : n - 1, : n - 1]
     coupling = back_substitute(r_inner, r[:, : n - 1, n - 1 :])[..., 0]
     inv_inner = back_substitute(r_inner, np.eye(n - 1, dtype=complex)[None])
@@ -364,9 +362,8 @@ def _per_stream_blast_order(h, stream):
 def _per_stream_bchase(h, y, stream):
     """One target stream of bchase, ordered and factored as a per-stream pass did."""
     orders = _per_stream_blast_order(h, stream)
-    factors = qr(np.take_along_axis(h, orders[:, None, :], axis=2))
-    y_rot = np.einsum("uji,uj->ui", factors.q.conj(), y)
-    return {"stream": np.full(len(h), stream), "layers": orders, "r": factors.r, "y_rot": y_rot}
+    r, y_rot = qr(np.take_along_axis(h, orders[:, None, :], axis=2), y)
+    return {"stream": np.full(len(h), stream), "layers": orders, "r": r, "y_rot": y_rot}
 
 
 @pytest.mark.parametrize("extra_rx", (0, 1))

@@ -20,7 +20,8 @@ from chasedet.constellation import (
 )
 from chasedet.errors import ConfigError
 from chasedet.llr import LLR_CLIP
-from chasedet.reference import brute_pam_argmax
+
+from draws import brute_pam_argmax
 
 RT2 = math.sqrt(2.0)
 RT10 = math.sqrt(10.0)

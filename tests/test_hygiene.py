@@ -213,10 +213,6 @@ def _names_read(tree: ast.AST) -> set:
     return names
 
 
-# Oracles kept for the tests to compare the package against.
-_READ_BY_TESTS_ONLY = {"reference.brute_pam_argmax"}
-
-
 def test_every_definition_is_read_outside_tests():
     # A function, class or method that only tests call is dead weight: each
     # must be read by the package, by perfbench or by the README example.
@@ -230,7 +226,7 @@ def test_every_definition_is_read_outside_tests():
         for name in _top_level_definitions(_tree(module))
         if name not in read
     ]
-    assert sorted(unread) == sorted(_READ_BY_TESTS_ONLY)
+    assert unread == []
 
 
 def test_single_process_run_loads_no_multiprocessing():

@@ -15,11 +15,12 @@ def _random_complex(rng, shape):
 def test_qr_reconstruction_and_conventions(shape):
     rng = np.random.default_rng(sum(shape))
     a = _random_complex(rng, shape)
-    q, r = qr(a)
-    np.testing.assert_allclose(q @ r, a, atol=1e-12)
-    np.testing.assert_allclose(
-        q.conj().T @ q, np.eye(shape[1]), atol=1e-12
-    )
+    y = _random_complex(rng, shape[0])
+    r, z = qr(a, y)
+    # R^H R = A^H A and R^H z = A^H y: R and z = Q^H y of an A = QR with
+    # orthonormal Q, the least-squares system of A x = y.
+    np.testing.assert_allclose(r.conj().T @ r, a.conj().T @ a, atol=1e-12)
+    np.testing.assert_allclose(r.conj().T @ z, a.conj().T @ y, atol=1e-12)
     d = np.diagonal(r)
     assert np.all(d.imag == 0.0) and np.all(d.real > 0.0)
     # Exact zeros below the diagonal, not just small values.
@@ -29,24 +30,41 @@ def test_qr_reconstruction_and_conventions(shape):
 def test_qr_stacked_matches_loop():
     rng = np.random.default_rng(2)
     a = _random_complex(rng, (6, 4, 3))
-    q, r = qr(a)
+    y = _random_complex(rng, (6, 4))
+    r, z = qr(a, y)
     for k in range(6):
-        qk, rk = qr(a[k])
-        np.testing.assert_allclose(q[k], qk, atol=1e-13)
+        rk, zk = qr(a[k], y[k])
         np.testing.assert_allclose(r[k], rk, atol=1e-13)
+        np.testing.assert_allclose(z[k], zk, atol=1e-13)
+
+
+@pytest.mark.parametrize("uses", (1, 7, 1350))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 8))
+def test_qr_broadcast_observation_equals_tiled(n, uses):
+    # One observation per use serves every column order of that use's
+    # channel, as the Chase detectors factor their (streams, uses) stacks:
+    # broadcasting it gives bit for bit what tiling it does.
+    rng = np.random.default_rng([n, uses])
+    a = _random_complex(rng, (n, uses, n + 1, n))
+    y = _random_complex(rng, (uses, n + 1))
+    r, z = qr(a, y)
+    r_tiled, z_tiled = qr(a, np.tile(y, (n, 1, 1)))
+    assert z.shape == (n, uses, n)
+    np.testing.assert_array_equal(r, r_tiled)
+    np.testing.assert_array_equal(z, z_tiled)
 
 
 def test_qr_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        qr(np.ones((2, 3)))
+        qr(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
-        qr(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        qr(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
     with pytest.raises(SingularMatrixError):
-        qr(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        qr(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
     # One singular member fails the whole stack.
     stack = np.stack([np.eye(2), np.ones((2, 2))])
     with pytest.raises(SingularMatrixError):
-        qr(stack)
+        qr(stack, np.ones(2))
 
 
 def test_back_substitute_vector_and_matrix():

@@ -12,14 +12,13 @@ from chasedet.constellation import build_constellation
 from chasedet.counters import pass_stats
 from chasedet.reference import (
     MAX_EXHAUSTIVE,
-    brute_pam_argmax,
     lmmse_llrs,
     maxlog_factors,
     maxlog_llrs,
     use_values,
 )
 
-from draws import exact_maxlog_llrs, iid_complex_gaussian
+from draws import brute_pam_argmax, exact_maxlog_llrs, iid_complex_gaussian
 
 _GOLDEN_PATH = Path(__file__).parent / "golden" / "maxlog_2x2_qpsk.txt"
 
@@ -73,14 +72,6 @@ def test_maxlog_matches_plain_enumeration():
         np.testing.assert_allclose(
             exact_maxlog_llrs(model, c, la), _loop_maxlog_2x2(model, c, la), atol=1e-12
         )
-
-
-def test_maxlog_none_apriori_is_zero_apriori():
-    c, cases = _golden_cases()
-    model, _ = cases[0]
-    a = exact_maxlog_llrs(model, c, None)
-    b = exact_maxlog_llrs(model, c, np.zeros((2, 2)))
-    np.testing.assert_array_equal(a, b)
 
 
 def test_maxlog_4x4_16qam_llrs_are_finite():
