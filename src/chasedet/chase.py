@@ -12,7 +12,10 @@ alone.
 Detection searches the target stream exhaustively: each of its M candidate
 values gets its a priori term and last-row metric, the detector's
 inner_layers adds the best metric of every other layer under that candidate,
-and bit LLRs are coset maxima over the candidates. The working set is
+and bit LLRs are coset maxima over the candidates. A candidate's index is
+its bit label, so its a priori terms are constellation.label_priors of the
+target's a priori LLRs as they stand, and its cosets are halves of a bit
+axis of the candidate axis split per bit (coset_llrs). The working set is
 candidate-major: a slice's totals are (M, rows), so every pass that
 broadcasts a per-row value (a variance, a coupling, level priors) runs over
 contiguous rows rather than over the M candidates. The detectors differ only
@@ -36,7 +39,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .constellation import Constellation, axis_parts, best_level_metric
+from .constellation import Constellation, axis_parts, best_level_metric, label_priors
 
 # Cap on the float64 values one detection slice keeps live at once (3.1 MB).
 # A slice takes as many contexts as fit under it at the detector's charge.
@@ -86,19 +89,23 @@ def detect_all_uses(
 ) -> np.ndarray:
     """Max-log LLRs of every stream of every use: (uses, streams, q).
 
-    contexts is a detector's (streams, uses) stack and la the
-    a priori LLRs (uses, streams, q). inner_layers(ctx_rows, c, la, use_idx,
+    contexts is a detector's (streams, uses) stack and la the a priori LLRs
+    (uses, n, q), n the length of each context's column order, that is the
+    streams of every use. inner_layers(ctx_rows, c, la, use_idx,
     total) adds the inner layers' best metrics to total, the (M, rows)
     candidate metrics, in place; use_idx maps each row to its la row.
     context_values is the detector's charge in float64 values per context,
     which sizes the slices under SLICE_VALUES. live holds each stream's
     count of live leading uses (all of them if None): the targets after
-    them are dead, never detected, and their LLRs are 0.0. A non-finite la
-    raises ValueError.
+    them are dead, never detected, and their LLRs are 0.0. An la of another
+    shape, or a non-finite one, raises ValueError.
     """
+    n_streams, n_uses = np.shape(contexts.stream)
+    expected = (n_uses, contexts.layers.shape[-1], c.bits_per_symbol)
+    if np.shape(la) != expected:
+        raise ValueError(f"expected a priori shape {expected}, got {np.shape(la)}")
     if not np.isfinite(la).all():
         raise ValueError("a priori LLRs must be finite")
-    n_streams, n_uses = np.shape(contexts.stream)
     live = np.full(n_streams, n_uses) if live is None else live
     flat = contexts.reshape(-1)
     rows = n_streams * n_uses
@@ -117,26 +124,11 @@ def detect_all_uses(
         for start in range(lo, end, step):
             ctx = flat[start : min(start + step, end)]
             use_idx = np.arange(start, start + len(ctx)) % n_uses
-            total = candidate_priors(la[use_idx, ctx.stream, :], c)
+            total = label_priors(la[use_idx, ctx.stream, :])
             total -= np.abs(ctx.y_last - ctx.pivot * c.symbols[:, None]) ** 2
             inner_layers(ctx, c, la, use_idx, total)
             out[start : start + len(ctx)] = coset_llrs(total, c)
     return out.reshape(n_streams, n_uses, -1).transpose(1, 0, 2)
-
-
-def candidate_priors(la_rows: np.ndarray, c: Constellation) -> np.ndarray:
-    """A priori term sum_k label_k * La_k of every candidate: (rows, q) -> (M, rows).
-
-    One matrix product, rows by labels, copied candidate-major: gemm rounds
-    the product of labels by rows differently. numpy hands a one-row
-    product to gemv, which rounds differently from gemm, so a lone row is
-    padded to two: results must not depend on how the rows are sliced.
-    """
-    if len(la_rows) == 1:
-        prior = (np.concatenate([la_rows, la_rows]) @ c.bit_labels_f.T)[:1]
-    else:
-        prior = la_rows @ c.bit_labels_f.T
-    return np.ascontiguousarray(prior.T)
 
 
 def add_layer_metric(total, parts, noise_var, la_layer, c: Constellation) -> None:
@@ -156,8 +148,17 @@ def add_layer_metric(total, parts, noise_var, la_layer, c: Constellation) -> Non
 
 
 def coset_llrs(total: np.ndarray, c: Constellation) -> np.ndarray:
-    """Max-log bit LLRs (rows, q) from per-candidate metrics (M, rows)."""
-    llrs = np.empty((total.shape[1], c.bits_per_symbol))
-    for k, (zeros, ones) in enumerate(c.bit_coset_idx):
-        llrs[:, k] = total[ones].max(axis=0) - total[zeros].max(axis=0)
+    """Max-log bit LLRs (rows, q) from per-candidate metrics (M, rows).
+
+    A candidate's index is its label, so splitting the candidate axis into
+    one axis per bit, MSB first, puts bit k's cosets at index 0 and 1 of
+    axis k: their maxima are maxima over the other bit axes, exact in any
+    order. total should be contiguous; a strided one reduces far slower.
+    """
+    q = c.bits_per_symbol
+    split = total.reshape((2,) * q + total.shape[1:])
+    llrs = np.empty((total.shape[1], q))
+    for k in range(q):
+        best = split.max(axis=tuple(j for j in range(q) if j != k))
+        np.subtract(best[1], best[0], out=llrs[:, k])
     return llrs

@@ -7,6 +7,10 @@ on a PamAxis, which is where almost all of this module lives. The paper's
 a-priori-aware slicer (BoundarySet, slice_pam, pam_metric) is kept as the
 reference the tests hold the level walk to.
 
+Every a priori term sum_n b_n * La(n), of a symbol's full label or of a
+level's sub-label, comes from label_priors: one fixed order of elementwise
+adds, so no BLAS kernel decides its last bit.
+
 Labeling convention (fixed, asserted by tests): bits are indexed 0..q-1 with
 bit 0 the MSB of the symbol index; even positions (0, 2, ...) form the real
 sub-label, odd positions the imaginary one. Each axis uses a binary-reflected
@@ -30,7 +34,7 @@ class PamAxis:
     """One PAM coordinate of nbits bits: 2**nbits evenly spaced levels in
     descending order, symmetric about zero with a spacing of 2 / norm, and
     their binary-reflected Gray sub-labels, level m carrying the bits of
-    m ^ (m >> 1), MSB first.
+    gray[m] = m ^ (m >> 1), MSB first.
 
     Precomputes the per-pair tables used to modulate decision boundaries so
     that boundary values are one matrix product regardless of how many
@@ -41,36 +45,47 @@ class PamAxis:
         count = 1 << nbits
         m = np.arange(count)
         self.levels = np.arange(count - 1, -count, -2, dtype=float) / norm
+        self.gray = m ^ (m >> 1)
         shifts = np.arange(nbits - 1, -1, -1)
-        self.sub_labels = (((m ^ (m >> 1))[:, None] >> shifts) & 1).astype(np.int8)
+        self.sub_labels = ((self.gray[:, None] >> shifts) & 1).astype(np.int8)
         self.nlevels = count
         self.nbits = nbits
-        self._labels_f = self.sub_labels.astype(float)
 
-        # Unordered level pairs (m, u) with m < u, i.e. x_m > x_u.
+        # Unordered level pairs (m, u) with m < u, i.e. x_m > x_u. Their
+        # label differences are -1, 0 or 1, exact in int8.
         first, second = np.triu_indices(count, 1)
         self.pair_first = first
         self.pair_second = second
         self.pair_mid = (self.levels[first] + self.levels[second]) / 2.0
         gap = 2.0 * (self.levels[first] - self.levels[second])
-        self.pair_coef = (self._labels_f[first] - self._labels_f[second]) / gap[:, None]
+        self.pair_coef = (self.sub_labels[first] - self.sub_labels[second]) / gap[:, None]
         self.npairs = len(first)
 
     def level_priors(self, apriori: np.ndarray) -> np.ndarray:
         """Per-level a priori term sum_n b_mn * La(n), level-major:
-        (..., nbits) -> (L, ...), so each level's terms are contiguous.
+        (..., nbits) -> (L, ...): label_priors at each level's Gray label."""
+        return label_priors(apriori)[self.gray]
 
-        Bit terms are added left to right onto +0.0, as a sum over the bit
-        axis adds them, so a -0.0 term comes out +0.0 there too. The matmul
-        form rounds differently at 256-QAM, so every metric takes its priors
-        from here and they agree to the last bit.
-        """
-        bits = np.moveaxis(np.asarray(apriori, dtype=float), -1, 0).copy()  # contiguous bits
-        labels = self._labels_f.T.reshape(self.nbits, -1, *(1,) * (bits.ndim - 1))
-        prior = 0.0 + bits[0] * labels[0]
-        for k in range(1, self.nbits):
-            prior += bits[k] * labels[k]
-        return prior
+
+def label_priors(apriori: np.ndarray) -> np.ndarray:
+    """A priori term sum_n b_n * La(n) of every bit label b, label-major:
+    (..., nbits) -> (2**nbits, ...), entry k for the label k reads MSB first.
+
+    Every symbol and level prior the detectors use is summed here. The
+    table grows one bit at a time, each label's entry copied for bit 0 and
+    added La(n) for bit 1, so a label's 1-bit terms are added left to right
+    onto +0.0: a sum that is never -0.0, which adding the 0-bits' +-0.0
+    products would leave as it is. No matrix product is formed, so no BLAS
+    kernel picks the rounding.
+    """
+    apriori = np.asarray(apriori, dtype=float)
+    prior = np.zeros((1,) + apriori.shape[:-1])
+    for n in range(apriori.shape[-1]):
+        grown = np.empty((len(prior), 2) + prior.shape[1:])
+        grown[:, 0] = prior
+        np.add(prior, apriori[..., n], out=grown[:, 1])
+        prior = grown.reshape((2 * len(prior),) + prior.shape[1:])
+    return prior
 
 
 class BoundarySet:
@@ -258,7 +273,6 @@ class Constellation:
         self.order = order
         self.bits_per_symbol = int(math.log2(order))
         q = self.bits_per_symbol
-        side = 1 << (q // 2)
 
         # Square QAM: both coordinates are the same PAM axis.
         self.axis = PamAxis(q // 2, math.sqrt(2.0 * (order - 1) / 3.0))
@@ -266,21 +280,13 @@ class Constellation:
         shifts = np.arange(q - 1, -1, -1)
         ks = np.arange(order)
         self.bit_labels = ((ks[:, None] >> shifts) & 1).astype(np.int8)
-        self.bit_labels_f = self.bit_labels.astype(float)
 
         # A sub-label read as an integer is the Gray code of its level's
         # index; argsort inverts that permutation.
-        index = np.arange(side)
-        gray_to_level = np.argsort(index ^ (index >> 1))
+        gray_to_level = np.argsort(self.axis.gray)
         sub_ints = axis_parts(self.bit_labels) @ (1 << np.arange(q // 2 - 1, -1, -1))
         real_levels, imag_levels = self.axis.levels[gray_to_level[sub_ints]]
         self.symbols = real_levels + 1j * imag_levels
-
-        # Symbol-index cosets per full-label bit.
-        self.bit_coset_idx = [
-            (np.nonzero(column == 0)[0], np.nonzero(column == 1)[0])
-            for column in self.bit_labels.T
-        ]
 
         self._weights = 1 << shifts
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, coset_sqdist_gap, label_order, stack_axes
+from .constellation import Constellation, coset_sqdist_gap, label_order, label_priors, stack_axes
 
 MAX_EXHAUSTIVE = 1 << 20
 # Floor on the LMMSE effective noise variance, for numerical safety.
@@ -72,6 +72,8 @@ def maxlog_llrs(factors: np.ndarray, c: Constellation, apriori: np.ndarray) -> n
     (..., n, q) shares. A candidate's metric is its a priori term (label *
     LLR) minus its squared whitened residual; each bit's LLR is the
     difference of coset maxima. Non-finite a priori LLRs raise ValueError.
+    The a priori terms come from constellation.label_priors, as the Chase
+    detectors' do.
     """
     lead, rows, n = factors.shape[:-2], factors.shape[-2], factors.shape[-1] - 1
     q, total = c.bits_per_symbol, c.order**n
@@ -90,11 +92,12 @@ def maxlog_llrs(factors: np.ndarray, c: Constellation, apriori: np.ndarray) -> n
     llrs = np.empty((len(rz), n, q))
     for start in range(0, len(rz), step):
         uses = slice(start, start + step)
-        prior_tab = apriori.reshape(-1, n, q)[uses] @ c.bit_labels_f.T  # (uses, n, M)
+        prior_tab = np.moveaxis(label_priors(apriori.reshape(-1, n, q)[uses]), 0, -1)
         table = _metric_table(rz[uses, :, n], rz[uses, :, :n], prior_tab, c)
         for i in range(n):
             other = tuple(j + 1 for j in range(n) if j != i)
-            llrs[uses, i] = chase.coset_llrs(table.max(axis=other).T, c)
+            best = np.ascontiguousarray(table.max(axis=other).T)  # (M, uses)
+            llrs[uses, i] = chase.coset_llrs(best, c)
         del table  # before the next slice builds its own
     return llrs.reshape(lead + (n, q))
 

@@ -131,7 +131,7 @@ def test_layer_metric_max_is_exact():
             la_axis = la[:, cols]
             idx = slice_pam(z, axis, pam_boundaries(axis, la_axis, var))
             total += pam_metric(axis, idx, z, la_axis, var)
-        prior_tab = la @ c.bit_labels_f.T
+        prior_tab = la @ c.bit_labels.T
         brute = prior_tab - np.abs(zc[:, None] - c.symbols) ** 2 / var[:, None]
         worst = max(worst, float(np.abs(total - brute.max(axis=1)).max()))
     _report("layer-max-exactness", worst <= 1e-12)

@@ -296,6 +296,21 @@ def test_non_finite_apriori_is_rejected(detector, bad):
         _SOFT_INPUT[detector](model, c, la)
 
 
+@pytest.mark.parametrize(
+    "shape", ((7, 4, 4), (5, 6, 4), (5, 4, 2)), ids=("uses", "streams", "bits")
+)
+@pytest.mark.parametrize("detector", sorted(_SOFT_INPUT))
+def test_misshaped_apriori_is_rejected(detector, shape):
+    # A priori LLRs for more uses or streams than the model has, or with
+    # another bit count, fail with the shape expected of 5 uses x 4 streams
+    # of 16-QAM, not as silently truncated or broadcast LLRs.
+    c = build_constellation(16)
+    rng = np.random.default_rng(33)
+    y, h = iid_complex_gaussian(rng, (5, 4)), iid_complex_gaussian(rng, (5, 4, 4))
+    with pytest.raises(ValueError, match=r"expected a priori shape \(5, 4, 4\)"):
+        _SOFT_INPUT[detector](WhitenedModel(y=y, h=h), c, np.zeros(shape))
+
+
 _MODEL_INPUT = {**_SOFT_INPUT, "lmmse": lambda model, c, la: reference.lmmse_llrs(model, c)}
 
 
@@ -387,3 +402,21 @@ def test_contexts_match_per_stream_stack(detector, n, extra_rx):
     for f in fields(contexts):
         want = np.stack([s[f.name] for s in streams])
         assert np.array_equal(getattr(contexts, f.name), want), f.name
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_coset_llrs_match_index_set_maxima(order):
+    # Maxima over the bit axes of the split candidate axis are the maxima
+    # over each bit's coset of candidate indices, bit for bit, under
+    # integer totals that tie within and across cosets and under Cauchy ones.
+    c = build_constellation(order)
+    rng = np.random.default_rng(order + 7)
+    ties = rng.integers(-3, 3, (order, 200)).astype(float)
+    spread = -np.abs(20.0 * rng.standard_cauchy((order, 200)))
+    for total in (ties, spread, spread[:, :1], spread[:, :0]):
+        want = np.empty((total.shape[1], c.bits_per_symbol))
+        for k, ones in enumerate(c.bit_labels.T == 1):
+            want[:, k] = total[ones].max(axis=0) - total[~ones].max(axis=0)
+        got = chase.coset_llrs(np.ascontiguousarray(total), c)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -12,6 +12,7 @@ from chasedet.constellation import (
     axis_parts,
     build_constellation,
     coset_min_sqdist,
+    label_priors,
     modulate,
     pam_boundaries,
     pam_metric,
@@ -332,7 +333,7 @@ def _level_priors_by_sum(axis, apriori):
     """Per-level priors (L, ...) as a sum over the bit axis of an (..., L,
     nbits) product, the form PamAxis.level_priors took before its walk over
     bits, moved level-major."""
-    prior = (np.asarray(apriori, dtype=float)[..., None, :] * axis._labels_f).sum(axis=-1)
+    prior = (np.asarray(apriori, dtype=float)[..., None, :] * axis.sub_labels).sum(axis=-1)
     return np.moveaxis(prior, -1, 0)
 
 
@@ -351,6 +352,45 @@ def test_level_priors_match_bit_axis_sum(order):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _label_priors_left_to_right(apriori):
+    """label_priors by plain Python: each label's 1-bit terms added left to
+    right onto +0.0, one row of apriori (rows, nbits) at a time."""
+    rows, nbits = apriori.shape
+    prior = np.empty((1 << nbits, rows))
+    for k in range(1 << nbits):
+        for r in range(rows):
+            total = 0.0
+            for n in range(nbits):
+                if k >> (nbits - 1 - n) & 1:
+                    total = total + float(apriori[r, n])
+            prior[k, r] = total
+    return prior
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_label_priors_add_bits_left_to_right(order):
+    # Bit for bit, signed zeros included, for both an axis's sub-labels and
+    # full labels, under Cauchy-tailed priors with -0.0, +0.0 and
+    # +-LLR_CLIP entries, over stacks of many, one and zero rows.
+    c = build_constellation(order)
+    rng = np.random.default_rng(order + 17)
+    for nbits in (c.axis.nbits, c.bits_per_symbol):
+        la = np.clip(3.0 * rng.standard_cauchy((40, nbits)), -LLR_CLIP, LLR_CLIP)
+        pick = rng.random(la.shape)
+        la[pick < 0.15] = -0.0
+        la[(pick >= 0.15) & (pick < 0.25)] = 0.0
+        la[pick > 0.85] = np.copysign(LLR_CLIP, la[pick > 0.85])
+        for rows in (la, la[:1], la[:0]):
+            got, want = label_priors(rows), _label_priors_left_to_right(rows)
+            assert got.shape == want.shape == (1 << nbits, len(rows))
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    # Leading axes are carried through: (..., nbits) -> (2**nbits, ...).
+    stacked = rng.normal(size=(3, 5, c.bits_per_symbol))
+    flat = label_priors(stacked.reshape(15, -1)).reshape(c.order, 3, 5)
+    assert np.array_equal(label_priors(stacked), flat)
 
 
 def _bounds_by_masked_gather(axis, values):
@@ -403,7 +443,7 @@ def test_pam_metric_sums_priors_in_label_order(order):
     var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
     z = rng.uniform(-2.0, 2.0, (rows, m))
     idx = rng.integers(0, ax.nlevels, (rows, m))
-    want = (ax._labels_f[idx] * la).sum(axis=-1) - (z - ax.levels[idx]) ** 2 / var
+    want = (ax.sub_labels[idx] * la).sum(axis=-1) - (z - ax.levels[idx]) ** 2 / var
     assert np.array_equal(pam_metric(ax, idx, z, la, var), want)
 
 

@@ -80,7 +80,7 @@ def test_context_resolves_noiseless_observation():
 
 def _loop_detect_stream(ctx, c, la):
     """Per-candidate metric with a direct max over every inner-layer symbol."""
-    prior_tab = la @ c.bit_labels_f.T  # (n, M)
+    prior_tab = la @ c.bit_labels.T  # (n, M)
     total = np.empty(c.order)
     for j, cand in enumerate(c.symbols):
         metric = prior_tab[ctx.stream, j]
@@ -94,8 +94,8 @@ def _loop_detect_stream(ctx, c, la):
             metric += layer_metrics.max()
         total[j] = metric
     llrs = np.empty(c.bits_per_symbol)
-    for k, (zeros, ones) in enumerate(c.bit_coset_idx):
-        llrs[k] = total[ones].max() - total[zeros].max()
+    for k, ones in enumerate(c.bit_labels.T == 1):
+        llrs[k] = total[ones].max() - total[~ones].max()
     return llrs
 
 

@@ -57,8 +57,8 @@ def _loop_maxlog_2x2(model, c, la):
             s = np.array([c.symbols[i0], c.symbols[i1]])
             resid = model.y - model.h @ s
             metric = -float(np.sum(np.abs(resid) ** 2))
-            metric += float(la[0] @ c.bit_labels_f[i0])
-            metric += float(la[1] @ c.bit_labels_f[i1])
+            metric += float(la[0] @ c.bit_labels[i0])
+            metric += float(la[1] @ c.bit_labels[i1])
             for k in range(2):
                 b0, b1 = c.bit_labels[i0, k], c.bit_labels[i1, k]
                 best[0, k, b0] = max(best[0, k, b0], metric)
@@ -228,7 +228,7 @@ def _direct_maxlog(model, c, la):
     s = c.symbols[digits]  # (M**n, n), stream 0 the slowest digit
     out = []
     for y, h, la_use in zip(model.y, model.h, la):
-        prior = (la_use @ c.bit_labels_f.T)[np.arange(n), digits].sum(axis=1)
+        prior = (la_use @ c.bit_labels.T)[np.arange(n), digits].sum(axis=1)
         metric = prior - np.sum(np.abs(y - s @ h.T) ** 2, axis=1)
         table = metric.reshape((c.order,) * n)
         out.append(
