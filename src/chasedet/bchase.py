@@ -15,8 +15,12 @@ Every inner layer takes the largest of each axis's sqrt(M) level metrics
 slicer picks. The paper's cost model charges that slicer's boundaries: one
 set per context on the bottom-most inner layer, which sees no feedback
 (unit effective variance), and one per candidate above it; this module
-counts nothing. The top layer computes no post-detection LLRs since
-nothing consumes them.
+counts nothing. A layer that feeds back takes its post-detection LLRs'
+coset minima from the same walk over its levels, so each level's distance
+is formed once per layer; the top layer computes no post-detection LLRs
+since nothing consumes them. The bottom layer's variance, 1/r_ll^2, is
+per row. A feedback layer's walk, holding both axes' coset minima, is
+where a slice peaks (see context_values).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, axis_parts, coset_sqdist_gap, label_order
+from .constellation import Constellation, axis_parts, label_order
 from .constellation import pam_boundaries, pam_metric, slice_pam, soft_symbol_stats, stack_axes
 from .errors import SingularMatrixError
 from .linalg import qr
@@ -103,25 +107,22 @@ def prepare_all_uses(models: WhitenedModel) -> BchaseStreamContext:
     return BchaseStreamContext(layers=orders, r=r, y_rot=y_rot)
 
 
-def layer_post_llrs(parts, r_ll, layer_var, la_layer, c: Constellation) -> np.ndarray:
+def layer_post_llrs(gap, r_ll, layer_var, la_layer, c: Constellation) -> np.ndarray:
     """A posteriori LLRs of a layer: its post-detection LLRs given its
     normalized observation z, plus its a priori LLRs.
 
-    z is the feedback-cancelled, r_ll-normalized layer observation (so the
-    residual distance to a symbol s is |r_ll|^2 |z - s|^2), given as its
-    stacked parts (2,) + z.shape (constellation.stack_axes), and layer_var
-    the layer's effective noise variance. Distance-only (prior-free) coset
-    minima are taken for both axes at once, and la_layer is added to them
-    bit-major, where each bit's values are contiguous. z's shape and the
-    others broadcast; the result gains a trailing q axis, against which
-    la_layer (..., q) broadcasts, and is a view over bit-major memory (see
-    label_order).
+    gap is the layer's prior-free coset gap, both axes' d0 - d1 bit-major,
+    (nbits, 2) + z.shape, as chase.add_layer_metric returns it from the
+    layer's level walk; z is the feedback-cancelled, r_ll-normalized layer
+    observation, so the residual distance to a symbol s is |r_ll|^2 |z -
+    s|^2, and layer_var is the layer's effective noise variance. The gap is
+    scaled by r_ll^2 / layer_var and la_layer is added to it, in place and
+    bit-major, where each bit's values are contiguous. r_ll and layer_var
+    broadcast against z's shape, and la_layer against z.shape + (q,); the
+    result is z.shape + (q,), a view over gap's memory (see label_order).
     """
-    scale = np.asarray(r_ll, dtype=float) ** 2 / np.asarray(layer_var, dtype=float)
-    shape = (2,) + np.broadcast_shapes(np.shape(parts)[1:], scale.shape)
-    gap = coset_sqdist_gap(np.broadcast_to(parts, shape), c.axis)
-    gap *= scale
-    la_bits = axis_parts(np.broadcast_to(la_layer, shape[1:] + (c.bits_per_symbol,)))
+    gap *= np.asarray(r_ll, dtype=float) ** 2 / np.asarray(layer_var, dtype=float)
+    la_bits = axis_parts(np.broadcast_to(la_layer, gap.shape[2:] + (c.bits_per_symbol,)))
     gap += np.moveaxis(la_bits, -1, 0)
     return label_order(gap)
 
@@ -129,24 +130,29 @@ def layer_post_llrs(parts, r_ll, layer_var, la_layer, c: Constellation) -> np.nd
 def context_values(c: Constellation, n_streams: int) -> int:
     """Float64 values one context is charged.
 
-    With three or more streams the peak falls on a feedback layer, in
-    layer_post_llrs or soft_symbol_stats, at under 2*q + 3*n_streams + 8
-    values per candidate under tracemalloc. Per candidate it holds the
-    running total; the inner layers' soft means and variances, 3 per
-    stream; the layer's z, stacked once as (real, imag), and its variance,
-    3; and then either both axes' q-wide coset minima and one level's
-    distances, or the LLRs, their tanh and three moment arrays one bit
-    wide. The charge, 4*q + 3*n_streams + 16 per candidate, leaves a full
-    64-QAM slice holding about 1.8 MB at its peak; a full lchase slice
-    holds about 1.1 MB. A charge of 2*q + 3*n_streams + 12, just above the
-    peak, filled bchase's slices to 2.6 MB and raised peak RSS by 0.5 MB
-    for no measurable speed.
+    With three or more streams the peak falls in a feedback layer's level
+    walk, at under 3*q + 3*n_streams + 9 values per candidate under
+    tracemalloc, per-context terms included: 4x4 measured 25.1, 32.2, 37.6
+    and 43.3 from QPSK to 256-QAM. Per candidate it holds the running
+    total; the inner layers' soft means and variances, 3 per stream; the
+    layer's z, stacked once as (real, imag), and its variance before and
+    after scaling by 1/r_ll^2, 4; the walk's best and current metric and
+    current distance for both axes, 6; both axes' coset minima for either
+    bit value, 2*q; and at most one pending block minimum per block size
+    below the axis's halves, under q. The stacked z is freed as the walk
+    returns, so the post-detection LLRs and soft statistics, which work in
+    the walk's q-wide gap, peak lower (within one value of it at QPSK). The
+    charge, 5*q + 3*n_streams + 10 per candidate, equals 4*q + 3*n_streams
+    + 16 at 64-QAM, but that form charged QPSK over twice its peak. A full
+    64-QAM slice holds about 2.2 MB at its peak; a full lchase slice about
+    1.1 MB. A charge just above an earlier, lower peak filled bchase's
+    slices to 2.6 MB and raised peak RSS by 0.5 MB for no measurable speed.
 
-    With one or two streams no layer feeds back, and the peak falls in
-    best_level_metric on the bottom layer: the running total, z's stacked
-    axes, the soft means and variances, both variances and the walk's two
-    buffers for both axes take 12 values per candidate. Measured with the
-    per-context terms: 12.7 to 14.4; the charge is 24.
+    With one or two streams no layer feeds back, and the peak falls in the
+    bottom layer's walk, which takes no coset minima: the running total,
+    z's stacked axes, the soft means and variances and the walk's two
+    buffers for both axes take 10 values per candidate. Measured with the
+    per-context terms: 10.7 to 12.6; the charge is 24.
 
     Per context, the a priori and output LLRs and the level priors take
     under 16*q more. tests/test_chase.py holds a measured peak to this.
@@ -154,7 +160,7 @@ def context_values(c: Constellation, n_streams: int) -> int:
     q = c.bits_per_symbol
     if n_streams <= 2:
         return 24 * c.order + 16 * q
-    per_candidate = 4 * q + 3 * n_streams + 16
+    per_candidate = 5 * q + 3 * n_streams + 10
     return c.order * per_candidate + 16 * q
 
 
@@ -171,8 +177,8 @@ def _inner_layers(
     The soft feedback of the layers already walked is kept as (layers, M,
     rows). A layer's observation is divided by its r_ll as a multiply of
     its stacked parts by 1/r_ll: numpy divides a complex by a real as
-    (re + im*0) * (1/r_ll), so only the signs of zeros differ, and neither
-    the level walk nor the coset minima read them.
+    (re + im*0) * (1/r_ll), so only the signs of zeros differ, and the
+    level walk, for its metric and its coset minima alike, reads none.
     """
     n = ctx.layers.shape[1]
     r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
@@ -186,21 +192,24 @@ def _inner_layers(
         r_row = r[:, l, :]
         r_ll = r_row[:, l].real
         z = y_rot[:, l] - r_row[:, n - 1] * cand
-        z -= np.einsum("uf,fmu->mu", r_row[:, l + 1 : n - 1], shat[l + 1 : n - 1])
-        parts = stack_axes(z)  # one stack for the walk and the coset minima
+        if l < n - 2:
+            z -= np.einsum("uf,fmu->mu", r_row[:, l + 1 : n - 1], shat[l + 1 : n - 1])
+            layer_var = 1.0 + np.einsum(
+                "uf,fmu->mu", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[l + 1 : n - 1]
+            )
+        else:
+            layer_var = 1.0  # the bottom layer: nothing fed back yet
+        parts = stack_axes(z)  # one stack for the walk's metric and coset minima
         del z
         parts *= 1.0 / r_ll
-        layer_var = 1.0 + np.einsum(
-            "uf,fmu->mu", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[l + 1 : n - 1]
-        )
-        chase.add_layer_metric(total, parts, layer_var / r_ll**2, la_layer, c)
-
+        gap = chase.add_layer_metric(total, parts, layer_var / r_ll**2, la_layer, c, l > 0)
+        del parts  # not live under the post-detection LLRs and soft statistics
         if l == 0:
             break  # nothing below consumes this layer's estimate
 
-        post = layer_post_llrs(parts, r_ll, layer_var, la_layer, c)
+        post = layer_post_llrs(gap, r_ll, layer_var, la_layer, c)
         shat[l], svar[l] = soft_symbol_stats(post, c)
-        del post  # not live under the next layer's coset minima
+        del post  # not live under the next layer's walk
 
 
 def detect_all_uses(

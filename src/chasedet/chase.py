@@ -39,7 +39,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .constellation import Constellation, axis_parts, best_level_metric, label_priors
+from .constellation import Constellation, axis_parts, label_priors, level_walk
 
 # Cap on the float64 values one detection slice keeps live at once (3.1 MB).
 # A slice takes as many contexts as fit under it at the detector's charge.
@@ -131,7 +131,7 @@ def detect_all_uses(
     return out.reshape(n_streams, n_uses, -1).transpose(1, 0, 2)
 
 
-def add_layer_metric(total, parts, noise_var, la_layer, c: Constellation) -> None:
+def add_layer_metric(total, parts, noise_var, la_layer, c: Constellation, cosets=False):
     """Add one inner layer's best metric under each candidate to total in place.
 
     parts is the layer's observation under each candidate as stacked real
@@ -139,12 +139,15 @@ def add_layer_metric(total, parts, noise_var, la_layer, c: Constellation) -> Non
     its variance, (M, rows) or (rows,); la_layer holds the layer's a
     priori LLRs (rows, q), whose level priors are formed once, level-major.
     Both PAM axes are walked at once, and the real axis's metric is added
-    first, so the sum rounds as two per-axis passes did.
+    first, so the sum rounds as two per-axis passes did. With cosets, the
+    same walk also returns both axes' coset gap, (nbits, 2, M, rows) (see
+    constellation.level_walk); else None.
     """
     prior = c.axis.level_priors(axis_parts(la_layer))[:, :, None, :]
-    best = best_level_metric(parts, c.axis, prior, noise_var)
+    best, gap = level_walk(parts, c.axis, prior, noise_var, cosets)
     total += best[0]
     total += best[1]
+    return gap
 
 
 def coset_llrs(total: np.ndarray, c: Constellation) -> np.ndarray:

@@ -3,9 +3,11 @@
 A square M-QAM symbol is two independent sqrt(M)-PAM coordinates. Every
 per-symbol operation the detectors need (best per-level metrics, coset
 distances, soft symbol statistics) therefore reduces to one-dimensional work
-on a PamAxis, which is where almost all of this module lives. The paper's
-a-priori-aware slicer (BoundarySet, slice_pam, pam_metric) is kept as the
-reference the tests hold the level walk to.
+on a PamAxis, which is where almost all of this module lives. One walk over
+an axis's levels (level_walk) forms each level's distance once for the best
+metric, the per-bit coset minima, or both. The paper's a-priori-aware
+slicer (BoundarySet, slice_pam, pam_metric) is kept as the reference the
+tests hold the level walk to.
 
 Every a priori term sum_n b_n * La(n), of a symbol's full label or of a
 level's sub-label, comes from label_priors: one fixed order of elementwise
@@ -200,63 +202,100 @@ def pam_metric(axis: PamAxis, level, z, apriori: np.ndarray, noise_var) -> np.nd
     return prior - dist / np.asarray(noise_var, dtype=float)
 
 
-def best_level_metric(z, axis: PamAxis, prior, noise_var) -> np.ndarray:
-    """Maximum over the axis levels of pam_metric, one level at a time.
+def level_walk(z, axis: PamAxis, prior=None, noise_var=None, cosets=False):
+    """One walk over the axis levels, in order, forming each level's squared
+    distance (z - x_m)^2 once for the best prior-aware metric, the per-bit
+    coset minima, or both. Returns (best, gap), None where not asked for.
 
-    prior holds the level priors level-major, (L, ...), as
-    PamAxis.level_priors gives them. Each level's metric rounds exactly as
-    pam_metric's does, so this is pam_metric at the level slice_pam picks;
-    z is (2, M, rows), prior (L, 2, 1, rows) and noise_var (rows,) or
-    (M, rows), so every pass runs over contiguous rows. The levels are
-    walked in two result-shaped buffers.
+    With a prior, best is the maximum over levels of pam_metric, prior[m] -
+    (z - x_m)^2 / noise_var. prior holds the level priors level-major, (L,
+    ...), as PamAxis.level_priors gives them. Each level's metric rounds
+    exactly as pam_metric's does, so this is pam_metric at the level
+    slice_pam picks; z is (2, M, rows), prior (L, 2, 1, rows) and noise_var
+    (rows,) or (M, rows), so every pass runs over contiguous rows, in two
+    result-shaped buffers.
+
+    With cosets, gap is d0 - d1 bit-major, (axis.nbits,) + z.shape: the
+    minimum squared distance from z to the levels whose bit n is 0, less
+    that to the levels whose bit n is 1 (_CosetTree). These prior-free
+    minima feed the post-detection LLRs of the feedback chain and the LMMSE
+    demapper; label_order views them per bit.
     """
-    best = np.empty(np.broadcast_shapes(np.shape(z), np.shape(prior)[1:], np.shape(noise_var)))
-    metric = np.empty_like(best)
+    tree = _CosetTree(axis.nbits, np.shape(z)) if cosets else None
+    best = metric = None
+    if prior is not None:
+        best = np.empty(np.broadcast_shapes(np.shape(z), np.shape(prior)[1:], np.shape(noise_var)))
+        metric = np.empty_like(best)
     for m, level in enumerate(axis.levels):
         out = metric if m else best
-        np.subtract(z, level, out=out)
-        np.square(out, out=out)
-        np.divide(out, noise_var, out=out)
-        np.subtract(prior[m], out, out=out)
-        if m:
-            np.maximum(best, metric, out=best)
-    return best
-
-
-def coset_min_sqdist(z, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bit minimum squared distance to the bit-0 / bit-1 level cosets.
-
-    Returns (d0, d1), each shaped like z with a trailing axis of axis.nbits.
-    This is the prior-free slicing problem restricted to each coset, used by
-    the post-detection LLRs of the feedback chain and the LMMSE demapper.
-    """
-    z = np.asarray(z, dtype=float)
-    # Levels are walked one at a time with z's shape innermost: each level's
-    # squared distance is formed once and folded into the bit-major minima
-    # of every coset it belongs to.
-    d0 = np.full((axis.nbits,) + z.shape, np.inf)
-    d1 = np.full((axis.nbits,) + z.shape, np.inf)
-    dist = np.empty(z.shape)
-    for level, bits in zip(axis.levels, axis.sub_labels):
+        dist = out if tree is None else tree.buffer(m)
         np.subtract(z, level, out=dist)
         np.square(dist, out=dist)
-        for n, bit in enumerate(bits):
-            best = d1[n, ...] if bit else d0[n, ...]
-            np.minimum(best, dist, out=best)
-    return np.moveaxis(d0, 0, -1), np.moveaxis(d1, 0, -1)
+        if best is not None:
+            np.divide(dist, noise_var, out=out)
+            np.subtract(prior[m], out, out=out)
+            if m:
+                np.maximum(best, metric, out=best)
+        if tree is not None:
+            tree.add(m, dist)
+    return best, None if tree is None else tree.gap()
 
 
-def coset_sqdist_gap(parts, axis: PamAxis) -> np.ndarray:
-    """d0 - d1 of coset_min_sqdist for both parts of a complex z, stacked as
-    stack_axes gives them, (2,) + z.shape; bit-major: (axis.nbits, 2) +
-    z.shape, the real part first along axis 1.
+class _CosetTree:
+    """Per-bit coset minima of a level walk's distances, folded as the
+    levels go by.
 
-    The difference is taken in place on coset_min_sqdist's bit-major
-    buffers, so every per-bit slice is contiguous; label_order views the
-    result per bit.
+    Under the reflected Gray code, bit n's cosets are unions of aligned
+    blocks of 2**k levels, k = nbits - 1 - n: block b lies in the bit-1
+    coset when b % 4 is 1 or 2. A block's minimum is formed from its two
+    halves as soon as the second one is, folded into its coset and kept as
+    a half of the next size up: L - 2 block minima and 2 (L - 1 - nbits)
+    coset unions in all, in place of L * nbits folds, with at most one
+    pending half per block size. The first block of each coset is formed in
+    that coset's row, so nothing is copied. A minimum is exact in any order,
+    and squared distances are never -0.0, so these are bit for bit the
+    minima of a level-by-level fold.
     """
-    d0, d1 = coset_min_sqdist(parts, axis)
-    return np.moveaxis(np.subtract(d0, d1, out=d0), -1, 0)
+
+    def __init__(self, nbits: int, shape) -> None:
+        self._shape = tuple(shape)
+        self._cosets = (np.empty((nbits,) + self._shape), np.empty((nbits,) + self._shape))
+        self._halves = [None] * nbits
+
+    def _block(self, k: int, b: int):
+        """Where block b of 2**k levels is formed: its coset's row if it is
+        that coset's first block, else a fresh buffer (None)."""
+        return self._cosets[b][-1 - k, ...] if b < 2 else None
+
+    def buffer(self, m: int) -> np.ndarray:
+        """Where level m's distance is to be formed."""
+        out = self._block(0, m)
+        return np.empty(self._shape) if out is None else out
+
+    def add(self, m: int, dist: np.ndarray) -> None:
+        """Fold level m's distance, formed in buffer(m), into the tree."""
+        halves = self._halves
+        k, b, block = 0, m, dist
+        while True:
+            if b >= 2:
+                coset = self._cosets[(b ^ (b >> 1)) & 1][-1 - k, ...]
+                np.minimum(coset, block, out=coset)
+            if k + 1 == len(halves):
+                return  # the axis's halves: no larger block is needed
+            if not b & 1:
+                halves[k] = block
+                return
+            even, halves[k] = halves[k], None
+            k, b = k + 1, b >> 1
+            # Past a coset's first block the even half is no coset's row, so
+            # the pair's minimum may overwrite it.
+            out = self._block(k, b)
+            block = np.minimum(even, block, out=even if out is None else out)
+
+    def gap(self) -> np.ndarray:
+        """d0 - d1 per bit, bit-major, in the bit-0 minima's buffer."""
+        d0, d1 = self._cosets
+        return np.subtract(d0, d1, out=d0)
 
 
 class Constellation:
@@ -312,7 +351,7 @@ def modulate(bits, c: Constellation) -> np.ndarray:
 def axis_parts(bits: np.ndarray) -> np.ndarray:
     """Per-bit values (..., q) as (2, ..., q/2): the real axis's bits (the even
     label positions), then the imaginary axis's. A view where reshape allows."""
-    return np.moveaxis(bits.reshape(bits.shape[:-1] + (-1, 2)), -1, 0)
+    return np.moveaxis(bits.reshape(bits.shape[:-1] + (bits.shape[-1] // 2, 2)), -1, 0)
 
 
 def stack_axes(z: np.ndarray) -> np.ndarray:
@@ -323,7 +362,7 @@ def stack_axes(z: np.ndarray) -> np.ndarray:
 def label_order(parts: np.ndarray) -> np.ndarray:
     """Bit-major per-axis values (nbits, 2, ...) as per-bit values (..., q), a
     view: label position 2n + a holds axis a's bit n (see axis_parts)."""
-    return np.moveaxis(parts, (0, 1), (-2, -1)).reshape(parts.shape[2:] + (-1,))
+    return np.moveaxis(parts, (0, 1), (-2, -1)).reshape(parts.shape[2:] + (2 * len(parts),))
 
 
 def _axis_stats(t, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:

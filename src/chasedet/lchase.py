@@ -84,7 +84,7 @@ def prepare_all_uses(models: WhitenedModel) -> LchaseStreamContext:
 def context_values(c: Constellation) -> int:
     """Float64 values one context is charged: 21*M + 16*q.
 
-    The peak falls in best_level_metric on an inner layer. Per candidate it
+    The peak falls in the level walk of an inner layer. Per candidate it
     holds the running total, the layer's z stacked as (real, imag) (its
     complex form is a temporary, freed once stacked) and the walk's two
     buffers for both axes, 7 values; per context, the a priori and output

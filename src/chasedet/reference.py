@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chase
 from .channel import WhitenedModel, require_finite
-from .constellation import Constellation, coset_sqdist_gap, label_order, label_priors, stack_axes
+from .constellation import Constellation, label_order, label_priors, level_walk, stack_axes
 
 MAX_EXHAUSTIVE = 1 << 20
 # Floor on the LMMSE effective noise variance, for numerical safety.
@@ -124,6 +124,6 @@ def lmmse_llrs(model: WhitenedModel, c: Constellation) -> np.ndarray:
     z = shat / mu
     nu = np.maximum((1.0 - mu) / mu, LMMSE_NOISE_FLOOR)
 
-    gap = coset_sqdist_gap(stack_axes(z), c.axis)
+    gap = level_walk(stack_axes(z), c.axis, cosets=True)[1]
     gap /= nu
     return label_order(gap)

@@ -19,12 +19,12 @@ class Walk(Counter):
 
     def tally(self, module, name, key, units):
         """Wrap module.name, where its caller looks it up, so that each call
-        adds units(*args) to self[key]."""
+        adds units(*args, **kwargs) to self[key]."""
         real = getattr(module, name)
 
-        def counted(*args):
-            self[key] += units(*args)
-            return real(*args)
+        def counted(*args, **kwargs):
+            self[key] += units(*args, **kwargs)
+            return real(*args, **kwargs)
 
         self._monkeypatch.setattr(module, name, counted)
 

@@ -63,3 +63,15 @@ def brute_pam_argmax(z, axis, apriori, noise_var) -> np.ndarray:
     var = np.asarray(noise_var, dtype=float)
     metric = prior - ((z[..., None] - axis.levels) ** 2) / var[..., None]
     return metric.argmax(axis=-1)
+
+
+def brute_coset_minima(z, axis) -> tuple:
+    """Per-bit minimum squared distances (d0, d1), each z.shape + (nbits,),
+    from z to the levels whose bit is 0 and to those whose bit is 1, each
+    coset's distances formed and reduced at once."""
+    z = np.asarray(z, dtype=float)
+    d0, d1 = np.empty(z.shape + (axis.nbits,)), np.empty(z.shape + (axis.nbits,))
+    for n, column in enumerate(axis.sub_labels.T):
+        for d, bit in ((d0, 0), (d1, 1)):
+            d[..., n] = ((z[..., None] - axis.levels[column == bit]) ** 2).min(axis=-1)
+    return d0, d1

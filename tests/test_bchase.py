@@ -12,9 +12,8 @@ from chasedet.constellation import (
     SUPPORTED_ORDERS,
     Constellation,
     axis_parts,
-    best_level_metric,
     build_constellation,
-    coset_min_sqdist,
+    level_walk,
     pam_boundaries,
     pam_metric,
     slice_pam,
@@ -24,11 +23,24 @@ from chasedet.constellation import (
 from chasedet.counters import pass_stats
 from chasedet.llr import LLR_CLIP
 
-from draws import apriori, brute_pam_argmax, detect, iid_complex_gaussian, random_model, stack
+from draws import (
+    apriori,
+    brute_coset_minima,
+    brute_pam_argmax,
+    detect,
+    iid_complex_gaussian,
+    random_model,
+    stack,
+)
 
 
-def _zero_post_llrs(parts, r_ll, layer_var, la_layer, c):
-    return np.zeros(np.shape(parts)[1:] + (c.bits_per_symbol,)) + la_layer
+def _zero_post_llrs(gap, r_ll, layer_var, la_layer, c):
+    return np.zeros(gap.shape[2:] + (c.bits_per_symbol,)) + la_layer
+
+
+def _coset_gap(z, c):
+    """A complex z's coset gap as layer_post_llrs takes it, from one walk."""
+    return level_walk(stack_axes(z), c.axis, cosets=True)[1]
 
 
 def blast_order(h, stream):
@@ -116,8 +128,8 @@ def test_noiseless_genie_feedback_is_correct(monkeypatch):
     # with zero variance, as a genie would.
     real_layer_post_llrs = bchase.layer_post_llrs
 
-    def genie(z, r_ll, layer_var, la_layer, c):
-        return LLR_CLIP * np.sign(real_layer_post_llrs(z, r_ll, layer_var, la_layer, c))
+    def genie(gap, r_ll, layer_var, la_layer, c):
+        return LLR_CLIP * np.sign(real_layer_post_llrs(gap, r_ll, layer_var, la_layer, c))
 
     monkeypatch.setattr(bchase, "layer_post_llrs", genie)
     c = build_constellation(16)
@@ -160,10 +172,10 @@ def test_layer_post_llrs_signs_and_shape():
     # reproduce that symbol's bit label.
     no_prior = np.zeros(c.bits_per_symbol)
     for j in (0, 5, 10, 15):
-        out = layer_post_llrs(stack_axes(np.array(c.symbols[j])), 4.0, 1.0, no_prior, c)
+        out = layer_post_llrs(_coset_gap(np.array(c.symbols[j]), c), 4.0, 1.0, no_prior, c)
         np.testing.assert_array_equal((out > 0).astype(np.int8), c.bit_labels[j])
     z, ones = np.zeros((3, 7), dtype=complex), np.ones((3, 7))
-    assert layer_post_llrs(stack_axes(z), ones, ones, no_prior, c).shape == (3, 7, 4)
+    assert layer_post_llrs(_coset_gap(z, c), ones, ones, no_prior, c).shape == (3, 7, 4)
 
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
@@ -178,7 +190,7 @@ def test_feedback_layer_metric_is_metric_at_brute_argmax(order):
     var = 10.0 ** rng.uniform(-3.0, 3.0, (rows, m))
     idx = brute_pam_argmax(z, axis, la, var)
     want = pam_metric(axis, idx, z, la, var)
-    assert np.array_equal(best_level_metric(z, axis, axis.level_priors(la), var), want)
+    assert np.array_equal(level_walk(z, axis, axis.level_priors(la), var)[0], want)
     # The stacked shapes _inner_layers passes: both axes' z as (2, M, rows),
     # their priors from (2, 1, rows, nbits) LLRs, some at +-LLR_CLIP, as
     # (L, 2, 1, rows), and one (M, rows) variance.
@@ -189,7 +201,7 @@ def test_feedback_layer_metric_is_metric_at_brute_argmax(order):
     var = var.T.copy()
     idx = brute_pam_argmax(z, axis, la, var)
     want = pam_metric(axis, idx, z, la, var)
-    assert np.array_equal(best_level_metric(z, axis, axis.level_priors(la), var), want)
+    assert np.array_equal(level_walk(z, axis, axis.level_priors(la), var)[0], want)
 
 
 def _soft_stats_prod_form(llrs, c: Constellation):
@@ -238,7 +250,7 @@ def _post_llrs_per_axis(z, r_ll, layer_var, c):
     scale = np.asarray(r_ll, dtype=float) ** 2 / np.asarray(layer_var, dtype=float)
     out = np.empty(np.broadcast(z, scale).shape + (c.bits_per_symbol,))
     for cols, zz in zip(axis_parts(np.arange(c.bits_per_symbol)), (z.real, z.imag)):
-        d0, d1 = coset_min_sqdist(zz, c.axis)
+        d0, d1 = brute_coset_minima(zz, c.axis)
         out[..., cols] = (d0 - d1) * scale[..., None]
     return out
 
@@ -269,7 +281,7 @@ def _inner_layers_per_axis(ctx, c, la, use_idx, total):
                 idx = slice_pam(zz, axis, pam_boundaries(axis, la_axis, eff_var[:, :1]))
                 total += pam_metric(axis, idx, zz, la_axis, eff_var)
             else:
-                total += best_level_metric(zz, axis, axis.level_priors(la_axis), eff_var)
+                total += level_walk(zz, axis, axis.level_priors(la_axis), eff_var)[0]
         if l == 0:
             break
         post = _post_llrs_per_axis(z, r_ll[:, None], layer_var, c)
@@ -321,7 +333,7 @@ def test_layer_post_llrs_match_per_axis_minima(order):
     z = iid_complex_gaussian(rng, (40, order)) * 2.0
     r_ll, layer_var = rng.uniform(0.2, 3.0, (40, 1)), rng.uniform(0.5, 20.0, (40, order))
     want = _post_llrs_per_axis(z, r_ll, layer_var, c)
-    got = layer_post_llrs(stack_axes(z), r_ll, layer_var, np.zeros(c.bits_per_symbol), c)
+    got = layer_post_llrs(_coset_gap(z, c), r_ll, layer_var, np.zeros(c.bits_per_symbol), c)
     assert np.array_equal(got, want)
 
 
@@ -341,7 +353,7 @@ def test_feedback_chain_matches_c_ordered_chain(order):
     la[clipped] = np.copysign(LLR_CLIP, la[clipped])
     want_post = la[:, None, :] + _post_llrs_per_axis(z, r_ll, layer_var, c)
     assert want_post.flags.c_contiguous
-    post = layer_post_llrs(stack_axes(z), r_ll, layer_var, la[:, None, :], c)
+    post = layer_post_llrs(_coset_gap(z, c), r_ll, layer_var, la[:, None, :], c)
     assert all(post[..., k].flags.c_contiguous for k in range(c.bits_per_symbol))
     assert np.array_equal(post, want_post)
     mean, var = soft_symbol_stats(post, c)

@@ -87,20 +87,25 @@ def test_complexity_counters(detector, order, n, walk):
     # stands for the sliced one: one per context where the layer's variance
     # is the same for every candidate (every lchase layer and bchase's
     # bottom layer), else one per candidate; and M soft symbol statistics
-    # per context on every bchase layer that feeds back. Per detected
+    # per context on every bchase layer that feeds back, whose walk also
+    # takes the coset gap its soft statistics come from. Per detected
     # stream lchase's charge is n*M - (n-1)*sqrt(M).
     c = build_constellation(order)
     rng = np.random.default_rng(7)
     uses = 3
     models = stack([random_model(rng, n, n) for _ in range(uses)])
 
-    def boundary_sets(z, axis, prior, var):
+    def boundary_sets(z, axis, prior, var, cosets):
         var = np.atleast_2d(var)  # (M, rows), or (1, rows) where shared
         shared = (var == var[:1]).all(axis=0)
         return np.where(shared, 1, len(var)).sum()
 
+    def coset_walks(z, axis, prior, var, cosets):
+        return z[0].size if cosets else 0  # candidates of the (2, M, rows) stack
+
     walk.tally(chase, "coset_llrs", "contexts", lambda total, c: total.shape[1])
-    walk.tally(chase, "best_level_metric", "boundary_sets", boundary_sets)
+    walk.tally(chase, "level_walk", "boundary_sets", boundary_sets)
+    walk.tally(chase, "level_walk", "coset_walks", coset_walks)
     walk.tally(bchase, "soft_symbol_stats", "soft_stats", lambda post, c: post[..., 0].size)
     contexts = detector.prepare_all_uses(models)
     detector.detect_all_uses(contexts, c, np.zeros((uses, n, c.bits_per_symbol)))
@@ -111,6 +116,7 @@ def test_complexity_counters(detector, order, n, walk):
         soft_stat_evals=walk["soft_stats"],
         streams=walk["contexts"],
     )
+    assert walk["coset_walks"] == walk["soft_stats"]
     if detector is lchase:
         assert stats.metrics_per_stream == n * order - (n - 1) * int(np.sqrt(order))
 

@@ -11,18 +11,22 @@ from chasedet.constellation import (
     Constellation,
     axis_parts,
     build_constellation,
-    coset_min_sqdist,
+    label_order,
     label_priors,
+    level_walk,
     modulate,
     pam_boundaries,
     pam_metric,
     slice_pam,
     soft_symbol_stats,
+    stack_axes,
 )
+from chasedet.channel import WhitenedModel
 from chasedet.errors import ConfigError
 from chasedet.llr import LLR_CLIP
+from chasedet.reference import lmmse_llrs
 
-from draws import brute_pam_argmax
+from draws import brute_coset_minima, brute_pam_argmax
 
 RT2 = math.sqrt(2.0)
 RT10 = math.sqrt(10.0)
@@ -477,14 +481,93 @@ def test_coset_min_sqdist_brute():
     for order, shape in itertools.product(SUPPORTED_ORDERS, ((50,), (7, 16), ())):
         ax = build_constellation(order).axis
         z = rng.uniform(-2, 2, shape)
-        d0, d1 = coset_min_sqdist(z, ax)
-        assert d0.shape == d1.shape == shape + (ax.nbits,)
+        best, gap = level_walk(z, ax, cosets=True)
+        assert best is None and gap.shape == (ax.nbits,) + shape
         for n, column in enumerate(ax.sub_labels.T):
             zeros, ones = np.flatnonzero(column == 0), np.flatnonzero(column == 1)
             ref0 = ((z[..., None] - ax.levels[zeros]) ** 2).min(axis=-1)
             ref1 = ((z[..., None] - ax.levels[ones]) ** 2).min(axis=-1)
-            np.testing.assert_array_equal(d0[..., n], ref0)
-            np.testing.assert_array_equal(d1[..., n], ref1)
+            np.testing.assert_array_equal(gap[n], ref0 - ref1)
+
+
+def _tied_parts(rng, axis, shape):
+    """Stacked (2,) + shape observations, a third on levels, a third on the
+    midpoints between neighbouring levels, the rest drawn across the axis."""
+    mids = (axis.levels[1:] + axis.levels[:-1]) / 2.0
+    spread = 1.5 * axis.levels[0]
+    pick = rng.integers(0, 3, (2,) + shape)
+    return np.select(
+        (pick == 0, pick == 1),
+        (rng.choice(axis.levels, (2,) + shape), rng.choice(mids, (2,) + shape)),
+        rng.uniform(-spread, spread, (2,) + shape),
+    )
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_streamed_coset_gap_is_level_set_minima(order):
+    # The Gray block tree's gap is, bit for bit and sign of zero included,
+    # the difference of each bit's level-set minima taken directly, with z
+    # on levels (a zero distance) and on midpoints (equal distances to two
+    # levels, in one coset or across two), as the LLRs of both axes.
+    axis = build_constellation(order).axis
+    rng = np.random.default_rng(order + 31)
+    parts = _tied_parts(rng, axis, (order, 40))
+    _, gap = level_walk(parts, axis, cosets=True)
+    d0, d1 = brute_coset_minima(parts, axis)
+    want = np.moveaxis(d0 - d1, -1, 0)
+    assert gap.shape == (axis.nbits, 2, order, 40)
+    assert np.array_equal(gap, want)
+    assert np.array_equal(np.signbit(gap), np.signbit(want))
+    assert (gap == 0.0).any()
+    # label_order puts axis a's bit n at label position 2n + a.
+    llrs = label_order(gap)
+    for k in range(2 * axis.nbits):
+        assert np.array_equal(llrs[..., k], want[k // 2, k % 2])
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+@pytest.mark.parametrize("per", ("row", "candidate"))
+def test_walk_with_cosets_keeps_best_metric(order, per):
+    # Folding the distances into the coset tree leaves the metric as the
+    # metric-only walk forms it, bit for bit: pam_metric at the brute-force
+    # argmax level, under a per-row (rows,) or per-candidate (M, rows)
+    # variance, with tied observations and priors at 0 and +-LLR_CLIP.
+    axis = build_constellation(order).axis
+    rng = np.random.default_rng([order, per == "row"])
+    rows = 40
+    parts = _tied_parts(rng, axis, (order, rows))
+    la = LLR_CLIP * rng.choice((-1.0, 0.0, 1.0), (2, 1, rows, axis.nbits))
+    la[rng.random(la.shape) < 0.5] = rng.normal(scale=3.0)
+    shape = (rows,) if per == "row" else (order, rows)
+    var = 10.0 ** rng.uniform(-2.0, 2.0, shape)
+    prior = axis.level_priors(la)
+    best, gap = level_walk(parts, axis, prior, var, True)
+    alone, none = level_walk(parts, axis, prior, var)
+    assert none is None
+    want = pam_metric(axis, brute_pam_argmax(parts, axis, la, var), parts, la, var)
+    assert np.array_equal(best, alone)
+    assert np.array_equal(best, want)
+    assert np.array_equal(np.signbit(best), np.signbit(want))
+    assert np.array_equal(gap, level_walk(parts, axis, cosets=True)[1])
+
+
+def test_zero_rows_keep_their_shapes():
+    # Stacks of no rows split and join their bit axes, take level priors and
+    # soft statistics, walk the levels and demap by LMMSE, all to empty
+    # arrays.
+    c = build_constellation(64)
+    empty = np.zeros((0, c.bits_per_symbol))
+    parts = axis_parts(empty)
+    assert parts.shape == (2, 0, 3)
+    assert label_order(np.moveaxis(parts, -1, 0)).shape == (0, 6)
+    assert c.axis.level_priors(parts).shape == (8, 2, 0)
+    assert label_priors(empty).shape == (64, 0)
+    mean, var = soft_symbol_stats(empty, c)
+    assert mean.shape == var.shape == (0,)
+    best, gap = level_walk(stack_axes(np.zeros(0, complex)), c.axis, np.zeros((8, 2, 0)), 1.0, True)
+    assert best.shape == (2, 0) and gap.shape == (3, 2, 0)
+    model = WhitenedModel(y=np.zeros((0, 3), complex), h=np.zeros((0, 3, 2), complex))
+    assert lmmse_llrs(model, c).shape == (0, 2, 6)
 
 
 def _soft_stats_direct(llrs, c: Constellation):

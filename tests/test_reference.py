@@ -332,7 +332,7 @@ def test_lmmse_counts_demap_levels(walk):
     c = build_constellation(64)
     model = WhitenedModel(y=np.zeros(3, dtype=complex), h=np.eye(3, dtype=complex))
     walk.tally(
-        reference, "coset_sqdist_gap", "levels", lambda parts, axis: parts.size * axis.nlevels
+        reference, "level_walk", "levels", lambda parts, axis, **_: parts.size * axis.nlevels
     )
     lmmse_llrs(model, c)
     stats = pass_stats("lmmse", 3, c, 1)
