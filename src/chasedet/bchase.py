@@ -128,39 +128,39 @@ def layer_post_llrs(gap, r_ll, layer_var, la_layer, c: Constellation) -> np.ndar
 
 
 def context_values(c: Constellation, n_streams: int) -> int:
-    """Float64 values one context is charged.
+    """Float64 values one context is charged, measured with tracemalloc
+    over full slices from their first allocation to their LLRs, per-context
+    terms included (tests/test_chase.py holds each peak to its charge).
 
     With three or more streams the peak falls in a feedback layer's level
-    walk, at under 3*q + 3*n_streams + 9 values per candidate under
-    tracemalloc, per-context terms included: 4x4 measured 25.1, 32.2, 37.6
-    and 43.3 from QPSK to 256-QAM. Per candidate it holds the running
-    total; the inner layers' soft means and variances, 3 per stream; the
-    layer's z, stacked once as (real, imag), and its variance before and
-    after scaling by 1/r_ll^2, 4; the walk's best and current metric and
-    current distance for both axes, 6; both axes' coset minima for either
-    bit value, 2*q; and at most one pending block minimum per block size
-    below the axis's halves, under q. The stacked z is freed as the walk
-    returns, so the post-detection LLRs and soft statistics, which work in
-    the walk's q-wide gap, peak lower (within one value of it at QPSK). The
-    charge, 5*q + 3*n_streams + 10 per candidate, equals 4*q + 3*n_streams
-    + 16 at 64-QAM, but that form charged QPSK over twice its peak. A full
-    64-QAM slice holds about 2.2 MB at its peak; a full lchase slice about
-    1.1 MB. A charge just above an earlier, lower peak filled bchase's
-    slices to 2.6 MB and raised peak RSS by 0.5 MB for no measurable speed.
+    walk. Per candidate it holds, besides the walk's own temporaries, the
+    running total; the soft means and variances of the n_streams - 2 layers
+    that feed back, 3 per layer; the layer's z, stacked once as (real,
+    imag), and its variance before and after scaling by 1/r_ll^2, 4; the
+    walk's best and current metric and current distance for both axes, 6;
+    both axes' coset minima for either bit value, 2*q; and at most one
+    pending block minimum per block size below the axis's halves, under q.
+    The stacked z is freed as the walk returns, so the post-detection LLRs
+    and soft statistics, which work in the walk's q-wide gap, peak lower.
+    4x4 measured 23.3, 32.8, 40.5 and 48.4 values per candidate from QPSK to
+    256-QAM, and 3x3, whose only feedback layer sees no feedback itself,
+    16.6 at QPSK. The charge per candidate is 3 per feedback layer and 7*q +
+    4 for the layer's walk, with 16*q per context. At 64-QAM it equals the
+    former 5*q + 3*n_streams + 10, so corr-64qam's slices are unchanged;
+    that form charged 3x3 QPSK over twice its peak. A full 4x4 64-QAM slice
+    holds about 2.4 MB at its peak; a full lchase slice about 1.1 MB. A
+    charge just above an earlier, lower peak filled bchase's slices to 2.6
+    MB and raised peak RSS by 0.5 MB for no measurable speed.
 
-    With one or two streams no layer feeds back, and the peak falls in the
-    bottom layer's walk, which takes no coset minima: the running total,
-    z's stacked axes, the soft means and variances and the walk's two
-    buffers for both axes take 10 values per candidate. Measured with the
-    per-context terms: 10.7 to 12.6; the charge is 24.
-
-    Per context, the a priori and output LLRs and the level priors take
-    under 16*q more. tests/test_chase.py holds a measured peak to this.
+    With one or two streams no layer feeds back. One stream peaks in the
+    target's own metrics, at 5.3 to 5.4 values per candidate, and two in
+    the bottom layer's walk, which takes no coset minima, at 7.4 to 9.0.
+    The charge is 3*n_streams + 5 per candidate and 2*q per context.
     """
     q = c.bits_per_symbol
     if n_streams <= 2:
-        return 24 * c.order + 16 * q
-    per_candidate = 5 * q + 3 * n_streams + 10
+        return (3 * n_streams + 5) * c.order + 2 * q
+    per_candidate = 7 * q + 3 * (n_streams - 2) + 4
     return c.order * per_candidate + 16 * q
 
 
@@ -184,8 +184,10 @@ def _inner_layers(
     r, y_rot, perms = ctx.r, ctx.y_rot, ctx.layers
     cand = c.symbols[:, None]
 
-    shat = np.zeros((max(n - 1, 1), c.order, len(ctx)), dtype=complex)
-    svar = np.zeros(shat.shape)
+    # Layers n-2 .. 1 feed back, layer l at index l - 1: the top layer's
+    # estimate feeds nothing.
+    shat = np.empty((max(n - 2, 0), c.order, len(ctx)), dtype=complex)
+    svar = np.empty(shat.shape)
 
     for l in range(n - 2, -1, -1):
         la_layer = la[use_idx, perms[:, l], :]
@@ -193,9 +195,9 @@ def _inner_layers(
         r_ll = r_row[:, l].real
         z = y_rot[:, l] - r_row[:, n - 1] * cand
         if l < n - 2:
-            z -= np.einsum("uf,fmu->mu", r_row[:, l + 1 : n - 1], shat[l + 1 : n - 1])
+            z -= np.einsum("uf,fmu->mu", r_row[:, l + 1 : n - 1], shat[l : n - 2])
             layer_var = 1.0 + np.einsum(
-                "uf,fmu->mu", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[l + 1 : n - 1]
+                "uf,fmu->mu", np.abs(r_row[:, l + 1 : n - 1]) ** 2, svar[l : n - 2]
             )
         else:
             layer_var = 1.0  # the bottom layer: nothing fed back yet
@@ -208,7 +210,7 @@ def _inner_layers(
             break  # nothing below consumes this layer's estimate
 
         post = layer_post_llrs(gap, r_ll, layer_var, la_layer, c)
-        shat[l], svar[l] = soft_symbol_stats(post, c)
+        shat[l - 1], svar[l - 1] = soft_symbol_stats(post, c)
         del post  # not live under the next layer's walk
 
 

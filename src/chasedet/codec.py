@@ -114,29 +114,9 @@ def puncture(coded: np.ndarray, cfg: CodeConfig) -> np.ndarray:
     return coded[..., cfg.keep_mask()]
 
 
-def depuncture(llrs: np.ndarray, cfg: CodeConfig) -> np.ndarray:
-    """Re-expand transmitted-position LLRs, zeros at punctured positions.
-
-    Leading axes of a stack (..., transmitted_len) are kept.
-    """
-    llrs = np.asarray(llrs, dtype=float)
-    if llrs.shape[-1:] != (cfg.transmitted_len,):
-        raise ValueError(f"expected {cfg.transmitted_len} values")
-    full = np.zeros(llrs.shape[:-1] + (cfg.coded_len,))
-    full[..., cfg.keep_mask()] = llrs
-    return full
-
-
-@dataclass(frozen=True)
-class Interleaver:
-    perm: np.ndarray
-    inv: np.ndarray
-
-
-def make_interleaver(length: int, seed: int) -> Interleaver:
+def make_interleaver(length: int, seed: int) -> np.ndarray:
     """Seeded pseudo-random bit permutation (a bijection by construction)."""
-    perm = np.random.default_rng(seed).permutation(length)
-    return Interleaver(perm=perm, inv=np.argsort(perm))
+    return np.random.default_rng(seed).permutation(length)
 
 
 def bcjr_decode(

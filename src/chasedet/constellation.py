@@ -27,7 +27,6 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .llr import saturate
 
 SUPPORTED_ORDERS = (4, 16, 64, 256)
 
@@ -366,7 +365,7 @@ def label_order(parts: np.ndarray) -> np.ndarray:
 
 
 def _axis_stats(t, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances of both axes from saturated LLRs as
+    """Posterior means and variances of both axes from halved LLRs as
     axis_parts stacks them, (2, ..., nbits), which it overwrites with
     t = tanh(LLR/2). Bit-major memory makes every t[..., j] contiguous.
 
@@ -382,7 +381,6 @@ def _axis_stats(t, axis: PamAxis) -> tuple[np.ndarray, np.ndarray]:
     bchase rows hold a decoder tie (an info LLR of exactly 0.0) that
     adding c^2 + 2cA first breaks by one ulp.
     """
-    t /= 2.0
     np.tanh(t, out=t)
     d = axis.levels[0] / (axis.nlevels - 1)
     mean = -t[..., -1]
@@ -409,11 +407,13 @@ def soft_symbol_stats(llrs, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     Bits are treated as independent with P(b=1) = sigmoid(L). Each axis's
     moments come from a recursion over its bits (see _axis_stats), O(q) per
     symbol; they equal the direct sum over all M symbols to rounding.
-    Inputs are saturated first, so +-inf LLRs are safe and a fully saturated
-    vector returns the labeled point with exactly zero variance.
+    The LLRs are not saturated: tanh(L/2) rounds to exactly +-1 from |L|
+    of about 38 on, below LLR_CLIP, so +-inf LLRs are safe, NaN stays NaN,
+    and a fully saturated vector returns the labeled point with exactly
+    zero variance, as with clipped LLRs.
     """
-    # saturate returns a fresh array in the layout of llrs (bit-major under
+    # np.divide returns a fresh array in the layout of llrs (bit-major under
     # layer_post_llrs, each bit's (2, M, rows) values contiguous), which
-    # _axis_stats may overwrite and which dies with it.
-    mean, var = _axis_stats(axis_parts(saturate(np.asarray(llrs, dtype=float))), c.axis)
+    # _axis_stats overwrites and which dies with it.
+    mean, var = _axis_stats(axis_parts(np.divide(llrs, 2.0, dtype=float)), c.axis)
     return mean[0] + 1j * mean[1], var[0] + var[1]

@@ -4,9 +4,10 @@ Each code block is spread over U channel uses of an n_l-stream whitened MIMO
 model: the transmitted (interleaved, punctured) codeword fills the bit slots
 use by use, stream 0 bits 0..q-1 first, then stream 1, and so on; leftover
 slots in the last use are padded with zero bits. Each iteration runs the
-soft-input detector on every use, feeds its extrinsic output through the
-deinterleaver and depuncturer into the decoder, and feeds the decoder's
-extrinsic output back as the next round of detector a priori LLRs.
+soft-input detector on every use, sends its extrinsic output into the
+decoder at each transmitted bit's mother-codeword position (so punctured
+positions read 0), and sends the decoder's extrinsic output at those
+positions back as the next round of detector a priori LLRs.
 
 A chunk of blocks runs through that loop as stacked arrays: every block's
 uses go through one detector call and every block's codeword through one
@@ -15,6 +16,8 @@ it alone. All four detectors sit behind one (prepare, detect) table. The
 chunk's uses are stacked use-major, row u*B + b for use u of block b, so
 each stream's padding-only targets (in a block's last use) are the tail of
 its rows: they are prepared but never detected, and their LLRs stay 0.
+Transmitted bit t sits in slot t % (n_l*q) of use t // (n_l*q) in every
+block's rows, so each direction of a pass is one gather and one scatter.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import bchase, lchase
 from .channel import WhitenedModel
-from .codec import CodeConfig, Interleaver, bcjr_decode, depuncture, make_interleaver
+from .codec import CodeConfig, bcjr_decode, make_interleaver
 from .constellation import Constellation
 from .counters import pass_stats
 from .errors import ConfigError
@@ -60,9 +63,15 @@ class IddConfig:
             raise ConfigError("iterations must be positive")
 
     @cached_property
-    def interleaver(self) -> Interleaver:
-        """The bit interleaver over one transmitted codeword."""
+    def interleaver(self) -> np.ndarray:
+        """The bit interleaver over one transmitted codeword: transmitted
+        bit t is bit interleaver[t] of the punctured codeword."""
         return make_interleaver(self.code.transmitted_len, self.interleaver_seed)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Mother-codeword position of each transmitted bit, in send order."""
+        return np.flatnonzero(self.code.keep_mask())[self.interleaver]
 
 
 @dataclass
@@ -120,7 +129,6 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
     if n_slots < n_tx:
         raise ValueError(f"{n_uses} uses carry {n_slots} bits, codeword needs {n_tx}")
 
-    il, keep = cfg.interleaver, code.keep_mask()
     # Use-major copies, each block-major array freed once it is copied: the
     # chunk's observations are held once, and only one array at a time twice.
     y, h = model.y, model.h
@@ -140,12 +148,15 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
         iter_stats=[pass_stats(cfg.detector, n_streams, c, n_blocks * n_uses)] * cfg.iterations,
     )
 
+    # Transmitted bit t: its (use, slot) in every block's rows, and its
+    # mother-codeword position. Padding slots and punctured positions stay 0.
+    use, slot = np.divmod(np.arange(n_tx), n_streams * q)
+    pos = cfg.positions
     la = np.zeros((n_uses * n_blocks, n_streams, q))
+    ch_llrs = np.zeros((n_blocks, code.coded_len))
     for it in range(passes):
         det = detect(prepared, c, la, live)
-        fwd = (det - la).reshape(n_uses, n_blocks, -1).swapaxes(0, 1).reshape(n_blocks, n_slots)
-        fwd_slots = saturate(fwd)
-        ch_llrs = depuncture(fwd_slots[:, :n_tx][:, il.inv], code)
+        ch_llrs[:, pos] = saturate((det - la).reshape(n_uses, n_blocks, -1)[use, :, slot].T)
         dec_ext, _, hard = bcjr_decode(ch_llrs, None, code)
         # The last pass also stands for every iteration left after it.
         repeats = 1 if it + 1 < passes else cfg.iterations - it
@@ -153,8 +164,6 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
         result.iter_bit_errors[:, span] = np.sum(hard != info_bits, axis=1)[:, None]
 
         if it + 1 < passes:
-            la_slots = np.zeros((n_blocks, n_slots))
-            la_slots[:, :n_tx] = saturate(dec_ext[:, keep][:, il.perm])
-            la = la_slots.reshape(n_blocks, n_uses, -1).swapaxes(0, 1).reshape(la.shape)
+            la.reshape(n_uses, n_blocks, -1)[use, :, slot] = saturate(dec_ext[:, pos]).T
 
     return result

@@ -308,7 +308,7 @@ def _chunk_model(
     n_blocks, n_uses, n_rx = len(info), bundle.n_uses, cfg.n_rx
     sigma2 = bundle.sigma2[np.arange(lo, lo + n_blocks) // cfg.blocks]
 
-    tx_bits = puncture(encode(info, code), code)[:, idd_cfg.interleaver.perm]
+    tx_bits = puncture(encode(info, code), code)[:, idd_cfg.interleaver]
     symbols = modulate(slot_bits(tx_bits, c, cfg.n_streams), c)
     per_use = normals.reshape(n_blocks, n_uses, -1)
     split = 2 * n_rx * cfg.n_tx

@@ -148,14 +148,16 @@ def test_detection_peak_stays_under_slice_cap(detector, order, n_streams):
     assert peak <= chase.SLICE_VALUES * 8 + out.nbytes
 
 
-@pytest.mark.parametrize("n_streams", (3, 4, 6))
+@pytest.mark.parametrize("n_streams", (1, 2, 3, 4, 6))
 @pytest.mark.parametrize("order", (4, 16, 64, 256))
 def test_bchase_charge_bounds_its_slice_peak(order, n_streams, monkeypatch):
-    # What a full bchase slice holds at its peak, counted from the start of
-    # its inner layers (so the block detect_all_uses frees before its first
-    # slice does not count) and less the call's output, stays under the
-    # slice's charge and above half of it: the charge neither undercounts
-    # the working set nor drifts far above it as the code changes.
+    # What a full bchase slice holds at its peak, counted from its
+    # candidates' a priori terms to its LLRs (so the block detect_all_uses
+    # frees before its first slice does not count) and less the call's
+    # output, stays under the slice's charge and above half of it: the
+    # charge neither undercounts the working set nor drifts far above it as
+    # the code changes. With one stream the peak falls outside the inner
+    # layers, in the target's own metrics.
     c = build_constellation(order)
     rng = np.random.default_rng([order, n_streams])
     charge = bchase.context_values(c, n_streams)
@@ -165,14 +167,19 @@ def test_bchase_charge_bounds_its_slice_peak(order, n_streams, monkeypatch):
     y = iid_complex_gaussian(rng, (uses, n_streams))
     la = np.clip(rng.standard_cauchy((uses, n_streams, c.bits_per_symbol)), -LLR_CLIP, LLR_CLIP)
     contexts = bchase.prepare_all_uses(WhitenedModel(y=y, h=h))
-    inner_layers, peaks = bchase._inner_layers, []
+    label_priors, coset_llrs, peaks = chase.label_priors, chase.coset_llrs, []
 
-    def measured(ctx, *args):
+    def slice_starts(*args):
         tracemalloc.reset_peak()
-        inner_layers(ctx, *args)
-        peaks.append((len(ctx), tracemalloc.get_traced_memory()[1]))
+        return label_priors(*args)
 
-    monkeypatch.setattr(bchase, "_inner_layers", measured)
+    def slice_ends(total, c):
+        llrs = coset_llrs(total, c)
+        peaks.append((total.shape[1], tracemalloc.get_traced_memory()[1]))
+        return llrs
+
+    monkeypatch.setattr(chase, "label_priors", slice_starts)
+    monkeypatch.setattr(chase, "coset_llrs", slice_ends)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

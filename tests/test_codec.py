@@ -10,13 +10,21 @@ from chasedet.codec import (
     SUPPORTED_RATES,
     CodeConfig,
     bcjr_decode,
-    depuncture,
     encode,
     make_interleaver,
     puncture,
 )
 from chasedet.errors import ConfigError
 from chasedet.llr import LLR_CLIP
+
+
+def _depuncture(llrs, cfg):
+    """Transmitted-position LLRs (..., transmitted_len) re-expanded to the
+    mother codeword, zeros at punctured positions."""
+    llrs = np.asarray(llrs, dtype=float)
+    full = np.zeros(llrs.shape[:-1] + (cfg.coded_len,))
+    full[..., cfg.keep_mask()] = llrs
+    return full
 
 
 def test_impulse_response_frozen():
@@ -83,22 +91,22 @@ def test_puncture_depuncture_roundtrip():
     rng = np.random.default_rng(4)
     llrs = rng.normal(size=cfg.coded_len)
     kept = puncture(llrs, cfg)
-    restored = depuncture(kept, cfg)
+    restored = _depuncture(kept, cfg)
     mask = cfg.keep_mask()
     np.testing.assert_array_equal(restored[mask], llrs[mask])
     assert np.all(restored[~mask] == 0.0)
 
 
 def test_interleaver_properties():
-    il = make_interleaver(1024, seed=12345)
-    assert np.array_equal(np.sort(il.perm), np.arange(1024))
+    perm = make_interleaver(1024, seed=12345)
+    assert np.array_equal(np.sort(perm), np.arange(1024))
     x = np.arange(1024.0)
-    np.testing.assert_array_equal(x[il.perm][il.inv], x)
+    np.testing.assert_array_equal(x[perm][np.argsort(perm)], x)
     # Pseudo-random permutations of this length should have few fixed points.
-    assert int(np.sum(il.perm == np.arange(1024))) <= 8
+    assert int(np.sum(perm == np.arange(1024))) <= 8
     # Same seed, same permutation; different seed, different permutation.
-    np.testing.assert_array_equal(make_interleaver(1024, 12345).perm, il.perm)
-    assert not np.array_equal(make_interleaver(1024, 12346).perm, il.perm)
+    np.testing.assert_array_equal(make_interleaver(1024, 12345), perm)
+    assert not np.array_equal(make_interleaver(1024, 12346), perm)
 
 
 def _brute_maxlog(lam, cfg):
@@ -147,9 +155,9 @@ def test_bcjr_matches_exhaustive_search_at_the_edges(info_len, rate):
             rng.normal(scale=3.0, size=n),
         ]
     )
-    ch = depuncture(sent, cfg)
+    ch = _depuncture(sent, cfg)
     ap = np.zeros_like(ch)
-    ap[3] = depuncture(clipped[2], cfg)
+    ap[3] = _depuncture(clipped[2], cfg)
     stacked = bcjr_decode(ch, ap, cfg)
     for b in range(len(ch)):
         lam = ch[b] + ap[b]
@@ -183,7 +191,7 @@ def test_bcjr_decodes_noiseless():
         info = rng.integers(0, 2, 64, dtype=np.int8)
         coded = encode(info, cfg)
         tx = puncture(coded, cfg)
-        lam = depuncture(20.0 * (2.0 * tx - 1.0), cfg)
+        lam = _depuncture(20.0 * (2.0 * tx - 1.0), cfg)
         _, info_total, hard = bcjr_decode(lam, None, cfg)
         np.testing.assert_array_equal(hard, info)
         assert np.all(np.abs(info_total) > 10.0)
@@ -197,7 +205,7 @@ def test_bcjr_extrinsic_is_new_information():
     rng = np.random.default_rng(2)
     info = rng.integers(0, 2, 32, dtype=np.int8)
     coded = encode(info, cfg)
-    lam = depuncture(12.0 * (2.0 * puncture(coded, cfg) - 1.0), cfg)
+    lam = _depuncture(12.0 * (2.0 * puncture(coded, cfg) - 1.0), cfg)
     ext, _, _ = bcjr_decode(lam, None, cfg)
     punctured = ~cfg.keep_mask()
     signs = np.sign(ext[punctured])
@@ -301,7 +309,7 @@ def test_bcjr_bit_exact(info_len, rate, apriori):
     rng = np.random.default_rng(info_len * 10 + int(apriori) + (2 if rate == 0.5 else 4))
     for kind in ("cauchy", "integer", "zeros"):
         for lead in ((), (1,), (2,), (17,)):
-            ch = depuncture(_draw_llrs(kind, rng, lead + (cfg.transmitted_len,)), cfg)
+            ch = _depuncture(_draw_llrs(kind, rng, lead + (cfg.transmitted_len,)), cfg)
             ap = _draw_llrs(kind, rng, ch.shape) if apriori else None
             got = bcjr_decode(ch, ap, cfg)
             want = _bcjr_state_innermost(ch if ap is None else ch + ap, cfg)

@@ -20,16 +20,19 @@ def equivalence():
 
 def test_grid_runs_on_this_tree(equivalence):
     # Every (order, streams, rx) point gives one LMMSE array and, per
-    # detector, one per prior kind and slice cap, all finite; and an array's
-    # slice caps give it bit for bit.
+    # detector, one per prior kind and slice cap; every IDD run its bit
+    # errors and two arrays per decoder pass (one pass for lmmse); all
+    # finite. An array's slice caps give it bit for bit.
     arrays = equivalence.grid()
     points = len(equivalence.ORDERS) * len(equivalence.STREAMS) * 2
     per_detector = points * len(equivalence.PRIORS) * len(equivalence.CAPS)
-    assert len(arrays) == points + 2 * per_detector
+    runs = [det for _, _, dets in equivalence.LINKS for det in dets] * len(equivalence.CHUNKS)
+    per_run = [1 + 2 * (1 if det == "lmmse" else equivalence.ITERATIONS) for det in runs]
+    assert len(arrays) == points + 2 * per_detector + sum(per_run)
     assert all(np.isfinite(a).all() for a in arrays.values())
     by_cap = {}
     for name, a in arrays.items():
-        if not name.startswith("lmmse/"):
+        if not name.startswith(("lmmse/", "idd/")):
             by_cap.setdefault(name.rpartition("/cap")[0], []).append(a)
     for same in by_cap.values():
         assert all(np.array_equal(a, same[0]) for a in same)

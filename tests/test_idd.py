@@ -1,11 +1,13 @@
 """Iterative detection-and-decoding loop plumbing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from chasedet import bchase, idd, lchase
 from chasedet.channel import WhitenedModel
-from chasedet.codec import CodeConfig, bcjr_decode, depuncture, encode, make_interleaver, puncture
+from chasedet.codec import CodeConfig, bcjr_decode, encode, make_interleaver, puncture
 from chasedet.constellation import SUPPORTED_ORDERS, build_constellation, modulate
 from chasedet.counters import pass_stats
 from chasedet.errors import ConfigError
@@ -71,7 +73,7 @@ def _make_block(rng, cfg, n_rx, n_streams, sigma=0.0, gain=1.0):
     code = cfg.code
     info = rng.integers(0, 2, code.info_len, dtype=np.int8)
     tx = puncture(encode(info, code), code)
-    slots = slot_bits(tx[cfg.interleaver.perm], c, n_streams)
+    slots = slot_bits(tx[cfg.interleaver], c, n_streams)
     ys, hs = [], []
     for u in range(slots.shape[0]):
         s = modulate(slots[u], c)
@@ -108,37 +110,60 @@ def test_noiseless_block_decodes_first_iteration(monkeypatch):
     assert [out[1].shape for _, out in decodes] == [(1, 64)] * 3
 
 
+def _chunk(rng, cfg, n_blocks, n_rx, n_streams, sigma):
+    """_make_block's blocks stacked into a chunk of n_blocks."""
+    blocks = [_make_block(rng, cfg, n_rx, n_streams, sigma=sigma) for _ in range(n_blocks)]
+    info = np.concatenate([info for info, _ in blocks])
+    model = WhitenedModel(
+        y=np.concatenate([m.y for _, m in blocks]), h=np.concatenate([m.h for _, m in blocks])
+    )
+    return info, model
+
+
 def test_feedback_plumbing_reconstructs(monkeypatch):
     # Rebuild iteration t's decoder input and iteration t+1's a priori from
-    # the recorded detector and decoder calls and the declared wiring:
-    # extrinsic forward through deinterleave/depuncture, decoder extrinsic
-    # back through the mirror path.
+    # the recorded detector and decoder calls and the declared wiring, with
+    # each block's uses laid out block-major as slot_bits lays them:
+    # detector extrinsic forward, saturated, deinterleaved by the inverse
+    # permutation and depunctured by the keep mask; decoder extrinsic back
+    # through the mirror path, zero in the padding slots. Chunks of 1 and 3
+    # blocks, both rates (K = 60 pads the last use at each), both Chase
+    # detectors.
     c = build_constellation(16)
-    code = CodeConfig(64, 0.5)
-    cfg = IddConfig(constellation=c, code=code, iterations=3, interleaver_seed=7)
-    rng = np.random.default_rng(1)
-    info, model = _make_block(rng, cfg, 4, 4, sigma=0.9)
-    detects, decodes = [], []
-    _record(monkeypatch, lchase, "detect_all_uses", detects)
-    _record(monkeypatch, idd, "bcjr_decode", decodes)
-    res = run_idd(model, info, cfg)
+    for n_blocks, rate, detector in itertools.product((1, 3), (0.5, 0.83), (lchase, bchase)):
+        code = CodeConfig(60, rate)
+        name = detector.__name__.rpartition(".")[2]
+        cfg = IddConfig(c, code, detector=name, iterations=3, interleaver_seed=7)
+        info, model = _chunk(np.random.default_rng(1), cfg, n_blocks, 4, 4, 0.9)
+        n_uses = model.h.shape[1]
+        detects, decodes = [], []
+        with monkeypatch.context() as m:
+            _record(m, detector, "detect_all_uses", detects)
+            _record(m, idd, "bcjr_decode", decodes)
+            res = run_idd(model, info, cfg)
 
-    il = make_interleaver(code.transmitted_len, 7)
-    keep = code.keep_mask()
-    n_tx = code.transmitted_len
-    assert len(detects) == len(decodes) == 3
-    las = [args[2].reshape(1, -1) for args, _ in detects]
-    assert not las[0].any()
-    for t in range(3):
-        det = detects[t][1].reshape(1, -1)
-        fwd = saturate(det - las[t])
-        (ch, _, _), (ext, _, hard) = decodes[t]
-        np.testing.assert_array_equal(ch, depuncture(fwd[:, :n_tx][:, il.inv], code))
-        np.testing.assert_array_equal(res.iter_bit_errors[:, t], np.sum(hard != info, axis=1))
-        if t + 1 < 3:
-            nxt = las[t + 1]
-            np.testing.assert_array_equal(nxt[:, :n_tx], saturate(ext[:, keep][:, il.perm]))
-            assert not nxt[:, n_tx:].any()
+        def slots(rows):
+            # Use-major (U*B, n, q) rows as block-major (B, U*n*q) slots.
+            return rows.reshape(n_uses, n_blocks, -1).swapaxes(0, 1).reshape(n_blocks, -1)
+
+        perm = make_interleaver(code.transmitted_len, 7)
+        keep = code.keep_mask()
+        n_tx = code.transmitted_len
+        assert n_uses * 4 * 4 > n_tx
+        assert len(detects) == len(decodes) == 3
+        las = [slots(args[2]) for args, _ in detects]
+        assert not las[0].any()
+        for t in range(3):
+            fwd = saturate(slots(detects[t][1]) - las[t])
+            (ch, _, _), (ext, _, hard) = decodes[t]
+            want = np.zeros((n_blocks, code.coded_len))
+            want[:, keep] = fwd[:, :n_tx][:, np.argsort(perm)]
+            np.testing.assert_array_equal(ch, want)
+            np.testing.assert_array_equal(res.iter_bit_errors[:, t], np.sum(hard != info, axis=1))
+            if t + 1 < 3:
+                nxt = las[t + 1]
+                np.testing.assert_array_equal(nxt[:, :n_tx], saturate(ext[:, keep][:, perm]))
+                assert not nxt[:, n_tx:].any()
 
 
 def test_lmmse_iterations_are_identical(monkeypatch):
@@ -267,12 +292,7 @@ def test_detector_stats_accumulate():
     # chunk, two blocks of 9 uses with 4 streams each.
     c = build_constellation(16)
     cfg = IddConfig(constellation=c, code=CodeConfig(64, 0.5), iterations=3)
-    rng = np.random.default_rng(6)
-    blocks = [_make_block(rng, cfg, 4, 4, sigma=1.0) for _ in range(2)]
-    info = np.concatenate([info for info, _ in blocks])
-    model = WhitenedModel(
-        y=np.concatenate([m.y for _, m in blocks]), h=np.concatenate([m.h for _, m in blocks])
-    )
+    info, model = _chunk(np.random.default_rng(6), cfg, 2, 4, 4, 1.0)
     res = run_idd(model, info, cfg)
     assert res.iter_stats == [pass_stats("lchase", 4, c, 2 * 9)] * 3
     assert res.iter_stats[0].streams == 2 * 9 * 4
@@ -283,9 +303,10 @@ def test_interleaver_is_built_once_from_the_seed():
     code = CodeConfig(64, 0.5)
     cfg = IddConfig(constellation=build_constellation(4), code=code, interleaver_seed=5)
     assert cfg.interleaver is cfg.interleaver
-    il = make_interleaver(code.transmitted_len, 5)
-    np.testing.assert_array_equal(cfg.interleaver.perm, il.perm)
-    np.testing.assert_array_equal(cfg.interleaver.inv, il.inv)
+    perm = make_interleaver(code.transmitted_len, 5)
+    np.testing.assert_array_equal(cfg.interleaver, perm)
+    assert cfg.positions is cfg.positions
+    np.testing.assert_array_equal(cfg.positions, np.flatnonzero(code.keep_mask())[perm])
 
 
 def test_config_and_input_validation():

@@ -11,9 +11,13 @@ is 1 if any array differs, else 0.
 The grid: lchase and bchase LLRs at orders 4 to 256, n = 1, 2, 3, 4 and 6
 streams, n or n + 2 receive antennas, four kinds of a priori LLRs (zero,
 Cauchy, {0, +-LLR_CLIP}, and integers with some -0.0) and slices of 1, 5
-and all contexts; and the LMMSE LLRs of every (order, n, rx) point. It
-uses only names both trees must keep: prepare_all_uses, detect_all_uses,
-context_values and chase.SLICE_VALUES, and reference.lmmse_llrs.
+and all contexts; the LMMSE LLRs of every (order, n, rx) point; and the
+IDD loop over simulated chunks of 1 and 3 blocks on three links (LINKS),
+each pass's decoder input and extrinsic output and the chunk's bit errors.
+It uses only names both trees must keep: prepare_all_uses,
+detect_all_uses, context_values and chase.SLICE_VALUES,
+reference.lmmse_llrs, and simcli's SimConfig, _build_bundle and
+simulate_chunk with the idd.bcjr_decode they call.
 """
 
 from __future__ import annotations
@@ -33,6 +37,21 @@ ORDERS = (4, 16, 64, 256)
 STREAMS = (1, 2, 3, 4, 6)
 PRIORS = ("zero", "cauchy", "clipped", "rounded")
 CAPS = (1, 5, None)  # contexts per slice; None: every context in one slice
+# (name, SimConfig fields, detectors) of the IDD links. Each pads the last
+# use of a block: 12 slots at 4x4 16-QAM rate 0.5, 16 at 4x4 64-QAM rate
+# 0.83 (0.9 correlation) and 3 at 2x2 QPSK with K = 512.
+LINKS = (
+    ("4x4-16qam", dict(mod=16, n_streams=4, n_rx=4, n_tx=4, rate=0.5, snr_db=(10.0,)),
+     ("lchase", "bchase")),
+    ("4x4-64qam", dict(mod=64, n_streams=4, n_rx=4, n_tx=4, corr_tx=0.9, corr_rx=0.9,
+                       rate=0.83, snr_db=(32.0,)),
+     ("lchase", "bchase")),
+    ("2x2-qpsk-k512", dict(mod=4, n_streams=2, n_rx=2, n_tx=2, rate=0.83, info_bits=512,
+                           snr_db=(10.0,)),
+     ("lchase", "bchase", "lmmse")),
+)
+CHUNKS = (1, 3)  # blocks per chunk
+ITERATIONS = 3
 
 
 def _priors(rng, kind: str, shape, clip: float) -> np.ndarray:
@@ -48,6 +67,45 @@ def _priors(rng, kind: str, shape, clip: float) -> np.ndarray:
 
 def grid() -> dict:
     """Every array of the grid by name, from the chasedet on sys.path."""
+    return {**_detections(), **_chunks()}
+
+
+def _chunks() -> dict:
+    """Per IDD link, detector and chunk size: each pass's decoder input
+    ("/pass<k>/channel") and extrinsic output ("/pass<k>/extrinsic"), and
+    the chunk's (blocks, iterations) bit errors."""
+    from chasedet import idd, simcli
+
+    arrays, passes = {}, []
+    decode = idd.bcjr_decode
+
+    def recorded(*args, **kwargs):
+        out = decode(*args, **kwargs)
+        passes.append((np.array(args[0]), out[0]))  # the input may be reused
+        return out
+
+    idd.bcjr_decode = recorded
+    try:
+        for link, fields, detectors in LINKS:
+            for detector in detectors:
+                for blocks in CHUNKS:
+                    key = f"idd/{link}/{detector}/B{blocks}"
+                    passes.clear()
+                    cfg = simcli.SimConfig(
+                        detector=detector, blocks=blocks, iterations=ITERATIONS, **fields
+                    )
+                    errors = simcli.simulate_chunk(simcli._build_bundle(cfg), 0, blocks)
+                    arrays[f"{key}/bit_errors"] = errors
+                    for k, (channel, extrinsic) in enumerate(passes):
+                        arrays[f"{key}/pass{k}/channel"] = channel
+                        arrays[f"{key}/pass{k}/extrinsic"] = extrinsic
+    finally:
+        idd.bcjr_decode = decode
+    return arrays
+
+
+def _detections() -> dict:
+    """Detector LLRs of every (order, streams, rx, priors, cap) point."""
     from chasedet import bchase, chase, lchase
     from chasedet.channel import WhitenedModel
     from chasedet.constellation import build_constellation
