@@ -133,24 +133,23 @@ def context_values(c: Constellation, n_streams: int) -> int:
     terms included (tests/test_chase.py holds each peak to its charge).
 
     With three or more streams the peak falls in a feedback layer's level
-    walk. Per candidate it holds, besides the walk's own temporaries, the
-    running total; the soft means and variances of the n_streams - 2 layers
-    that feed back, 3 per layer; the layer's z, stacked once as (real,
-    imag), and its variance before and after scaling by 1/r_ll^2, 4; the
-    walk's best and current metric and current distance for both axes, 6;
-    both axes' coset minima for either bit value, 2*q; and at most one
-    pending block minimum per block size below the axis's halves, under q.
-    The stacked z is freed as the walk returns, so the post-detection LLRs
-    and soft statistics, which work in the walk's q-wide gap, peak lower.
-    4x4 measured 23.3, 32.8, 40.5 and 48.4 values per candidate from QPSK to
-    256-QAM, and 3x3, whose only feedback layer sees no feedback itself,
-    16.6 at QPSK. The charge per candidate is 3 per feedback layer and 7*q +
-    4 for the layer's walk, with 16*q per context. At 64-QAM it equals the
-    former 5*q + 3*n_streams + 10, so corr-64qam's slices are unchanged;
-    that form charged 3x3 QPSK over twice its peak. A full 4x4 64-QAM slice
-    holds about 2.4 MB at its peak; a full lchase slice about 1.1 MB. A
-    charge just above an earlier, lower peak filled bchase's slices to 2.6
-    MB and raised peak RSS by 0.5 MB for no measurable speed.
+    walk. Per candidate it holds the running total, 1; the soft means and
+    variances of the n_streams - 2 layers that feed back, 3 per layer; the
+    layer's z, stacked once as (real, imag), 2, and its variance before and
+    after scaling by 1/r_ll^2, 2; the walk's best and current metric and
+    current distance for both axes, 6; both axes' coset minima for either
+    bit value, 2*q; and one pending block minimum per block size below the
+    axis's halves, under q. At 4x4 that list comes to 21, 27, 33 and 39
+    values per candidate from QPSK to 256-QAM, and tracemalloc read 21.3,
+    28.8, 34.5 and 40.3; the rest, under 2, is per-context terms and single
+    operations' temporaries. A layer frees its stacked z as its walk
+    returns, and its coset gap, in which its post-detection LLRs and soft
+    statistics work, before the next walk. 3x3, whose only feedback layer
+    sees no feedback itself, read 16.6 at QPSK. The charge per candidate
+    is 3 per feedback layer and 7*q + 4 for the layer's walk, with 16*q per
+    context: 1.4 to 1.8 times the full-slice peak at 3 to 6 streams. A full
+    4x4 64-QAM slice holds about 2.0 MB at its peak, a full lchase slice
+    about 1.1 MB.
 
     With one or two streams no layer feeds back. One stream peaks in the
     target's own metrics, at 5.3 to 5.4 values per candidate, and two in
@@ -211,7 +210,7 @@ def _inner_layers(
 
         post = layer_post_llrs(gap, r_ll, layer_var, la_layer, c)
         shat[l - 1], svar[l - 1] = soft_symbol_stats(post, c)
-        del post  # not live under the next layer's walk
+        del post, gap  # post is a view of gap: neither is live under the next walk
 
 
 def detect_all_uses(

@@ -100,9 +100,10 @@ class ChannelRealization:
 
     h is the (..., n_r, n_streams) channel the streams see, one matrix or a
     stack of draws, and c_nn one (n_r, n_r) noise covariance or a stack whose
-    leading axes broadcast against h's, such as (B, 1, n_r, n_r) for B blocks
-    of uses: each covariance's noise factor and whitener are factored once,
-    for every draw it applies to, and the covariance itself is not kept.
+    leading axes broadcast against h's, such as (B, n_r, n_r) for B blocks'
+    uses, h (U, B, n_r, n_streams): each covariance's noise factor and
+    whitener are factored once, for every draw it applies to, and the
+    covariance itself is not kept.
     """
 
     def __init__(self, h: np.ndarray, c_nn: np.ndarray):

@@ -52,7 +52,7 @@ class StackedContext:
 
     A detector's prepare_all_uses builds its context on leading axes
     (streams, uses), every field contiguous, so detection folds them into
-    one row axis without a copy.
+    one row axis without a copy (ravel).
     """
 
     @property
@@ -66,17 +66,15 @@ class StackedContext:
     def __getitem__(self, idx):
         return type(self)(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
-    def reshape(self, *batch):
-        """The same contexts with their batch axes reshaped to `batch`, as
-        np.reshape takes a shape: reshape(-1) folds (streams, uses) into one
-        stream-major row axis."""
-        lead = np.ndim(self.stream)
-        batch = np.reshape(self.stream, batch).shape  # -1 resolved on `stream`
-        shaped = {}
+    def ravel(self):
+        """The same contexts with their batch axes folded into one row axis,
+        stream-major for a (streams, uses) stack: a view of every field."""
+        lead, rows = np.ndim(self.stream), np.size(self.stream)
+        folded = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            shaped[f.name] = np.reshape(value, batch + np.shape(value)[lead:])
-        return type(self)(**shaped)
+            folded[f.name] = value.reshape((rows,) + value.shape[lead:])
+        return type(self)(**folded)
 
 
 def detect_all_uses(
@@ -107,7 +105,7 @@ def detect_all_uses(
     if not np.isfinite(la).all():
         raise ValueError("a priori LLRs must be finite")
     live = np.full(n_streams, n_uses) if live is None else live
-    flat = contexts.reshape(-1)
+    flat = contexts.ravel()
     rows = n_streams * n_uses
     step = max(1, SLICE_VALUES // context_values)
     # Freeing an untouched block of a slice's working set raises glibc's mmap

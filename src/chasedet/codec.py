@@ -74,8 +74,9 @@ class CodeConfig:
 
     @property
     def transmitted_len(self) -> int:
-        """Bits sent per block, keep_mask().sum() without building the mask:
-        whole periods of the rate's keep pattern, then the leftover steps."""
+        """Bits sent per block, keep_mask().sum() by whole periods of the
+        rate's keep pattern and the leftover steps, so validate_config can
+        size a block too long to build the mask for (10**15 info bits)."""
         pattern = KEEP_PATTERNS[self.rate]
         periods, rest = divmod(self.steps, len(pattern))
         return periods * int(pattern.sum()) + int(pattern[:rest].sum())

@@ -302,33 +302,32 @@ def _chunk_model(
     bundle: _Bundle, lo: int, info: np.ndarray, normals: np.ndarray
 ) -> WhitenedModel:
     """Whitened (B, U, ...) observations of grid blocks lo..lo+B-1, each at
-    its point's SNR, from their payloads and normals."""
+    its point's SNR, from their payloads and normals. The arrays are views
+    of use-major (U, B, ...) memory, the order run_idd stacks uses in."""
     cfg, idd_cfg = bundle.cfg, bundle.idd_cfg
     c, code = idd_cfg.constellation, idd_cfg.code
     n_blocks, n_uses, n_rx = len(info), bundle.n_uses, cfg.n_rx
     sigma2 = bundle.sigma2[np.arange(lo, lo + n_blocks) // cfg.blocks]
 
     tx_bits = puncture(encode(info, code), code)[:, idd_cfg.interleaver]
-    symbols = modulate(slot_bits(tx_bits, c, cfg.n_streams), c)
-    per_use = normals.reshape(n_blocks, n_uses, -1)
+    symbols = modulate(slot_bits(tx_bits, c, cfg.n_streams), c).swapaxes(0, 1)
+    per_use = normals.reshape(n_blocks, n_uses, -1).swapaxes(0, 1)
     split = 2 * n_rx * cfg.n_tx
     hbar = generate_channel(
         n_rx, cfg.n_tx, bundle.corr,
-        per_use[..., :split].reshape(n_blocks, n_uses, 2, n_rx, cfg.n_tx),
+        per_use[..., :split].reshape(n_uses, n_blocks, 2, n_rx, cfg.n_tx),
     )
     # The streams go out on the first n_streams transmit antennas.
-    ch = ChannelRealization(
-        hbar[..., : cfg.n_streams], sigma2[:, None, None, None] * np.eye(n_rx)
-    )
-    y = transmit(ch, symbols, per_use[..., split:].reshape(n_blocks, n_uses, 2, n_rx))
-    model = whiten(y, ch)
-    finite = np.isfinite(model.y).all(axis=(1, 2)) & np.isfinite(model.h).all(axis=(1, 2, 3))
+    ch = ChannelRealization(hbar[..., : cfg.n_streams], sigma2[:, None, None] * np.eye(n_rx))
+    y = transmit(ch, symbols, per_use[..., split:].reshape(n_uses, n_blocks, 2, n_rx))
+    uses = whiten(y, ch)
+    finite = np.isfinite(uses.y).all(axis=(0, 2)) & np.isfinite(uses.h).all(axis=(0, 2, 3))
     if not finite.all():
         point, block = divmod(lo + int(np.argmin(finite)), cfg.blocks)
         raise FloatingPointError(
             f"non-finite whitened channel or observation at snr point {point} block {block}"
         )
-    return model
+    return WhitenedModel(uses.y.swapaxes(0, 1), uses.h.swapaxes(0, 1))
 
 
 def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> np.ndarray:

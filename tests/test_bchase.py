@@ -316,7 +316,7 @@ def test_inner_layers_match_per_axis_walk(order, n, priors, observed):
         h = iid_complex_gaussian(rng, (uses, n, n))
         s = c.symbols[rng.integers(0, order, (uses, n))]
         models = [WhitenedModel(y=hu @ su, h=hu) for hu, su in zip(h, s)]
-    ctx = prepare_all_uses(stack(models)).reshape(-1)
+    ctx = prepare_all_uses(stack(models)).ravel()
     use_idx = np.arange(len(ctx)) % uses
     start = rng.normal(scale=10.0, size=(order, len(ctx)))
     got, want = start.copy(), start.copy()

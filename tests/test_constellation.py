@@ -476,7 +476,7 @@ def test_pam_metric_formula():
     assert abs(got - want) < 1e-15
 
 
-def test_coset_min_sqdist_brute():
+def test_level_walk_coset_gap_is_brute_minima():
     rng = np.random.default_rng(3)
     for order, shape in itertools.product(SUPPORTED_ORDERS, ((50,), (7, 16), ())):
         ax = build_constellation(order).axis

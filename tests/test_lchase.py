@@ -196,7 +196,7 @@ def test_level_walk_equals_slicer(order, n, priors, observed):
     else:
         y = iid_complex_gaussian(rng, (uses, n))
     contexts = prepare_all_uses(WhitenedModel(y=y, h=h))
-    ctx = contexts.reshape(-1)
+    ctx = contexts.ravel()
     use_idx = np.arange(len(ctx)) % uses
     start = rng.normal(scale=10.0, size=(order, len(ctx)))
     walked, sliced = start.copy(), start.copy()

@@ -697,13 +697,29 @@ def test_non_finite_whitened_model_names_point_and_block(monkeypatch):
     real_whiten = simcli.whiten
 
     def poisoned(y, ch):
-        model = real_whiten(y, ch)
-        model.y[2, 1, 0] = np.nan
+        model = real_whiten(y, ch)  # use-major: (U, B, ...)
+        model.y[1, 2, 0] = np.nan
         return model
 
     monkeypatch.setattr(simcli, "whiten", poisoned)
     with pytest.raises(FloatingPointError, match="snr point 1 block 3"):
         simulate_chunk(bundle, 5, 8)  # snr point 1, blocks 1..3
+
+
+def test_simulated_chunk_reaches_prepare_without_a_copy(walk):
+    # _chunk_model lays a chunk out use-major, the order run_idd stacks its
+    # uses in (row u*B + b), so the stack prepare_all_uses gets is a view of
+    # the simulator's model: neither y nor h is copied.
+    bundle = _build_bundle(_tiny_config(blocks=3))
+    info, normals = _draws(bundle, 0, 3)
+    model = _chunk_model(bundle, 0, info, normals)
+
+    def shared(uses):
+        return int(np.shares_memory(uses.y, model.y)) + int(np.shares_memory(uses.h, model.h))
+
+    walk.tally(lchase, "prepare_all_uses", "shared", shared)
+    run_idd(model, info, bundle.idd_cfg)
+    assert walk["shared"] == 2
 
 
 def _forced_singular(monkeypatch, error):

@@ -1,23 +1,39 @@
-"""Bit-for-bit equivalence of detector outputs between two source trees.
+"""Bit-for-bit equivalence of detector and decoder arrays between two trees.
 
     python3 tools/equivalence.py --base HEAD
 
-Exports <rev> with `git archive` and runs one fixed grid of detections in
-that tree and in the working tree, each in its own process, then compares
-every array of the two with array_equal and signbit. Each array that
-differs is listed with its largest relative difference; the exit status
-is 1 if any array differs, else 0.
+Exports <rev> with `git archive` and runs one fixed grid in that tree and
+in the working tree, each in its own process, then compares every array of
+the two with array_equal and signbit. Each array that differs is listed
+with its largest relative difference; the exit status is 1 if any array
+differs, else 0.
 
-The grid: lchase and bchase LLRs at orders 4 to 256, n = 1, 2, 3, 4 and 6
-streams, n or n + 2 receive antennas, four kinds of a priori LLRs (zero,
-Cauchy, {0, +-LLR_CLIP}, and integers with some -0.0) and slices of 1, 5
-and all contexts; the LMMSE LLRs of every (order, n, rx) point; and the
-IDD loop over simulated chunks of 1 and 3 blocks on three links (LINKS),
-each pass's decoder input and extrinsic output and the chunk's bit errors.
+The grid:
+- detector points: orders 4 to 256 at n = 1, 2, 3, 4 and 6 streams, and
+  QPSK and 16-QAM at n = 8, each with n or n + 2 receive antennas and
+  three observations of USES uses: noisy, noiseless (y = h s), and noisy
+  with the last channel column nearly collinear with the first;
+- at each point: every field of the lchase and bchase contexts from
+  prepare_all_uses; the LMMSE LLRs; and the lchase, bchase and, where
+  M**n <= MAXLOG_HYPOTHESES, max-log LLRs in one slice, under four kinds
+  of a priori LLRs (zero, Cauchy, {0, +-LLR_CLIP}, and integers with some
+  -0.0) on the noisy observation and under the SLICED kind on the others;
+- on the noisy observation, lchase and bchase LLRs also in slices of 1
+  and 5 contexts, under every prior kind at n in STREAMS and under the
+  SLICED kind at n = 8; and under the SLICED kind with dead tails (the
+  last use of every even stream not live, see live_uses) in slices of 1
+  and all contexts;
+- the IDD loop over simulated chunks of 1 and 3 blocks on three links
+  (LINKS): each chunk's whitened y and h, each pass's decoder input and
+  extrinsic output, and the chunk's bit errors;
+- bcjr_decode's three outputs at K = 1, 64 and 512, both rates, stacks
+  of 1, 2 and 17 blocks, on Cauchy, small-integer and signed-zero channel
+  LLRs (DECODER_LLRS), punctured positions 0.
 It uses only names both trees must keep: prepare_all_uses,
-detect_all_uses, context_values and chase.SLICE_VALUES,
-reference.lmmse_llrs, and simcli's SimConfig, _build_bundle and
-simulate_chunk with the idd.bcjr_decode they call.
+detect_all_uses, context_values and chase.SLICE_VALUES, reference's
+lmmse_llrs, maxlog_factors and maxlog_llrs, codec's CodeConfig and
+bcjr_decode, and simcli's SimConfig, _build_bundle, _draws, _chunk_model
+and simulate_chunk with the idd.bcjr_decode they call.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +52,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 ORDERS = (4, 16, 64, 256)
 STREAMS = (1, 2, 3, 4, 6)
+WIDE_ORDERS = (4, 16)  # also run at n = 8
+OBSERVATIONS = ("noisy", "noiseless", "collinear")
+USES = 2
 PRIORS = ("zero", "cauchy", "clipped", "rounded")
+SLICED = "cauchy"  # the prior kind also detected with dead tails and on the other observations
 CAPS = (1, 5, None)  # contexts per slice; None: every context in one slice
+TAIL_CAPS = (1, None)  # the dead-tail runs' slice caps
+MAXLOG_HYPOTHESES = 1 << 12
 # (name, SimConfig fields, detectors) of the IDD links. Each pads the last
 # use of a block: 12 slots at 4x4 16-QAM rate 0.5, 16 at 4x4 64-QAM rate
 # 0.83 (0.9 correlation) and 3 at 2x2 QPSK with K = 512.
@@ -52,9 +75,16 @@ LINKS = (
 )
 CHUNKS = (1, 3)  # blocks per chunk
 ITERATIONS = 3
+DECODER_LENGTHS = (1, 64, 512)
+DECODER_STACKS = (1, 2, 17)
+DECODER_LLRS = ("cauchy", "integer", "zeros")
 
 
-def _priors(rng, kind: str, shape, clip: float) -> np.ndarray:
+def _llrs(rng, kind: str, shape, clip: float) -> np.ndarray:
+    """LLRs of one kind: zero, Cauchy (some at +-clip), {0, +-clip},
+    integers with some -0.0, small integers (-2 to 2, so decoder paths tie
+    exactly), or signed zeros at about half the positions and in all of the
+    first row (so whole decoder steps carry only +-0.0)."""
     if kind == "cauchy":
         return np.clip(3.0 * rng.standard_cauchy(shape), -clip, clip)
     if kind == "clipped":
@@ -62,18 +92,36 @@ def _priors(rng, kind: str, shape, clip: float) -> np.ndarray:
     if kind == "rounded":
         la = np.round(rng.normal(scale=3.0, size=shape))
         return np.where((la == 0.0) & (rng.random(shape) < 0.5), -0.0, la)
+    if kind == "integer":
+        return rng.integers(-2, 3, shape).astype(float)
+    if kind == "zeros":
+        zeros = rng.choice((-0.0, 0.0), shape)
+        llrs = np.where(rng.random(shape) < 0.5, zeros, rng.normal(scale=3.0, size=shape))
+        llrs.reshape(-1, shape[-1])[0] = zeros.reshape(-1, shape[-1])[0]
+        return llrs
     return np.zeros(shape)
+
+
+def points() -> list:
+    """(order, streams) of every detector point."""
+    return [(o, n) for o in ORDERS for n in STREAMS] + [(o, 8) for o in WIDE_ORDERS]
+
+
+def live_uses(n: int) -> np.ndarray:
+    """Live leading uses of each of n streams in the dead-tail runs."""
+    return np.where(np.arange(n) % 2, USES, USES - 1)
 
 
 def grid() -> dict:
     """Every array of the grid by name, from the chasedet on sys.path."""
-    return {**_detections(), **_chunks()}
+    return {**_detections(), **_chunks(), **_decodes()}
 
 
 def _chunks() -> dict:
-    """Per IDD link, detector and chunk size: each pass's decoder input
-    ("/pass<k>/channel") and extrinsic output ("/pass<k>/extrinsic"), and
-    the chunk's (blocks, iterations) bit errors."""
+    """Per IDD link and chunk size: the chunk's whitened y and h; and per
+    detector each pass's decoder input ("/pass<k>/channel") and extrinsic
+    output ("/pass<k>/extrinsic"), and the chunk's (blocks, iterations)
+    bit errors."""
     from chasedet import idd, simcli
 
     arrays, passes = {}, []
@@ -86,15 +134,18 @@ def _chunks() -> dict:
 
     idd.bcjr_decode = recorded
     try:
-        for link, fields, detectors in LINKS:
-            for detector in detectors:
-                for blocks in CHUNKS:
+        for link, link_fields, detectors in LINKS:
+            for blocks in CHUNKS:
+                cfg = simcli.SimConfig(blocks=blocks, iterations=ITERATIONS, **link_fields)
+                bundle = simcli._build_bundle(cfg)
+                model = simcli._chunk_model(bundle, 0, *simcli._draws(bundle, 0, blocks))
+                arrays[f"chunk/{link}/B{blocks}/y"] = model.y
+                arrays[f"chunk/{link}/B{blocks}/h"] = model.h
+                for detector in detectors:
                     key = f"idd/{link}/{detector}/B{blocks}"
                     passes.clear()
-                    cfg = simcli.SimConfig(
-                        detector=detector, blocks=blocks, iterations=ITERATIONS, **fields
-                    )
-                    errors = simcli.simulate_chunk(simcli._build_bundle(cfg), 0, blocks)
+                    bundle = simcli._build_bundle(replace(cfg, detector=detector))
+                    errors = simcli.simulate_chunk(bundle, 0, blocks)
                     arrays[f"{key}/bit_errors"] = errors
                     for k, (channel, extrinsic) in enumerate(passes):
                         arrays[f"{key}/pass{k}/channel"] = channel
@@ -104,52 +155,106 @@ def _chunks() -> dict:
     return arrays
 
 
-def _detections() -> dict:
-    """Detector LLRs of every (order, streams, rx, priors, cap) point."""
-    from chasedet import bchase, chase, lchase
+def _observation(rng, kind: str, c, n: int, rx: int):
+    """USES uses of y = h s, plus CN(0, 2) noise unless noiseless, h with
+    entries of variance 8; if collinear, h's last column is its first plus
+    1e-6 times a draw (at n = 1, the one column scaled by 1 + 1e-6)."""
     from chasedet.channel import WhitenedModel
+
+    shape = (USES, rx, n)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 2.0
+    if kind == "collinear":
+        h[..., -1] = h[..., 0] + 1e-6 * h[..., -1]
+    s = c.symbols[rng.integers(0, c.order, (USES, n))]
+    y = np.einsum("urt,ut->ur", h, s)
+    if kind != "noiseless":
+        y += rng.standard_normal((USES, rx)) + 1j * rng.standard_normal((USES, rx))
+    return WhitenedModel(y=y, h=h)
+
+
+def _detections() -> dict:
+    """Context fields and detector LLRs of every point and observation."""
+    from chasedet import bchase, chase, lchase
     from chasedet.constellation import build_constellation
     from chasedet.llr import LLR_CLIP
-    from chasedet.reference import lmmse_llrs
+    from chasedet.reference import lmmse_llrs, maxlog_factors, maxlog_llrs
 
     arrays = {}
     slice_values = chase.SLICE_VALUES
     try:
-        for order in ORDERS:
+        for order, n in points():
             c = build_constellation(order)
-            for n in STREAMS:
-                for rx in (n, n + 2):
-                    rng = np.random.default_rng([order, n, rx])
-                    uses = 2
-                    shape = (uses, rx, n)
-                    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 2.0
-                    s = c.symbols[rng.integers(0, order, (uses, n))]
-                    noise = rng.standard_normal((uses, rx)) + 1j * rng.standard_normal((uses, rx))
-                    model = WhitenedModel(y=np.einsum("urt,ut->ur", h, s) + noise, h=h)
-                    point = f"{order}qam/n{n}/rx{rx}"
+            tails = live_uses(n)
+            for rx in (n, n + 2):
+                for obs in OBSERVATIONS:
+                    rng = np.random.default_rng([order, n, rx, OBSERVATIONS.index(obs)])
+                    model = _observation(rng, obs, c, n, rx)
+                    shape = (USES, n, c.bits_per_symbol)
+                    kinds = PRIORS if obs == "noisy" else (SLICED,)
+                    priors = {kind: _llrs(rng, kind, shape, LLR_CLIP) for kind in kinds}
+                    point = f"{order}qam/n{n}/rx{rx}/{obs}"
                     arrays[f"lmmse/{point}"] = lmmse_llrs(model, c)
+                    if order**n <= MAXLOG_HYPOTHESES:
+                        factors = maxlog_factors(model)
+                        for kind, la in priors.items():
+                            arrays[f"maxlog/{point}/{kind}"] = maxlog_llrs(factors, c, la)
                     for detector in (lchase, bchase):
                         name = detector.__name__.rpartition(".")[2]
                         contexts = detector.prepare_all_uses(model)
+                        for field in fields(contexts):
+                            arrays[f"{name}/{point}/context/{field.name}"] = getattr(
+                                contexts, field.name
+                            )
                         charge = (
                             detector.context_values(c, n)
                             if detector is bchase
                             else detector.context_values(c)
                         )
-                        for kind in PRIORS:
-                            la = _priors(rng, kind, (uses, n, c.bits_per_symbol), LLR_CLIP)
-                            for cap in CAPS:
+                        for kind, la in priors.items():
+                            runs = [(None, None)]
+                            if obs == "noisy":
+                                caps = CAPS if kind == SLICED or n in STREAMS else (None,)
+                                runs = [(cap, None) for cap in caps]
+                                if kind == SLICED:
+                                    runs += [(cap, tails) for cap in TAIL_CAPS]
+                            for cap, live in runs:
                                 chase.SLICE_VALUES = slice_values if cap is None else cap * charge
-                                key = f"{name}/{point}/{kind}/cap{cap or 'all'}"
-                                arrays[key] = detector.detect_all_uses(contexts, c, la)
+                                key = f"{name}/{point}/{kind}{'/tails' * (live is not None)}"
+                                arrays[f"{key}/cap{cap or 'all'}"] = detector.detect_all_uses(
+                                    contexts, c, la, live
+                                )
     finally:
         chase.SLICE_VALUES = slice_values
     return arrays
 
 
+def _decodes() -> dict:
+    """bcjr_decode's extrinsic, info-bit LLRs and hard bits of every
+    (length, rate, LLR kind, stack) point."""
+    from chasedet.codec import SUPPORTED_RATES, CodeConfig, bcjr_decode
+    from chasedet.llr import LLR_CLIP
+
+    arrays = {}
+    for info_len in DECODER_LENGTHS:
+        for rate in SUPPORTED_RATES:
+            code = CodeConfig(info_len, rate)
+            keep = code.keep_mask()
+            rng = np.random.default_rng([info_len, SUPPORTED_RATES.index(rate)])
+            for kind in DECODER_LLRS:
+                for blocks in DECODER_STACKS:
+                    channel = np.zeros((blocks, code.coded_len))
+                    channel[:, keep] = _llrs(rng, kind, (blocks, int(keep.sum())), LLR_CLIP)
+                    outputs = bcjr_decode(channel, None, code)
+                    key = f"bcjr/K{info_len}/rate{rate}/{kind}/B{blocks}"
+                    for part, out in zip(("extrinsic", "info", "hard"), outputs):
+                        arrays[f"{key}/{part}"] = out
+    return arrays
+
+
 def compare(base: dict, change: dict) -> list:
     """(name, what differs) for every array that is not the same in both,
-    array_equal and signbit, NaNs equal where they sit alike."""
+    array_equal and signbit (of both parts of a complex array), NaNs equal
+    where they sit alike."""
     found = []
     for name in sorted(base.keys() | change.keys()):
         if name not in base or name not in change:
@@ -162,9 +267,14 @@ def compare(base: dict, change: dict) -> list:
             with np.errstate(invalid="ignore", divide="ignore"):
                 rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
             found.append((name, f"largest relative difference {np.nanmax(rel):.3g}"))
-        elif not np.array_equal(np.signbit(a), np.signbit(b)):
-            found.append((name, f"{np.count_nonzero(np.signbit(a) != np.signbit(b))} signs differ"))
+        elif not np.array_equal(_signs(a), _signs(b)):
+            found.append((name, f"{np.count_nonzero(_signs(a) != _signs(b))} signs differ"))
     return found
+
+
+def _signs(a: np.ndarray) -> np.ndarray:
+    """Sign bits of a real array, or of a complex one's real and imaginary parts."""
+    return np.signbit(np.stack([a.real, a.imag]) if np.iscomplexobj(a) else a)
 
 
 def _run_grid(src: Path, out: Path) -> dict:
