@@ -13,10 +13,10 @@ A chunk of blocks runs through that loop as stacked arrays: every block's
 uses go through one detector call and every block's codeword through one
 decoder call per iteration, and each block's results equal those of running
 it alone. All four detectors sit behind one (prepare, detect) table. The
-chunk's uses are stacked use-major, row u*B + b for use u of block b (a
-view of the simulator's chunks, which it lays out so), and each stream's
-padding-only targets (in a block's last use) are the tail of its rows:
-they are prepared but never detected, and their LLRs stay 0.
+chunk is laid out use-major, (U, B, ...), so its uses stack as row u*B + b
+for use u of block b, and each stream's padding-only targets (in a block's
+last use) are the tail of its rows: they are prepared but never detected,
+and their LLRs stay 0.
 Transmitted bit t sits in slot t % (n_l*q) of use t // (n_l*q) in every
 block's rows, so each direction of a pass is one gather and one scatter.
 """
@@ -113,29 +113,24 @@ def live_uses(n_bits: int, c: Constellation, n_streams: int) -> np.ndarray:
 def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddResult:
     """Run the detect/decode loop over a chunk and score every iteration.
 
-    model holds the chunk's whitened observations, y (B, U, n_rx) and h
-    (B, U, n_rx, n); info_bits (B, K) are the true payloads, used only for
-    error counting. The uses are stacked use-major: a view where y and h
-    view use-major memory, as simcli's chunks do, else a copy. The
-    detector's entry in the table prepares all B*U uses once, and its
-    detect call takes all of them once per pass.
+    model holds the chunk's whitened observations use-major, y (U, B, n_rx)
+    and h (U, B, n_rx, n); info_bits (B, K) are the true payloads, used
+    only for error counting. The detector's entry in the table prepares all
+    B*U uses once, and its detect call takes all of them once per pass.
     """
     c, code = cfg.constellation, cfg.code
     info_bits = np.asarray(info_bits)
-    n_blocks, n_uses, n_rx, n_streams = model.h.shape
+    n_uses, n_blocks, n_rx, n_streams = model.h.shape
     if info_bits.shape != (n_blocks, code.info_len):
         raise ValueError(f"expected {n_blocks} x {code.info_len} info bits")
-    if model.y.shape != (n_blocks, n_uses, n_rx):
-        raise ValueError("y and h disagree on blocks, uses or receive antennas")
+    if model.y.shape != (n_uses, n_blocks, n_rx):
+        raise ValueError("y and h disagree on uses, blocks or receive antennas")
     q, n_tx = c.bits_per_symbol, code.transmitted_len
     n_slots = n_uses * n_streams * q
     if n_slots < n_tx:
         raise ValueError(f"{n_uses} uses carry {n_slots} bits, codeword needs {n_tx}")
 
-    uses = WhitenedModel(
-        model.y.swapaxes(0, 1).reshape(-1, n_rx),
-        model.h.swapaxes(0, 1).reshape(-1, n_rx, n_streams),
-    )
+    uses = WhitenedModel(model.y.reshape(-1, n_rx), model.h.reshape(-1, n_rx, n_streams))
     live = live_uses(n_tx, c, n_streams) * n_blocks
     prepare, detect = _DETECT[cfg.detector]
     prepared = prepare(uses)

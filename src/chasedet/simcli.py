@@ -301,9 +301,8 @@ def _draws(bundle: _Bundle, lo: int, hi: int) -> tuple:
 def _chunk_model(
     bundle: _Bundle, lo: int, info: np.ndarray, normals: np.ndarray
 ) -> WhitenedModel:
-    """Whitened (B, U, ...) observations of grid blocks lo..lo+B-1, each at
-    its point's SNR, from their payloads and normals. The arrays are views
-    of use-major (U, B, ...) memory, the order run_idd stacks uses in."""
+    """Whitened observations of grid blocks lo..lo+B-1 in run_idd's layout,
+    each at its point's SNR, from their payloads and normals."""
     cfg, idd_cfg = bundle.cfg, bundle.idd_cfg
     c, code = idd_cfg.constellation, idd_cfg.code
     n_blocks, n_uses, n_rx = len(info), bundle.n_uses, cfg.n_rx
@@ -320,14 +319,14 @@ def _chunk_model(
     # The streams go out on the first n_streams transmit antennas.
     ch = ChannelRealization(hbar[..., : cfg.n_streams], sigma2[:, None, None] * np.eye(n_rx))
     y = transmit(ch, symbols, per_use[..., split:].reshape(n_uses, n_blocks, 2, n_rx))
-    uses = whiten(y, ch)
-    finite = np.isfinite(uses.y).all(axis=(0, 2)) & np.isfinite(uses.h).all(axis=(0, 2, 3))
+    model = whiten(y, ch)
+    finite = np.isfinite(model.y).all(axis=(0, 2)) & np.isfinite(model.h).all(axis=(0, 2, 3))
     if not finite.all():
         point, block = divmod(lo + int(np.argmin(finite)), cfg.blocks)
         raise FloatingPointError(
             f"non-finite whitened channel or observation at snr point {point} block {block}"
         )
-    return WhitenedModel(uses.y.swapaxes(0, 1), uses.h.swapaxes(0, 1))
+    return model
 
 
 def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> np.ndarray:

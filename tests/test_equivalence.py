@@ -27,24 +27,21 @@ def equivalence():
 def test_grid_runs_on_this_tree(equivalence):
     # Every (order, streams, rx, observation) point gives one LMMSE array,
     # every context field of both detectors and, per detector, one array
-    # per prior kind and slice cap on the noisy observation (at n = 8 the
-    # SLICED kind alone runs the small caps), plus the SLICED kind's
-    # dead-tail runs there and one array on each other observation;
-    # max-log points one per prior kind.
-    # Every IDD chunk gives its y and h, and every IDD run its bit errors
-    # and two arrays per decoder pass (one pass for lmmse); every decode
-    # three. An array's slice caps give it bit for bit, and its dead-tail
-    # runs give it on live targets and 0.0 on dead ones.
+    # per prior kind and slice cap on the noisy observation, plus the
+    # SLICED kind's dead-tail runs there and one array on each other
+    # observation; max-log points one per prior kind.
+    # Every IDD chunk gives the y and h of its stacked uses, every IDD run
+    # its bit errors and two arrays per decoder pass (one pass for lmmse),
+    # and every decode three. An array's slice caps give it bit for bit,
+    # and its dead-tail runs give it on live targets and 0.0 on dead ones.
     eq = equivalence
     arrays = eq.grid()
     points = 2 * len(eq.points())
-    wide_points = 2 * len(eq.WIDE_ORDERS)
     maxlog_points = 2 * sum(o**n <= eq.MAXLOG_HYPOTHESES for o, n in eq.points())
     context_fields = len(fields(LchaseStreamContext)) + len(fields(BchaseStreamContext))
     kinds = len(eq.PRIORS) + len(eq.OBSERVATIONS) - 1
     detections = len(eq.PRIORS) * len(eq.CAPS) + len(eq.TAIL_CAPS) + len(eq.OBSERVATIONS) - 1
     detections *= 2
-    wide_cut = 2 * (len(eq.PRIORS) - 1) * (len(eq.CAPS) - 1)
     per_point = len(eq.OBSERVATIONS) * (1 + context_fields) + detections
     runs = [det for _, _, dets in eq.LINKS for det in dets] * len(eq.CHUNKS)
     per_run = [1 + 2 * (1 if det == "lmmse" else eq.ITERATIONS) for det in runs]
@@ -53,7 +50,6 @@ def test_grid_runs_on_this_tree(equivalence):
     decodes *= len(eq.DECODER_STACKS)
     assert len(arrays) == (
         points * per_point
-        - wide_points * wide_cut
         + maxlog_points * kinds
         + sum(per_run)
         + chunks
@@ -63,7 +59,7 @@ def test_grid_runs_on_this_tree(equivalence):
         eq.points(), (0, 2), ("lchase", "bchase"), eq.PRIORS, eq.CAPS
     ):
         key = f"{det}/{order}qam/n{n}/rx{n + rx}/noisy/{kind}/cap{cap or 'all'}"
-        assert (key in arrays) == (n in eq.STREAMS or kind == eq.SLICED or cap is None)
+        assert key in arrays
     # At K = 1 termination fixes coded bits whose extrinsic is -inf.
     assert all(np.isfinite(a).all() for k, a in arrays.items() if not k.startswith("bcjr/"))
     assert not any(np.isnan(a).any() for a in arrays.values())

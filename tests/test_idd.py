@@ -68,7 +68,8 @@ def test_padding_only_in_last_use_and_live_uses_mark_transmitted_targets():
 
 
 def _make_block(rng, cfg, n_rx, n_streams, sigma=0.0, gain=1.0):
-    """Encode, interleave, slot, modulate, and transmit a chunk of one block."""
+    """Encode, interleave, slot, modulate, and transmit a chunk of one block,
+    laid out (U, 1, ...)."""
     c = cfg.constellation
     code = cfg.code
     info = rng.integers(0, 2, code.info_len, dtype=np.int8)
@@ -80,7 +81,7 @@ def _make_block(rng, cfg, n_rx, n_streams, sigma=0.0, gain=1.0):
         h = gain * iid_complex_gaussian(rng, (n_rx, n_streams))
         ys.append(h @ s + sigma * iid_complex_gaussian(rng, n_rx))
         hs.append(h)
-    return info[None], WhitenedModel(y=np.stack(ys)[None], h=np.stack(hs)[None])
+    return info[None], WhitenedModel(y=np.stack(ys)[:, None], h=np.stack(hs)[:, None])
 
 
 def _record(monkeypatch, module, name, calls):
@@ -115,7 +116,8 @@ def _chunk(rng, cfg, n_blocks, n_rx, n_streams, sigma):
     blocks = [_make_block(rng, cfg, n_rx, n_streams, sigma=sigma) for _ in range(n_blocks)]
     info = np.concatenate([info for info, _ in blocks])
     model = WhitenedModel(
-        y=np.concatenate([m.y for _, m in blocks]), h=np.concatenate([m.h for _, m in blocks])
+        y=np.concatenate([m.y for _, m in blocks], axis=1),
+        h=np.concatenate([m.h for _, m in blocks], axis=1),
     )
     return info, model
 
@@ -123,7 +125,8 @@ def _chunk(rng, cfg, n_blocks, n_rx, n_streams, sigma):
 def test_feedback_plumbing_reconstructs(monkeypatch):
     # Rebuild iteration t's decoder input and iteration t+1's a priori from
     # the recorded detector and decoder calls and the declared wiring, with
-    # each block's uses laid out block-major as slot_bits lays them:
+    # each block's slots read from its use-major rows, u*B + b, in the
+    # order slot_bits lays them:
     # detector extrinsic forward, saturated, deinterleaved by the inverse
     # permutation and depunctured by the keep mask; decoder extrinsic back
     # through the mirror path, zero in the padding slots. Chunks of 1 and 3
@@ -135,16 +138,18 @@ def test_feedback_plumbing_reconstructs(monkeypatch):
         name = detector.__name__.rpartition(".")[2]
         cfg = IddConfig(c, code, detector=name, iterations=3, interleaver_seed=7)
         info, model = _chunk(np.random.default_rng(1), cfg, n_blocks, 4, 4, 0.9)
-        n_uses = model.h.shape[1]
+        n_uses = model.h.shape[0]
         detects, decodes = [], []
         with monkeypatch.context() as m:
             _record(m, detector, "detect_all_uses", detects)
             _record(m, idd, "bcjr_decode", decodes)
             res = run_idd(model, info, cfg)
 
+        block_rows = np.arange(n_uses) * n_blocks + np.arange(n_blocks)[:, None]
+
         def slots(rows):
-            # Use-major (U*B, n, q) rows as block-major (B, U*n*q) slots.
-            return rows.reshape(n_uses, n_blocks, -1).swapaxes(0, 1).reshape(n_blocks, -1)
+            # Block b's slots are rows u*B + b of the (U*B, n, q) stack.
+            return rows.reshape(n_uses * n_blocks, -1)[block_rows].reshape(n_blocks, -1)
 
         perm = make_interleaver(code.transmitted_len, 7)
         keep = code.keep_mask()
@@ -238,7 +243,7 @@ def test_one_detect_call_per_pass_over_every_use(detector, monkeypatch):
     )
     rng = np.random.default_rng(8)
     (info0, m0), (info1, m1) = (_make_block(rng, cfg, 2, 2, sigma=0.5) for _ in range(2))
-    model = WhitenedModel(np.concatenate([m0.y, m1.y]), np.concatenate([m0.h, m1.h]))
+    model = WhitenedModel(np.concatenate([m0.y, m1.y], 1), np.concatenate([m0.h, m1.h], 1))
     calls = {name: [] for name in _DETECT_ENTRIES}
     for name, (module, attr) in _DETECT_ENTRIES.items():
         _record(monkeypatch, module, attr, calls[name])
@@ -261,7 +266,7 @@ def test_chunk_detects_only_live_targets(detector, monkeypatch):
     cfg = IddConfig(constellation=c, code=CodeConfig(64, 0.5), detector=detector, iterations=2)
     rng = np.random.default_rng(12)
     (info0, m0), (info1, m1) = (_make_block(rng, cfg, 4, 4, sigma=0.5) for _ in range(2))
-    model = WhitenedModel(np.concatenate([m0.y, m1.y]), np.concatenate([m0.h, m1.h]))
+    model = WhitenedModel(np.concatenate([m0.y, m1.y], 1), np.concatenate([m0.h, m1.h], 1))
     module = lchase if detector == "lchase" else bchase
     detect, calls = module.detect_all_uses, []
     _record(monkeypatch, module, "detect_all_uses", calls)
@@ -289,11 +294,20 @@ def test_bchase_path_decodes():
 
 def test_detector_stats_accumulate():
     # Each iteration's counts are one detection pass over every use of the
-    # chunk, two blocks of 9 uses with 4 streams each.
+    # chunk, two blocks of 9 uses with 4 streams each. The same chunk held
+    # block-major in memory, as a strided (U, B, ...) view, gives the same
+    # bit errors and counts as its contiguous copy.
     c = build_constellation(16)
     cfg = IddConfig(constellation=c, code=CodeConfig(64, 0.5), iterations=3)
     info, model = _chunk(np.random.default_rng(6), cfg, 2, 4, 4, 1.0)
-    res = run_idd(model, info, cfg)
+    strided = WhitenedModel(
+        *(np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1) for a in (model.y, model.h))
+    )
+    assert not strided.y.flags.c_contiguous and not strided.h.flags.c_contiguous
+    res, res_strided = run_idd(model, info, cfg), run_idd(strided, info, cfg)
+    assert res.iter_bit_errors.any()
+    np.testing.assert_array_equal(res_strided.iter_bit_errors, res.iter_bit_errors)
+    assert res_strided.iter_stats == res.iter_stats
     assert res.iter_stats == [pass_stats("lchase", 4, c, 2 * 9)] * 3
     assert res.iter_stats[0].streams == 2 * 9 * 4
     assert res.iter_stats[0].metric_evals == 2 * 9 * 4 * 16
@@ -324,8 +338,8 @@ def test_config_and_input_validation():
     with pytest.raises(ValueError):
         run_idd(model, np.concatenate([info, info]), cfg)
     with pytest.raises(ValueError):
-        run_idd(WhitenedModel(model.y[:, 1:], model.h), info, cfg)
+        run_idd(WhitenedModel(model.y[1:], model.h), info, cfg)
     with pytest.raises(ValueError):
-        run_idd(WhitenedModel(model.y[:, :5], model.h[:, :5]), info, cfg)
+        run_idd(WhitenedModel(model.y[:5], model.h[:5]), info, cfg)
     with pytest.raises(ValueError):
-        run_idd(WhitenedModel(model.y[:, :0], model.h[:, :0]), info, cfg)
+        run_idd(WhitenedModel(model.y[:0], model.h[:0]), info, cfg)

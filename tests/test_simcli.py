@@ -612,9 +612,9 @@ _DETECT_ENTRIES = (
 
 
 def _run_recording_llrs(model, info, idd_cfg):
-    """Detector LLRs shaped (passes, B, U, n, q) and decoder info-bit LLRs
-    shaped (passes, B, K) of a run_idd call; run_idd stacks a chunk's uses
-    use-major, row u*B + b."""
+    """Detector LLRs shaped (passes, U, B, n, q) and decoder info-bit LLRs
+    shaped (passes, B, K) of a run_idd call, whose stack of a chunk's uses
+    is row u*B + b."""
     out, info_llrs = [], []
     with pytest.MonkeyPatch.context() as mp:
         for module, name in _DETECT_ENTRIES:
@@ -633,9 +633,8 @@ def _run_recording_llrs(model, info, idd_cfg):
 
         mp.setattr(idd, "bcjr_decode", decoded)
         run_idd(model, info, idd_cfg)
-    n_blocks, n_uses = model.h.shape[:2]
-    llrs = np.concatenate(out).reshape((-1, n_uses, n_blocks) + out[0].shape[1:])
-    return llrs.swapaxes(1, 2), np.stack(info_llrs)
+    llrs = np.concatenate(out).reshape((-1,) + model.h.shape[:2] + out[0].shape[1:])
+    return llrs, np.stack(info_llrs)
 
 
 @pytest.mark.parametrize("link", sorted(_CHUNK_LINKS))
@@ -669,7 +668,7 @@ def test_chunk_equals_block_by_block(link, blocks, seed, snr, per_slice):
         alone_llrs, alone_info_llrs = _run_recording_llrs(
             _chunk_model(bundle, b, info[one], normals[one]), info[one], bundle.idd_cfg
         )
-        np.testing.assert_array_equal(chunk_llrs[:, b], alone_llrs[:, 0])
+        np.testing.assert_array_equal(chunk_llrs[:, :, b], alone_llrs[:, :, 0])
         np.testing.assert_array_equal(chunk_info_llrs[:, b], alone_info_llrs[:, 0])
 
 
@@ -688,8 +687,8 @@ def test_streams_go_out_on_the_first_transmit_antennas():
         cfg.n_rx, cfg.n_tx, bundle.corr, per_use.reshape(4, bundle.n_uses, 2, cfg.n_rx, cfg.n_tx)
     )
     sigma = np.sqrt(np.repeat(bundle.sigma2, cfg.blocks))[:, None, None, None]
-    assert model.h.shape == (4, bundle.n_uses, cfg.n_rx, 1)
-    np.testing.assert_allclose(model.h, hbar[..., :1] / sigma, rtol=1e-14, atol=0)
+    assert model.h.shape == (bundle.n_uses, 4, cfg.n_rx, 1)
+    np.testing.assert_allclose(model.h.swapaxes(0, 1), hbar[..., :1] / sigma, rtol=1e-14, atol=0)
 
 
 def test_non_finite_whitened_model_names_point_and_block(monkeypatch):
@@ -707,9 +706,9 @@ def test_non_finite_whitened_model_names_point_and_block(monkeypatch):
 
 
 def test_simulated_chunk_reaches_prepare_without_a_copy(walk):
-    # _chunk_model lays a chunk out use-major, the order run_idd stacks its
-    # uses in (row u*B + b), so the stack prepare_all_uses gets is a view of
-    # the simulator's model: neither y nor h is copied.
+    # _chunk_model returns a chunk in the contiguous use-major layout
+    # run_idd takes, so the stack prepare_all_uses gets is a view of the
+    # simulator's model: neither y nor h is copied.
     bundle = _build_bundle(_tiny_config(blocks=3))
     info, normals = _draws(bundle, 0, 3)
     model = _chunk_model(bundle, 0, info, normals)

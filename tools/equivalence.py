@@ -19,21 +19,21 @@ The grid:
   of a priori LLRs (zero, Cauchy, {0, +-LLR_CLIP}, and integers with some
   -0.0) on the noisy observation and under the SLICED kind on the others;
 - on the noisy observation, lchase and bchase LLRs also in slices of 1
-  and 5 contexts, under every prior kind at n in STREAMS and under the
-  SLICED kind at n = 8; and under the SLICED kind with dead tails (the
-  last use of every even stream not live, see live_uses) in slices of 1
-  and all contexts;
+  and 5 contexts under every prior kind; and under the SLICED kind with
+  dead tails (the last use of every even stream not live, see live_uses)
+  in slices of 1 and all contexts;
 - the IDD loop over simulated chunks of 1 and 3 blocks on three links
-  (LINKS): each chunk's whitened y and h, each pass's decoder input and
-  extrinsic output, and the chunk's bit errors;
+  (LINKS): the chunk's whitened uses as run_idd stacks them for
+  lchase.prepare_all_uses, each pass's decoder input and extrinsic output,
+  and the chunk's bit errors;
 - bcjr_decode's three outputs at K = 1, 64 and 512, both rates, stacks
   of 1, 2 and 17 blocks, on Cauchy, small-integer and signed-zero channel
   LLRs (DECODER_LLRS), punctured positions 0.
 It uses only names both trees must keep: prepare_all_uses,
 detect_all_uses, context_values and chase.SLICE_VALUES, reference's
 lmmse_llrs, maxlog_factors and maxlog_llrs, codec's CodeConfig and
-bcjr_decode, and simcli's SimConfig, _build_bundle, _draws, _chunk_model
-and simulate_chunk with the idd.bcjr_decode they call.
+bcjr_decode, and simcli's SimConfig, _build_bundle and simulate_chunk
+with the idd.bcjr_decode and lchase.prepare_all_uses they call.
 """
 
 from __future__ import annotations
@@ -118,29 +118,30 @@ def grid() -> dict:
 
 
 def _chunks() -> dict:
-    """Per IDD link and chunk size: the chunk's whitened y and h; and per
-    detector each pass's decoder input ("/pass<k>/channel") and extrinsic
-    output ("/pass<k>/extrinsic"), and the chunk's (blocks, iterations)
-    bit errors."""
-    from chasedet import idd, simcli
+    """Per IDD link and chunk size: the chunk's (U*B, ...) whitened y and h
+    that run_idd hands lchase.prepare_all_uses; and per detector each
+    pass's decoder input ("/pass<k>/channel") and extrinsic output
+    ("/pass<k>/extrinsic"), and the chunk's (blocks, iterations) bit
+    errors."""
+    from chasedet import idd, lchase, simcli
 
-    arrays, passes = {}, []
-    decode = idd.bcjr_decode
+    arrays, passes, stacks = {}, [], []
+    decode, prepare = idd.bcjr_decode, lchase.prepare_all_uses
 
     def recorded(*args, **kwargs):
         out = decode(*args, **kwargs)
         passes.append((np.array(args[0]), out[0]))  # the input may be reused
         return out
 
-    idd.bcjr_decode = recorded
+    def prepared(uses):
+        stacks.append(uses)
+        return prepare(uses)
+
+    idd.bcjr_decode, lchase.prepare_all_uses = recorded, prepared
     try:
         for link, link_fields, detectors in LINKS:
             for blocks in CHUNKS:
                 cfg = simcli.SimConfig(blocks=blocks, iterations=ITERATIONS, **link_fields)
-                bundle = simcli._build_bundle(cfg)
-                model = simcli._chunk_model(bundle, 0, *simcli._draws(bundle, 0, blocks))
-                arrays[f"chunk/{link}/B{blocks}/y"] = model.y
-                arrays[f"chunk/{link}/B{blocks}/h"] = model.h
                 for detector in detectors:
                     key = f"idd/{link}/{detector}/B{blocks}"
                     passes.clear()
@@ -150,8 +151,12 @@ def _chunks() -> dict:
                     for k, (channel, extrinsic) in enumerate(passes):
                         arrays[f"{key}/pass{k}/channel"] = channel
                         arrays[f"{key}/pass{k}/extrinsic"] = extrinsic
+                (uses,) = stacks  # every link runs lchase
+                stacks.clear()
+                arrays[f"chunk/{link}/B{blocks}/y"] = uses.y
+                arrays[f"chunk/{link}/B{blocks}/h"] = uses.h
     finally:
-        idd.bcjr_decode = decode
+        idd.bcjr_decode, lchase.prepare_all_uses = decode, prepare
     return arrays
 
 
@@ -213,8 +218,7 @@ def _detections() -> dict:
                         for kind, la in priors.items():
                             runs = [(None, None)]
                             if obs == "noisy":
-                                caps = CAPS if kind == SLICED or n in STREAMS else (None,)
-                                runs = [(cap, None) for cap in caps]
+                                runs = [(cap, None) for cap in CAPS]
                                 if kind == SLICED:
                                     runs += [(cap, tails) for cap in TAIL_CAPS]
                             for cap, live in runs:
