@@ -47,15 +47,15 @@ from .channel import (
 from .codec import SUPPORTED_RATES, CodeConfig, encode, puncture
 from .constellation import SUPPORTED_ORDERS, build_constellation, modulate
 from .counters import pass_stats
-from .errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
+from .errors import ConfigError, SingularMatrixError
 from .idd import DETECTORS, IddConfig, run_idd, slot_bits, uses_for_block
 from .reference import MAX_EXHAUSTIVE
 
 # Largest SNR grid a 'start:step:stop' range may expand to.
 MAX_SNR_POINTS = 10_000
 # Largest SNR magnitude in dB. Every detector runs cleanly up to it; far
-# beyond it the noise variance overflows, or a noise covariance's Cholesky
-# factor or a channel's QR breaks down mid-run.
+# beyond it the noise variance overflows, or a channel's QR breaks down
+# mid-run.
 MAX_SNR_DB = 300.0
 # Most (block, iteration) bit error counts the sweep may keep over its whole
 # SNR grid until the run ends: 10**7 blocks at 3 iterations fit.
@@ -268,16 +268,14 @@ def _build_bundle(cfg: SimConfig) -> _Bundle:
 def block_values(cfg: SimConfig, n_uses: int) -> int:
     """Float64 values a block of n_uses channel uses is charged in a chunk:
     per use its candidate metrics and its normals, channel, observation and
-    noise arrays; per block its complex noise covariance, noise factor and
-    whitener with the temporaries of factoring and inverting it (10 *
-    rx**2), its decoder and its bit error count of every iteration.
+    noise arrays; per block its decoder and its bit error count of every
+    iteration.
     tests/test_simcli.py holds a chunk's channel stage under it. Nothing is
     charged for the Chase detectors' prepare stage, whose peak over a full
-    chunk is about 0.8 of the chunk's whole charge at 4 streams and 6 to
-    22 times it at 16 to 64 streams (README, "Chunk size")."""
+    chunk is about 0.8 of the chunk's whole charge at 4 streams and 7 to
+    38 times it at 16 to 64 streams (README, "Chunk size")."""
     per_use = cfg.n_streams * cfg.mod + 6 * cfg.n_rx * (cfg.n_tx + cfg.n_streams + 2)
-    per_block = 10 * cfg.n_rx**2 + STEP_VALUES * (cfg.info_bits + 2)
-    return n_uses * per_use + per_block + cfg.iterations
+    return n_uses * per_use + STEP_VALUES * (cfg.info_bits + 2) + cfg.iterations
 
 
 def chunk_blocks(bundle: _Bundle) -> int:
@@ -306,7 +304,7 @@ def _chunk_model(
     cfg, idd_cfg = bundle.cfg, bundle.idd_cfg
     c, code = idd_cfg.constellation, idd_cfg.code
     n_blocks, n_uses, n_rx = len(info), bundle.n_uses, cfg.n_rx
-    sigma2 = bundle.sigma2[np.arange(lo, lo + n_blocks) // cfg.blocks]
+    sigma = np.sqrt(bundle.sigma2[np.arange(lo, lo + n_blocks) // cfg.blocks])
 
     tx_bits = puncture(encode(info, code), code)[:, idd_cfg.interleaver]
     symbols = modulate(slot_bits(tx_bits, c, cfg.n_streams), c).swapaxes(0, 1)
@@ -317,9 +315,12 @@ def _chunk_model(
         per_use[..., :split].reshape(n_uses, n_blocks, 2, n_rx, cfg.n_tx),
     )
     # The streams go out on the first n_streams transmit antennas.
-    ch = ChannelRealization(hbar[..., : cfg.n_streams], sigma2[:, None, None] * np.eye(n_rx))
+    ch = ChannelRealization(hbar[..., : cfg.n_streams], sigma)
     y = transmit(ch, symbols, per_use[..., split:].reshape(n_uses, n_blocks, 2, n_rx))
-    model = whiten(y, ch)
+    # A zero or infinite sigma (SNR +-inf, which validate_config rejects)
+    # whitens to values the finite check reports with their block.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        model = whiten(y, ch)
     finite = np.isfinite(model.y).all(axis=(0, 2)) & np.isfinite(model.h).all(axis=(0, 2, 3))
     if not finite.all():
         point, block = divmod(lo + int(np.argmin(finite)), cfg.blocks)
@@ -339,7 +340,7 @@ def simulate_chunk(bundle: _Bundle, lo: int, hi: int) -> np.ndarray:
     info, normals = _draws(bundle, lo, hi)
     try:
         result = run_idd(_chunk_model(bundle, lo, info, normals), info, bundle.idd_cfg)
-    except (SingularMatrixError, NotPositiveDefiniteError) as exc:
+    except SingularMatrixError as exc:
         per = bundle.cfg.blocks
         where = ", ".join(
             f"snr point {p} blocks {max(lo - p * per, 0)}..{min(hi - p * per, per) - 1}"

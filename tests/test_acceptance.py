@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from chasedet import bchase, lchase
-from chasedet.channel import ChannelRealization, WhitenedModel
+from chasedet.channel import ChannelRealization, WhitenedModel, transmit, whiten
 from chasedet.codec import CodeConfig, bcjr_decode, encode
 from chasedet.constellation import (
     axis_parts,
@@ -153,18 +153,20 @@ def test_list_detector_count_identity():
 
 
 def test_whitened_noise_covariance_is_identity():
-    # Colored noise through the whitener: sample covariance within 0.05
-    # entrywise of the identity, 1e5 samples, random PD covariance.
+    # Noise drawn through transmit at sigma from 1e-3 to 1e3 and whitened:
+    # the residual y - h s of the whitened model has a sample covariance
+    # within 0.05 entrywise of the identity, 1e5 samples each.
     rng = np.random.default_rng(106)
+    samples = 100_000
     ok = True
     for n_r in (2, 4):
-        a = iid_complex_gaussian(rng, (n_r, n_r))
-        c_nn = a @ a.conj().T + 0.1 * np.eye(n_r)
-        ch = ChannelRealization(iid_complex_gaussian(rng, (n_r, n_r)), c_nn)
-        w = iid_complex_gaussian(rng, (100_000, n_r))
-        whitened = (w @ ch._noise_factor.T) @ ch.whitener.T
-        cov = whitened.T @ whitened.conj() / len(whitened)
-        ok = ok and float(np.abs(cov - np.eye(n_r)).max()) <= 0.05
+        for sigma in (1e-3, 0.5, 3.0, 1e3):
+            ch = ChannelRealization(iid_complex_gaussian(rng, (n_r, n_r)), sigma)
+            s = iid_complex_gaussian(rng, (samples, n_r))
+            model = whiten(transmit(ch, s, rng.standard_normal((samples, 2, n_r))), ch)
+            noise = model.y - (model.h @ s[..., None])[..., 0]
+            cov = noise.T @ noise.conj() / samples
+            ok = ok and float(np.abs(cov - np.eye(n_r)).max()) <= 0.05
     _report("noise-whitening", ok)
 
 

@@ -56,25 +56,48 @@ def test_generate_channel_receive_correlation():
 
 
 def test_realization_validates_dimensions():
-    hbar = np.eye(2, dtype=complex)
+    # sigma is one value or one per draw of a stack: its shape broadcasts
+    # against the channel's leading axes without adding to them.
+    hbar = np.ones((5, 3, 2, 2), dtype=complex)
+    for sigma in (0.5, np.ones(3), np.ones((5, 1)), np.ones((5, 3))):
+        assert ChannelRealization(hbar, sigma).sigma.shape == np.shape(sigma)
+    for sigma in (np.ones(4), np.ones((2, 5, 3)), np.eye(2)):
+        with pytest.raises(ConfigError):
+            ChannelRealization(hbar, sigma)
     with pytest.raises(ConfigError):
-        ChannelRealization(hbar, np.eye(3))
+        ChannelRealization(np.eye(2, dtype=complex), np.eye(3))
 
 
 def test_white_noise_shortcut():
-    # For c_nn = sigma^2 I the whitener must be I / sigma.
-    hbar = np.array([[1.0 + 1j, 0.3], [0.2, 2.0 - 1j]])
-    sigma2 = 0.25
-    ch = ChannelRealization(hbar, sigma2 * np.eye(2))
-    np.testing.assert_allclose(ch.whitener, np.eye(2) / np.sqrt(sigma2), atol=1e-12)
+    # White noise sigma^2 I has the noise factor sigma I and the whitener
+    # I / sigma. Transmitting by sigma and whitening by a multiply by
+    # 1 / sigma gives bit for bit what those diagonal matrices give as
+    # stacked matmuls, one per block, at every receive antenna count.
+    rng = np.random.default_rng(3)
+    uses, blocks = 4, 3
+    for n_r in range(1, 7):
+        hbar = generate_channel(
+            n_r, n_r, CorrelationModel(0.5, 0.5), rng.standard_normal((uses, blocks, 2, n_r, n_r))
+        )
+        sigma = 10.0 ** rng.uniform(-15.0, 15.0, blocks)
+        s = rng.normal(size=(uses, blocks, n_r)) + 1j * rng.normal(size=(uses, blocks, n_r))
+        normals = rng.standard_normal((uses, blocks, 2, n_r))
+        w = (normals[..., 0, :] + 1j * normals[..., 1, :]) / np.sqrt(2.0)
+        ch = ChannelRealization(hbar, sigma)
+        factor = (np.eye(n_r) * sigma[:, None, None]).astype(complex)
+        whitener = (np.eye(n_r) * (1.0 / sigma)[:, None, None]).astype(complex)
+
+        y = transmit(ch, s, normals)
+        assert np.array_equal(y, (hbar @ s[..., None])[..., 0] + (factor @ w[..., None])[..., 0])
+        model = whiten(y, ch)
+        assert np.array_equal(model.y, (whitener @ y[..., None])[..., 0])
+        assert np.array_equal(model.h, whitener @ hbar)
 
 
 def test_whitened_noise_covariance():
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    c_nn = a @ a.conj().T + 0.5 * np.eye(3)
     hbar = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    ch = ChannelRealization(hbar, c_nn)
+    ch = ChannelRealization(hbar, 0.7)
     s = np.zeros(2, dtype=complex)
     n = 4000
     acc = np.zeros((3, 3), dtype=complex)
@@ -89,39 +112,33 @@ def test_whiten_consistency():
     # whitened noise for the transmitted s.
     rng = np.random.default_rng(9)
     hbar = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    c_nn = 0.3 * np.eye(4)
-    ch = ChannelRealization(hbar, c_nn)
+    sigma = np.sqrt(0.3)
+    ch = ChannelRealization(hbar, sigma)
     s = np.array([1 + 1j, -1 + 0j]) / np.sqrt(2)
     y = transmit(ch, s, rng.standard_normal((2, 4)))
     model = whiten(y, ch)
-    np.testing.assert_allclose(model.h, ch.whitener @ ch.h, atol=1e-12)
-    np.testing.assert_allclose(
-        model.y - model.h @ s, ch.whitener @ (y - ch.h @ s), atol=1e-12
-    )
+    np.testing.assert_allclose(model.h, ch.h / sigma, atol=1e-12)
+    np.testing.assert_allclose(model.y - model.h @ s, (y - ch.h @ s) / sigma, atol=1e-12)
     assert model.n_streams == 2
 
 
-@pytest.mark.parametrize("n_r", range(1, 7))
-@pytest.mark.parametrize("colored", (False, True), ids=("white", "colored"))
-def test_stacked_noise_covariances_match_per_block_realizations(n_r, colored):
-    # A (B, 1, n_r, n_r) stack of noise covariances over a (B, U, n_r, n_t)
+@pytest.mark.parametrize("n_r", range(1, 7), ids=lambda n_r: f"white-{n_r}")
+def test_stacked_noise_covariances_match_per_block_realizations(n_r):
+    # A (B, 1) stack of noise standard deviations over a (B, U, n_r, n_t)
     # stack of channels transmits and whitens bit for bit as B realizations
     # of one block each.
     rng = np.random.default_rng(n_r)
     blocks, uses, n_t = 3, 5, n_r + 1
     corr = CorrelationModel(0.5, 0.5)
     hbar = generate_channel(n_r, n_t, corr, rng.standard_normal((blocks, uses, 2, n_r, n_t)))
-    c_nn = rng.uniform(0.1, 2.0, (blocks, 1, 1, 1)) * np.eye(n_r)
-    if colored:
-        a = rng.normal(size=(blocks, 1, n_r, n_r)) + 1j * rng.normal(size=(blocks, 1, n_r, n_r))
-        c_nn = c_nn + a @ np.swapaxes(a, -2, -1).conj()
+    sigma = np.sqrt(rng.uniform(0.1, 2.0, (blocks, 1)))
     s = rng.normal(size=(blocks, uses, n_r)) + 1j * rng.normal(size=(blocks, uses, n_r))
     normals = rng.standard_normal((blocks, uses, 2, n_r))
-    stacked = ChannelRealization(hbar[..., :n_r], c_nn)
+    stacked = ChannelRealization(hbar[..., :n_r], sigma)
     y = transmit(stacked, s, normals)
     model = whiten(y, stacked)
     for b in range(blocks):
-        alone = ChannelRealization(hbar[b, ..., :n_r], c_nn[b, 0])
+        alone = ChannelRealization(hbar[b, ..., :n_r], sigma[b, 0])
         y_alone = transmit(alone, s[b], normals[b])
         assert np.array_equal(y[b], y_alone)
         model_alone = whiten(y_alone, alone)
@@ -131,14 +148,17 @@ def test_stacked_noise_covariances_match_per_block_realizations(n_r, colored):
 
 @pytest.mark.parametrize("n_r", range(1, 7))
 def test_whitener_inverts_the_noise_factor(n_r):
-    # The whitener is L^-1 for C_nn = L L^H, so it undoes the factor that
-    # colours the noise to within rounding of the substitution: the largest
-    # entry error seen over 20 seeds is about 4 ulp at n_r = 5.
+    # Whitening multiplies by 1 / sigma the noise that transmit drew as
+    # sigma w, so it gives back w to within three roundings (1.5 ulp) at
+    # every sigma the simulator reaches, about 1e-15 to 1e15 at
+    # +-MAX_SNR_DB.
     rng = np.random.default_rng(n_r)
-    a = rng.normal(size=(3, 1, n_r, n_r)) + 1j * rng.normal(size=(3, 1, n_r, n_r))
-    c_nn = rng.uniform(0.1, 2.0, (3, 1, 1, 1)) * np.eye(n_r) + a @ np.swapaxes(a, -2, -1).conj()
-    ch = ChannelRealization(np.ones((3, 2, n_r, n_r), dtype=complex), c_nn)
-    product = ch.whitener @ ch._noise_factor
-    identity = np.broadcast_to(np.eye(n_r), product.shape)
-    np.testing.assert_allclose(product, identity, rtol=0, atol=8 * np.finfo(float).eps)
-
+    sigma = 10.0 ** rng.uniform(-15.0, 15.0, 3)
+    ch = ChannelRealization(np.ones((2, 3, n_r, n_r), dtype=complex), sigma)
+    normals = rng.standard_normal((2, 3, 2, n_r))
+    noise = whiten(transmit(ch, np.zeros((2, 3, n_r)), normals), ch).y
+    w = (normals[..., 0, :] + 1j * normals[..., 1, :]) / np.sqrt(2.0)
+    for part in ("real", "imag"):
+        np.testing.assert_allclose(
+            getattr(noise, part), getattr(w, part), rtol=2 * np.finfo(float).eps, atol=0
+        )

@@ -44,8 +44,9 @@ def test_grid_runs_on_this_tree(equivalence):
     detections *= 2
     per_point = len(eq.OBSERVATIONS) * (1 + context_fields) + detections
     runs = [det for _, _, dets in eq.LINKS for det in dets] * len(eq.CHUNKS)
+    runs += [det for link, _, dets in eq.LINKS if link == eq.EXTREME_LINK for det in dets]
     per_run = [1 + 2 * (1 if det == "lmmse" else eq.ITERATIONS) for det in runs]
-    chunks = 2 * len(eq.LINKS) * len(eq.CHUNKS)
+    chunks = 2 * (len(eq.LINKS) * len(eq.CHUNKS) + 1)
     decodes = 3 * len(eq.DECODER_LENGTHS) * len(SUPPORTED_RATES) * len(eq.DECODER_LLRS)
     decodes *= len(eq.DECODER_STACKS)
     assert len(arrays) == (

@@ -47,10 +47,14 @@ def test_readme_maxlog_uses_per_slice_matches_charge():
 
 
 def test_readme_block_charge_matches_block_values():
-    # The chunk-charge bullet's per-block `K * rx^2` is the coefficient
-    # block_values charges: its difference between two receive antenna
-    # counts at zero uses, over the difference of their squares.
-    found = re.search(r"per block, `(\d+) \* rx\^2`", README.read_text())
-    small, large = SimConfig(n_rx=4), SimConfig(n_rx=64)
-    growth = simcli.block_values(large, 0) - simcli.block_values(small, 0)
-    assert int(found[1]) * (64**2 - 4**2) == growth
+    # The chunk-charge bullet's per-use `streams * M` and `K * rx * (tx +
+    # streams + C)`, and its per-block values per trellis step and one
+    # count per iteration, are what block_values charges.
+    text = README.read_text()
+    found = re.search(r"`(\d+) \* rx \* \(tx \+ streams \+ (\d+)\)`", text)
+    per_step = int(re.search(r"(\d+) values per\s+trellis step", text)[1])
+    for cfg in (SimConfig(), SimConfig(mod=64, n_streams=3, n_rx=5, n_tx=7)):
+        streams, rx, tx = cfg.n_streams, cfg.n_rx, cfg.n_tx
+        per_use = streams * cfg.mod + int(found[1]) * rx * (tx + streams + int(found[2]))
+        per_block = per_step * (cfg.info_bits + 2) + cfg.iterations
+        assert simcli.block_values(cfg, 3) == 3 * per_use + per_block

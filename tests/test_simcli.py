@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chasedet import bchase, chase, idd, lchase, reference, simcli
 from chasedet.channel import generate_channel
-from chasedet.errors import ConfigError, NotPositiveDefiniteError, SingularMatrixError
+from chasedet.errors import ConfigError, SingularMatrixError
 from chasedet.idd import DETECTORS, run_idd
 from chasedet.simcli import (
     CSV_HEADER,
@@ -66,9 +66,9 @@ def test_bad_snr_grids_are_config_errors(text, monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("snr", ("301", "-301", "1e308", "-3100", "3080"))
 def test_snrs_beyond_the_range_are_config_errors(snr, tmp_path, capsys):
-    # Past MAX_SNR_DB in magnitude the noise variance overflows, or a noise
-    # covariance's Cholesky factor or a channel's QR breaks down mid-run;
-    # such an SNR fails at the config boundary, before any block runs.
+    # Past MAX_SNR_DB in magnitude the noise variance overflows, or a
+    # channel's QR breaks down mid-run; such an SNR fails at the config
+    # boundary, before any block runs.
     with pytest.raises(ConfigError, match="within"):
         validate_config(SimConfig(snr_db=(4.0, float(snr))))
     out = tmp_path / "x.csv"
@@ -128,13 +128,15 @@ def test_iteration_counts_that_exhaust_memory_are_rejected(link, match):
 
 
 @pytest.mark.parametrize(
-    "link", (dict(n_rx=1024, n_tx=1, n_streams=1), dict(info_bits=10**6), dict(info_bits=10**15))
+    "link", (dict(n_rx=2048, n_tx=1, n_streams=1), dict(info_bits=10**6), dict(info_bits=10**15))
 )
 def test_blocks_over_the_chunk_cap_are_rejected(link):
-    # One block of these would not fit a chunk: 1024 receive antennas need a
-    # 1024 x 1024 noise covariance per block, a million info bits a decoder
-    # of 64 million values. validate_config rejects them; 10**15 info bits
-    # is rejected without building the block's puncturing mask.
+    # One block of these would not fit a chunk: 2048 receive antennas are
+    # charged 1,626,771 values, 1,622,016 of them normals, channel,
+    # observation and noise over the block's 33 uses; a million info bits
+    # need a decoder of 64 million values.
+    # validate_config rejects them; 10**15 info bits is rejected without
+    # building the block's puncturing mask.
     with pytest.raises(ConfigError, match="chunk cap"):
         validate_config(SimConfig(**link))
 
@@ -168,9 +170,8 @@ def test_benchmark_legs_fit_one_chunk(monkeypatch):
 def test_channel_stage_stays_under_block_charge(link):
     # Drawing and whitening a chunk holds between half and all of what
     # block_values charges its blocks beyond their candidate metrics,
-    # decoder and bit error counts: the normals, the channel arrays and, with
-    # few uses on many receive antennas (rx128), mostly the noise
-    # covariances.
+    # decoder and bit error counts: the normals and the channel,
+    # observation and noise arrays of every use.
     cfg = validate_config(SimConfig(snr_db=(10.0,), blocks=16, **link))
     bundle = _build_bundle(cfg)
     blocks = min(simcli.chunk_blocks(bundle), 16)
@@ -721,25 +722,25 @@ def test_simulated_chunk_reaches_prepare_without_a_copy(walk):
     assert walk["shared"] == 2
 
 
-def _forced_singular(monkeypatch, error):
-    """Make every run_idd call fail with `error`; returns the calls' block counts."""
+def _forced_singular(monkeypatch):
+    """Make every run_idd call fail with SingularMatrixError; returns the
+    calls' block counts."""
     calls = []
 
     def singular(model, info, cfg, *args, **kwargs):
         calls.append(len(info))
-        raise error("forced")
+        raise SingularMatrixError("forced")
 
     monkeypatch.setattr(simcli, "run_idd", singular)
     return calls
 
 
-@pytest.mark.parametrize("error", (SingularMatrixError, NotPositiveDefiniteError))
-def test_singular_chunk_raises_naming_its_blocks(monkeypatch, error):
+def test_singular_chunk_raises_naming_its_blocks(monkeypatch):
     # A chunk that meets a singular channel fails with the same error type,
     # naming its SNR point and blocks; nothing is redrawn or re-run.
     bundle = _build_bundle(_tiny_config(blocks=4))
-    calls = _forced_singular(monkeypatch, error)
-    with pytest.raises(error) as raised:
+    calls = _forced_singular(monkeypatch)
+    with pytest.raises(SingularMatrixError) as raised:
         simulate_chunk(bundle, 0, 4)
     assert str(raised.value) == "forced in the chunk of snr point 0 blocks 0..3"
     assert calls == [4]
@@ -748,7 +749,7 @@ def test_singular_chunk_raises_naming_its_blocks(monkeypatch, error):
 def test_singular_chunk_spanning_points_names_every_part(monkeypatch):
     # A chunk holding the tail of point 0 and the head of point 1 names both.
     bundle = _build_bundle(_tiny_config(blocks=3, snr_db=(2.0, 6.0)))
-    calls = _forced_singular(monkeypatch, SingularMatrixError)
+    calls = _forced_singular(monkeypatch)
     with pytest.raises(SingularMatrixError) as raised:
         simulate_chunk(bundle, 1, 5)
     assert str(raised.value) == (
@@ -757,23 +758,18 @@ def test_singular_chunk_spanning_points_names_every_part(monkeypatch):
     assert calls == [4]
 
 
-@pytest.mark.parametrize(
-    "workers,where",
-    (
-        (1, "snr point 0 blocks 0..1, snr point 1 blocks 0..1"),
-        (2, "snr point 1 blocks 0..1"),
-    ),
-    ids=("serial", "pooled"),
-)
-def test_noiseless_point_fails_loudly_serial_and_pooled(workers, where):
-    # Zero noise variance (SNR inf, which validate_config rejects) leaves the
-    # noise covariance without a Cholesky factor. The sweep raises that
-    # error with the failing chunk's parts: one chunk over both points
-    # serially, one chunk per point with two workers.
+@pytest.mark.parametrize("workers", (1, 2), ids=("serial", "pooled"))
+def test_noiseless_point_fails_loudly_serial_and_pooled(workers):
+    # Zero noise variance (SNR inf, which validate_config rejects) whitens
+    # by 1 / 0. The finite check raises a FloatingPointError naming the
+    # first block it spoils, whether that block's chunk spans both points
+    # (serially) or holds the noiseless point alone (two workers).
     cfg = replace(_tiny_config(blocks=2, snr_db=(2.0, 6.0), workers=workers), snr_db=(2.0, np.inf))
-    with pytest.raises(NotPositiveDefiniteError) as raised:
+    with pytest.raises(FloatingPointError) as raised:
         monte_carlo(cfg)
-    assert str(raised.value).endswith(f" in the chunk of {where}")
+    assert str(raised.value) == (
+        "non-finite whitened channel or observation at snr point 1 block 0"
+    )
 
 
 @pytest.mark.parametrize("link", ("lchase", "bchase", "lmmse", "maxlog"))

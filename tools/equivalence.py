@@ -21,9 +21,11 @@ The grid:
 - on the noisy observation, lchase and bchase LLRs also in slices of 1
   and 5 contexts under every prior kind; and under the SLICED kind with
   dead tails (the last use of every even stream not live, see live_uses)
-  in slices of 1 and all contexts;
+  in slices of 1, 5 and all contexts;
 - the IDD loop over simulated chunks of 1 and 3 blocks on three links
-  (LINKS): the chunk's whitened uses as run_idd stacks them for
+  (LINKS), and on EXTREME_LINK over one chunk of a block at
+  -MAX_SNR_DB and one at +MAX_SNR_DB, where sigma and 1/sigma reach about
+  1e+-15: the chunk's whitened uses as run_idd stacks them for
   lchase.prepare_all_uses, each pass's decoder input and extrinsic output,
   and the chunk's bit errors;
 - bcjr_decode's three outputs at K = 1, 64 and 512, both rates, stacks
@@ -32,8 +34,9 @@ The grid:
 It uses only names both trees must keep: prepare_all_uses,
 detect_all_uses, context_values and chase.SLICE_VALUES, reference's
 lmmse_llrs, maxlog_factors and maxlog_llrs, codec's CodeConfig and
-bcjr_decode, and simcli's SimConfig, _build_bundle and simulate_chunk
-with the idd.bcjr_decode and lchase.prepare_all_uses they call.
+bcjr_decode, and simcli's SimConfig, MAX_SNR_DB, _build_bundle and
+simulate_chunk with the idd.bcjr_decode and lchase.prepare_all_uses they
+call.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ USES = 2
 PRIORS = ("zero", "cauchy", "clipped", "rounded")
 SLICED = "cauchy"  # the prior kind also detected with dead tails and on the other observations
 CAPS = (1, 5, None)  # contexts per slice; None: every context in one slice
-TAIL_CAPS = (1, None)  # the dead-tail runs' slice caps
+TAIL_CAPS = (1, 5, None)  # the dead-tail runs' slice caps
 MAXLOG_HYPOTHESES = 1 << 12
 # (name, SimConfig fields, detectors) of the IDD links. Each pads the last
 # use of a block: 12 slots at 4x4 16-QAM rate 0.5, 16 at 4x4 64-QAM rate
@@ -74,6 +77,7 @@ LINKS = (
      ("lchase", "bchase", "lmmse")),
 )
 CHUNKS = (1, 3)  # blocks per chunk
+EXTREME_LINK = "4x4-16qam"  # also run at -MAX_SNR_DB and +MAX_SNR_DB
 ITERATIONS = 3
 DECODER_LENGTHS = (1, 64, 512)
 DECODER_STACKS = (1, 2, 17)
@@ -118,9 +122,10 @@ def grid() -> dict:
 
 
 def _chunks() -> dict:
-    """Per IDD link and chunk size: the chunk's (U*B, ...) whitened y and h
-    that run_idd hands lchase.prepare_all_uses; and per detector each
-    pass's decoder input ("/pass<k>/channel") and extrinsic output
+    """Per IDD link and chunk ("B<blocks>", or "extremes" for EXTREME_LINK's
+    chunk at +-MAX_SNR_DB): the chunk's (U*B, ...) whitened y and h that
+    run_idd hands lchase.prepare_all_uses; and per detector each pass's
+    decoder input ("/pass<k>/channel") and extrinsic output
     ("/pass<k>/extrinsic"), and the chunk's (blocks, iterations) bit
     errors."""
     from chasedet import idd, lchase, simcli
@@ -140,21 +145,25 @@ def _chunks() -> dict:
     idd.bcjr_decode, lchase.prepare_all_uses = recorded, prepared
     try:
         for link, link_fields, detectors in LINKS:
-            for blocks in CHUNKS:
-                cfg = simcli.SimConfig(blocks=blocks, iterations=ITERATIONS, **link_fields)
+            chunks = [(f"B{blocks}", blocks, link_fields) for blocks in CHUNKS]
+            if link == EXTREME_LINK:
+                extremes = (-simcli.MAX_SNR_DB, simcli.MAX_SNR_DB)
+                chunks.append(("extremes", 1, dict(link_fields, snr_db=extremes)))
+            for chunk, blocks, chunk_fields in chunks:
+                cfg = simcli.SimConfig(blocks=blocks, iterations=ITERATIONS, **chunk_fields)
                 for detector in detectors:
-                    key = f"idd/{link}/{detector}/B{blocks}"
+                    key = f"idd/{link}/{detector}/{chunk}"
                     passes.clear()
                     bundle = simcli._build_bundle(replace(cfg, detector=detector))
-                    errors = simcli.simulate_chunk(bundle, 0, blocks)
+                    errors = simcli.simulate_chunk(bundle, 0, blocks * len(cfg.snr_db))
                     arrays[f"{key}/bit_errors"] = errors
                     for k, (channel, extrinsic) in enumerate(passes):
                         arrays[f"{key}/pass{k}/channel"] = channel
                         arrays[f"{key}/pass{k}/extrinsic"] = extrinsic
                 (uses,) = stacks  # every link runs lchase
                 stacks.clear()
-                arrays[f"chunk/{link}/B{blocks}/y"] = uses.y
-                arrays[f"chunk/{link}/B{blocks}/h"] = uses.h
+                arrays[f"chunk/{link}/{chunk}/y"] = uses.y
+                arrays[f"chunk/{link}/{chunk}/h"] = uses.h
     finally:
         idd.bcjr_decode, lchase.prepare_all_uses = decode, prepare
     return arrays
