@@ -135,15 +135,10 @@ def transmit(ch: ChannelRealization, s: np.ndarray, normals: np.ndarray) -> np.n
     n_r = ch.h.shape[-2]
     if normals.shape[-2:] != (2, n_r):
         raise ValueError(f"expected normals shaped (..., 2, {n_r})")
-    return _apply(ch.h, s) + ch.sigma[..., None] * _complex_normal(normals, -2)
+    return (ch.h @ s[..., None])[..., 0] + ch.sigma[..., None] * _complex_normal(normals, -2)
 
 
 def whiten(y: np.ndarray, ch: ChannelRealization) -> WhitenedModel:
     """The model of an observation (or a stack), y and h each times 1/sigma."""
     scale = 1.0 / ch.sigma[..., None]
     return WhitenedModel(np.asarray(y, dtype=complex) * scale, ch.h * scale[..., None])
-
-
-def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector products a @ x over any leading axes, as stacked matmul."""
-    return (a @ x[..., None])[..., 0]

@@ -117,6 +117,8 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
     and h (U, B, n_rx, n); info_bits (B, K) are the true payloads, used
     only for error counting. The detector's entry in the table prepares all
     B*U uses once, and its detect call takes all of them once per pass.
+    Each pass writes its bit errors into its own iteration and every later
+    one, so a later pass overwrites them and lmmse's one pass fills all.
     """
     c, code = cfg.constellation, cfg.code
     info_bits = np.asarray(info_bits)
@@ -153,11 +155,7 @@ def run_idd(model: WhitenedModel, info_bits: np.ndarray, cfg: IddConfig) -> IddR
         det = detect(prepared, c, la, live)
         ch_llrs[:, pos] = saturate((det - la).reshape(n_uses, n_blocks, -1)[use, :, slot].T)
         dec_ext, _, hard = bcjr_decode(ch_llrs, None, code)
-        # The last pass also stands for every iteration left after it.
-        repeats = 1 if it + 1 < passes else cfg.iterations - it
-        span = slice(it, it + repeats)
-        result.iter_bit_errors[:, span] = np.sum(hard != info_bits, axis=1)[:, None]
-
+        result.iter_bit_errors[:, it:] = np.sum(hard != info_bits, axis=1)[:, None]
         if it + 1 < passes:
             la.reshape(n_uses, n_blocks, -1)[use, :, slot] = saturate(dec_ext[:, pos]).T
 

@@ -245,7 +245,7 @@ class _Bundle:
     idd_cfg: IddConfig
     corr: CorrelationModel
     n_uses: int
-    sigma2: np.ndarray  # (points,) noise variance of each SNR point
+    sigma: np.ndarray  # (points,) noise standard deviation of each SNR point
 
 
 def _build_bundle(cfg: SimConfig) -> _Bundle:
@@ -261,7 +261,7 @@ def _build_bundle(cfg: SimConfig) -> _Bundle:
         idd_cfg=idd_cfg,
         corr=CorrelationModel(rho_tx=cfg.corr_tx, rho_rx=cfg.corr_rx),
         n_uses=uses_for_block(idd_cfg.code, idd_cfg.constellation, cfg.n_streams),
-        sigma2=np.array([cfg.n_streams * 10.0 ** (-snr_db / 10.0) for snr_db in cfg.snr_db]),
+        sigma=np.sqrt([cfg.n_streams * 10.0 ** (-snr_db / 10.0) for snr_db in cfg.snr_db]),
     )
 
 
@@ -284,15 +284,16 @@ def chunk_blocks(bundle: _Bundle) -> int:
 
 
 def _draws(bundle: _Bundle, lo: int, hi: int) -> tuple:
-    """Payloads (B, K) and standard normals of grid blocks lo..hi-1."""
+    """Payloads (B, K) and standard normals of grid blocks lo..hi-1: each
+    block's generator writes its payload, then its normals, into its own
+    row of the two arrays."""
     cfg = bundle.cfg
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence([cfg.seed, *divmod(g, cfg.blocks)]))
-        for g in range(lo, hi)
-    ]
-    info = np.stack([rng.integers(0, 2, cfg.info_bits, dtype=np.int8) for rng in rngs])
-    n_normals = bundle.n_uses * 2 * cfg.n_rx * (cfg.n_tx + 1)
-    normals = np.stack([rng.standard_normal(n_normals) for rng in rngs])
+    info = np.empty((hi - lo, cfg.info_bits), dtype=np.int8)
+    normals = np.empty((hi - lo, bundle.n_uses * 2 * cfg.n_rx * (cfg.n_tx + 1)))
+    for row, g in enumerate(range(lo, hi)):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *divmod(g, cfg.blocks)]))
+        info[row] = rng.integers(0, 2, cfg.info_bits, dtype=np.int8)
+        rng.standard_normal(out=normals[row])
     return info, normals
 
 
@@ -300,11 +301,14 @@ def _chunk_model(
     bundle: _Bundle, lo: int, info: np.ndarray, normals: np.ndarray
 ) -> WhitenedModel:
     """Whitened observations of grid blocks lo..lo+B-1 in run_idd's layout,
-    each at its point's SNR, from their payloads and normals."""
+    each at its point's noise deviation, from their payloads and normals.
+
+    A non-finite entry anywhere in the chunk raises a FloatingPointError
+    naming the point and block of the first block that holds one."""
     cfg, idd_cfg = bundle.cfg, bundle.idd_cfg
     c, code = idd_cfg.constellation, idd_cfg.code
     n_blocks, n_uses, n_rx = len(info), bundle.n_uses, cfg.n_rx
-    sigma = np.sqrt(bundle.sigma2[np.arange(lo, lo + n_blocks) // cfg.blocks])
+    sigma = bundle.sigma[np.arange(lo, lo + n_blocks) // cfg.blocks]
 
     tx_bits = puncture(encode(info, code), code)[:, idd_cfg.interleaver]
     symbols = modulate(slot_bits(tx_bits, c, cfg.n_streams), c).swapaxes(0, 1)
@@ -321,8 +325,8 @@ def _chunk_model(
     # whitens to values the finite check reports with their block.
     with np.errstate(divide="ignore", invalid="ignore"):
         model = whiten(y, ch)
-    finite = np.isfinite(model.y).all(axis=(0, 2)) & np.isfinite(model.h).all(axis=(0, 2, 3))
-    if not finite.all():
+    if not (np.isfinite(model.y).all() and np.isfinite(model.h).all()):
+        finite = np.isfinite(model.y).all(axis=(0, 2)) & np.isfinite(model.h).all(axis=(0, 2, 3))
         point, block = divmod(lo + int(np.argmin(finite)), cfg.blocks)
         raise FloatingPointError(
             f"non-finite whitened channel or observation at snr point {point} block {block}"

@@ -687,23 +687,32 @@ def test_streams_go_out_on_the_first_transmit_antennas():
     hbar = generate_channel(
         cfg.n_rx, cfg.n_tx, bundle.corr, per_use.reshape(4, bundle.n_uses, 2, cfg.n_rx, cfg.n_tx)
     )
-    sigma = np.sqrt(np.repeat(bundle.sigma2, cfg.blocks))[:, None, None, None]
+    sigma = np.repeat(bundle.sigma, cfg.blocks)[:, None, None, None]
     assert model.h.shape == (bundle.n_uses, 4, cfg.n_rx, 1)
     np.testing.assert_allclose(model.h.swapaxes(0, 1), hbar[..., :1] / sigma, rtol=1e-14, atol=0)
 
 
 def test_non_finite_whitened_model_names_point_and_block(monkeypatch):
+    # One non-finite entry fails the whole-chunk check, and the error names
+    # the block that holds it: a NaN in y within point 1, and an infinite
+    # channel entry in the fourth block of a chunk that holds the tail of
+    # point 0 and the head of point 1.
     bundle = _build_bundle(_tiny_config(blocks=4, snr_db=(2.0, 4.0)))
     real_whiten = simcli.whiten
+    cases = (
+        ("y", (1, 2, 0), np.nan, 5, 8, "snr point 1 block 3"),  # point 1, blocks 1..3
+        ("h", (-1, 3, 1, 0), complex(0.0, np.inf), 2, 7, "snr point 1 block 1"),
+    )
+    for array, index, value, lo, hi, where in cases:
 
-    def poisoned(y, ch):
-        model = real_whiten(y, ch)  # use-major: (U, B, ...)
-        model.y[1, 2, 0] = np.nan
-        return model
+        def poisoned(y, ch):
+            model = real_whiten(y, ch)  # use-major: (U, B, ...)
+            getattr(model, array)[index] = value
+            return model
 
-    monkeypatch.setattr(simcli, "whiten", poisoned)
-    with pytest.raises(FloatingPointError, match="snr point 1 block 3"):
-        simulate_chunk(bundle, 5, 8)  # snr point 1, blocks 1..3
+        monkeypatch.setattr(simcli, "whiten", poisoned)
+        with pytest.raises(FloatingPointError, match=f"{where}$"):
+            simulate_chunk(bundle, lo, hi)
 
 
 def test_simulated_chunk_reaches_prepare_without_a_copy(walk):
